@@ -19,6 +19,8 @@ from .errors import (
     SeparatorFailed,
     TensorBudgetExceeded,
     UnknownExample,
+    ValidationFailed,
+    VerificationFailed,
     ZeroIdeal,
 )
 from .linalg import (
@@ -36,7 +38,6 @@ from .liealg import (
     IdealChain,
     LieAlgebra,
     LieHom,
-    bracket,
     center,
     central_flag,
     codim1_refinement,

@@ -2,7 +2,9 @@
 
 Data goes to stdout (or --out); a machine-readable run report goes to stderr
 on every invocation.  Exit codes: 0 ok, 1 validation/verification failure,
-2 parse error, 3 not nilpotent, 4 budget exceeded.
+2 parse error (including a bad ``--max-tensor-power`` or ``ADO_FORGE_BUDGET``),
+3 not nilpotent, 4 budget exceeded.  An unexpected exception is recorded as
+``internal_error`` in the run report and then re-raised.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     NotNilpotent,
     ParseError,
     UnknownExample,
+    VerificationFailed,
 )
 from .jsonio import (
     algebra_from_json,
@@ -170,38 +173,34 @@ def cmd_info(args, run: _Run) -> int:
 
 
 def _engine_config(args) -> EngineConfig:
-    budget = os.environ.get("ADO_FORGE_BUDGET")
-    dimension_budget = int(budget) if budget else 20000
-    return EngineConfig(
-        method=args.method,
-        max_tensor_power=args.max_tensor_power,
-        dimension_budget=dimension_budget,
-        compress=args.compress,
-    )
+    budget = os.environ.get("ADO_FORGE_BUDGET") or "20000"
+    try:
+        return EngineConfig(
+            method=args.method,
+            max_tensor_power=args.max_tensor_power,
+            dimension_budget=int(budget),
+            compress=args.compress,
+        )
+    except ValueError as exc:
+        raise ParseError(
+            f"bad engine setting (ADO_FORGE_BUDGET={budget!r}, "
+            f"--max-tensor-power {args.max_tensor_power}): {exc}"
+        ) from exc
 
 
 def cmd_construct(args, run: _Run) -> int:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
-    with run.phase("validate"):
-        report = validate(algebra)
-    if not report.ok:
-        run.fail("validation_failed", "algebra fails validation")
-        return EXIT_FAIL
     config = _engine_config(args)
     with run.phase("construct"):
-        rep, cert = construct_faithful_nilpotent(algebra, config)
-    with run.phase("verify"):
-        outcome = verify_output(algebra, rep)
+        try:
+            rep, cert = construct_faithful_nilpotent(algebra, config)
+        except VerificationFailed as exc:
+            run.report["verification"] = exc.report.as_dict()
+            raise
+    verified = cert.steps_of_kind("verified")[0]
     run.report["output_dims"] = {"algebra_dim": algebra.dim, "space_dim": rep.space_dim}
-    run.report["verification"] = {
-        "homomorphism": outcome.homomorphism,
-        "faithful": outcome.faithful,
-        "nilpotent": outcome.nilpotent,
-    }
-    if not outcome.ok:
-        run.fail("verification_failed", f"failing: {outcome.failing()}")
-        return EXIT_FAIL
+    run.report["verification"] = {k: v for k, v in verified.items() if k != "kind"}
     with run.phase("emit"):
         algebra_ref = name if name else algebra_to_json(algebra, name)
         _write_data(dumps_canonical(representation_to_json(rep, algebra_ref)), args.out)
@@ -223,11 +222,7 @@ def cmd_verify(args, run: _Run) -> int:
     rep = Representation(algebra, space_dim, matrices)
     with run.phase("verify"):
         outcome = verify_output(algebra, rep)
-    run.report["verification"] = {
-        "homomorphism": outcome.homomorphism,
-        "faithful": outcome.faithful,
-        "nilpotent": outcome.nilpotent,
-    }
+    run.report["verification"] = outcome.as_dict()
     if outcome.ok:
         print(f"{name or args.algebra}: representation verified (space dim {space_dim})")
         return EXIT_OK
@@ -299,6 +294,9 @@ def main(argv=None) -> int:
     except AdoForgeError as exc:
         run.fail(exc.kind, str(exc))
         code = _exit_code_for(exc)
+    except Exception as exc:
+        run.fail("internal_error", f"{type(exc).__name__}: {exc}")
+        raise
     finally:
         run.emit()
     return code

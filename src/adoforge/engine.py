@@ -9,8 +9,10 @@ I.  At each flag step the previous algebra is a one-dimensional central
 extension of the next one; non-central directions are separated by the
 adjoint representation, central ones by searching tensor powers of the
 previous faithful representation for a kernel non-inclusion witness and
-carving out the kernel submodule it acts on.  Every output is re-verified
-exactly before it is returned.
+carving out the kernel submodule it acts on.  The interior steps do not
+re-prove what the construction guarantees; ``construct_faithful_nilpotent``
+verifies its output exactly, once, before returning it, and raises
+``VerificationFailed`` when that check fails.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .errors import (
     NotLinearlyIndependent,
     SeparatorFailed,
     TensorBudgetExceeded,
+    ValidationFailed,
+    VerificationFailed,
 )
 from .linalg import (
     RationalMatrix,
@@ -126,9 +130,16 @@ class VerificationReport:
             if not good
         ]
 
+    def as_dict(self) -> dict:
+        return {
+            "homomorphism": self.homomorphism,
+            "faithful": self.faithful,
+            "nilpotent": self.nilpotent,
+        }
+
 
 def verify_output(algebra: LieAlgebra, rep: Representation) -> VerificationReport:
-    """Re-check everything the construction promises, with exact arithmetic."""
+    """Check everything the construction promises, with exact arithmetic."""
     if not (rep.algebra is algebra or rep.algebra.structurally_equal(algebra)):
         raise AlgebraMismatch("representation belongs to a different algebra")
     return VerificationReport(
@@ -310,9 +321,7 @@ def _induction_pipeline(
                 rep_dim=rep_big.space_dim,
             )
             carrier, induced = kernel_submodule(rep_big, _z)
-            assert induced.algebra.structurally_equal(_quo)
             induced = Representation(_quo, induced.space_dim, induced.matrices)
-            assert is_nilpotent_rep(induced)
             compressed_dim = None
             if config.compress:
                 induced = cyclic_submodule(induced, unit_vector(carrier.dim, witness))
@@ -346,11 +355,15 @@ def _induction_pipeline(
 def construct_faithful_nilpotent(
     algebra: LieAlgebra, config: EngineConfig | None = None
 ) -> tuple[Representation, Certificate]:
-    """Faithful nilpotent representation plus a replayable certificate."""
+    """Faithful nilpotent representation plus a replayable certificate.
+
+    The output is verified exactly before it is returned; the certificate's
+    last step, ``verified``, records that report.  Raises
+    ``VerificationFailed`` when any of the three properties fails.
+    """
     config = config or EngineConfig()
-    report = validate(algebra)
-    if not report.ok:
-        raise ValueError("input algebra fails validation; run validate() for details")
+    if not validate(algebra).ok:
+        raise ValidationFailed("input algebra fails validation; run validate() for details")
     nilpotency_class(algebra)  # raises NotNilpotent otherwise
     cert = Certificate(config=config.as_dict())
     graded_ok = algebra.grading is not None and verify_grading(algebra)
@@ -358,17 +371,16 @@ def construct_faithful_nilpotent(
         raise InvalidGrading("method=graded requires a valid grading on the input")
     if algebra.dim == 0:
         rep = Representation(algebra, 0, [])
-        cert.add("verified", homomorphism=True, faithful=True, nilpotent=True)
-        return rep, cert
-    if config.method == "graded" or (config.method == "auto" and graded_ok):
+    elif config.method == "graded" or (config.method == "auto" and graded_ok):
         rep = graded_faithful_rep(algebra)
         _check_rep_budget(rep, config)
         cert.add("graded_pipeline", **_graded_cert_fields(algebra, rep))
     else:
         rep = _induction_pipeline(algebra, config, cert)
     outcome = verify_output(algebra, rep)
-    assert outcome.ok, f"construction failed verification: {outcome.failing()}"
-    cert.add("verified", homomorphism=True, faithful=True, nilpotent=True)
+    cert.add("verified", **outcome.as_dict())
+    if not outcome.ok:
+        raise VerificationFailed(outcome, cert)
     return rep, cert
 
 

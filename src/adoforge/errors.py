@@ -73,3 +73,22 @@ class SeparatorFailed(AdoForgeError):
 
 class UnknownExample(AdoForgeError):
     kind = "unknown_example"
+
+
+class ValidationFailed(AdoForgeError):
+    kind = "validation_failed"
+
+
+class VerificationFailed(AdoForgeError):
+    """The final exact check rejected a constructed representation.
+
+    ``report`` is the engine's ``VerificationReport`` and ``certificate`` the
+    certificate whose last step records it.
+    """
+
+    kind = "verification_failed"
+
+    def __init__(self, report, certificate):
+        super().__init__(f"failing: {report.failing()}")
+        self.report = report
+        self.certificate = certificate

@@ -6,8 +6,8 @@ algebra L(x)tQ[t]/(t^n).  The scaling derivation (eigenvalue = t-degree) is a
 1-cocycle with zero kernel valued in the adjoint module, and the cocycle
 extension of the current algebra on V + Z^1(L,V) is faithful and nilpotent;
 restricting back along the embedding yields a faithful nilpotent
-representation of L.  Every promised property is re-checked exactly at
-construction time.
+representation of L.  These properties hold by construction; the engine
+checks the final output once, exactly, at its boundary.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ from .linalg import (
     kernel_basis,
 )
 from .liealg import Grading, LieAlgebra, LieHom, verify_grading
-from .reps import (
-    Representation,
-    adjoint,
-    is_homomorphism,
-    is_nilpotent_rep,
-    rep_kernel,
-    restrict_along,
-)
+from .reps import Representation, adjoint, is_homomorphism, restrict_along
 
 
 @dataclass
@@ -96,9 +89,7 @@ def graded_embedding(algebra: LieAlgebra, current: CurrentAlgebra | None = None)
     for i, d in enumerate(algebra.grading.degrees):
         entries.append((current.flat_index(d, i), i, F1))
     matrix = RationalMatrix.from_entries(current.product.dim, algebra.dim, entries)
-    hom = LieHom(algebra, current.product, matrix)
-    assert hom.is_injective(), "graded embedding must be injective"
-    return hom
+    return LieHom(algebra, current.product, matrix)
 
 
 @dataclass
@@ -111,9 +102,6 @@ class Cocycle:
     def __post_init__(self):
         if self.map.rows != self.rep.space_dim or self.map.cols != self.rep.algebra.dim:
             raise DimensionMismatch("cocycle map must be space_dim x algebra.dim")
-
-    def value(self, x) -> tuple:
-        return self.map.apply(x)
 
     def satisfies_identity(self) -> bool:
         """phi([x,y]) - rho(x)phi(y) + rho(y)phi(x) = 0 on all basis pairs."""
@@ -187,9 +175,7 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
             if v:
                 i, r = divmod(idx, vd)
                 mat_entries.append((r, i, v))
-        cocycle = Cocycle(rep, RationalMatrix.from_entries(vd, n, mat_entries))
-        assert cocycle.satisfies_identity()
-        basis.append(cocycle)
+        basis.append(Cocycle(rep, RationalMatrix.from_entries(vd, n, mat_entries)))
     return CocycleSpace(rep, basis)
 
 
@@ -204,16 +190,15 @@ def euler_derivation(current: CurrentAlgebra) -> Cocycle:
     product = current.product
     ad = adjoint(product)
     entries = [(i, i, Fraction(current.t_degree(i))) for i in range(product.dim)]
-    phi = Cocycle(ad, RationalMatrix.from_entries(product.dim, product.dim, entries))
-    assert phi.satisfies_identity(), "scaling map must be a derivation"
-    return phi
+    return Cocycle(ad, RationalMatrix.from_entries(product.dim, product.dim, entries))
 
 
 def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle) -> Representation:
     """Faithful extension on V + Z^1(L, V) given a cocycle with zero kernel.
 
-    x acts by (v, psi) -> (rho(x)v + psi(x), 0).  Faithfulness and (when rho
-    is nilpotent) nilpotency of the result are asserted on every call.
+    x acts by (v, psi) -> (rho(x)v + psi(x), 0).  The inputs are checked
+    here; the result is faithful because phi has zero kernel, and nilpotent
+    whenever rho is.
     """
     if not _same(algebra, rep.algebra):
         raise DimensionMismatch("representation must belong to the given algebra")
@@ -237,12 +222,7 @@ def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle
                 if v:
                     entries.append((r, vd + b, v))
         mats.append(RationalMatrix.from_entries(total, total, entries))
-    result = Representation(algebra, total, mats)
-    assert is_homomorphism(result), "cocycle extension must be a homomorphism"
-    assert rep_kernel(result).dim == 0, "cocycle extension must be faithful"
-    if is_nilpotent_rep(rep):
-        assert is_nilpotent_rep(result), "extension of a nilpotent module must stay nilpotent"
-    return result
+    return Representation(algebra, total, mats)
 
 
 def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
@@ -258,11 +238,7 @@ def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
     ad = adjoint(current.product)
     phi = euler_derivation(current)
     extended = cocycle_extension_rep(current.product, ad, phi)
-    result = restrict_along(extended, embedding)
-    assert is_homomorphism(result)
-    assert rep_kernel(result).dim == 0, "restriction along an injective hom keeps faithfulness"
-    assert is_nilpotent_rep(result)
-    return result
+    return restrict_along(extended, embedding)
 
 
 def free_nilpotent_faithful_rep(free_algebra: LieAlgebra) -> Representation:

@@ -109,10 +109,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.brackets)})"
 
 
-def bracket(algebra: LieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return algebra.bracket(u, v)
-
-
 @dataclass
 class ValidationReport:
     """Jacobi violations as (i, j, k, residual) tuples; empty means valid."""
@@ -362,10 +358,7 @@ def codim1_refinement(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
     assert k is not None and k >= 1, "full flag member must contain any ideal"
     j = ideal.intersect(flag.ideals[k - 1])
     assert j.dim == ideal.dim - 1, "flag intersection must drop dimension by exactly 1"
-    commutator = _bracket_span_of(algebra, ideal)
-    assert all(j.contains_vector(v) for v in commutator.basis_vectors()), "[L, I] must land in J"
+    assert all(
+        j.contains_vector(v) for v in _bracket_span(algebra, ideal).basis_vectors()
+    ), "[L, I] must land in J"
     return j
-
-
-def _bracket_span_of(algebra: LieAlgebra, space: Subspace) -> Subspace:
-    return _bracket_span(algebra, space)

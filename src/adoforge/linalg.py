@@ -36,14 +36,6 @@ def zero_vector(n: int) -> Vector:
     return (F0,) * n
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
 
@@ -132,9 +124,6 @@ class RationalMatrix:
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[self.entry(r, c) for c in range(self.cols)] for r in range(self.rows)]
 
     def transpose(self) -> "RationalMatrix":
         data: dict[int, dict[int, Fraction]] = {}

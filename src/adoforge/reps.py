@@ -1,8 +1,9 @@
 """Representation values and combinators.
 
 A Representation is one square matrix per basis element of its algebra.
-Nothing here assumes the homomorphism identity; ``is_homomorphism`` checks it
-and the construction pipeline asserts it wherever an operation promises it.
+Nothing here assumes the homomorphism identity; ``is_homomorphism`` checks
+it.  The combinators trust their inputs, and the engine checks its final
+output once, exactly, at its boundary.
 """
 
 from __future__ import annotations
@@ -111,10 +112,6 @@ def rep_kernel(rep: Representation) -> Subspace:
     return kernel_basis(stacked)
 
 
-def is_faithful(rep: Representation) -> bool:
-    return rep_kernel(rep).dim == 0
-
-
 def is_homomorphism(rep: Representation) -> bool:
     """Commutator identity rho([e_i,e_j]) = [rho(e_i), rho(e_j)], exactly."""
     n = rep.algebra.dim
@@ -183,8 +180,9 @@ def kernel_submodule(rep: Representation, z: Sequence[Fraction]) -> tuple[Subspa
 
     Requires rho(z) to commute with every rho(e_i) (z acts centrally); the
     carrier is then invariant and z acts as zero on it, so the compressed
-    action factors through the quotient by the line of z.  Invariance and the
-    homomorphism property of the result are asserted, not assumed.
+    action factors through the quotient by the line of z.  Centrality and
+    invariance are checked and raise ``NotCentral``; the induced action is a
+    homomorphism whenever rep is one.
     """
     n = rep.algebra.dim
     ad_z_cols = [rep.algebra.bracket(z, unit_vector(n, i)) for i in range(n)]
@@ -209,9 +207,7 @@ def kernel_submodule(rep: Representation, z: Sequence[Fraction]) -> tuple[Subspa
     # the j-th complement coordinate; its compressed action represents it.
     pivot = set(z_line._pivots)
     complement = [i for i in range(n) if i not in pivot]
-    induced = Representation(quo, carrier.dim, [compressed[i] for i in complement])
-    assert is_homomorphism(induced), "induced kernel-submodule action must be a homomorphism"
-    return carrier, induced
+    return carrier, Representation(quo, carrier.dim, [compressed[i] for i in complement])
 
 
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:

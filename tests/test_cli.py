@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import adoforge.cli as cli
+import adoforge.engine as engine
 from adoforge.catalog import heisenberg3
 from adoforge.cli import main
 from adoforge.errors import ParseError
@@ -17,6 +19,18 @@ from adoforge.jsonio import (
     representation_to_json,
 )
 from adoforge.linalg import RationalMatrix
+
+
+# the Jacobi identity fails on the basis triple (0, 1, 2)
+BROKEN_JACOBI = {
+    "name": "broken",
+    "dim": 3,
+    "brackets": [
+        {"left": 0, "right": 1, "result": {"2": "1"}},
+        {"left": 1, "right": 2, "result": {"0": "1"}},
+        {"left": 0, "right": 2, "result": {"0": "1"}},
+    ],
+}
 
 
 def run_cli(args, capsys):
@@ -111,17 +125,8 @@ class TestValidateCommand:
         assert report["outcome"]["error"] == "parse_error"
 
     def test_jacobi_violation_listed(self, tmp_path, capsys):
-        bad = {
-            "name": "broken",
-            "dim": 3,
-            "brackets": [
-                {"left": 0, "right": 1, "result": {"2": "1"}},
-                {"left": 1, "right": 2, "result": {"0": "1"}},
-                {"left": 0, "right": 2, "result": {"0": "1"}},
-            ],
-        }
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
+        path.write_text(json.dumps(BROKEN_JACOBI))
         code, out, report = run_cli(["validate", str(path)], capsys)
         assert code == 1
         assert report["jacobi_violations"] == [[0, 1, 2]]
@@ -205,6 +210,61 @@ class TestConstructCommand:
         monkeypatch.setenv("ADO_FORGE_BUDGET", "8")
         code, _, report = run_cli(["construct", str(path), "--method", "induction"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "budget,extra",
+        [("abc", []), ("0", []), (None, ["--max-tensor-power", "0"])],
+        ids=["budget-abc", "budget-0", "tensor-power-0"],
+    )
+    def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, budget, extra):
+        path = write_example(tmp_path, "heisenberg3", capsys)
+        if budget is not None:
+            monkeypatch.setenv("ADO_FORGE_BUDGET", budget)
+        code, _, report = run_cli(["construct", str(path), *extra], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+
+    def test_crash_reported_as_internal_error(self, tmp_path, capsys, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        path = write_example(tmp_path, "heisenberg3", capsys)
+        monkeypatch.setattr(cli, "construct_faithful_nilpotent", crash)
+        with pytest.raises(RuntimeError):
+            main(["construct", str(path)])
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["outcome"] == {"error": "internal_error", "message": "RuntimeError: boom"}
+
+    def test_invalid_algebra_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BROKEN_JACOBI))
+        code, _, report = run_cli(["construct", str(path)], capsys)
+        assert code == 1
+        assert report["outcome"]["error"] == "validation_failed"
+
+    @pytest.mark.parametrize("method", ["auto", "induction"])
+    def test_checks_run_once_per_construct(self, tmp_path, capsys, monkeypatch, method):
+        """The input is validated and the output verified exactly once, in
+        the library and through the CLI, whichever module binding is used."""
+        calls = {"validate": 0, "verify_output": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name, getattr(engine, name))
+            monkeypatch.setattr(engine, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        engine.construct_faithful_nilpotent(heisenberg3(), engine.EngineConfig(method=method))
+        assert calls == {"validate": 1, "verify_output": 1}
+        path = write_example(tmp_path, "heisenberg3", capsys)
+        calls.update(validate=0, verify_output=0)
+        code, _, report = run_cli(["construct", str(path), "--method", method], capsys)
+        assert code == 0 and calls == {"validate": 1, "verify_output": 1}
+        assert report["verification"] == {"homomorphism": True, "faithful": True, "nilpotent": True}
 
     def test_round_trip_verify(self, tmp_path, capsys):
         for name in ("heisenberg3", "filiform4"):

@@ -1,12 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from adoforge.catalog import abelian
+import adoforge
+from adoforge.catalog import abelian, heisenberg3
 from adoforge.errors import (
     InvalidGrading,
     NotLinearlyIndependent,
     NotNilpotent,
     SeparatorFailed,
     TensorBudgetExceeded,
+    ValidationFailed,
 )
 from adoforge.engine import (
     Certificate,
@@ -133,6 +141,12 @@ class TestConstruct:
         with pytest.raises(NotNilpotent):
             construct_faithful_nilpotent(solvable)
 
+    def test_invalid_algebra_rejected(self):
+        # the Jacobi identity fails on the triple (e0, e1, e2)
+        broken = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {0: 1}})
+        with pytest.raises(ValidationFailed):
+            construct_faithful_nilpotent(broken)
+
     def test_graded_method_needs_grading(self, solvable):
         bare = LieAlgebra(2, {})
         with pytest.raises(InvalidGrading):
@@ -187,3 +201,54 @@ class TestReplay:
         tampered.steps[0] = dict(tampered.steps[0], rep_dim=999)
         with pytest.raises(ValueError):
             replay_certificate(h3, tampered)
+
+
+# Runs in a child interpreter: the graded route is replaced by one returning
+# zero matrices, which form a homomorphism that is nilpotent but not faithful.
+SABOTAGED_CONSTRUCT = r"""
+import contextlib, io, json, sys
+import adoforge.engine as engine
+from adoforge import VerificationFailed
+from adoforge.catalog import heisenberg3
+from adoforge.cli import main
+from adoforge.linalg import RationalMatrix
+from adoforge.reps import Representation
+
+engine.graded_faithful_rep = lambda algebra: Representation(
+    algebra, 2, [RationalMatrix.zero(2, 2)] * algebra.dim
+)
+out = {}
+try:
+    engine.construct_faithful_nilpotent(heisenberg3())
+except VerificationFailed as exc:
+    out["report"] = exc.report.as_dict()
+    out["last_step"] = exc.certificate.steps[-1]
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out["cli_code"] = main(["construct", sys.argv[1]])
+out["cli_report"] = json.loads(err.getvalue().strip().splitlines()[-1])
+print(json.dumps(out))
+"""
+
+
+class TestBoundaryCheck:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_sabotaged_route_rejected(self, tmp_path, flags):
+        from adoforge.jsonio import algebra_to_json, dumps_canonical
+
+        alg_path = tmp_path / "h3.json"
+        alg_path.write_text(dumps_canonical(algebra_to_json(heisenberg3(), "heisenberg3")))
+        src = str(Path(adoforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", SABOTAGED_CONSTRUCT, str(alg_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        verdict = {"homomorphism": True, "faithful": False, "nilpotent": True}
+        assert out.get("report") == verdict
+        assert out["last_step"] == {"kind": "verified", **verdict}
+        assert out["cli_code"] == 1
+        assert out["cli_report"]["outcome"]["error"] == "verification_failed"
+        assert out["cli_report"]["verification"] == verdict

@@ -107,6 +107,7 @@ class TestEulerDerivation:
         c = current_algebra(algebra, 1 + algebra.grading.max_degree)
         phi = euler_derivation(c)
         assert kernel_basis(phi.map).dim == 0
+        assert phi.satisfies_identity()
 
 
 class TestCocycleSpace:
@@ -159,6 +160,7 @@ class TestCocycleExtension:
         phi = euler_derivation(current)
         extended = cocycle_extension_rep(current.product, adjoint(current.product), phi)
         assert extended.space_dim == 6 + cocycle_space(current.product, adjoint(current.product)).dim
+        assert is_homomorphism(extended)
         assert rep_kernel(extended).dim == 0
         assert is_nilpotent_rep(extended)
 

@@ -199,6 +199,7 @@ class TestKernelSubmodule:
         assert carrier == Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
         assert induced.space_dim == 2
         assert induced.algebra.dim == 2 and not induced.algebra.brackets
+        assert is_homomorphism(induced)
         assert is_nilpotent_rep(induced)
 
     def test_non_central_rejected(self, std_h3_rep):
