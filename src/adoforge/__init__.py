@@ -13,6 +13,7 @@ from .errors import (
     NotACocycle,
     NotAnIdeal,
     NotCentral,
+    NotInvariant,
     NotLinearlyIndependent,
     NotNilpotent,
     ParseError,

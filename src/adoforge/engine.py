@@ -35,6 +35,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     frac,
+    kernel_basis,
     rank,
     solve,
     solve_multi,
@@ -44,6 +45,7 @@ from .linalg import (
 from .liealg import (
     LieAlgebra,
     LieHom,
+    central_flag,
     codim1_refinement,
     identity_hom,
     nilpotency_class,
@@ -66,7 +68,6 @@ from .reps import (
     restrict_along,
     tensor_product,
 )
-from .linalg import kernel_basis
 
 Separator = Callable[[Sequence[Fraction]], Representation]
 
@@ -160,14 +161,16 @@ def _check_rep_budget(rep: Representation, config: EngineConfig) -> None:
         )
 
 
-def _kernel_witness(rep: Representation, z: Sequence[Fraction], x: Sequence[Fraction]) -> int | None:
-    """Index of the first canonical basis vector of Ker rho(z) that rho(x)
-    does not kill, or None when Ker rho(z) <= Ker rho(x)."""
-    mx = element_action(rep, x)
-    for idx, v in enumerate(kernel_basis(element_action(rep, z)).basis_vectors()):
-        if not vec_is_zero(mx.apply(v)):
-            return idx
-    return None
+def _kernel_witness(rep: Representation, kernel: Subspace, x: Sequence[Fraction]) -> int | None:
+    """Index of the first canonical basis vector of ``kernel`` (Ker rho(z))
+    that rho(x) does not kill, or None when Ker rho(z) <= Ker rho(x)."""
+    image = element_action(rep, x) @ kernel.basis
+    return min((c for _, c, _ in image.entries()), default=None)
+
+
+# One flag step's tensor powers rho0, rho0^(x)2, ... of its faithful
+# representation, each paired with Ker rho(z) for the step's central z.
+Ladder = list[tuple[Representation, Subspace]]
 
 
 def _distinguish(
@@ -175,32 +178,40 @@ def _distinguish(
     z: Sequence[Fraction],
     x: Sequence[Fraction],
     config: EngineConfig,
-) -> tuple[Representation, int, int]:
+    ladder: Ladder | None = None,
+) -> tuple[Representation, int, int, Subspace]:
     """Search rho0, rho0^(x)2, ... for Ker rho(z) not contained in Ker rho(x).
 
     Returns (representation, tensor power, witness index into the canonical
-    kernel basis of rho(z)).  The family of tensor powers of a faithful
-    nilpotent representation is closed under tensoring and contains a
-    faithful member, which is exactly what makes some finite power succeed;
-    the budgets turn "finite" into an explicit failure mode instead of an
-    unbounded run.
+    kernel basis of rho(z), that kernel).  The family of tensor powers of a
+    faithful nilpotent representation is closed under tensoring and contains
+    a faithful member, which is exactly what makes some finite power
+    succeed; the budgets turn "finite" into an explicit failure mode instead
+    of an unbounded run.  Searches that share rho0 and z pass the same
+    ``ladder``, so each power and its z-kernel is built at most once; the
+    dimension budget is checked before a new power is built.
     """
     pair = RationalMatrix.from_columns(rho0.algebra.dim, [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
-    rho = rho0
+    if ladder is None:
+        ladder = []
     for power in range(1, config.max_tensor_power + 1):
-        witness = _kernel_witness(rho, z, x)
+        if len(ladder) < power:
+            rho = rho0
+            if ladder:
+                prev = ladder[-1][0]
+                next_dim = prev.space_dim * rho0.space_dim
+                if next_dim > config.dimension_budget:
+                    raise TensorBudgetExceeded(
+                        f"tensor power {power} needs dimension {next_dim} > budget {config.dimension_budget}"
+                    )
+                rho = tensor_product(prev, rho0)
+            ladder.append((rho, kernel_basis(element_action(rho, z))))
+        rho, kernel = ladder[power - 1]
+        witness = _kernel_witness(rho, kernel, x)
         if witness is not None:
-            return rho, power, witness
-        if power == config.max_tensor_power:
-            break
-        next_dim = rho.space_dim * rho0.space_dim
-        if next_dim > config.dimension_budget:
-            raise TensorBudgetExceeded(
-                f"tensor power {power + 1} needs dimension {next_dim} > budget {config.dimension_budget}"
-            )
-        rho = tensor_product(rho, rho0)
+            return rho, power, witness, kernel
     raise TensorBudgetExceeded(
         f"no kernel witness within tensor power {config.max_tensor_power}"
     )
@@ -215,7 +226,7 @@ def distinguish_by_kernels(
     """A tensor power of rho0 whose z-action kernel is not inside the
     x-action kernel.  rho0 must be faithful and nilpotent (the engine
     guarantees this for its own calls)."""
-    rep, _, _ = _distinguish(rho0, z, x, config or EngineConfig())
+    rep, _, _, _ = _distinguish(rho0, z, x, config or EngineConfig())
     return rep
 
 
@@ -289,9 +300,10 @@ def _induction_pipeline(
     _check_rep_budget(rho, config)
     cert.add("graded_pipeline", **_graded_cert_fields(pres.F, rho))
 
+    central = central_flag(pres.F)
     descending = [pres.I]
     while descending[-1].dim > 0:
-        descending.append(codim1_refinement(pres.F, descending[-1]))
+        descending.append(codim1_refinement(pres.F, descending[-1], central))
     flag = list(reversed(descending))  # 0 = J_0 < J_1 < ... < J_m = I
 
     current = pres.F
@@ -307,20 +319,21 @@ def _induction_pipeline(
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)
         adj = adjoint(quo)
+        ladder: Ladder = []
 
-        def separator(x, _s=current, _rho=rho, _z=z, _p=p, _quo=quo, _adj=adj):
+        def separator(x, _rho=rho, _z=z, _p=p, _quo=quo, _adj=adj, _ladder=ladder):
             if not element_action(_adj, x).is_zero():
                 return _adj
             lift = solve(_p.matrix, x)
             assert lift is not None, "quotient projection must be surjective"
-            rep_big, power, witness = _distinguish(_rho, _z, lift, config)
+            rep_big, power, witness, kernel = _distinguish(_rho, _z, lift, config, _ladder)
             cert.add(
                 "kernel_search",
                 element=_coords_json(x),
                 tensor_power=power,
                 rep_dim=rep_big.space_dim,
             )
-            carrier, induced = kernel_submodule(rep_big, _z)
+            carrier, induced = kernel_submodule(rep_big, _z, kernel)
             induced = Representation(_quo, induced.space_dim, induced.matrices)
             compressed_dim = None
             if config.compress:

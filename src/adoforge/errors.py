@@ -47,6 +47,10 @@ class NotCentral(AdoForgeError):
     kind = "not_central"
 
 
+class NotInvariant(AdoForgeError):
+    kind = "not_invariant"
+
+
 class InvalidGrading(AdoForgeError):
     kind = "invalid_grading"
 

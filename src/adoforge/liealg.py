@@ -324,7 +324,6 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
 def central_flag(algebra: LieAlgebra) -> IdealChain:
     """Full flag 0 = I_0 < I_1 < ... < I_n = L with codim-1 steps and
     [L, I_i] <= I_{i-1}, built by pivot-completing the lower central series."""
-    nilpotency_class(algebra)  # raises NotNilpotent when it fails
     series = lower_central_series(algebra)
     if series[-1].dim != 0:
         raise NotNilpotent("algebra is not nilpotent")
@@ -341,15 +340,19 @@ def central_flag(algebra: LieAlgebra) -> IdealChain:
     return IdealChain(algebra, chain)
 
 
-def codim1_refinement(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
+def codim1_refinement(
+    algebra: LieAlgebra, ideal: Subspace, flag: IdealChain | None = None
+) -> Subspace:
     """An ideal J < I with dim I - dim J = 1 and [L, I] <= J, obtained by
     intersecting I with the central flag just below the first flag member
-    containing I."""
+    containing I.  ``flag`` is ``central_flag(algebra)``, computed here when
+    the caller does not pass it."""
     if ideal.dim == 0:
         raise ZeroIdeal("refinement requires a nonzero ideal")
     if not is_ideal(algebra, ideal):
         raise NotAnIdeal("refinement requires an ideal")
-    flag = central_flag(algebra)
+    if flag is None:
+        flag = central_flag(algebra)
     k = None
     for idx, member in enumerate(flag.ideals):
         if member.contains(ideal):

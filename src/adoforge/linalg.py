@@ -395,6 +395,22 @@ class Subspace:
             return None
         return tuple(coords)
 
+    def restricted_action(self, m: RationalMatrix) -> RationalMatrix | None:
+        """The X with m @ basis == basis @ X, or None when m does not map
+        the subspace into itself.
+
+        The basis columns are the RREF rows, so basis row p_j is the j-th
+        unit row and X is read off at the pivot rows of m @ basis; one exact
+        product confirms it.
+        """
+        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
+            raise DimensionMismatch("restricted_action expects a square matrix on the ambient space")
+        basis = self.basis
+        image = m @ basis
+        data = {j: image._data[p] for j, p in enumerate(self._pivots) if p in image._data}
+        x = RationalMatrix(self.dim, self.dim, data)
+        return x if basis @ x == image else None
+
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None
 
@@ -440,18 +456,15 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     """Null space of m as a canonical Subspace of Q^cols."""
     rows, pivots = _rref_rowdicts(_matrix_rowdicts(m), m.cols)
     pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [F0] * m.cols
-        vec[free] = F1
-        for j, p in enumerate(pivots):
-            coeff = rows[j].get(free)
-            if coeff:
-                vec[p] = -coeff
-        vectors.append(vec)
-    return Subspace.from_vectors(m.cols, vectors)
+    # One null vector per free column: 1 there, minus that column of each
+    # RREF row at the row's pivot.  RREF rows are zero at the other pivots.
+    null = {free: {free: F1} for free in range(m.cols) if free not in pivot_set}
+    for row, p in zip(rows, pivots):
+        for c, v in row.items():
+            if c != p:
+                null[c][p] = -v
+    rows, pivots = _rref_rowdicts(list(null.values()), m.cols)
+    return Subspace(m.cols, rows[: len(pivots)], pivots)
 
 
 def image_basis(m: RationalMatrix) -> Subspace:

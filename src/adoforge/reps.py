@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AlgebraMismatch, DimensionMismatch, NotCentral
+from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from .linalg import (
     F0,
     RationalMatrix,
@@ -21,7 +21,6 @@ from .linalg import (
     block_diag,
     kernel_basis,
     kronecker,
-    solve_multi,
     unit_vector,
     vec_is_zero,
 )
@@ -175,14 +174,17 @@ def is_nilpotent_rep(rep: Representation) -> bool:
     return not current
 
 
-def kernel_submodule(rep: Representation, z: Sequence[Fraction]) -> tuple[Subspace, Representation]:
+def kernel_submodule(
+    rep: Representation, z: Sequence[Fraction], carrier: Subspace | None = None
+) -> tuple[Subspace, Representation]:
     """Carrier Ker rho(z) plus the induced representation of algebra/<z>.
 
     Requires rho(z) to commute with every rho(e_i) (z acts centrally); the
     carrier is then invariant and z acts as zero on it, so the compressed
     action factors through the quotient by the line of z.  Centrality and
     invariance are checked and raise ``NotCentral``; the induced action is a
-    homomorphism whenever rep is one.
+    homomorphism whenever rep is one.  A caller that already holds
+    Ker rho(z) passes it as ``carrier`` and it is not computed again.
     """
     n = rep.algebra.dim
     ad_z_cols = [rep.algebra.bracket(z, unit_vector(n, i)) for i in range(n)]
@@ -192,12 +194,11 @@ def kernel_submodule(rep: Representation, z: Sequence[Fraction]) -> tuple[Subspa
     for i, m in enumerate(rep.matrices):
         if mz @ m != m @ mz:
             raise NotCentral(f"rho(z) does not commute with rho(e_{i})")
-    carrier = kernel_basis(mz)
-    basis = carrier.basis
+    if carrier is None:
+        carrier = kernel_basis(mz)
     compressed = []
     for i, m in enumerate(rep.matrices):
-        image = m @ basis
-        x = solve_multi(basis, image)
+        x = carrier.restricted_action(m)
         if x is None:
             raise NotCentral(f"rho(e_{i}) does not stabilize Ker rho(z)")
         compressed.append(x)
@@ -231,10 +232,10 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
                     vectors.append(img)
         frontier = new_frontier
     sub = Subspace.from_vectors(rep.space_dim, vectors)
-    basis = sub.basis
     mats = []
     for m in rep.matrices:
-        x = solve_multi(basis, m @ basis)
-        assert x is not None, "cyclic closure must be invariant"
+        x = sub.restricted_action(m)
+        if x is None:
+            raise NotInvariant("cyclic closure is not invariant")
         mats.append(x)
     return Representation(rep.algebra, sub.dim, mats)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import adoforge
+import adoforge.engine as engine
+import adoforge.reps as reps
 from adoforge.catalog import abelian, heisenberg3
 from adoforge.errors import (
     InvalidGrading,
@@ -75,6 +77,63 @@ class TestDistinguishByKernels:
             distinguish_by_kernels(
                 rep, unit_vector(3, 2), unit_vector(3, 0), EngineConfig(max_tensor_power=2)
             )
+
+
+class TestTensorLadder:
+    """Counts calls through the ``engine`` and ``reps`` module bindings."""
+
+    def test_each_power_built_once_per_flag_step(self, h5, monkeypatch):
+        built = []  # tensor_product calls, one entry per flag step
+        kernel_calls = []  # one entry per reps.kernel_basis call
+        in_submodule = []  # kernel_basis calls made inside each kernel_submodule
+        real = {name: getattr(engine, name) for name in ("quotient", "tensor_product", "kernel_submodule")}
+        real_kernel_basis = reps.kernel_basis
+
+        def quotient(*args):  # the engine takes one quotient per flag step
+            built.append(0)
+            return real["quotient"](*args)
+
+        def tensor_product(*args):
+            built[-1] += 1
+            return real["tensor_product"](*args)
+
+        def kernel_basis(*args):
+            kernel_calls.append(args)
+            return real_kernel_basis(*args)
+
+        def kernel_submodule(rep, z, carrier=None):
+            assert carrier is not None
+            before = len(kernel_calls)
+            out = real["kernel_submodule"](rep, z, carrier)
+            in_submodule.append(len(kernel_calls) - before)
+            return out
+
+        monkeypatch.setattr(engine, "quotient", quotient)
+        monkeypatch.setattr(engine, "tensor_product", tensor_product)
+        monkeypatch.setattr(engine, "kernel_submodule", kernel_submodule)
+        monkeypatch.setattr(reps, "kernel_basis", kernel_basis)
+        _, cert = construct_faithful_nilpotent(h5, EngineConfig(method="induction"))
+
+        top_power = []
+        for step in cert.steps:
+            if step["kind"] == "flag_step":
+                top_power.append(1)
+            elif step["kind"] == "kernel_search":
+                top_power[-1] = max(top_power[-1], step["tensor_power"])
+        assert built == [p - 1 for p in top_power] == [0, 1, 1, 0, 1]
+        # two searches share the tensor square in each of two flag steps
+        assert len(cert.steps_of_kind("kernel_search")) == 8
+        assert in_submodule == [0] * 8
+
+    def test_budget_checked_before_building(self, std_h3_rep, monkeypatch):
+        built = []
+        monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
+        # e1 needs the tensor square, of dimension 9
+        with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 9 > budget 8"):
+            distinguish_by_kernels(
+                std_h3_rep, unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=8)
+            )
+        assert built == []
 
 
 class TestGlueLocal:

@@ -223,3 +223,79 @@ def test_determinism_bit_identical():
     second = rref(m)
     assert list(first[0].entries()) == list(second[0].entries())
     assert first[1] == second[1]
+
+
+# --- sparse subspaces: restricted actions and null spaces ---------------
+
+sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(RationalMatrix.from_rows)
+
+
+def krylov_span(m, vectors):
+    """Smallest m-invariant subspace containing the vectors."""
+    span = Subspace.from_vectors(m.rows, vectors)
+    while True:
+        grown = Subspace.from_vectors(m.rows, span.basis_vectors() + [m.apply(v) for v in span.basis_vectors()])
+        if grown == span:
+            return span
+        span = grown
+
+
+def dense_kernel_basis(m):
+    """Reference null space: one dense vector per free column of the RREF,
+    fed through Subspace.from_vectors (how kernel_basis used to build it)."""
+    r, pivots, _ = rref(m)
+    vectors = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for j, p in enumerate(pivots):
+            coeff = r.entry(j, free)
+            if coeff:
+                vec[p] = -coeff
+        vectors.append(vec)
+    return Subspace.from_vectors(m.cols, vectors)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
+def test_restricted_action_matches_solve(n, invariant, data):
+    m = data.draw(sparse_matrices(n, n))
+    count = data.draw(st.integers(min_value=0, max_value=n))
+    vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
+    sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
+    basis = sub.basis
+    x = sub.restricted_action(m)
+    assert x == solve_multi(basis, m @ basis)
+    if invariant:
+        assert x is not None and basis @ x == m @ basis
+
+
+def test_restricted_action_not_invariant():
+    # span{e0} is not invariant under the matrix sending e0 to e1
+    sub = Subspace.from_vectors(2, [(1, 0)])
+    m = fraction_matrix([[0, 0], [1, 0]])
+    assert sub.restricted_action(m) is None
+    assert solve_multi(sub.basis, m @ sub.basis) is None
+
+
+def test_restricted_action_shape_check():
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(2).restricted_action(RationalMatrix.identity(3))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7), st.data())
+def test_kernel_basis_matches_dense_construction(rows, cols, data):
+    m = data.draw(sparse_matrices(rows, cols))
+    kernel = kernel_basis(m)
+    reference = dense_kernel_basis(m)
+    assert kernel == reference
+    assert list(kernel.basis.entries()) == list(reference.basis.entries())

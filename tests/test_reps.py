@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adoforge.catalog import abelian
-from adoforge.errors import AlgebraMismatch, NotCentral
+from adoforge.errors import AlgebraMismatch, NotCentral, NotInvariant
 from adoforge.liealg import LieHom, identity_hom
 from adoforge.linalg import (
     RationalMatrix,
@@ -206,6 +206,19 @@ class TestKernelSubmodule:
         with pytest.raises(NotCentral):
             kernel_submodule(std_h3_rep, unit_vector(3, 0))
 
+    def test_given_carrier_used_as_is(self, std_h3_rep):
+        z = unit_vector(3, 2)
+        carrier, induced = kernel_submodule(std_h3_rep, z)
+        given, induced_given = kernel_submodule(std_h3_rep, z, carrier)
+        assert given is carrier
+        assert induced_given.matrices == induced.matrices
+
+    def test_non_invariant_carrier_rejected(self, std_h3_rep):
+        # rho(e0) = E12 sends the second basis vector to the first
+        line = Subspace.from_vectors(3, [unit_vector(3, 1)])
+        with pytest.raises(NotCentral, match="does not stabilize"):
+            kernel_submodule(std_h3_rep, unit_vector(3, 2), line)
+
 
 class TestCyclicSubmodule:
     def test_zero_vector(self, std_h3_rep):
@@ -220,6 +233,11 @@ class TestCyclicSubmodule:
     def test_generating_vector(self, std_h3_rep):
         sub = cyclic_submodule(std_h3_rep, unit_vector(3, 2))
         assert sub.space_dim == 3
+
+    def test_non_invariant_closure_is_a_typed_error(self, std_h3_rep, monkeypatch):
+        monkeypatch.setattr(Subspace, "restricted_action", lambda self, m: None)
+        with pytest.raises(NotInvariant):
+            cyclic_submodule(std_h3_rep, unit_vector(3, 2))
 
 
 class TestElementAction:
