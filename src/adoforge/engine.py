@@ -320,8 +320,11 @@ def _induction_pipeline(
         quo, p = quotient(current, z_line)
         adj = adjoint(quo)
         ladder: Ladder = []
+        # (carrier, induced representation of quo) per tensor power: searches
+        # of one step that land on the same power share the kernel submodule.
+        carved: dict[int, tuple[Subspace, Representation]] = {}
 
-        def separator(x, _rho=rho, _z=z, _p=p, _quo=quo, _adj=adj, _ladder=ladder):
+        def separator(x, _rho=rho, _z=z, _p=p, _quo=quo, _adj=adj, _ladder=ladder, _carved=carved):
             if not element_action(_adj, x).is_zero():
                 return _adj
             lift = solve(_p.matrix, x)
@@ -333,8 +336,10 @@ def _induction_pipeline(
                 tensor_power=power,
                 rep_dim=rep_big.space_dim,
             )
-            carrier, induced = kernel_submodule(rep_big, _z, kernel)
-            induced = Representation(_quo, induced.space_dim, induced.matrices)
+            if power not in _carved:
+                carrier, induced = kernel_submodule(rep_big, _z, kernel)
+                _carved[power] = carrier, Representation(_quo, induced.space_dim, induced.matrices)
+            carrier, induced = _carved[power]
             compressed_dim = None
             if config.compress:
                 induced = cyclic_submodule(induced, unit_vector(carrier.dim, witness))

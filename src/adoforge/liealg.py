@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
+from .errors import AlgebraMismatch, DimensionMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
 from .linalg import (
     F0,
     RationalMatrix,
@@ -346,22 +346,17 @@ def codim1_refinement(
     """An ideal J < I with dim I - dim J = 1 and [L, I] <= J, obtained by
     intersecting I with the central flag just below the first flag member
     containing I.  ``flag`` is ``central_flag(algebra)``, computed here when
-    the caller does not pass it."""
+    the caller does not pass it; a flag that is not a full flag of
+    ``algebra`` raises ``AlgebraMismatch``."""
     if ideal.dim == 0:
         raise ZeroIdeal("refinement requires a nonzero ideal")
     if not is_ideal(algebra, ideal):
         raise NotAnIdeal("refinement requires an ideal")
     if flag is None:
         flag = central_flag(algebra)
-    k = None
-    for idx, member in enumerate(flag.ideals):
-        if member.contains(ideal):
-            k = idx
-            break
-    assert k is not None and k >= 1, "full flag member must contain any ideal"
-    j = ideal.intersect(flag.ideals[k - 1])
-    assert j.dim == ideal.dim - 1, "flag intersection must drop dimension by exactly 1"
-    assert all(
-        j.contains_vector(v) for v in _bracket_span(algebra, ideal).basis_vectors()
-    ), "[L, I] must land in J"
-    return j
+    elif not (flag.algebra is algebra or flag.algebra.structurally_equal(algebra)):
+        raise AlgebraMismatch("flag belongs to a different algebra")
+    k = next((idx for idx, member in enumerate(flag.ideals) if member.contains(ideal)), None)
+    if k is None or k == 0:
+        raise AlgebraMismatch("flag is not a full flag 0 = I_0 < ... < I_n = L of the algebra")
+    return ideal.intersect(flag.ideals[k - 1])

@@ -4,14 +4,18 @@ Matrices are stored as sparse row maps of ``fractions.Fraction`` entries and
 treated as immutable after construction.  Every reduction pivots on the
 leftmost column / first nonzero row, so all outputs are canonical and two
 runs on equal inputs are bit-identical.  No floating point anywhere.
+``integer_form`` writes a matrix as integer numerators over one common
+denominator, and ``mul_rowmaps``, the one sparse product, runs on those as
+well, so exact checks can multiply without building a Fraction per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, KernelNotContained, NotNilpotent
+from .errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -164,23 +168,16 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        data: dict[int, dict[int, Fraction]] = {}
-        odata = other._data
-        for r, row in self._data.items():
-            accum: dict[int, Fraction] = {}
-            for k, a in row.items():
-                brow = odata.get(k)
-                if not brow:
-                    continue
-                for c, b in brow.items():
-                    nv = accum.get(c, F0) + a * b
-                    if nv:
-                        accum[c] = nv
-                    else:
-                        del accum[c]
-            if accum:
-                data[r] = accum
-        return RationalMatrix(self.rows, other.cols, data)
+        return RationalMatrix(self.rows, other.cols, mul_rowmaps(self._data, other._data))
+
+    def integer_form(self) -> tuple[dict[int, dict[int, int]], int]:
+        """(N, d) with self == N / d: d is the lcm of the entry denominators
+        and N the ``{row: {col: int}}`` map of numerators over d."""
+        d = lcm(*{v.denominator for row in self._data.values() for v in row.values()})
+        numerators = {
+            r: {c: v.numerator * (d // v.denominator) for c, v in row.items()} for r, row in self._data.items()
+        }
+        return numerators, d
 
     def apply(self, vec: Sequence[Fraction]) -> Vector:
         """Matrix-vector product as a dense tuple."""
@@ -205,6 +202,29 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+
+
+def mul_rowmaps(a: dict[int, dict], b: dict[int, dict]) -> dict[int, dict]:
+    """Sparse product of two ``{row: {col: value}}`` maps, on ints or
+    Fractions alike; entries that cancel and rows left empty are dropped."""
+    out: dict[int, dict] = {}
+    for r, row in a.items():
+        accum: dict = {}
+        get = accum.get
+        for k, x in row.items():
+            brow = b.get(k)
+            if not brow:
+                continue
+            for c, y in brow.items():
+                old = get(c)
+                nv = x * y if old is None else old + x * y
+                if nv:
+                    accum[c] = nv
+                else:
+                    del accum[c]
+        if accum:
+            out[r] = accum
+    return out
 
 
 def hstack(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
@@ -525,10 +545,9 @@ def factor_through(f: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
     lhs = RationalMatrix.from_columns(n, lhs_cols)
     rhs = RationalMatrix.from_columns(n, rhs_cols)
     ht = solve_multi(lhs.transpose(), rhs.transpose())
-    assert ht is not None, "factorization system must be consistent"
-    h = ht.transpose()
-    assert h @ f == g, "factor_through must reproduce g exactly"
-    return h
+    if ht is None:
+        raise NotLinearlyIndependent("pivot columns of f and the complement of Im f do not form a basis")
+    return ht.transpose()
 
 
 def nilpotency_index(m: RationalMatrix) -> int:

@@ -21,6 +21,7 @@ from .linalg import (
     block_diag,
     kernel_basis,
     kronecker,
+    mul_rowmaps,
     unit_vector,
     vec_is_zero,
 )
@@ -112,16 +113,38 @@ def rep_kernel(rep: Representation) -> Subspace:
 
 
 def is_homomorphism(rep: Representation) -> bool:
-    """Commutator identity rho([e_i,e_j]) = [rho(e_i), rho(e_j)], exactly."""
+    """Commutator identity rho([e_i,e_j]) = [rho(e_i), rho(e_j)], exactly.
+
+    With rho(e_i) = N_i / d_i (``integer_form``) the identity reads
+    d_i d_j rho([e_i,e_j]) = N_i N_j - N_j N_i; the commutator runs on the
+    integer numerators and is compared by value with the scaled left side.
+    """
     n = rep.algebra.dim
+    forms = [m.integer_form() for m in rep.matrices]
     for i in range(n):
-        mi = rep.matrices[i]
+        ni, di = forms[i]
         for j in range(i + 1, n):
-            mj = rep.matrices[j]
-            lhs = element_action(rep, _coeff_vec(rep.algebra.bracket_basis(i, j), n))
-            if lhs != mi @ mj - mj @ mi:
+            nj, dj = forms[j]
+            lhs = element_action(rep, _coeff_vec(rep.algebra.bracket_basis(i, j), n)).scale(di * dj)
+            if lhs._data != _commutator(ni, nj):
                 return False
     return True
+
+
+def _commutator(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """a b - b a on row maps."""
+    out = mul_rowmaps(a, b)
+    for r, row in mul_rowmaps(b, a).items():
+        target = out.setdefault(r, {})
+        for c, v in row.items():
+            nv = target.get(c, 0) - v
+            if nv:
+                target[c] = nv
+            else:
+                del target[c]
+        if not target:
+            del out[r]
+    return out
 
 
 def _coeff_vec(coeffs: dict[int, Fraction], n: int) -> Vector:
@@ -131,10 +154,9 @@ def _coeff_vec(coeffs: dict[int, Fraction], n: int) -> Vector:
     return tuple(out)
 
 
-def _flatten(m: RationalMatrix) -> dict[int, Fraction]:
-    sd = m.cols
+def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:
     out = {}
-    for r, row in m._data.items():
+    for r, row in rows.items():
         base = r * sd
         for c, v in row.items():
             out[base + c] = v
@@ -147,28 +169,30 @@ def is_nilpotent_rep(rep: Representation) -> bool:
     If the representation is nilpotent the chain hits zero within space_dim
     steps (the matrices are simultaneously strictly triangularizable), and
     any W_k = 0 forces every rho(x)^k = 0; so checking the chain up to
-    k = space_dim decides nilpotency exactly.
+    k = space_dim decides nilpotency exactly.  The chain runs on the integer
+    numerators N_i of rho(e_i) = N_i / d_i: a nonzero scalar does not change
+    a span, so every W_k, and the verdict, is the same.
     """
     sd = rep.space_dim
     if sd == 0:
         return True
-    generators = [m for m in rep.matrices if not m.is_zero()]
+    generators = [m.integer_form()[0] for m in rep.matrices if not m.is_zero()]
     if not generators:
         return True
     basis = SpanBasis()
-    current: list[RationalMatrix] = []
+    current = []
     for m in generators:
-        if basis.add(_flatten(m)):
+        if basis.add(_flatten(m, sd)):
             current.append(m)
     for _ in range(sd):
         if not current:
             return True
         nxt_basis = SpanBasis()
-        nxt: list[RationalMatrix] = []
+        nxt = []
         for w in current:
             for g in generators:
-                p = w @ g
-                if not p.is_zero() and nxt_basis.add(_flatten(p)):
+                p = mul_rowmaps(w, g)
+                if p and nxt_basis.add(_flatten(p, sd)):
                     nxt.append(p)
         current = nxt
     return not current

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from adoforge.catalog import abelian
-from adoforge.errors import NotAnIdeal, NotNilpotent, ZeroIdeal
+from adoforge.errors import AlgebraMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
 from adoforge.liealg import (
     Grading,
+    IdealChain,
     LieAlgebra,
     LieHom,
     center,
@@ -176,6 +177,15 @@ class TestCodim1Refinement:
     def test_non_ideal_rejected(self, h3):
         with pytest.raises(NotAnIdeal):
             codim1_refinement(h3, span(3, unit_vector(3, 0)))
+
+    def test_flag_of_another_algebra_rejected(self, h3, f4):
+        with pytest.raises(AlgebraMismatch, match="different algebra"):
+            codim1_refinement(h3, span(3, unit_vector(3, 2)), central_flag(f4))
+
+    def test_flag_without_the_full_space_rejected(self, h3):
+        truncated = IdealChain(h3, central_flag(h3).ideals[:-1])
+        with pytest.raises(AlgebraMismatch, match="not a full flag"):
+            codim1_refinement(h3, Subspace.full(3), truncated)
 
 
 class TestVerifyGrading:

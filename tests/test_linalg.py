@@ -1,15 +1,19 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adoforge.errors import DimensionMismatch, KernelNotContained, NotNilpotent
+from adoforge.errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
+import adoforge.linalg as linalg
 from adoforge.linalg import (
     RationalMatrix,
     Subspace,
     factor_through,
     kernel_basis,
     kronecker,
+    mul_rowmaps,
     nilpotency_index,
     rank,
     rref,
@@ -108,6 +112,12 @@ class TestFactorThrough:
         g = fraction_matrix([[0, 0], [0, 1]])
         with pytest.raises(KernelNotContained):
             factor_through(f, g)
+
+    def test_inconsistent_system_is_a_typed_error(self, monkeypatch):
+        # cannot happen for a correct solver; must not rest on an assert
+        monkeypatch.setattr(linalg, "solve_multi", lambda a, b: None)
+        with pytest.raises(NotLinearlyIndependent):
+            factor_through(RationalMatrix.identity(2), RationalMatrix.identity(2))
 
 
 class TestNilpotencyIndex:
@@ -299,3 +309,85 @@ def test_kernel_basis_matches_dense_construction(rows, cols, data):
     reference = dense_kernel_basis(m)
     assert kernel == reference
     assert list(kernel.basis.entries()) == list(reference.basis.entries())
+
+
+# --- integer numerators and the one sparse product -----------------------
+
+def fraction_matmul_rowmaps(a, b):
+    """The product loop RationalMatrix.__matmul__ ran on Fractions before it
+    moved into mul_rowmaps, kept as the reference."""
+    data = {}
+    for r, row in a.items():
+        accum = {}
+        for k, x in row.items():
+            brow = b.get(k)
+            if not brow:
+                continue
+            for c, y in brow.items():
+                nv = accum.get(c, Fraction(0)) + x * y
+                if nv:
+                    accum[c] = nv
+                else:
+                    del accum[c]
+        if accum:
+            data[r] = accum
+    return data
+
+
+def rowmap_items(data):
+    """Rows and entries in storage order, so equal items mean equal dicts
+    built in the same order."""
+    return [(r, list(row.items())) for r, row in data.items()]
+
+
+sizes = st.integers(min_value=1, max_value=5)
+
+
+class TestIntegerForm:
+    def test_lcm_denominator(self):
+        m = fraction_matrix([[Fraction(1, 2), 0], [Fraction(-5, 4), Fraction(1, 3)]])
+        numerators, d = m.integer_form()
+        assert d == 12
+        assert numerators == {0: {0: 6}, 1: {0: -15, 1: 4}}
+        assert all(type(v) is int for row in numerators.values() for v in row.values())
+
+    def test_zero_and_integer_matrices(self):
+        assert RationalMatrix.zero(2, 3).integer_form() == ({}, 1)
+        assert fraction_matrix([[2, 0], [0, -3]]).integer_form() == ({0: {0: 2}, 1: {1: -3}}, 1)
+
+
+@given(sizes, sizes, st.data())
+def test_integer_form_round_trip(rows, cols, data):
+    m = data.draw(sparse_matrices(rows, cols))
+    numerators, d = m.integer_form()
+    denominators = [v.denominator for _, _, v in m.entries()]
+    assert d == reduce(lambda x, y: x * y // gcd(x, y), denominators, 1)
+    assert all(type(v) is int for row in numerators.values() for v in row.values())
+    assert RationalMatrix(rows, cols, numerators).scale(Fraction(1, d)) == m
+
+
+class TestMulRowmaps:
+    def test_cancellation_drops_entries_and_rows(self):
+        a = fraction_matrix([[1, 1], [1, 0]])
+        b = fraction_matrix([[1, 2], [-1, 0]])
+        # row 0: (1, 2) + (-1, 0) = (0, 2); row 1: (1, 2)
+        assert mul_rowmaps(a._data, b._data) == {0: {1: 2}, 1: {0: 1, 1: 2}}
+        c = fraction_matrix([[1, 0], [-1, 0]])
+        # row 0 of a @ c cancels to zero and is dropped
+        assert mul_rowmaps(a._data, c._data) == {1: {0: 1}}
+        assert (a @ c)._data == {1: {0: 1}}
+
+    def test_integer_entries(self):
+        assert mul_rowmaps({0: {0: 2, 1: 3}}, {0: {0: 5}, 1: {0: -4}}) == {0: {0: -2}}
+
+
+@given(sizes, sizes, sizes, st.data())
+def test_mul_rowmaps_matches_fraction_loop(rows, inner, cols, data):
+    a = data.draw(sparse_matrices(rows, inner))
+    b = data.draw(sparse_matrices(inner, cols))
+    reference = fraction_matmul_rowmaps(a._data, b._data)
+    assert rowmap_items(mul_rowmaps(a._data, b._data)) == rowmap_items(reference)
+    assert rowmap_items((a @ b)._data) == rowmap_items(reference)
+    # on integer numerators the product is N_a N_b = d_a d_b (a @ b)
+    (na, da), (nb, db) = a.integer_form(), b.integer_form()
+    assert RationalMatrix(rows, cols, mul_rowmaps(na, nb)) == (a @ b).scale(da * db)

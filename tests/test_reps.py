@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adoforge.catalog import abelian
+from adoforge.catalog import abelian, example
 from adoforge.errors import AlgebraMismatch, NotCentral, NotInvariant
+from adoforge.graded import graded_faithful_rep
 from adoforge.liealg import LieHom, identity_hom
 from adoforge.linalg import (
     RationalMatrix,
+    SpanBasis,
     Subspace,
     nilpotency_index,
+    solve_multi,
     unit_vector,
     zero_vector,
 )
@@ -163,6 +167,17 @@ class TestIsHomomorphism:
         assert not is_homomorphism(bad)
 
 
+class TestIntegerNumerators:
+    def test_scaled_h3_rep(self, h3):
+        # [E12/2, E23/3] = E13/6: d_0 d_1 rho(e2) = 6 E13/6 = N_0 N_1 - N_1 N_0
+        halves_thirds = [single_entry(3, 0, 1, Fraction(1, 2)), single_entry(3, 1, 2, Fraction(1, 3))]
+        good = Representation(h3, 3, [*halves_thirds, single_entry(3, 0, 2, Fraction(1, 6))])
+        assert is_homomorphism(good) and fraction_is_homomorphism(good)
+        bad = Representation(h3, 3, [*halves_thirds, single_entry(3, 0, 2, Fraction(1, 5))])
+        assert not is_homomorphism(bad) and not fraction_is_homomorphism(bad)
+        assert is_nilpotent_rep(good) and is_nilpotent_rep(bad)
+
+
 class TestIsNilpotentRep:
     def test_zero_rep(self, h3):
         assert is_nilpotent_rep(zero_rep(h3, 3))
@@ -250,3 +265,126 @@ class TestElementAction:
     def test_sum(self, std_h3_rep):
         x = (Fraction(1), Fraction(1), Fraction(0))
         assert element_action(std_h3_rep, x) == single_entry(3, 0, 1) + single_entry(3, 1, 2)
+
+
+# --- the integer-numerator checks against the Fraction ones they replaced --
+
+def fraction_is_homomorphism(rep):
+    """is_homomorphism as it ran before the integer path: every product on
+    Fractions.  Kept as the reference for the integer-numerator version."""
+    n = rep.algebra.dim
+    for i in range(n):
+        mi = rep.matrices[i]
+        for j in range(i + 1, n):
+            mj = rep.matrices[j]
+            coeffs = rep.algebra.bracket_basis(i, j)
+            lhs = element_action(rep, tuple(coeffs.get(k, Fraction(0)) for k in range(n)))
+            if lhs != mi @ mj - mj @ mi:
+                return False
+    return True
+
+
+def fraction_is_nilpotent_rep(rep):
+    """is_nilpotent_rep as it ran before the integer path: the span chain on
+    the Fraction matrices themselves."""
+    sd = rep.space_dim
+    if sd == 0:
+        return True
+    generators = [m for m in rep.matrices if not m.is_zero()]
+    if not generators:
+        return True
+
+    def flat(m):
+        return {r * sd + c: v for r, c, v in m.entries()}
+
+    basis = SpanBasis()
+    current = [m for m in generators if basis.add(flat(m))]
+    for _ in range(sd):
+        if not current:
+            return True
+        nxt_basis = SpanBasis()
+        nxt = []
+        for w in current:
+            for g in generators:
+                p = w @ g
+                if not p.is_zero() and nxt_basis.add(flat(p)):
+                    nxt.append(p)
+        current = nxt
+    return not current
+
+
+def _corpus_reps():
+    reps = []
+    names = ("abelian1", "abelian2", "abelian3", "heisenberg3", "heisenberg5", "filiform4", "free2_2", "free2_3")
+    for name in names:
+        algebra = example(name)
+        reps.append(adjoint(algebra))
+        graded = graded_faithful_rep(algebra)
+        if graded.space_dim <= 12:
+            reps.append(graded)
+    return reps
+
+
+CORPUS_REPS = _corpus_reps()
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def conjugated_corpus_reps(draw):
+    """A corpus representation conjugated by a random rational unit upper
+    triangular P: x acts as P rho(x) P^-1."""
+    rep = draw(st.sampled_from(CORPUS_REPS))
+    sd = rep.space_dim
+    entries = [(r, r, 1) for r in range(sd)]
+    for r in range(sd):
+        for c in range(r + 1, sd):
+            entries.append((r, c, draw(st.one_of(st.just(0), small_fractions))))
+    p = RationalMatrix.from_entries(sd, sd, entries)
+    p_inv = solve_multi(p, RationalMatrix.identity(sd))
+    return Representation(rep.algebra, sd, [p @ m @ p_inv for m in rep.matrices])
+
+
+def assert_checks_agree(rep):
+    assert is_homomorphism(rep) == fraction_is_homomorphism(rep)
+    assert is_nilpotent_rep(rep) == fraction_is_nilpotent_rep(rep)
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps())
+def test_integer_checks_agree_on_conjugated_corpus(rep):
+    assert_checks_agree(rep)
+    assert is_homomorphism(rep) and is_nilpotent_rep(rep)
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps(), st.data())
+def test_integer_checks_agree_after_one_entry_moves(rep, data):
+    i = data.draw(st.integers(min_value=0, max_value=rep.algebra.dim - 1))
+    r = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    c = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    q = data.draw(st.integers(min_value=1, max_value=7))
+    nudge = RationalMatrix.from_entries(rep.space_dim, rep.space_dim, [(r, c, Fraction(1, q))])
+    matrices = list(rep.matrices)
+    matrices[i] = matrices[i] + nudge
+    assert_checks_agree(Representation(rep.algebra, rep.space_dim, matrices))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["abelian1", "abelian2", "heisenberg3"]),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.data(),
+)
+def test_integer_checks_agree_on_random_matrices(name, sd, strictly_upper, data):
+    # strictly upper triangular matrices are always nilpotent; unconstrained
+    # ones usually are not
+    algebra = example(name)
+    cells = [(r, c) for r in range(sd) for c in range(sd) if c > r or not strictly_upper]
+    matrices = [
+        RationalMatrix.from_entries(
+            sd, sd, [(r, c, data.draw(st.one_of(st.just(0), small_fractions))) for r, c in cells]
+        )
+        for _ in range(algebra.dim)
+    ]
+    assert_checks_agree(Representation(algebra, sd, matrices))
