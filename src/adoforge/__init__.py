@@ -7,6 +7,7 @@ from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
     DegenerateCocycle,
+    DegenerateFlag,
     DimensionMismatch,
     InvalidGrading,
     KernelNotContained,
@@ -14,8 +15,10 @@ from .errors import (
     NotAnIdeal,
     NotCentral,
     NotInvariant,
+    NotInvertible,
     NotLinearlyIndependent,
     NotNilpotent,
+    NotSurjective,
     ParseError,
     SeparatorFailed,
     TensorBudgetExceeded,
@@ -69,6 +72,8 @@ from .graded import (
     cocycle_extension_rep,
     cocycle_space,
     current_algebra,
+    current_algebra_faithful_rep,
+    derivation_rep,
     euler_derivation,
     free_nilpotent_faithful_rep,
     graded_embedding,

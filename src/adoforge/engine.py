@@ -3,16 +3,17 @@ search, gluing, transport back to the input algebra, and certificates.
 
 The pipeline builds a faithful nilpotent representation for any validated
 nilpotent algebra over Q.  Algebras with a verified grading take the direct
-graded route; everything else is presented as a quotient F/I of a free
-nilpotent algebra and handled by walking a codimension-one ideal flag inside
-I.  At each flag step the previous algebra is a one-dimensional central
-extension of the next one; non-central directions are separated by the
-adjoint representation, central ones by searching tensor powers of the
-previous faithful representation for a kernel non-inclusion witness and
-carving out the kernel submodule it acts on.  The interior steps do not
-re-prove what the construction guarantees; ``construct_faithful_nilpotent``
-verifies its output exactly, once, before returning it, and raises
-``VerificationFailed`` when that check fails.
+graded route: the dim L + 1 representation of their scaling derivation,
+whose size is checked against the budget before it is built.  Everything
+else is presented as a quotient F/I of a free nilpotent algebra and handled
+by walking a codimension-one ideal flag inside I.  At each flag step the
+previous algebra is a one-dimensional central extension of the next one;
+non-central directions are separated by the adjoint representation, central
+ones by searching tensor powers of the previous faithful representation for
+a kernel non-inclusion witness and carving out the kernel submodule it acts
+on.  The interior steps do not re-prove what the construction guarantees;
+``construct_faithful_nilpotent`` verifies its output exactly, once, before
+returning it, and raises ``VerificationFailed`` when that check fails.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from typing import Callable, Sequence
 from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
+    DegenerateFlag,
     InvalidGrading,
+    NotCentral,
+    NotInvertible,
     NotLinearlyIndependent,
+    NotSurjective,
     SeparatorFailed,
     TensorBudgetExceeded,
     ValidationFailed,
@@ -154,10 +159,10 @@ def _coords_json(x: Sequence[Fraction]) -> list[str]:
     return [str(frac(v)) for v in x]
 
 
-def _check_rep_budget(rep: Representation, config: EngineConfig) -> None:
-    if rep.space_dim > config.dimension_budget:
+def _check_budget(space_dim: int, config: EngineConfig) -> None:
+    if space_dim > config.dimension_budget:
         raise BudgetExceeded(
-            f"representation space of dimension {rep.space_dim} exceeds budget {config.dimension_budget}"
+            f"representation space of dimension {space_dim} exceeds budget {config.dimension_budget}"
         )
 
 
@@ -247,12 +252,9 @@ def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[Representat
         if element_action(rho_x, x).is_zero():
             raise SeparatorFailed("separator returned a representation vanishing on its element")
         rho = direct_sum(rho, rho_x)
-        new_kernel = rep_kernel(rho)
-        assert new_kernel.dim < kernel.dim, "glue kernel descent must be strict"
-        kernel = new_kernel
+        kernel = rep_kernel(rho)
         summands.append(rho_x.space_dim)
         kernels.append(kernel.dim)
-    assert len(summands) <= algebra.dim, "gluing must finish within dim L iterations"
     return rho, {"algebra_dim": algebra.dim, "summand_dims": summands, "kernel_dims": kernels}
 
 
@@ -268,7 +270,7 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
     return rep
 
 
-def _graded_cert_fields(algebra: LieAlgebra, rep: Representation) -> dict:
+def _current_algebra_cert_fields(algebra: LieAlgebra, rep: Representation) -> dict:
     levels = algebra.grading.max_degree
     current_dim = algebra.dim * levels
     return {
@@ -282,7 +284,7 @@ def _flag_generator(upper: Subspace, lower: Subspace) -> Sequence[Fraction]:
     for v in upper.basis_vectors():
         if not lower.contains_vector(v):
             return v
-    raise AssertionError("strictly larger ideal must contain a new basis vector")
+    raise DegenerateFlag("strictly larger ideal must contain a new basis vector")
 
 
 def _induction_pipeline(
@@ -297,8 +299,8 @@ def _induction_pipeline(
         nil_class=pres.F.grading.max_degree,
     )
     rho = free_nilpotent_faithful_rep(pres.F)
-    _check_rep_budget(rho, config)
-    cert.add("graded_pipeline", **_graded_cert_fields(pres.F, rho))
+    _check_budget(rho.space_dim, config)
+    cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
 
     central = central_flag(pres.F)
     descending = [pres.I]
@@ -311,10 +313,11 @@ def _induction_pipeline(
     for k in range(len(flag) - 1):
         g = _flag_generator(flag[k + 1], flag[k])
         z = proj.apply(g)
-        assert not vec_is_zero(z), "flag generator must survive the projection"
+        if vec_is_zero(z):
+            raise DegenerateFlag("flag generator must survive the projection")
         for i in range(current.dim):
             if not vec_is_zero(current.bracket(unit_vector(current.dim, i), z)):
-                raise AssertionError("flag image must be central in the current quotient")
+                raise NotCentral("flag image must be central in the current quotient")
         cert.add("flag_step", index=k, z=_coords_json(z))
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)
@@ -328,7 +331,8 @@ def _induction_pipeline(
             if not element_action(_adj, x).is_zero():
                 return _adj
             lift = solve(_p.matrix, x)
-            assert lift is not None, "quotient projection must be surjective"
+            if lift is None:
+                raise NotSurjective("quotient projection must be surjective")
             rep_big, power, witness, kernel = _distinguish(_rho, _z, lift, config, _ladder)
             cert.add(
                 "kernel_search",
@@ -361,11 +365,13 @@ def _induction_pipeline(
     lift_cols = []
     for j in range(current.dim):
         lift = solve(proj.matrix, unit_vector(current.dim, j))
-        assert lift is not None
+        if lift is None:
+            raise NotSurjective("projection onto the last quotient must be surjective")
         lift_cols.append(pres.pi.apply(lift))
     psi = RationalMatrix.from_columns(algebra.dim, lift_cols)
     inv = solve_multi(psi, RationalMatrix.identity(algebra.dim))
-    assert inv is not None, "presentation quotient must be isomorphic to the input"
+    if inv is None:
+        raise NotInvertible("presentation quotient must be isomorphic to the input")
     iso = LieHom(algebra, current, inv)
     return restrict_along(rho, iso)
 
@@ -390,9 +396,9 @@ def construct_faithful_nilpotent(
     if algebra.dim == 0:
         rep = Representation(algebra, 0, [])
     elif config.method == "graded" or (config.method == "auto" and graded_ok):
+        _check_budget(algebra.dim + 1, config)
         rep = graded_faithful_rep(algebra)
-        _check_rep_budget(rep, config)
-        cert.add("graded_pipeline", **_graded_cert_fields(algebra, rep))
+        cert.add("graded_pipeline", derivation=list(algebra.grading.degrees), rep_dim=rep.space_dim)
     else:
         rep = _induction_pipeline(algebra, config, cert)
     outcome = verify_output(algebra, rep)

@@ -75,6 +75,20 @@ class SeparatorFailed(AdoForgeError):
     kind = "separator_failed"
 
 
+class DegenerateFlag(AdoForgeError):
+    """A flag step adds no new direction to the current quotient."""
+
+    kind = "degenerate_flag"
+
+
+class NotSurjective(AdoForgeError):
+    kind = "not_surjective"
+
+
+class NotInvertible(AdoForgeError):
+    kind = "not_invertible"
+
+
 class UnknownExample(AdoForgeError):
     kind = "unknown_example"
 

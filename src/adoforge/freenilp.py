@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .linalg import F1, RationalMatrix, Subspace, kernel_basis, rank, unit_vector
-from .liealg import Grading, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class, is_ideal
+from .linalg import F1, RationalMatrix, Subspace, kernel_basis, unit_vector
+from .liealg import Grading, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
 
 DEFAULT_DIMENSION_BUDGET = 200
 
@@ -211,7 +211,6 @@ def present(algebra: LieAlgebra, dimension_budget: int = DEFAULT_DIMENSION_BUDGE
     derived = derived_subalgebra(algebra)
     complement = [i for i in range(algebra.dim) if i not in set(derived._pivots)]
     r = len(complement)
-    assert r == algebra.dim - derived.dim
     F = free_nilpotent(r, c, dimension_budget)
     words = hall_basis(r, c)
     images: list = [None] * len(words)
@@ -221,8 +220,6 @@ def present(algebra: LieAlgebra, dimension_budget: int = DEFAULT_DIMENSION_BUDGE
         else:
             images[w.index] = algebra.bracket(images[w.left.index], images[w.right.index])
     matrix = RationalMatrix.from_columns(algebra.dim, images)
-    assert rank(matrix) == algebra.dim, "generator images must span the target"
     pi = LieHom(F, algebra, matrix)
     ideal = kernel_basis(matrix)
-    assert is_ideal(F, ideal), "kernel of a homomorphism must be an ideal"
     return Presentation(F=F, L=algebra, pi=pi, I=ideal)

@@ -1,13 +1,24 @@
-"""Current algebras, 1-cocycles, and the graded construction pipeline.
+"""Graded routes: one nonsingular derivation, and the paper's current-algebra
+pipeline.
 
-For a positively graded nilpotent algebra L with top degree n-1, the map
+A derivation D of L is a 1-cocycle for the adjoint representation:
+[x, Dy] - [y, Dx] = D[x, y].  When ker D = 0, letting x act on L + Q by
+(v, s) -> ([x, v] + s*D(x), 0) is a faithful nilpotent representation of
+dimension dim L + 1 (``derivation_rep``).  A positively graded algebra has
+one: the scaling derivation D(x) = deg(x)*x, which is what the engine's
+graded route (``graded_faithful_rep``) uses.
+
+The paper's route is kept beside it and seeds the induction route's free
+algebra (``current_algebra_faithful_rep``): for top degree n-1, the map
 sending a degree-i basis element x to x(x)t^i embeds L into the current
-algebra L(x)tQ[t]/(t^n).  The scaling derivation (eigenvalue = t-degree) is a
-1-cocycle with zero kernel valued in the adjoint module, and the cocycle
-extension of the current algebra on V + Z^1(L,V) is faithful and nilpotent;
-restricting back along the embedding yields a faithful nilpotent
-representation of L.  These properties hold by construction; the engine
-checks the final output once, exactly, at its boundary.
+algebra L(x)tQ[t]/(t^n).  The scaling derivation of the current algebra
+(eigenvalue = t-degree) is a 1-cocycle with zero kernel valued in the
+adjoint module, and the cocycle extension of the current algebra on
+V + Z^1(L,V) is faithful and nilpotent; restricting back along the embedding
+yields a faithful nilpotent representation of L.
+
+These properties hold by construction; the engine checks the final output
+once, exactly, at its boundary.
 """
 
 from __future__ import annotations
@@ -225,11 +236,42 @@ def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle
     return Representation(algebra, total, mats)
 
 
+def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
+    """rho(e_i) = [[ad e_i, D e_i], [0, 0]] on Q^(dim L + 1).
+
+    The caller promises that D (dim L x dim L) is a derivation with zero
+    kernel.  Then rho is a homomorphism because D is a 1-cocycle for ad,
+    faithful because rho(x) = 0 forces D(x) = 0, and nilpotent because it is
+    block upper triangular with ad x nilpotent on the diagonal.
+    """
+    n = algebra.dim
+    if D.rows != n or D.cols != n:
+        raise DimensionMismatch("derivation must be a dim x dim matrix")
+    mats = []
+    for i, ad_i in enumerate(adjoint(algebra).matrices):
+        entries = list(ad_i.entries())
+        entries.extend((r, n, v) for r, v in enumerate(D.column(i)) if v)
+        mats.append(RationalMatrix.from_entries(n + 1, n + 1, entries))
+    return Representation(algebra, n + 1, mats)
+
+
 def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
-    """Faithful nilpotent representation of a validly graded algebra via the
-    embedding + scaling-cocycle extension + restriction pipeline."""
+    """Faithful nilpotent representation of dimension dim L + 1 of a validly
+    graded algebra, from its scaling derivation diag(degrees)."""
     if algebra.grading is None or not verify_grading(algebra):
         raise InvalidGrading("graded_faithful_rep requires a valid grading")
+    degrees = algebra.grading.degrees
+    scaling = RationalMatrix.from_entries(
+        algebra.dim, algebra.dim, [(i, i, d) for i, d in enumerate(degrees)]
+    )
+    return derivation_rep(algebra, scaling)
+
+
+def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
+    """Faithful nilpotent representation of a validly graded algebra via the
+    paper's embedding + scaling-cocycle extension + restriction pipeline."""
+    if algebra.grading is None or not verify_grading(algebra):
+        raise InvalidGrading("current_algebra_faithful_rep requires a valid grading")
     if algebra.dim == 0:
         return Representation(algebra, 0, [])
     n = 1 + algebra.grading.max_degree
@@ -243,7 +285,7 @@ def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
 
 def free_nilpotent_faithful_rep(free_algebra: LieAlgebra) -> Representation:
     """Faithful nilpotent representation of a free nilpotent algebra carrying
-    its Hall-degree grading."""
+    its Hall-degree grading, by the current-algebra pipeline."""
     if free_algebra.grading is None:
         raise InvalidGrading("free nilpotent algebra must carry its degree grading")
-    return graded_faithful_rep(free_algebra)
+    return current_algebra_faithful_rep(free_algebra)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import AlgebraMismatch, DimensionMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
+from .errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    NotAnIdeal,
+    NotInvertible,
+    NotNilpotent,
+    ZeroIdeal,
+)
 from .linalg import (
     F0,
     RationalMatrix,
@@ -304,7 +311,8 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     basis_cols = ideal.basis_vectors()
     lhs = RationalMatrix.from_columns(n, basis_cols + [unit_vector(n, i) for i in complement])
     inv = solve_multi(lhs, RationalMatrix.identity(n))
-    assert inv is not None, "ideal basis plus complement must be invertible"
+    if inv is None:
+        raise NotInvertible("ideal basis plus complement must be invertible")
     proj_matrix = RationalMatrix.from_entries(
         q, n, ((r - ideal.dim, c, v) for r, c, v in inv.entries() if r >= ideal.dim)
     )

@@ -211,6 +211,16 @@ class TestConstructCommand:
         code, _, report = run_cli(["construct", str(path), "--method", "induction"], capsys)
         assert code == 4
 
+    def test_graded_budget_exits_4_before_building(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "graded_faithful_rep", lambda a: calls.append(a))
+        path = write_example(tmp_path, "heisenberg3", capsys)
+        monkeypatch.setenv("ADO_FORGE_BUDGET", "3")
+        code, _, report = run_cli(["construct", str(path)], capsys)
+        assert code == 4
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert calls == []
+
     @pytest.mark.parametrize(
         "budget,extra",
         [("abc", []), ("0", []), (None, ["--max-tensor-power", "0"])],

@@ -9,11 +9,15 @@ import pytest
 import adoforge
 import adoforge.engine as engine
 import adoforge.reps as reps
-from adoforge.catalog import abelian, heisenberg3
+from adoforge.catalog import abelian, example, heisenberg3
 from adoforge.errors import (
+    BudgetExceeded,
+    DegenerateFlag,
     InvalidGrading,
     NotLinearlyIndependent,
+    NotInvertible,
     NotNilpotent,
+    NotSurjective,
     SeparatorFailed,
     TensorBudgetExceeded,
     ValidationFailed,
@@ -29,7 +33,7 @@ from adoforge.engine import (
 )
 from adoforge.graded import graded_faithful_rep
 from adoforge.liealg import LieAlgebra
-from adoforge.linalg import RationalMatrix, kernel_basis, unit_vector, vec_scale
+from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 
 
@@ -216,10 +220,60 @@ class TestConstruct:
         with pytest.raises(InvalidGrading):
             construct_faithful_nilpotent(bare, EngineConfig(method="graded"))
 
+    def test_free2_4_auto(self):
+        rep, cert = construct_faithful_nilpotent(example("free2_4"))
+        assert rep.space_dim == 9
+        assert cert.steps[-1] == {"kind": "verified", "homomorphism": True, "faithful": True, "nilpotent": True}
+
+    def test_induction_seed_keeps_current_algebra_fields(self, f4):
+        _, cert = construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
+        # F = free2_3: a 15-dim current algebra, 97 cocycles
+        assert cert.steps_of_kind("graded_pipeline") == [
+            {"kind": "graded_pipeline", "current_dim": 15, "cocycle_dim": 97, "rep_dim": 112}
+        ]
+
     def test_graded_and_induction_agree_on_properties(self, f4):
         fast, _ = construct_faithful_nilpotent(f4, EngineConfig(method="graded"))
         slow, _ = construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
         assert verify_output(f4, fast).ok and verify_output(f4, slow).ok
+
+
+class TestBudgetBeforeBuilding:
+    def test_graded_budget_checked_before_building(self, h3, monkeypatch):
+        calls = []
+        real = engine.graded_faithful_rep
+        monkeypatch.setattr(engine, "graded_faithful_rep", lambda a: calls.append(a) or real(a))
+        with pytest.raises(BudgetExceeded, match="dimension 4 exceeds budget 3"):
+            construct_faithful_nilpotent(h3, EngineConfig(dimension_budget=3))
+        assert calls == []
+        rep, _ = construct_faithful_nilpotent(h3, EngineConfig(dimension_budget=4))
+        assert rep.space_dim == 4 and len(calls) == 1
+
+
+class TestTypedInteriorErrors:
+    """Failures that the construction rules out still raise a typed error,
+    under ``python -O`` too, when a step returns the impossible."""
+
+    def test_flag_generator_needs_new_direction(self):
+        line = Subspace.from_vectors(3, [unit_vector(3, 2)])
+        with pytest.raises(DegenerateFlag):
+            engine._flag_generator(line, line)
+
+    def test_separator_lift(self, f4, monkeypatch):
+        monkeypatch.setattr(engine, "solve", lambda a, b: None)
+        with pytest.raises(NotSurjective, match="quotient projection"):
+            construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
+
+    def test_transport_lift(self, h3, monkeypatch):
+        # h3 presents with I = 0: no flag step, so the transport is the first solve
+        monkeypatch.setattr(engine, "solve", lambda a, b: None)
+        with pytest.raises(NotSurjective, match="last quotient"):
+            construct_faithful_nilpotent(h3, EngineConfig(method="induction"))
+
+    def test_transport_inverse(self, h3, monkeypatch):
+        monkeypatch.setattr(engine, "solve_multi", lambda a, b: None)
+        with pytest.raises(NotInvertible):
+            construct_faithful_nilpotent(h3, EngineConfig(method="induction"))
 
 
 class TestGlueCertificates:
@@ -258,6 +312,21 @@ class TestReplay:
         rep2, cert2 = replay_certificate(f4, cert)
         assert rep2.matrices == rep.matrices
         assert cert2.steps == cert.steps
+
+    def test_replay_reproduces_graded_step(self, h3):
+        rep, cert = construct_faithful_nilpotent(h3)
+        rep2, cert2 = replay_certificate(h3, cert)
+        assert rep2.matrices == rep.matrices
+        assert cert2.steps[0] == cert.steps[0] == {
+            "kind": "graded_pipeline", "derivation": [1, 1, 2], "rep_dim": 4,
+        }
+
+    def test_replay_detects_tampered_derivation(self, h3):
+        _, cert = construct_faithful_nilpotent(h3)
+        tampered = Certificate(config=dict(cert.config), steps=list(cert.steps))
+        tampered.steps[0] = dict(tampered.steps[0], derivation=[1, 1, 3])
+        with pytest.raises(ValueError):
+            replay_certificate(h3, tampered)
 
     def test_replay_detects_divergence(self, h3):
         rep, cert = construct_faithful_nilpotent(h3)

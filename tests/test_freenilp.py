@@ -5,8 +5,10 @@ import pytest
 from adoforge.catalog import abelian, filiform4, heisenberg3
 from adoforge.errors import BudgetExceeded, NotNilpotent
 from adoforge.freenilp import free_nilpotent, hall_basis, present, witt_dimension
-from adoforge.liealg import LieHom, validate, verify_grading
-from adoforge.linalg import RationalMatrix
+from adoforge.catalog import heisenberg5
+from adoforge.liealg import LieHom, is_ideal, validate, verify_grading
+from adoforge.linalg import RationalMatrix, rank
+from test_golden import rebased
 
 
 class TestHallBasis:
@@ -141,12 +143,24 @@ class TestFreeNilpotent:
             free_nilpotent(2, 3, dimension_budget=4)
 
 
+def assert_presentation(pres):
+    """pi: F -> L is onto and I = Ker pi is an ideal of F."""
+    assert rank(pres.pi.matrix) == pres.L.dim
+    assert is_ideal(pres.F, pres.I)
+
+
 class TestPresent:
     def test_h3(self):
         pres = present(heisenberg3())
         assert pres.F.dim == 3
         assert pres.I.dim == 0
         assert pres.pi.is_injective()
+        assert_presentation(pres)
+
+    def test_rebased_h5(self):
+        pres = present(rebased(heisenberg5()))
+        assert (pres.F.dim, pres.I.dim) == (10, 5)
+        assert_presentation(pres)
 
     def test_abelian1(self):
         pres = present(abelian(1))
@@ -159,6 +173,7 @@ class TestPresent:
         from adoforge.linalg import kernel_basis
 
         assert kernel_basis(pres.pi.matrix) == pres.I
+        assert_presentation(pres)
 
     def test_generators_span_modulo_derived(self):
         from adoforge.liealg import derived_subalgebra

@@ -1,8 +1,9 @@
-"""Golden digests of induction-route output.
+"""Golden digests of induction-route and graded-route output.
 
 The sha256 of the canonical representation JSON and certificate JSON that
-``construct --method induction`` writes are pinned here, so a change meant
-only to make the construction faster fails if it moves a single output byte.
+``construct --method induction`` and ``construct --method auto`` (the graded
+route, on graded inputs) write are pinned here, so a change meant only to
+make the construction faster fails if it moves a single output byte.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from adoforge.catalog import filiform4, heisenberg5
+from adoforge.catalog import example, filiform4, heisenberg5
 from adoforge.cli import main
 from adoforge.jsonio import algebra_to_json, dumps_canonical
 from adoforge.liealg import LieAlgebra
@@ -82,6 +83,38 @@ def test_induction_output_bytes_pinned(tmp_path, capsys, name):
     rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
     code = main([
         "construct", str(alg_path), "--method", "induction",
+        "--out", str(rep_path), "--certificate", str(cert_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(rep_path.read_bytes()).hexdigest() == rep_digest
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == cert_digest
+
+
+GRADED_CASES = {
+    "heisenberg3": (
+        "61ad730dfb28534d1407527da50feff22415a46d526b79ea4489a9b0488f9c49",
+        "3ae9d5b0a421173b46e6e096c4bb6f681180996c9fb4c8aa7af43a640897100c",
+    ),
+    "filiform4": (
+        "486b642b58394349751cb6497e5dc3ed3e298bc1db230d4b9d0894e6e579fb94",
+        "772c7e717fdef71f89b574c9a915acf4a8eff306a0683afe9efa41971eff760e",
+    ),
+    "free2_3": (
+        "cdbfccfa86eb760b099bdf724cb5a14bb99d2b61e39a3209d627f73593460806",
+        "c18826d5950616bb5b92291df90dde16da543e8c1168c064e3fa87118f315297",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_CASES))
+def test_graded_output_bytes_pinned(tmp_path, capsys, name):
+    rep_digest, cert_digest = GRADED_CASES[name]
+    alg_path = tmp_path / "algebra.json"
+    alg_path.write_text(dumps_canonical(algebra_to_json(example(name), name)))
+    rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
+    code = main([
+        "construct", str(alg_path), "--method", "auto",
         "--out", str(rep_path), "--certificate", str(cert_path),
     ])
     capsys.readouterr()

@@ -1,13 +1,16 @@
 import pytest
 
-from adoforge.catalog import abelian, filiform4, heisenberg3
-from adoforge.errors import DegenerateCocycle, InvalidGrading, NotACocycle
+from adoforge.catalog import abelian, example, filiform4, heisenberg3
+from adoforge.engine import verify_output
+from adoforge.errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
 from adoforge.freenilp import free_nilpotent
 from adoforge.graded import (
     Cocycle,
     cocycle_extension_rep,
     cocycle_space,
     current_algebra,
+    current_algebra_faithful_rep,
+    derivation_rep,
     euler_derivation,
     free_nilpotent_faithful_rep,
     graded_embedding,
@@ -184,10 +187,77 @@ class TestGradedFaithfulRep:
             graded_faithful_rep(solvable)
 
 
+# the acceptance corpus plus the two larger free algebras
+DERIVATION_CORPUS = [
+    "abelian1",
+    "abelian2",
+    "abelian3",
+    "heisenberg3",
+    "heisenberg5",
+    "filiform4",
+    "free2_2",
+    "free2_3",
+    "free2_4",
+    "free3_3",
+]
+
+
+class TestDerivationRep:
+    @pytest.mark.parametrize("name", DERIVATION_CORPUS)
+    def test_scaling_derivation_rep(self, name):
+        algebra = example(name)
+        n = algebra.dim
+        rep = graded_faithful_rep(algebra)
+        assert rep.space_dim == n + 1
+        assert verify_output(algebra, rep).ok
+        for i, d in enumerate(algebra.grading.degrees):
+            expected = [0] * (n + 1)
+            expected[i] = d
+            assert list(rep.matrices[i].column(n)) == expected
+
+    def test_non_derivation_not_homomorphism(self, h3):
+        # I[e0, e1] = e2 but [I e0, e1] + [e0, I e1] = 2 e2
+        rep = derivation_rep(h3, RationalMatrix.identity(3))
+        assert not is_homomorphism(rep)
+        assert verify_output(h3, rep).failing() == ["homomorphism"]
+
+    def test_zero_derivation_not_faithful(self, h3):
+        rep = derivation_rep(h3, RationalMatrix.zero(3, 3))
+        assert verify_output(h3, rep).failing() == ["faithful"]
+
+    def test_inner_derivation_not_faithful(self, h3):
+        # ad e0 kills the center e2, and so does rho
+        rep = derivation_rep(h3, adjoint(h3).matrices[0])
+        assert verify_output(h3, rep).failing() == ["faithful"]
+        assert rep_kernel(rep).basis_vectors() == [unit_vector(3, 2)]
+
+    def test_shape_checked(self, h3):
+        with pytest.raises(DimensionMismatch):
+            derivation_rep(h3, RationalMatrix.identity(2))
+
+
+class TestCurrentAlgebraFaithfulRep:
+    def test_h3_paper_route(self, h3):
+        # adjoint of the 6-dim current algebra plus its 24-dim cocycle space
+        rep = current_algebra_faithful_rep(h3)
+        assert rep.space_dim == 30
+        assert verify_output(h3, rep).ok
+
+    def test_ungraded_rejected(self, solvable):
+        with pytest.raises(InvalidGrading):
+            current_algebra_faithful_rep(solvable)
+
+
 class TestFreeNilpotentFaithfulRep:
     def test_free11(self):
         rep = free_nilpotent_faithful_rep(free_nilpotent(1, 1))
         assert rep.space_dim == 2
+
+    def test_seeded_by_current_algebra_route(self):
+        f = free_nilpotent(2, 3)
+        rep = free_nilpotent_faithful_rep(f)
+        assert rep.space_dim == 112
+        assert rep.matrices == current_algebra_faithful_rep(f).matrices
 
     @pytest.mark.parametrize("r,c", [(2, 2), (2, 3)])
     def test_faithful_nilpotent(self, r, c):

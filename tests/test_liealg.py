@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import adoforge.liealg as liealg
 from adoforge.catalog import abelian
-from adoforge.errors import AlgebraMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
+from adoforge.errors import AlgebraMismatch, NotAnIdeal, NotInvertible, NotNilpotent, ZeroIdeal
 from adoforge.liealg import (
     Grading,
     IdealChain,
@@ -118,6 +119,13 @@ class TestQuotient:
         from adoforge.linalg import kernel_basis
 
         assert kernel_basis(proj.matrix) == ideal
+
+    def test_singular_change_of_basis_is_typed(self, h3, monkeypatch):
+        # the ideal basis plus the complement coordinates is always invertible;
+        # should the solve fail anyway, the error has a kind, also under -O
+        monkeypatch.setattr(liealg, "solve_multi", lambda a, b: None)
+        with pytest.raises(NotInvertible):
+            quotient(h3, span(3, unit_vector(3, 2)))
 
 
 class TestCentralFlag:
