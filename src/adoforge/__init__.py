@@ -20,6 +20,7 @@ from .errors import (
     NotNilpotent,
     NotSurjective,
     ParseError,
+    ReplayFailed,
     SeparatorFailed,
     TensorBudgetExceeded,
     UnknownExample,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout (or --out); a machine-readable run report goes to stderr
-on every invocation.  Exit codes: 0 ok, 1 validation/verification failure,
-2 parse error (including a bad ``--max-tensor-power`` or ``ADO_FORGE_BUDGET``),
+on every invocation, a command line that does not parse included.  Exit
+codes: 0 ok, 1 validation/verification failure, 2 parse error (an unknown or
+malformed flag, a bad ``--max-tensor-power`` or ``ADO_FORGE_BUDGET``),
 3 not nilpotent, 4 budget exceeded.  An unexpected exception is recorded as
 ``internal_error`` in the run report and then re-raised.
 """
@@ -179,7 +180,6 @@ def _engine_config(args) -> EngineConfig:
             method=args.method,
             max_tensor_power=args.max_tensor_power,
             dimension_budget=int(budget),
-            compress=args.compress,
         )
     except ValueError as exc:
         raise ParseError(
@@ -244,8 +244,16 @@ def cmd_examples(args, run: _Run) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad command line raises ``ParseError``, so ``main`` still reports it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="adoforge",
         description="Construct and verify faithful nilpotent matrix representations "
         "of nilpotent Lie algebras over Q, with exact rational arithmetic.",
@@ -264,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--method", choices=("auto", "graded", "induction"), default="auto")
     p.add_argument("--max-tensor-power", type=int, default=6)
-    p.add_argument("--compress", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None, help="representation JSON path (default stdout)")
     p.add_argument("--certificate", default=None, help="certificate JSON path")
     p.set_defaults(func=cmd_construct)
@@ -284,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    run = _Run(args.command)
+    run = _Run(None)  # the command is known once the command line parses
     try:
+        args = build_parser().parse_args(argv)
+        run.report["command"] = args.command
         code = args.func(args, run)
     except FileNotFoundError as exc:
         run.fail("parse_error", f"cannot read input: {exc}")

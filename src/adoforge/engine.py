@@ -10,15 +10,17 @@ by walking a codimension-one ideal flag inside I.  At each flag step the
 previous algebra is a one-dimensional central extension of the next one;
 non-central directions are separated by the adjoint representation, central
 ones by searching tensor powers of the previous faithful representation for
-a kernel non-inclusion witness and carving out the kernel submodule it acts
-on.  The interior steps do not re-prove what the construction guarantees;
-``construct_faithful_nilpotent`` verifies its output exactly, once, before
-returning it, and raises ``VerificationFailed`` when that check fails.
+a kernel non-inclusion witness, carving out the kernel submodule it acts on
+and compressing that to the cyclic submodule the witness generates.  The
+interior steps do not re-prove what the construction guarantees, such as the
+centrality of each flag image; ``construct_faithful_nilpotent`` verifies its
+output exactly, once, and raises ``VerificationFailed`` when that fails.
+``EngineConfig`` has three keys: ``method`` and two budgets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -27,10 +29,10 @@ from .errors import (
     BudgetExceeded,
     DegenerateFlag,
     InvalidGrading,
-    NotCentral,
     NotInvertible,
     NotLinearlyIndependent,
     NotSurjective,
+    ReplayFailed,
     SeparatorFailed,
     TensorBudgetExceeded,
     ValidationFailed,
@@ -76,29 +78,25 @@ from .reps import (
 
 Separator = Callable[[Sequence[Fraction]], Representation]
 
+# Bumped whenever the config keys or the fields of a step change, so a
+# certificate of another format fails replay by name, not by divergence.
+CERTIFICATE_FORMAT_VERSION = 1
+
 
 @dataclass
 class EngineConfig:
     method: str = "auto"              # auto | graded | induction
     max_tensor_power: int = 6
     dimension_budget: int = 20000     # representation space cap
-    free_dimension_budget: int = 200  # free nilpotent algebra cap
-    compress: bool = True
 
     def __post_init__(self):
         if self.method not in ("auto", "graded", "induction"):
             raise ValueError(f"unknown method {self.method!r}")
-        if min(self.max_tensor_power, self.dimension_budget, self.free_dimension_budget) < 1:
-            raise ValueError("all budgets must be positive")
+        if any(type(b) is not int or b < 1 for b in (self.max_tensor_power, self.dimension_budget)):
+            raise ValueError("all budgets must be positive integers")
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "max_tensor_power": self.max_tensor_power,
-            "dimension_budget": self.dimension_budget,
-            "free_dimension_budget": self.free_dimension_budget,
-            "compress": self.compress,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -107,6 +105,7 @@ class Certificate:
 
     config: dict
     steps: list[dict] = field(default_factory=list)
+    format_version: object = CERTIFICATE_FORMAT_VERSION
 
     def add(self, kind: str, **fields) -> None:
         self.steps.append({"kind": kind, **fields})
@@ -146,7 +145,7 @@ class VerificationReport:
 
 def verify_output(algebra: LieAlgebra, rep: Representation) -> VerificationReport:
     """Check everything the construction promises, with exact arithmetic."""
-    if not (rep.algebra is algebra or rep.algebra.structurally_equal(algebra)):
+    if not rep.algebra.structurally_equal(algebra):
         raise AlgebraMismatch("representation belongs to a different algebra")
     return VerificationReport(
         homomorphism=is_homomorphism(rep),
@@ -287,10 +286,20 @@ def _flag_generator(upper: Subspace, lower: Subspace) -> Sequence[Fraction]:
     raise DegenerateFlag("strictly larger ideal must contain a new basis vector")
 
 
+def _ideal_flag(free: LieAlgebra, ideal: Subspace) -> list[Subspace]:
+    """0 = J_0 < ... < J_m = ideal with codimension-one steps and
+    [free, J_(k+1)] <= J_k: each J_(k+1) is central modulo J_k."""
+    central = central_flag(free)
+    descending = [ideal]
+    while descending[-1].dim > 0:
+        descending.append(codim1_refinement(free, descending[-1], central))
+    return list(reversed(descending))
+
+
 def _induction_pipeline(
     algebra: LieAlgebra, config: EngineConfig, cert: Certificate
 ) -> Representation:
-    pres = present(algebra, config.free_dimension_budget)
+    pres = present(algebra)
     cert.add(
         "presented",
         free_rank=sum(1 for d in pres.F.grading.degrees if d == 1),
@@ -302,12 +311,7 @@ def _induction_pipeline(
     _check_budget(rho.space_dim, config)
     cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
 
-    central = central_flag(pres.F)
-    descending = [pres.I]
-    while descending[-1].dim > 0:
-        descending.append(codim1_refinement(pres.F, descending[-1], central))
-    flag = list(reversed(descending))  # 0 = J_0 < J_1 < ... < J_m = I
-
+    flag = _ideal_flag(pres.F, pres.I)
     current = pres.F
     proj = identity_hom(pres.F)
     for k in range(len(flag) - 1):
@@ -315,9 +319,6 @@ def _induction_pipeline(
         z = proj.apply(g)
         if vec_is_zero(z):
             raise DegenerateFlag("flag generator must survive the projection")
-        for i in range(current.dim):
-            if not vec_is_zero(current.bracket(unit_vector(current.dim, i), z)):
-                raise NotCentral("flag image must be central in the current quotient")
         cert.add("flag_step", index=k, z=_coords_json(z))
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)
@@ -344,16 +345,13 @@ def _induction_pipeline(
                 carrier, induced = kernel_submodule(rep_big, _z, kernel)
                 _carved[power] = carrier, Representation(_quo, induced.space_dim, induced.matrices)
             carrier, induced = _carved[power]
-            compressed_dim = None
-            if config.compress:
-                induced = cyclic_submodule(induced, unit_vector(carrier.dim, witness))
-                compressed_dim = induced.space_dim
+            compressed = cyclic_submodule(induced, unit_vector(carrier.dim, witness))
             cert.add(
                 "kernel_submodule",
                 carrier_dim=carrier.dim,
-                compressed_dim=compressed_dim,
+                compressed_dim=compressed.space_dim,
             )
-            return induced
+            return compressed
 
         rho, trace = _glue_traced(quo, separator)
         cert.add("glue", **trace)
@@ -410,9 +408,23 @@ def construct_faithful_nilpotent(
 
 def replay_certificate(algebra: LieAlgebra, cert: Certificate) -> tuple[Representation, Certificate]:
     """Re-run the construction under the certificate's recorded configuration
-    and check that every step reproduces; returns the rebuilt representation."""
-    config = EngineConfig(**cert.config)
+    and check that every step reproduces; returns the rebuilt representation.
+
+    Raises ``ReplayFailed`` for another format version, config keys or values
+    that ``EngineConfig`` does not take, or a step that does not reproduce.
+    """
+    if type(cert.format_version) is not int or cert.format_version != CERTIFICATE_FORMAT_VERSION:
+        raise ReplayFailed(f"certificate format_version {cert.format_version!r} is not {CERTIFICATE_FORMAT_VERSION}")
+    keys, given = set(EngineConfig().as_dict()), set(cert.config)
+    if given != keys:
+        raise ReplayFailed(f"certificate config keys: unknown {sorted(given - keys)}, missing {sorted(keys - given)}")
+    try:
+        config = EngineConfig(**cert.config)
+    except ValueError as exc:
+        raise ReplayFailed(f"certificate config is not a valid engine configuration: {exc}") from exc
     rep, fresh = construct_faithful_nilpotent(algebra, config)
     if fresh.steps != cert.steps:
-        raise ValueError("certificate does not replay: step log diverged")
+        # the sentinel makes a log that is a prefix of the other diverge at its end
+        index = next(i for i, (a, b) in enumerate(zip(fresh.steps + [None], cert.steps + [None])) if a != b)
+        raise ReplayFailed(f"certificate does not replay: step log diverged at step {index}")
     return rep, fresh

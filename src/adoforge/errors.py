@@ -97,6 +97,12 @@ class ValidationFailed(AdoForgeError):
     kind = "validation_failed"
 
 
+class ReplayFailed(AdoForgeError):
+    """A certificate's version, config or steps do not replay."""
+
+    kind = "replay_failed"
+
+
 class VerificationFailed(AdoForgeError):
     """The final exact check rejected a constructed representation.
 

@@ -97,7 +97,6 @@ def witt_dimension(rank_: int, degree: int) -> int:
     if rank_ < 1 or degree < 1:
         raise ValueError("witt_dimension requires rank >= 1 and degree >= 1")
     total = sum(_mobius(e) * rank_ ** (degree // e) for e in range(1, degree + 1) if degree % e == 0)
-    assert total % degree == 0
     return total // degree
 
 
@@ -197,9 +196,10 @@ class Presentation:
     I: Subspace           # Ker pi, an ideal of F
 
 
-def present(algebra: LieAlgebra, dimension_budget: int = DEFAULT_DIMENSION_BUDGET) -> Presentation:
+def present(algebra: LieAlgebra) -> Presentation:
     """Present a nilpotent algebra as F/I with F free nilpotent of minimal
-    generator rank r = dim L - dim [L,L] and class = nilpotency class of L.
+    generator rank r = dim L - dim [L,L] and class = nilpotency class of L;
+    F is capped at ``DEFAULT_DIMENSION_BUDGET`` (``BudgetExceeded``).
 
     The generators map to the standard basis vectors at the complement
     coordinates of [L,L]; the map extends to Hall words by bracket
@@ -211,7 +211,7 @@ def present(algebra: LieAlgebra, dimension_budget: int = DEFAULT_DIMENSION_BUDGE
     derived = derived_subalgebra(algebra)
     complement = [i for i in range(algebra.dim) if i not in set(derived._pivots)]
     r = len(complement)
-    F = free_nilpotent(r, c, dimension_budget)
+    F = free_nilpotent(r, c)
     words = hall_basis(r, c)
     images: list = [None] * len(words)
     for w in words:

@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
 from .linalg import (
-    F0,
     F1,
     RationalMatrix,
+    dense_vector,
     kernel_basis,
 )
 from .liealg import Grading, LieAlgebra, LieHom, verify_grading
@@ -123,10 +123,7 @@ class Cocycle:
             mi = self.rep.matrices[i]
             for j in range(i + 1, n):
                 mj = self.rep.matrices[j]
-                bracket_vec = [F0] * n
-                for k, v in alg.bracket_basis(i, j).items():
-                    bracket_vec[k] = v
-                lhs = self.map.apply(tuple(bracket_vec))
+                lhs = self.map.apply(dense_vector(alg.bracket_basis(i, j), n))
                 mid = mi.apply(cols[j])
                 last = mj.apply(cols[i])
                 if any(a - b + c for a, b, c in zip(lhs, mid, last)):
@@ -153,7 +150,7 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
     phi(e_i)); the kernel's canonical echelon basis makes downstream
     constructions deterministic.
     """
-    if not _same(algebra, rep.algebra):
+    if not algebra.structurally_equal(rep.algebra):
         raise DimensionMismatch("representation must belong to the given algebra")
     if not is_homomorphism(rep):
         raise ValueError("cocycle_space requires a homomorphism representation")
@@ -190,10 +187,6 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
     return CocycleSpace(rep, basis)
 
 
-def _same(a: LieAlgebra, b: LieAlgebra) -> bool:
-    return a is b or a.structurally_equal(b)
-
-
 def euler_derivation(current: CurrentAlgebra) -> Cocycle:
     """The scaling cocycle phi(x(x)t^a) = a * x(x)t^a valued in the adjoint
     module; its kernel is zero because every eigenvalue is a positive
@@ -211,7 +204,7 @@ def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle
     here; the result is faithful because phi has zero kernel, and nilpotent
     whenever rho is.
     """
-    if not _same(algebra, rep.algebra):
+    if not algebra.structurally_equal(rep.algebra):
         raise DimensionMismatch("representation must belong to the given algebra")
     if phi.rep is not rep and phi.rep.matrices != rep.matrices:
         raise NotACocycle("cocycle is valued in a different module")

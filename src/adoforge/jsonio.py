@@ -182,15 +182,16 @@ def representation_from_json(obj) -> tuple[list[RationalMatrix], int, object]:
 # --- certificates -----------------------------------------------------------
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return {"config": cert.config, "steps": cert.steps}
+    return {"format_version": cert.format_version, "config": cert.config, "steps": cert.steps}
 
 
 def certificate_from_json(obj) -> Certificate:
+    """A missing ``format_version`` reads as None, which replay rejects by name."""
     if not isinstance(obj, dict) or "config" not in obj or "steps" not in obj:
         raise ParseError("certificate document must carry config and steps")
     if not isinstance(obj["steps"], list) or not isinstance(obj["config"], dict):
         raise ParseError("malformed certificate document")
-    return Certificate(config=obj["config"], steps=obj["steps"])
+    return Certificate(config=obj["config"], steps=obj["steps"], format_version=obj.get("format_version"))
 
 
 def load_json(text: str):

@@ -25,6 +25,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
+    dense_vector,
     frac,
     solve_multi,
     unit_vector,
@@ -110,7 +111,8 @@ class LieAlgebra:
         return tuple(out)
 
     def structurally_equal(self, other: "LieAlgebra") -> bool:
-        return self.dim == other.dim and self.brackets == other.brackets
+        """Same dimension and structure constants; labels and grading are ignored."""
+        return self is other or (self.dim == other.dim and self.brackets == other.brackets)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.brackets)})"
@@ -250,7 +252,7 @@ class LieHom:
         cols = [matrix.column(i) for i in range(source.dim)]
         for i in range(source.dim):
             for j in range(i + 1, source.dim):
-                lhs = matrix.apply(_dict_to_vec(source.bracket_basis(i, j), source.dim))
+                lhs = matrix.apply(dense_vector(source.bracket_basis(i, j), source.dim))
                 rhs = target.bracket(cols[i], cols[j])
                 if lhs != rhs:
                     raise ValueError(
@@ -267,19 +269,12 @@ class LieHom:
 
     def compose(self, inner: "LieHom") -> "LieHom":
         """self o inner (inner applied first)."""
-        if inner.target is not self.source and not inner.target.structurally_equal(self.source):
+        if not inner.target.structurally_equal(self.source):
             raise DimensionMismatch("composition target/source mismatch")
         return LieHom(inner.source, self.target, self.matrix @ inner.matrix)
 
     def __repr__(self) -> str:
         return f"LieHom({self.source.dim} -> {self.target.dim})"
-
-
-def _dict_to_vec(coeffs: Mapping[int, Fraction], n: int) -> Vector:
-    out = [F0] * n
-    for k, v in coeffs.items():
-        out[k] = v
-    return tuple(out)
 
 
 def identity_hom(algebra: LieAlgebra) -> LieHom:
@@ -320,7 +315,7 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     for a in range(q):
         for b in range(a + 1, q):
             v = algebra.bracket_basis(complement[a], complement[b])
-            img = proj_matrix.apply(_dict_to_vec(v, n))
+            img = proj_matrix.apply(dense_vector(v, n))
             coeffs = {k: val for k, val in enumerate(img) if val}
             if coeffs:
                 table[(a, b)] = coeffs
@@ -362,7 +357,7 @@ def codim1_refinement(
         raise NotAnIdeal("refinement requires an ideal")
     if flag is None:
         flag = central_flag(algebra)
-    elif not (flag.algebra is algebra or flag.algebra.structurally_equal(algebra)):
+    elif not flag.algebra.structurally_equal(algebra):
         raise AlgebraMismatch("flag belongs to a different algebra")
     k = next((idx for idx, member in enumerate(flag.ideals) if member.contains(ideal)), None)
     if k is None or k == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
 
@@ -34,6 +34,14 @@ def vector(values: Iterable) -> Vector:
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(F1 if j == i else F0 for j in range(n))
+
+
+def dense_vector(coeffs: Mapping[int, Fraction], n: int) -> Vector:
+    """The length-n vector with the given sparse {index: coefficient} entries."""
+    out = [F0] * n
+    for k, v in coeffs.items():
+        out[k] = v
+    return tuple(out)
 
 
 def zero_vector(n: int) -> Vector:
@@ -240,19 +248,6 @@ def hstack(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
                 target[c + offset] = v
         offset += b.cols
     return RationalMatrix(rows, offset, data)
-
-
-def vstack(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise DimensionMismatch("vstack column mismatch")
-    data: dict[int, dict[int, Fraction]] = {}
-    offset = 0
-    for b in blocks:
-        for r, row in b._data.items():
-            data[r + offset] = dict(row)
-        offset += b.rows
-    return RationalMatrix(offset, cols, data)
 
 
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:

@@ -13,12 +13,11 @@ from typing import Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from .linalg import (
-    F0,
     RationalMatrix,
     SpanBasis,
     Subspace,
-    Vector,
     block_diag,
+    dense_vector,
     kernel_basis,
     kronecker,
     mul_rowmaps,
@@ -47,10 +46,6 @@ class Representation:
         return f"Representation(dim {self.algebra.dim} algebra on Q^{self.space_dim})"
 
 
-def _same_algebra(a: LieAlgebra, b: LieAlgebra) -> bool:
-    return a is b or a.structurally_equal(b)
-
-
 def element_action(rep: Representation, x: Sequence[Fraction]) -> RationalMatrix:
     """sum_i x_i * rho(e_i)."""
     if len(x) != rep.algebra.dim:
@@ -76,7 +71,7 @@ def adjoint(algebra: LieAlgebra) -> Representation:
 
 
 def direct_sum(rho: Representation, tau: Representation) -> Representation:
-    if not _same_algebra(rho.algebra, tau.algebra):
+    if not rho.algebra.structurally_equal(tau.algebra):
         raise AlgebraMismatch("direct_sum requires representations of the same algebra")
     mats = [block_diag([a, b]) for a, b in zip(rho.matrices, tau.matrices)]
     return Representation(rho.algebra, rho.space_dim + tau.space_dim, mats)
@@ -84,7 +79,7 @@ def direct_sum(rho: Representation, tau: Representation) -> Representation:
 
 def tensor_product(rho: Representation, tau: Representation) -> Representation:
     """Lie tensor action: x acts as rho(x) (x) I + I (x) tau(x)."""
-    if not _same_algebra(rho.algebra, tau.algebra):
+    if not rho.algebra.structurally_equal(tau.algebra):
         raise AlgebraMismatch("tensor_product requires representations of the same algebra")
     iv = RationalMatrix.identity(rho.space_dim)
     iw = RationalMatrix.identity(tau.space_dim)
@@ -94,7 +89,7 @@ def tensor_product(rho: Representation, tau: Representation) -> Representation:
 
 def restrict_along(rho: Representation, phi: LieHom) -> Representation:
     """Pull back along phi: x acts as rho(phi(x))."""
-    if not _same_algebra(phi.target, rho.algebra):
+    if not phi.target.structurally_equal(rho.algebra):
         raise AlgebraMismatch("hom target must be the representation's algebra")
     mats = [element_action(rho, phi.matrix.column(i)) for i in range(phi.source.dim)]
     return Representation(phi.source, rho.space_dim, mats)
@@ -125,7 +120,7 @@ def is_homomorphism(rep: Representation) -> bool:
         ni, di = forms[i]
         for j in range(i + 1, n):
             nj, dj = forms[j]
-            lhs = element_action(rep, _coeff_vec(rep.algebra.bracket_basis(i, j), n)).scale(di * dj)
+            lhs = element_action(rep, dense_vector(rep.algebra.bracket_basis(i, j), n)).scale(di * dj)
             if lhs._data != _commutator(ni, nj):
                 return False
     return True
@@ -145,13 +140,6 @@ def _commutator(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) -> d
         if not target:
             del out[r]
     return out
-
-
-def _coeff_vec(coeffs: dict[int, Fraction], n: int) -> Vector:
-    out = [F0] * n
-    for k, v in coeffs.items():
-        out[k] = v
-    return tuple(out)
 
 
 def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:

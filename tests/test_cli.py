@@ -80,8 +80,11 @@ class TestJsonFormats:
         from adoforge.engine import construct_faithful_nilpotent
 
         rep, cert = construct_faithful_nilpotent(heisenberg3())
-        again = certificate_from_json(load_json(dumps_canonical(certificate_to_json(cert))))
+        obj = certificate_to_json(cert)
+        assert obj["format_version"] == 1
+        again = certificate_from_json(load_json(dumps_canonical(obj)))
         assert again.steps == cert.steps and again.config == cert.config
+        assert again.format_version == 1
 
 
 class TestExamples:
@@ -223,8 +226,15 @@ class TestConstructCommand:
 
     @pytest.mark.parametrize(
         "budget,extra",
-        [("abc", []), ("0", []), (None, ["--max-tensor-power", "0"])],
-        ids=["budget-abc", "budget-0", "tensor-power-0"],
+        [
+            ("abc", []),
+            ("0", []),
+            (None, ["--max-tensor-power", "0"]),
+            (None, ["--max-tensor-power", "abc"]),
+            (None, ["--bogus"]),
+            (None, ["--no-compress"]),
+        ],
+        ids=["budget-abc", "budget-0", "tensor-power-0", "tensor-power-abc", "bogus", "no-compress"],
     )
     def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, budget, extra):
         path = write_example(tmp_path, "heisenberg3", capsys)
@@ -233,6 +243,7 @@ class TestConstructCommand:
         code, _, report = run_cli(["construct", str(path), *extra], capsys)
         assert code == 2
         assert report["outcome"]["error"] == "parse_error"
+        assert (extra[0] if extra else "ADO_FORGE_BUDGET") in report["outcome"]["message"]
 
     def test_crash_reported_as_internal_error(self, tmp_path, capsys, monkeypatch):
         def crash(*args):

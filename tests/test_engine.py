@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import adoforge
 import adoforge.engine as engine
 import adoforge.reps as reps
-from adoforge.catalog import abelian, example, heisenberg3
+from adoforge.catalog import abelian, example, heisenberg3, heisenberg5
 from adoforge.errors import (
     BudgetExceeded,
     DegenerateFlag,
@@ -18,6 +19,7 @@ from adoforge.errors import (
     NotInvertible,
     NotNilpotent,
     NotSurjective,
+    ReplayFailed,
     SeparatorFailed,
     TensorBudgetExceeded,
     ValidationFailed,
@@ -31,10 +33,13 @@ from adoforge.engine import (
     replay_certificate,
     verify_output,
 )
+from adoforge.freenilp import present
 from adoforge.graded import graded_faithful_rep
+from adoforge.jsonio import certificate_from_json, certificate_to_json
 from adoforge.liealg import LieAlgebra
 from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
+from test_golden import rebased
 
 
 class TestDistinguishByKernels:
@@ -197,13 +202,18 @@ class TestConstruct:
         rep, cert = construct_faithful_nilpotent(h5, EngineConfig(method="induction"))
         assert len(cert.steps_of_kind("flag_step")) == 5  # dim I = 10 - 5
         assert verify_output(h5, rep).ok
+        # every kernel submodule is compressed to the witness's cyclic submodule
+        for step in cert.steps_of_kind("kernel_submodule"):
+            assert isinstance(step["compressed_dim"], int)
+            assert 0 < step["compressed_dim"] <= step["carrier_dim"]
 
-    def test_compression_off_still_verifies(self, f4):
-        rep, cert = construct_faithful_nilpotent(
-            f4, EngineConfig(method="induction", compress=False)
-        )
-        assert verify_output(f4, rep).ok
-        assert cert.steps_of_kind("kernel_submodule")[0]["compressed_dim"] is None
+    def test_config_has_three_keys(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "method", "max_tensor_power", "dimension_budget",
+        ]
+        assert EngineConfig().as_dict() == {
+            "method": "auto", "max_tensor_power": 6, "dimension_budget": 20000,
+        }
 
     def test_not_nilpotent_rejected(self, solvable):
         with pytest.raises(NotNilpotent):
@@ -236,6 +246,42 @@ class TestConstruct:
         fast, _ = construct_faithful_nilpotent(f4, EngineConfig(method="graded"))
         slow, _ = construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
         assert verify_output(f4, fast).ok and verify_output(f4, slow).ok
+
+
+def filiform_ungraded(n: int) -> LieAlgebra:
+    """[e0, ei] = e(i+1) for 0 < i < n - 1, without a grading."""
+    return LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+class TestFlagCentrality:
+    """The engine does not re-check that each flag image is central in its
+    quotient: ``_ideal_flag`` guarantees [F, J_(k+1)] <= J_k, pinned here by
+    bracket enumeration on the flags the engine walks.  For heisenberg5 and
+    filiform4, I lies in the center of F; filiform5's I reaches degree 3 of
+    F = free2_4, where a flag in the wrong order is not central."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            heisenberg5,
+            lambda: filiform_ungraded(4),
+            lambda: rebased(heisenberg5()),
+            lambda: filiform_ungraded(5),
+        ],
+        ids=["heisenberg5", "filiform4-ungraded", "heisenberg5-rebased", "filiform5-ungraded"],
+    )
+    def test_every_flag_image_is_central(self, build):
+        pres = present(build())
+        free = pres.F
+        flag = engine._ideal_flag(free, pres.I)
+        assert pres.I.dim > 0
+        assert [j.dim for j in flag] == list(range(pres.I.dim + 1))
+        assert flag[-1] == pres.I
+        for lower, upper in zip(flag, flag[1:]):
+            assert upper.contains(lower)
+            for v in upper.basis_vectors():
+                for b in range(free.dim):
+                    assert lower.contains_vector(free.bracket(unit_vector(free.dim, b), v))
 
 
 class TestBudgetBeforeBuilding:
@@ -325,15 +371,65 @@ class TestReplay:
         _, cert = construct_faithful_nilpotent(h3)
         tampered = Certificate(config=dict(cert.config), steps=list(cert.steps))
         tampered.steps[0] = dict(tampered.steps[0], derivation=[1, 1, 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ReplayFailed, match="diverged at step 0"):
             replay_certificate(h3, tampered)
 
     def test_replay_detects_divergence(self, h3):
         rep, cert = construct_faithful_nilpotent(h3)
         tampered = Certificate(config=dict(cert.config), steps=list(cert.steps))
         tampered.steps[0] = dict(tampered.steps[0], rep_dim=999)
-        with pytest.raises(ValueError):
+        with pytest.raises(ReplayFailed, match="diverged at step 0"):
             replay_certificate(h3, tampered)
+
+    def test_replay_detects_missing_step(self, h3):
+        _, cert = construct_faithful_nilpotent(h3)
+        truncated = Certificate(config=dict(cert.config), steps=cert.steps[:-1])
+        with pytest.raises(ReplayFailed, match="diverged at step 1"):
+            replay_certificate(h3, truncated)
+
+    def test_unversioned_certificate_rejected_by_version(self, h3):
+        """A certificate written before ``format_version`` existed, with the
+        five-key configuration of that time."""
+        _, cert = construct_faithful_nilpotent(h3)
+        old = {
+            "config": dict(cert.config, free_dimension_budget=200, compress=True),
+            "steps": cert.steps,
+        }
+        with pytest.raises(ReplayFailed, match="format_version None is not 1"):
+            replay_certificate(h3, certificate_from_json(old))
+
+    @pytest.mark.parametrize("version", [0, 2, "1", 1.0, True])
+    def test_other_version_rejected(self, h3, version):
+        _, cert = construct_faithful_nilpotent(h3)
+        obj = dict(certificate_to_json(cert), format_version=version)
+        with pytest.raises(ReplayFailed, match=f"format_version {version!r} is not 1"):
+            replay_certificate(h3, certificate_from_json(obj))
+
+    def test_unknown_config_keys_named(self, h3):
+        _, cert = construct_faithful_nilpotent(h3)
+        extra = Certificate(config=dict(cert.config, compress=True), steps=cert.steps)
+        with pytest.raises(ReplayFailed, match=r"unknown \['compress'\], missing \[\]"):
+            replay_certificate(h3, extra)
+        short = dict(cert.config)
+        del short["max_tensor_power"]
+        with pytest.raises(ReplayFailed, match=r"unknown \[\], missing \['max_tensor_power'\]"):
+            replay_certificate(h3, Certificate(config=short, steps=cert.steps))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"method": "fastest"},
+            {"dimension_budget": 0},
+            {"max_tensor_power": "6"},
+            {"max_tensor_power": 2.5},
+            {"dimension_budget": True},
+        ],
+    )
+    def test_invalid_config_values_typed(self, h3, change):
+        _, cert = construct_faithful_nilpotent(h3)
+        bad = Certificate(config=dict(cert.config, **change), steps=cert.steps)
+        with pytest.raises(ReplayFailed, match="not a valid engine configuration"):
+            replay_certificate(h3, bad)
 
 
 # Runs in a child interpreter: the graded route is replaced by one returning

@@ -60,17 +60,17 @@ CASES = {
     "filiform4": (
         filiform4,
         "0b1bda994d376b45b956a72e722561f9c08ec46717ee9d2399c8ed7e8145f58a",
-        "3768a4dfb42128ed7f367be93a7461ccfe81974ee6590f69eabc473d40240307",
+        "254f4d25ee65ff915d123bb7e57fe3a5d95977a80f0ea0eff130576858406b37",
     ),
     "heisenberg5": (
         heisenberg5,
         "b6073e3614567daaf970938c078fb124e0151a4343f8c9b5ee584440f3ad49ac",
-        "3726da5f93f247ab7781bac0b23c7fe816976c4e566523d3f1b26949f55bb7a7",
+        "46315334399b42f98b3e37c5f71beab671ef9d48c3bb87d49191dd8a1d3c2a62",
     ),
     "heisenberg5_rebased": (
         lambda: rebased(heisenberg5()),
         "30802820a23502b538b89c021940fb4d8b85c0a25f41ead3c4671fe5a31765dd",
-        "fbcc7539577809bcdea6682a03e89d2c4056585bed1285ce4ce282e9540c093b",
+        "adbb7473684c456e220e6bfd44fffab75137e06ae6e5f933cb18007a49b272bf",
     ),
 }
 
@@ -94,15 +94,15 @@ def test_induction_output_bytes_pinned(tmp_path, capsys, name):
 GRADED_CASES = {
     "heisenberg3": (
         "61ad730dfb28534d1407527da50feff22415a46d526b79ea4489a9b0488f9c49",
-        "3ae9d5b0a421173b46e6e096c4bb6f681180996c9fb4c8aa7af43a640897100c",
+        "b032485222169295187c05dca7df54c542d5a76762e0221d68ebe85253b49b1d",
     ),
     "filiform4": (
         "486b642b58394349751cb6497e5dc3ed3e298bc1db230d4b9d0894e6e579fb94",
-        "772c7e717fdef71f89b574c9a915acf4a8eff306a0683afe9efa41971eff760e",
+        "e5cfbcaba7b115ba249666436bf209c4d03825a1999a5edf38605a774b3d0275",
     ),
     "free2_3": (
         "cdbfccfa86eb760b099bdf724cb5a14bb99d2b61e39a3209d627f73593460806",
-        "c18826d5950616bb5b92291df90dde16da543e8c1168c064e3fa87118f315297",
+        "b55672b12b714e84f162af4a8e833a542c65f43490c6fe9008a273c55ec1d28a",
     ),
 }
 
