@@ -12,6 +12,7 @@ from .errors import (
     InvalidGrading,
     KernelNotContained,
     NotACocycle,
+    NotAHomomorphism,
     NotAnIdeal,
     NotCentral,
     NotInvariant,

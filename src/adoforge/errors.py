@@ -63,6 +63,12 @@ class NotACocycle(AdoForgeError):
     kind = "not_a_cocycle"
 
 
+class NotAHomomorphism(AdoForgeError):
+    """A representation fails the commutator identity where one is required."""
+
+    kind = "not_a_homomorphism"
+
+
 class TensorBudgetExceeded(BudgetExceeded):
     kind = "tensor_budget_exceeded"
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
+from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle, NotAHomomorphism
 from .linalg import (
     F1,
     RationalMatrix,
@@ -59,7 +59,7 @@ class CurrentAlgebra:
 def current_algebra(base: LieAlgebra, truncation: int) -> CurrentAlgebra:
     """[x(x)t^a, y(x)t^b] = [x,y](x)t^{a+b}, truncated to zero at t^n."""
     if truncation < 2:
-        raise ValueError("current algebra truncation must be at least 2")
+        raise DimensionMismatch("current algebra truncation must be at least 2")
     n = base.dim
     levels = truncation - 1
     dim = n * levels
@@ -153,7 +153,7 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
     if not algebra.structurally_equal(rep.algebra):
         raise DimensionMismatch("representation must belong to the given algebra")
     if not is_homomorphism(rep):
-        raise ValueError("cocycle_space requires a homomorphism representation")
+        raise NotAHomomorphism("cocycle_space requires a homomorphism representation")
     n = algebra.dim
     vd = rep.space_dim
     unknown = lambda i, r: i * vd + r
@@ -177,13 +177,12 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
     system = RationalMatrix.from_entries(row_index, n * vd, entries)
     solutions = kernel_basis(system)
     basis = []
-    for w in solutions.basis_vectors():
-        mat_entries = []
-        for idx, v in enumerate(w):
-            if v:
-                i, r = divmod(idx, vd)
-                mat_entries.append((r, i, v))
-        basis.append(Cocycle(rep, RationalMatrix.from_entries(vd, n, mat_entries)))
+    for w in solutions._rows:
+        data: dict[int, dict[int, Fraction]] = {}
+        for idx, v in w.items():
+            i, r = divmod(idx, vd)
+            data.setdefault(r, {})[i] = v
+        basis.append(Cocycle(rep, RationalMatrix(vd, n, data)))
     return CocycleSpace(rep, basis)
 
 
@@ -213,20 +212,15 @@ def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle
     if kernel_basis(phi.map).dim != 0:
         raise DegenerateCocycle("cocycle has a nonzero kernel")
     space = cocycle_space(algebra, rep)
-    n = algebra.dim
     vd = rep.space_dim
-    zd = space.dim
-    total = vd + zd
-    mats = []
-    for i in range(n):
-        entries = [(r, c, v) for r, c, v in rep.matrices[i].entries()]
-        for b, psi in enumerate(space.basis):
-            col = psi.map.column(i)
-            for r, v in enumerate(col):
-                if v:
-                    entries.append((r, vd + b, v))
-        mats.append(RationalMatrix.from_entries(total, total, entries))
-    return Representation(algebra, total, mats)
+    total = vd + space.dim
+    # column vd + b of rho(e_i) is psi_b(e_i), read off psi_b's row maps
+    data = [{r: dict(row) for r, row in m._data.items()} for m in rep.matrices]
+    for b, psi in enumerate(space.basis):
+        for r, row in psi.map._data.items():
+            for i, v in row.items():
+                data[i].setdefault(r, {})[vd + b] = v
+    return Representation(algebra, total, [RationalMatrix(total, total, d) for d in data])
 
 
 def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:

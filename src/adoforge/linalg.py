@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored as sparse row maps of ``fractions.Fraction`` entries and
-treated as immutable after construction.  Every reduction pivots on the
-leftmost column / first nonzero row, so all outputs are canonical and two
-runs on equal inputs are bit-identical.  No floating point anywhere.
+treated as immutable after construction.  Row reduction copies only the
+nonzero rows and keeps a column -> rows index, so each elimination visits
+just the rows that hold the pivot column; it returns the pivot rows alone.
+Every reduction pivots on the leftmost column, so all outputs are canonical
+RREF and two runs on equal inputs are bit-identical.  No floating point
+anywhere.
 ``integer_form`` writes a matrix as integer numerators over one common
 denominator, and ``mul_rowmaps``, the one sparse product, runs on those as
 well, so exact checks can multiply without building a Fraction per entry.
@@ -279,60 +282,70 @@ def kronecker(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 # --- row reduction -------------------------------------------------------
 
-def _rref_rowdicts(rowdicts: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form of sparse row dicts, in place on copies.
+def _rref_rowdicts(rowdicts: Sequence[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Pivot rows and pivot columns of the reduced row echelon form.
 
-    Pivoting is leftmost column, first nonzero row; output is the canonical
-    RREF of the row space.
+    Works on copies of the nonzero input rows, which are left untouched.  A
+    ``{col: row ids}`` index follows the nonzeros: the pivot for column c is
+    the lowest-numbered unused row holding c, and only the rows holding c are
+    eliminated.  Fill-in and cancellation only touch columns right of c, so
+    c's index entry is dropped once c is done.  Pivoting is leftmost column;
+    the rows returned (one per pivot, in pivot order, normalized to 1 at the
+    pivot) are the canonical RREF of the row space.
     """
-    rows = [dict(r) for r in rowdicts]
-    nrows = len(rows)
+    rows: dict[int, dict[int, Fraction]] = {}
+    index: dict[int, set[int]] = {}
+    for i, r in enumerate(rowdicts):
+        if r:
+            rows[i] = dict(r)
+            for c in r:
+                index.setdefault(c, set()).add(i)
+    used: set[int] = set()
+    pivot_ids: list[int] = []
     pivots: list[int] = []
-    pr = 0
     for c in range(cols):
-        pivot = -1
-        for i in range(pr, nrows):
-            if c in rows[i]:
-                pivot = i
-                break
-        if pivot < 0:
+        holders = index.pop(c, ())
+        p = min((i for i in holders if i not in used), default=None)
+        if p is None:
             continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        prow = rows[pr]
+        prow = rows[p]
         pv = prow[c]
         if pv != 1:
             inv = F1 / pv
-            prow = {k: v * inv for k, v in prow.items()}
-            rows[pr] = prow
-        for i in range(nrows):
-            if i == pr:
+            prow = rows[p] = {k: v * inv for k, v in prow.items()}
+        for i in holders:
+            if i == p:
                 continue
             row = rows[i]
-            f = row.get(c)
-            if f is None:
-                continue
+            f = row[c]
             for k, v in prow.items():
-                nv = row.get(k, F0) - f * v
+                old = row.get(k)
+                if old is None:
+                    row[k] = -f * v
+                    index.setdefault(k, set()).add(i)
+                    continue
+                nv = old - f * v
                 if nv:
                     row[k] = nv
                 else:
                     del row[k]
+                    if k != c:
+                        index[k].discard(i)
+        used.add(p)
+        pivot_ids.append(p)
         pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
+    return [rows[p] for p in pivot_ids], pivots
 
 
 def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
-    return [dict(m._data.get(r, {})) for r in range(m.rows)]
+    """The stored (nonzero) rows of m in row order, not copied."""
+    return [m._data[r] for r in sorted(m._data)]
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int], int]:
     """Reduced row echelon form, pivot columns, and rank."""
     rows, pivots = _rref_rowdicts(_matrix_rowdicts(m), m.cols)
-    data = {r: row for r, row in enumerate(rows) if row}
-    return RationalMatrix(m.rows, m.cols, data), pivots, len(pivots)
+    return RationalMatrix(m.rows, m.cols, dict(enumerate(rows))), pivots, len(pivots)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -360,11 +373,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-            row = {i: frac(x) for i, x in enumerate(v) if x}
-            if row:
-                rowdicts.append(row)
-        rows, pivots = _rref_rowdicts(rowdicts, ambient_dim)
-        return cls(ambient_dim, rows[: len(pivots)], pivots)
+            rowdicts.append({i: frac(x) for i, x in enumerate(v) if x})
+        return cls(ambient_dim, *_rref_rowdicts(rowdicts, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -478,8 +488,7 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
         for c, v in row.items():
             if c != p:
                 null[c][p] = -v
-    rows, pivots = _rref_rowdicts(list(null.values()), m.cols)
-    return Subspace(m.cols, rows[: len(pivots)], pivots)
+    return Subspace(m.cols, *_rref_rowdicts(list(null.values()), m.cols))
 
 
 def image_basis(m: RationalMatrix) -> Subspace:

@@ -191,23 +191,21 @@ def kernel_submodule(
 ) -> tuple[Subspace, Representation]:
     """Carrier Ker rho(z) plus the induced representation of algebra/<z>.
 
-    Requires rho(z) to commute with every rho(e_i) (z acts centrally); the
-    carrier is then invariant and z acts as zero on it, so the compressed
-    action factors through the quotient by the line of z.  Centrality and
-    invariance are checked and raise ``NotCentral``; the induced action is a
-    homomorphism whenever rep is one.  A caller that already holds
+    z must be central in the algebra, which is checked (``NotCentral``).  The
+    caller promises that rho(z) commutes with every rho(e_i), as it does for
+    a homomorphism and central z; that is not re-proved here.  The carrier
+    is then invariant, which ``restricted_action`` confirms for each
+    compressed action (``NotCentral`` otherwise), and z acts as zero on it,
+    so the compressed action factors through the quotient by the line of z
+    and is a homomorphism whenever rep is one.  A caller that already holds
     Ker rho(z) passes it as ``carrier`` and it is not computed again.
     """
     n = rep.algebra.dim
     ad_z_cols = [rep.algebra.bracket(z, unit_vector(n, i)) for i in range(n)]
     if any(not vec_is_zero(c) for c in ad_z_cols):
         raise NotCentral("z is not central in the algebra")
-    mz = element_action(rep, z)
-    for i, m in enumerate(rep.matrices):
-        if mz @ m != m @ mz:
-            raise NotCentral(f"rho(z) does not commute with rho(e_{i})")
     if carrier is None:
-        carrier = kernel_basis(mz)
+        carrier = kernel_basis(element_action(rep, z))
     compressed = []
     for i, m in enumerate(rep.matrices):
         x = carrier.restricted_action(m)
@@ -224,26 +222,30 @@ def kernel_submodule(
 
 
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:
-    """Sub-representation on the smallest invariant subspace containing v."""
-    if len(v) != rep.space_dim:
+    """Sub-representation on the smallest invariant subspace containing v.
+
+    The orbit closure runs on sparse ``{index: value}`` vectors; only the
+    closure's spanning vectors are made dense, for ``Subspace.from_vectors``.
+    """
+    sd = rep.space_dim
+    if len(v) != sd:
         raise DimensionMismatch("vector must live in the representation space")
     span = SpanBasis()
     frontier = []
     vd = {i: x for i, x in enumerate(v) if x}
     if vd and span.add(vd):
-        frontier.append(tuple(v))
-    vectors = list(frontier)
+        frontier.append(vd)
+    closure = list(frontier)
     while frontier:
         new_frontier = []
         for w in frontier:
             for m in rep.matrices:
-                img = m.apply(w)
-                d = {i: x for i, x in enumerate(img) if x}
-                if d and span.add(d):
+                img = _apply_sparse(m, w)
+                if img and span.add(img):
                     new_frontier.append(img)
-                    vectors.append(img)
+                    closure.append(img)
         frontier = new_frontier
-    sub = Subspace.from_vectors(rep.space_dim, vectors)
+    sub = Subspace.from_vectors(sd, [dense_vector(w, sd) for w in closure])
     mats = []
     for m in rep.matrices:
         x = sub.restricted_action(m)
@@ -251,3 +253,9 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
             raise NotInvariant("cyclic closure is not invariant")
         mats.append(x)
     return Representation(rep.algebra, sub.dim, mats)
+
+
+def _apply_sparse(m: RationalMatrix, w: dict[int, Fraction]) -> dict[int, Fraction]:
+    """m @ w for a sparse ``{index: value}`` vector, as a sparse vector."""
+    column = mul_rowmaps(m._data, {c: {0: x} for c, x in w.items()})
+    return {r: row[0] for r, row in column.items()}

@@ -284,6 +284,29 @@ class TestFlagCentrality:
                     assert lower.contains_vector(free.bracket(unit_vector(free.dim, b), v))
 
 
+class TestKernelSubmoduleInputs:
+    """``kernel_submodule`` does not re-prove that rho(z) commutes with every
+    rho(e_i); the flag makes it so (z is central in the quotient and the
+    separator's tensor powers are homomorphisms).  Pinned here on every call
+    the induction route makes."""
+
+    @pytest.mark.parametrize(
+        "build", [heisenberg5, lambda: rebased(heisenberg5())], ids=["heisenberg5", "heisenberg5-rebased"]
+    )
+    def test_rho_z_commutes_on_every_call(self, build, monkeypatch):
+        commutes = []
+        real = engine.kernel_submodule
+
+        def checked(rep, z, carrier=None):
+            mz = element_action(rep, z)
+            commutes.append(all(mz @ m == m @ mz for m in rep.matrices))
+            return real(rep, z, carrier)
+
+        monkeypatch.setattr(engine, "kernel_submodule", checked)
+        construct_faithful_nilpotent(build(), EngineConfig(method="induction"))
+        assert commutes and all(commutes)
+
+
 class TestBudgetBeforeBuilding:
     def test_graded_budget_checked_before_building(self, h3, monkeypatch):
         calls = []

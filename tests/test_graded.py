@@ -2,7 +2,14 @@ import pytest
 
 from adoforge.catalog import abelian, example, filiform4, heisenberg3
 from adoforge.engine import verify_output
-from adoforge.errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
+from adoforge.errors import (
+    AdoForgeError,
+    DegenerateCocycle,
+    DimensionMismatch,
+    InvalidGrading,
+    NotACocycle,
+    NotAHomomorphism,
+)
 from adoforge.freenilp import free_nilpotent
 from adoforge.graded import (
     Cocycle,
@@ -51,6 +58,11 @@ class TestCurrentAlgebra:
     def test_h3_truncation2_abelian(self, h3):
         c = current_algebra(h3, 2)
         assert c.product.dim == 3 and not c.product.brackets
+
+    @pytest.mark.parametrize("truncation", [1, 0])
+    def test_truncation_below_two_is_typed(self, h3, truncation):
+        with pytest.raises(DimensionMismatch, match="at least 2"):
+            current_algebra(h3, truncation)
 
     def test_nilpotency_class_bounded(self, h3):
         c = current_algebra(h3, 3)
@@ -133,6 +145,14 @@ class TestCocycleSpace:
         space = cocycle_space(f4, adjoint(f4))
         assert all(psi.satisfies_identity() for psi in space.basis)
 
+    def test_non_homomorphism_is_typed(self, h3):
+        # e0 -> E12, e1 -> E23, e2 -> 0 breaks [e0, e1] = e2
+        mats = [RationalMatrix.from_entries(3, 3, [(0, 1, 1)]), RationalMatrix.from_entries(3, 3, [(1, 2, 1)])]
+        rep = Representation(h3, 3, mats + [RationalMatrix.zero(3, 3)])
+        with pytest.raises(NotAHomomorphism) as info:
+            cocycle_space(h3, rep)
+        assert isinstance(info.value, AdoForgeError) and info.value.kind == "not_a_homomorphism"
+
 
 class TestCocycleExtension:
     def test_abelian1_two_dim(self):
@@ -166,6 +186,21 @@ class TestCocycleExtension:
         assert is_homomorphism(extended)
         assert rep_kernel(extended).dim == 0
         assert is_nilpotent_rep(extended)
+
+    @pytest.mark.parametrize("build", [heisenberg3, filiform4], ids=["h3", "f4"])
+    def test_matches_dense_column_construction(self, build):
+        # the extension as it was built before reading psi's row maps: one
+        # dense column() per cocycle and basis element
+        current = current_algebra(build(), 3)
+        product, ad = current.product, adjoint(current.product)
+        extended = cocycle_extension_rep(product, ad, euler_derivation(current))
+        space = cocycle_space(product, ad)
+        vd, total = ad.space_dim, extended.space_dim
+        for i in range(product.dim):
+            entries = list(ad.matrices[i].entries())
+            for b, psi in enumerate(space.basis):
+                entries.extend((r, vd + b, v) for r, v in enumerate(psi.map.column(i)) if v)
+            assert extended.matrices[i] == RationalMatrix.from_entries(total, total, entries)
 
 
 class TestGradedFaithfulRep:

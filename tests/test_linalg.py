@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -391,3 +392,151 @@ def test_mul_rowmaps_matches_fraction_loop(rows, inner, cols, data):
     # on integer numerators the product is N_a N_b = d_a d_b (a @ b)
     (na, da), (nb, db) = a.integer_form(), b.integer_form()
     assert RationalMatrix(rows, cols, mul_rowmaps(na, nb)) == (a @ b).scale(da * db)
+
+
+# --- column-indexed elimination against the row-scan reference ----------
+
+def reference_rref_rowdicts(rowdicts, cols):
+    """``_rref_rowdicts`` as it was before the column index, kept as the
+    reference: it scans every remaining row for each column's pivot and
+    every row for each elimination, and returns all rows, zero rows last."""
+    rows = [dict(r) for r in rowdicts]
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        pivot = -1
+        for i in range(pr, nrows):
+            if c in rows[i]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        prow = rows[pr]
+        pv = prow[c]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            prow = {k: v * inv for k, v in prow.items()}
+            rows[pr] = prow
+        for i in range(nrows):
+            if i == pr:
+                continue
+            row = rows[i]
+            f = row.get(c)
+            if f is None:
+                continue
+            for k, v in prow.items():
+                nv = row.get(k, Fraction(0)) - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+def reference_matrix_rowdicts(m):
+    """One dict per row, zero rows included, as the reference received them."""
+    return [dict(m._data.get(r, {})) for r in range(m.rows)]
+
+
+@st.composite
+def scattered_matrices(draw, rows, cols, max_entries):
+    """A rows x cols matrix with at most max_entries scattered nonzeros."""
+    if rows == 0 or cols == 0:
+        return RationalMatrix.zero(rows, cols)
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), small_fractions)
+    return RationalMatrix.from_entries(rows, cols, draw(st.lists(cell, max_size=max_entries)))
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Rows that are copies or small combinations of a few base rows."""
+    cols = draw(st.integers(1, 7))
+    base = [draw(st.lists(sparse_fractions, min_size=cols, max_size=cols)) for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            coeffs = [draw(sparse_fractions) for _ in base]
+            rows.append([sum((a * b[j] for a, b in zip(coeffs, base)), Fraction(0)) for j in range(cols)])
+    return RationalMatrix.from_rows(rows)
+
+
+elimination_inputs = st.one_of(
+    # any shape, 0 x n and n x 0 included
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(lambda s: scattered_matrices(s[0], s[1], 20)),
+    # tall and mostly empty rows: the shape of rep_kernel's stacked matrix
+    st.tuples(st.integers(10, 60), st.integers(1, 5)).flatmap(lambda s: scattered_matrices(s[0], s[1], 8)),
+    # wide
+    st.tuples(st.integers(1, 4), st.integers(6, 14)).flatmap(lambda s: scattered_matrices(s[0], s[1], 25)),
+    dependent_matrices(),
+)
+
+
+def with_reference_elimination(fn, *args):
+    """fn(*args) with the reference elimination (trimmed to its pivot rows)
+    and the reference one-dict-per-row input in place of the new ones."""
+
+    def trimmed(rowdicts, cols):
+        rows, pivots = reference_rref_rowdicts(rowdicts, cols)
+        return rows[: len(pivots)], pivots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_rowdicts", trimmed)
+        mp.setattr(linalg, "_matrix_rowdicts", reference_matrix_rowdicts)
+        return fn(*args)
+
+
+@settings(deadline=None, max_examples=300)
+@given(elimination_inputs)
+def test_elimination_matches_reference(m):
+    rowdicts = reference_matrix_rowdicts(m)
+    snapshot = copy.deepcopy(rowdicts)
+    rows, pivots = linalg._rref_rowdicts(rowdicts, m.cols)
+    assert rowdicts == snapshot
+    ref_rows, ref_pivots = reference_rref_rowdicts(rowdicts, m.cols)
+    assert pivots == ref_pivots
+    assert rows == ref_rows[: len(ref_pivots)]
+    assert not any(ref_rows[len(ref_pivots):])
+    assert linalg._rref_rowdicts(linalg._matrix_rowdicts(m), m.cols) == (rows, pivots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(elimination_inputs, st.integers(0, 3), st.data())
+def test_entry_points_match_reference_and_keep_inputs(m, rhs_cols, data):
+    b = data.draw(scattered_matrices(m.rows, rhs_cols, 6))
+    vectors = [m.row_map(r) for r in range(m.rows)]
+    dense_rows = [tuple(row.get(c, Fraction(0)) for c in range(m.cols)) for row in vectors]
+    before_m, before_b = copy.deepcopy(m._data), copy.deepcopy(b._data)
+    calls = [
+        (rref, m),
+        (rank, m),
+        (kernel_basis, m),
+        (solve_multi, m, b),
+        (Subspace.from_vectors, m.cols, dense_rows),
+    ]
+    for fn, *args in calls:
+        assert fn(*args) == with_reference_elimination(fn, *args)
+        assert m._data == before_m and b._data == before_b
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (4, 4), (30, 2)])
+def test_zero_matrices(rows, cols):
+    m = RationalMatrix.zero(rows, cols)
+    assert rref(m) == (m, [], 0)
+    assert kernel_basis(m) == Subspace.full(cols)
+    assert solve_multi(m, RationalMatrix.zero(rows, 2)) == RationalMatrix.zero(cols, 2)
+    assert linalg._rref_rowdicts([{}] * rows, cols) == ([], [])
+
+
+def test_matrix_rowdicts_skips_zero_rows():
+    # rep_kernel's stacked matrices are tall with few nonzero rows; no
+    # empty dict is built for the others
+    m = RationalMatrix.from_entries(10_000, 2, [(7, 1, 3), (2, 0, 1)])
+    assert linalg._matrix_rowdicts(m) == [{0: Fraction(1)}, {1: Fraction(3)}]

@@ -388,3 +388,55 @@ def test_integer_checks_agree_on_random_matrices(name, sd, strictly_upper, data)
         for _ in range(algebra.dim)
     ]
     assert_checks_agree(Representation(algebra, sd, matrices))
+
+
+# --- the sparse orbit closure against the dense one it replaced -----------
+
+def dense_cyclic_submodule(rep, v):
+    """cyclic_submodule as it ran before the sparse closure: a dense
+    ``apply`` per image and a dict comprehension over it.  Kept as the
+    reference."""
+    span = SpanBasis()
+    frontier = []
+    vd = {i: x for i, x in enumerate(v) if x}
+    if vd and span.add(vd):
+        frontier.append(tuple(v))
+    vectors = list(frontier)
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for m in rep.matrices:
+                img = m.apply(w)
+                d = {i: x for i, x in enumerate(img) if x}
+                if d and span.add(d):
+                    new_frontier.append(img)
+                    vectors.append(img)
+        frontier = new_frontier
+    sub = Subspace.from_vectors(rep.space_dim, vectors)
+    return Representation(rep.algebra, sub.dim, [sub.restricted_action(m) for m in rep.matrices])
+
+
+def assert_cyclic_matches_dense(rep, v):
+    got = cyclic_submodule(rep, v)
+    want = dense_cyclic_submodule(rep, v)
+    assert got.space_dim == want.space_dim
+    assert got.matrices == want.matrices
+
+
+CYCLIC_REPS = CORPUS_REPS + [tensor_product(rep, rep) for rep in CORPUS_REPS if rep.space_dim <= 6]
+
+
+@pytest.mark.parametrize("rep", CYCLIC_REPS, ids=lambda rep: f"{rep.algebra.dim}-on-{rep.space_dim}")
+def test_cyclic_submodule_matches_dense_closure(rep):
+    sd = rep.space_dim
+    ones = tuple(Fraction(1) for _ in range(sd))
+    alternating = tuple(Fraction((-1) ** i, i + 1) for i in range(sd))
+    for v in [unit_vector(sd, i) for i in range(sd)] + [ones, alternating, zero_vector(sd)]:
+        assert_cyclic_matches_dense(rep, v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps(), st.data())
+def test_cyclic_submodule_matches_dense_on_conjugated_corpus(rep, data):
+    v = data.draw(st.lists(st.one_of(st.just(Fraction(0)), small_fractions), min_size=rep.space_dim, max_size=rep.space_dim))
+    assert_cyclic_matches_dense(rep, v)
