@@ -64,7 +64,9 @@ class NotACocycle(AdoForgeError):
 
 
 class NotAHomomorphism(AdoForgeError):
-    """A representation fails the commutator identity where one is required."""
+    """A representation fails the commutator identity, or a linear map
+    between Lie algebras fails [f(x), f(y)] = f([x, y]), where one is
+    required."""
 
     kind = "not_a_homomorphism"
 

@@ -30,8 +30,8 @@ from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACo
 from .linalg import (
     F1,
     RationalMatrix,
-    dense_vector,
     kernel_basis,
+    mul_rowmaps,
 )
 from .liealg import Grading, LieAlgebra, LieHom, verify_grading
 from .reps import Representation, adjoint, is_homomorphism, restrict_along
@@ -115,18 +115,29 @@ class Cocycle:
             raise DimensionMismatch("cocycle map must be space_dim x algebra.dim")
 
     def satisfies_identity(self) -> bool:
-        """phi([x,y]) - rho(x)phi(y) + rho(y)phi(x) = 0 on all basis pairs."""
+        """phi([x,y]) - rho(x)phi(y) + rho(y)phi(x) = 0 on all basis pairs.
+
+        Runs on sparse columns: acts[i][j] = rho(e_i)phi(e_j) is column j of
+        the product rho(e_i) phi, and phi([e_i, e_j]) combines phi's columns
+        by the sparse structure constants; each pair compares
+        phi([e_i, e_j]) + rho(e_j)phi(e_i) with rho(e_i)phi(e_j).
+        """
         alg = self.rep.algebra
         n = alg.dim
-        cols = [self.map.column(i) for i in range(n)]
+        cols = self.map.transpose()._data
+        acts = [
+            RationalMatrix(self.map.rows, n, mul_rowmaps(m._data, self.map._data)).transpose()._data
+            for m in self.rep.matrices
+        ]
+        empty: dict[int, Fraction] = {}
         for i in range(n):
-            mi = self.rep.matrices[i]
             for j in range(i + 1, n):
-                mj = self.rep.matrices[j]
-                lhs = self.map.apply(dense_vector(alg.bracket_basis(i, j), n))
-                mid = mi.apply(cols[j])
-                last = mj.apply(cols[i])
-                if any(a - b + c for a, b, c in zip(lhs, mid, last)):
+                coeffs = alg.brackets.get((i, j))
+                lhs = mul_rowmaps({0: coeffs}, cols).get(0, empty) if coeffs else empty
+                total = dict(lhs)
+                for r, v in acts[j].get(i, empty).items():
+                    total[r] = total.get(r, 0) + v
+                if {r: v for r, v in total.items() if v} != acts[i].get(j, empty):
                     return False
         return True
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    NotAHomomorphism,
     NotAnIdeal,
     NotInvertible,
     NotNilpotent,
@@ -27,6 +28,7 @@ from .linalg import (
     Vector,
     dense_vector,
     frac,
+    mul_rowmaps,
     solve_multi,
     unit_vector,
     vec_is_zero,
@@ -99,16 +101,43 @@ class LieAlgebra:
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the structure constants."""
+        """Bilinear extension of the structure constants, on dense vectors.
+
+        Only the nonzero coordinates of u and v are visited
+        (``sparse_bracket``), so the cost follows their nonzero pairs, not
+        the size of the structure-constant table.
+        """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket operands must have length dim")
-        out = [F0] * self.dim
-        for (i, j), coeffs in self.brackets.items():
-            c = u[i] * v[j] - u[j] * v[i]
-            if c:
+        su = {i: x for i, x in enumerate(u) if x}
+        sv = {j: y for j, y in enumerate(v) if y}
+        return dense_vector(self.sparse_bracket(su, sv), self.dim)
+
+    def sparse_bracket(self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """[u, v] for sparse ``{index: coefficient}`` operands, as a sparse
+        dict without zeros: the sum over nonzero pairs u_i v_j of
+        +-brackets[(min(i, j), max(i, j))]."""
+        table = self.brackets
+        out: dict[int, Fraction] = {}
+        get = out.get
+        for i, x in u.items():
+            for j, y in v.items():
+                if i < j:
+                    coeffs = table.get((i, j))
+                    if coeffs is None:
+                        continue
+                    c = x * y
+                elif i > j:
+                    coeffs = table.get((j, i))
+                    if coeffs is None:
+                        continue
+                    c = -x * y
+                else:
+                    continue
                 for k, val in coeffs.items():
-                    out[k] += c * val
-        return tuple(out)
+                    old = get(k)
+                    out[k] = c * val if old is None else old + c * val
+        return {k: val for k, val in out.items() if val}
 
     def structurally_equal(self, other: "LieAlgebra") -> bool:
         """Same dimension and structure constants; labels and grading are ignored."""
@@ -239,7 +268,13 @@ def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
 
 class LieHom:
     """Linear map between Lie algebras; the homomorphism identity is
-    verified exactly on all source basis pairs at construction time."""
+    verified exactly on all source basis pairs at construction time.
+
+    For each pair i < j the image of [e_i, e_j] is the combination of the
+    stored columns given by the sparse structure constants, and it must
+    equal the target's ``sparse_bracket`` of columns i and j; a mismatch
+    raises ``NotAHomomorphism`` naming the pair.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
@@ -249,13 +284,15 @@ class LieHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        cols = [matrix.column(i) for i in range(source.dim)]
+        cols = matrix.transpose()._data  # {i: image of e_i as a sparse vector}
+        empty: dict[int, Fraction] = {}
         for i in range(source.dim):
+            ci = cols.get(i, empty)
             for j in range(i + 1, source.dim):
-                lhs = matrix.apply(dense_vector(source.bracket_basis(i, j), source.dim))
-                rhs = target.bracket(cols[i], cols[j])
-                if lhs != rhs:
-                    raise ValueError(
+                coeffs = source.brackets.get((i, j))
+                lhs = mul_rowmaps({0: coeffs}, cols).get(0, empty) if coeffs else empty
+                if lhs != target.sparse_bracket(ci, cols.get(j, empty)):
+                    raise NotAHomomorphism(
                         f"not a Lie homomorphism: image bracket mismatch on basis pair ({i},{j})"
                     )
 

@@ -357,15 +357,17 @@ class Subspace:
 
     The stored basis columns are the nonzero rows of the RREF of any spanning
     set, so equal subspaces always compare equal.  ``_rows``/``_pivots`` keep
-    the echelon rows for fast membership reduction.
+    the echelon rows for fast membership reduction.  A Subspace is immutable,
+    so its basis matrix is built on first use and then kept.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots")
+    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis")
 
     def __init__(self, ambient_dim: int, rows: list[dict[int, Fraction]], pivots: list[int]):
         self.ambient_dim = ambient_dim
         self._rows = rows
         self._pivots = pivots
+        self._basis: RationalMatrix | None = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -390,12 +392,19 @@ class Subspace:
 
     @property
     def basis(self) -> RationalMatrix:
-        """Basis matrix; column j is the j-th canonical basis vector."""
-        data: dict[int, dict[int, Fraction]] = {}
-        for j, row in enumerate(self._rows):
-            for i, v in row.items():
-                data.setdefault(i, {})[j] = v
-        return RationalMatrix(self.ambient_dim, self.dim, data)
+        """Basis matrix; column j is the j-th canonical basis vector.
+
+        Built once per Subspace and shared by every later read (as by each
+        ``restricted_action`` call on one carrier); like every
+        RationalMatrix it must not be mutated.
+        """
+        if self._basis is None:
+            data: dict[int, dict[int, Fraction]] = {}
+            for j, row in enumerate(self._rows):
+                for i, v in row.items():
+                    data.setdefault(i, {})[j] = v
+            self._basis = RationalMatrix(self.ambient_dim, self.dim, data)
+        return self._basis
 
     def basis_vectors(self) -> list[Vector]:
         return [tuple(row.get(i, F0) for i in range(self.ambient_dim)) for row in self._rows]

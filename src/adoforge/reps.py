@@ -47,14 +47,29 @@ class Representation:
 
 
 def element_action(rep: Representation, x: Sequence[Fraction]) -> RationalMatrix:
-    """sum_i x_i * rho(e_i)."""
+    """sum_i x_i * rho(e_i), added into one row map in a single pass."""
     if len(x) != rep.algebra.dim:
         raise DimensionMismatch("element coefficient vector has wrong length")
-    acc = RationalMatrix.zero(rep.space_dim, rep.space_dim)
+    data: dict[int, dict[int, Fraction]] = {}
     for xi, m in zip(x, rep.matrices):
-        if xi:
-            acc = acc + m.scale(xi)
-    return acc
+        if not xi:
+            continue
+        for r, row in m._data.items():
+            target = data.get(r)
+            if target is None:
+                data[r] = {c: xi * v for c, v in row.items()}
+                continue
+            get = target.get
+            for c, v in row.items():
+                old = get(c)
+                target[c] = xi * v if old is None else old + xi * v
+    for r in list(data):
+        row = data[r]
+        if not all(row.values()):
+            row = data[r] = {c: v for c, v in row.items() if v}
+        if not row:
+            del data[r]
+    return RationalMatrix(rep.space_dim, rep.space_dim, data)
 
 
 def adjoint(algebra: LieAlgebra) -> Representation:
@@ -195,7 +210,8 @@ def kernel_submodule(
     caller promises that rho(z) commutes with every rho(e_i), as it does for
     a homomorphism and central z; that is not re-proved here.  The carrier
     is then invariant, which ``restricted_action`` confirms for each
-    compressed action (``NotCentral`` otherwise), and z acts as zero on it,
+    compressed action (``NotCentral`` otherwise; all of them share the
+    carrier's one basis matrix), and z acts as zero on it,
     so the compressed action factors through the quotient by the line of z
     and is a homomorphism whenever rep is one.  A caller that already holds
     Ker rho(z) passes it as ``carrier`` and it is not computed again.

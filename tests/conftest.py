@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from adoforge.catalog import abelian, filiform4, heisenberg3, heisenberg5, solvable2
-from adoforge.linalg import RationalMatrix
+from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
+from adoforge.liealg import LieAlgebra
+from adoforge.linalg import RationalMatrix, solve_multi
 from adoforge.reps import Representation
 
 
@@ -49,3 +51,59 @@ def std_h3_rep(h3):
 
 def fraction_matrix(rows):
     return RationalMatrix.from_rows([[Fraction(v) for v in row] for row in rows])
+
+
+# --- corpus algebras, rebased algebras and sparse vectors for hypothesis ---
+
+CORPUS = ("abelian1", "abelian3", "heisenberg3", "heisenberg5", "filiform4", "free2_2", "free2_3", "free3_2")
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+nonzero_fractions = st.sampled_from([Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3)])
+
+
+def sparse_vectors(n):
+    return st.lists(sparse_fractions, min_size=n, max_size=n).map(tuple)
+
+
+def rebase(algebra: LieAlgebra, p: RationalMatrix) -> LieAlgebra:
+    """The algebra in the basis f_a = sum_i p[i, a] e_i (p invertible),
+    without labels or grading."""
+    n = algebra.dim
+    q = solve_multi(p, RationalMatrix.identity(n))
+    cols = [p.column(a) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            in_e = [Fraction(0)] * n
+            for i, x in enumerate(cols[a]):
+                for j, y in enumerate(cols[b]):
+                    if x and y:
+                        for k, v in algebra.bracket_basis(i, j).items():
+                            in_e[k] += x * y * v
+            coeffs = {k: v for k, v in enumerate(q.apply(in_e)) if v}
+            if coeffs:
+                brackets[(a, b)] = coeffs
+    return LieAlgebra(n, brackets)
+
+
+@st.composite
+def changes_of_basis(draw, n):
+    """An invertible n x n rational matrix: unit lower times upper triangular
+    with a nonzero diagonal."""
+    lower = [[Fraction(int(i == j)) if i <= j else draw(sparse_fractions) for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(nonzero_fractions) if i == j else (draw(sparse_fractions) if i < j else Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    return RationalMatrix.from_rows(lower) @ RationalMatrix.from_rows(upper)
+
+
+@st.composite
+def corpus_algebras(draw):
+    """A corpus algebra, as listed or rebased by a random change of basis
+    (dense structure constants, no grading)."""
+    algebra = example(draw(st.sampled_from(CORPUS)))
+    if draw(st.booleans()):
+        algebra = rebase(algebra, draw(changes_of_basis(algebra.dim)))
+    return algebra

@@ -193,3 +193,17 @@ class TestPresent:
     def test_not_nilpotent_rejected(self, solvable):
         with pytest.raises(NotNilpotent):
             present(solvable)
+
+    @pytest.mark.parametrize("build", [heisenberg3, filiform4, lambda: rebased(heisenberg5())])
+    def test_walks_lower_central_series_once(self, build, monkeypatch):
+        # one walk of class c takes c bracket spans: L -> [L,L] -> ... -> 0;
+        # the class and [L,L] are both read off it
+        import adoforge.liealg as liealg
+
+        algebra = build()
+        c = len(liealg.lower_central_series(algebra)) - 1
+        spans = []
+        real = liealg._bracket_span
+        monkeypatch.setattr(liealg, "_bracket_span", lambda *args: spans.append(args) or real(*args))
+        pres = present(algebra)
+        assert len(spans) == c == pres.F.grading.max_degree

@@ -7,7 +7,6 @@ make the construction faster fails if it moves a single output byte.
 """
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -15,8 +14,11 @@ from adoforge.catalog import example, filiform4, heisenberg5
 from adoforge.cli import main
 from adoforge.jsonio import algebra_to_json, dumps_canonical
 from adoforge.liealg import LieAlgebra
+from adoforge.linalg import RationalMatrix
 
-# A unimodular change of basis f_a = sum_i P[i][a] e_i and its inverse Q.
+from conftest import rebase
+
+# A unimodular change of basis f_a = sum_i P[i][a] e_i.
 P = [
     [1, 1, 0, -1, 2],
     [1, 2, -2, -1, 3],
@@ -24,36 +26,11 @@ P = [
     [0, 1, -3, 0, 0],
     [2, 2, 1, 0, 4],
 ]
-Q = [
-    [-10, 4, -3, 1, 2],
-    [24, -12, 6, 1, -3],
-    [8, -4, 2, 0, -1],
-    [-5, 2, -1, 0, 1],
-    [-9, 5, -2, -1, 1],
-]
 
 
 def rebased(algebra: LieAlgebra) -> LieAlgebra:
     """The same algebra written in the basis f_a, without a grading."""
-    n = algebra.dim
-    assert all(
-        sum(P[i][k] * Q[k][j] for k in range(n)) == (i == j) for i in range(n) for j in range(n)
-    )
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            in_e = [Fraction(0)] * n
-            for i in range(n):
-                for j in range(n):
-                    c = P[i][a] * P[j][b]
-                    if c:
-                        for k, v in algebra.bracket_basis(i, j).items():
-                            in_e[k] += c * v
-            in_f = {k: sum(Q[k][i] * in_e[i] for i in range(n)) for k in range(n)}
-            coeffs = {k: v for k, v in in_f.items() if v}
-            if coeffs:
-                brackets[(a, b)] = coeffs
-    return LieAlgebra(n, brackets)
+    return rebase(algebra, RationalMatrix.from_rows(P))
 
 
 CASES = {

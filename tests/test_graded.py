@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adoforge.catalog import abelian, example, filiform4, heisenberg3
 from adoforge.engine import verify_output
@@ -24,7 +27,7 @@ from adoforge.graded import (
     graded_faithful_rep,
 )
 from adoforge.liealg import LieAlgebra, lower_central_series, validate
-from adoforge.linalg import RationalMatrix, kernel_basis, unit_vector, vec_is_zero
+from adoforge.linalg import RationalMatrix, dense_vector, kernel_basis, unit_vector, vec_is_zero
 from adoforge.reps import (
     Representation,
     adjoint,
@@ -32,6 +35,8 @@ from adoforge.reps import (
     is_nilpotent_rep,
     rep_kernel,
 )
+
+from conftest import corpus_algebras, small_fractions
 
 
 class TestCurrentAlgebra:
@@ -306,3 +311,68 @@ class TestFreeNilpotentFaithfulRep:
         bare = LieAlgebra(3, {(0, 1): {2: 1}})
         with pytest.raises(InvalidGrading):
             free_nilpotent_faithful_rep(bare)
+
+
+# --- the sparse cocycle check against the old dense one ---
+
+
+def reference_satisfies_identity(cocycle):
+    """The dense check: three dense applies per basis pair."""
+    alg = cocycle.rep.algebra
+    n = alg.dim
+    cols = [cocycle.map.column(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = cocycle.map.apply(dense_vector(alg.bracket_basis(i, j), n))
+            mid = cocycle.rep.matrices[i].apply(cols[j])
+            last = cocycle.rep.matrices[j].apply(cols[i])
+            if any(a - b + c for a, b, c in zip(lhs, mid, last)):
+                return False
+    return True
+
+
+@st.composite
+def cocycles(draw):
+    """A random combination of the cocycle space's basis for the adjoint
+    module, the derivation representation (graded inputs) or a trivial
+    module."""
+    algebra = draw(corpus_algebras())
+    kinds = ["adjoint", "trivial"] + (["derivation"] if algebra.grading is not None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "adjoint":
+        rep = adjoint(algebra)
+    elif kind == "derivation":
+        rep = graded_faithful_rep(algebra)
+    else:
+        rep = Representation(algebra, 2, [RationalMatrix.zero(2, 2)] * algebra.dim)
+    space = cocycle_space(algebra, rep)
+    total = RationalMatrix.zero(rep.space_dim, algebra.dim)
+    for psi in space.basis:
+        total = total + psi.map.scale(draw(small_fractions))
+    return Cocycle(rep, total)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cocycles(), st.data())
+def test_satisfies_identity_verdicts_match_dense_check(phi, data):
+    assert reference_satisfies_identity(phi)
+    assert phi.satisfies_identity()
+    r = data.draw(st.integers(0, phi.map.rows - 1))
+    c = data.draw(st.integers(0, phi.map.cols - 1))
+    q = data.draw(st.integers(1, 5))
+    moved = RationalMatrix.from_entries(
+        phi.map.rows, phi.map.cols, list(phi.map.entries()) + [(r, c, Fraction(1, q))]
+    )
+    tampered = Cocycle(phi.rep, moved)
+    assert tampered.satisfies_identity() == reference_satisfies_identity(tampered)
+
+
+def test_satisfies_identity_rejects_moved_scaling_entry(h3):
+    # the scaling derivation diag(1, 1, 2) of h3 with D(e2) moved to 3 e2:
+    # D[e0, e1] = 3 e2 but [De0, e1] + [e0, De1] = 2 e2
+    moved = RationalMatrix.from_entries(3, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 3)])
+    phi = Cocycle(adjoint(h3), moved)
+    assert not reference_satisfies_identity(phi)
+    assert not phi.satisfies_identity()
+    with pytest.raises(NotACocycle):
+        cocycle_extension_rep(h3, phi.rep, phi)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adoforge.liealg as liealg
-from adoforge.catalog import abelian
-from adoforge.errors import AlgebraMismatch, NotAnIdeal, NotInvertible, NotNilpotent, ZeroIdeal
+from adoforge.catalog import abelian, example
+from adoforge.freenilp import present
+from adoforge.errors import AlgebraMismatch, NotAHomomorphism, NotAnIdeal, NotInvertible, NotNilpotent, ZeroIdeal
 from adoforge.liealg import (
     Grading,
     IdealChain,
@@ -13,6 +15,7 @@ from adoforge.liealg import (
     center,
     central_flag,
     codim1_refinement,
+    identity_hom,
     is_ideal,
     lower_central_series,
     minimal_generator_count,
@@ -21,7 +24,9 @@ from adoforge.liealg import (
     validate,
     verify_grading,
 )
-from adoforge.linalg import RationalMatrix, Subspace, unit_vector
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, unit_vector
+
+from conftest import CORPUS, changes_of_basis, corpus_algebras, rebase, sparse_vectors
 
 
 def span(n, *vectors):
@@ -211,7 +216,7 @@ class TestLieHom:
     def test_rejects_non_homomorphism(self, h3, abelian2):
         # e2 = [e0, e1] maps to a nonzero element while e0, e1 map to zero
         m = RationalMatrix.from_rows([[0, 0, 1], [0, 0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAHomomorphism, match=r"basis pair \(0,1\)"):
             LieHom(h3, abelian2, m)
 
     def test_quotient_projection_kernel(self, h3):
@@ -226,3 +231,100 @@ def test_minimal_generator_count(h3, f4, abelian2):
     assert minimal_generator_count(h3) == 2
     assert minimal_generator_count(f4) == 2
     assert minimal_generator_count(abelian2) == 2
+
+
+# --- the sparse bracket and LieHom check against the old dense ones ---
+
+
+def reference_bracket(algebra, u, v):
+    """The table-sweep bracket: one pass over every stored pair (i, j)."""
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), coeffs in algebra.brackets.items():
+        c = u[i] * v[j] - u[j] * v[i]
+        if c:
+            for k, val in coeffs.items():
+                out[k] += c * val
+    return tuple(out)
+
+
+def reference_is_hom(source, target, matrix):
+    """The dense LieHom check: apply of a densified bracket per basis pair."""
+    cols = [matrix.column(i) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            lhs = matrix.apply(dense_vector(source.bracket_basis(i, j), source.dim))
+            if lhs != reference_bracket(target, cols[i], cols[j]):
+                return False
+    return True
+
+
+def accepts(source, target, matrix):
+    try:
+        LieHom(source, target, matrix)
+    except NotAHomomorphism:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpus_algebras(), st.data())
+def test_bracket_matches_table_sweep(algebra, data):
+    n = algebra.dim
+    u, v = data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n))
+    out = algebra.bracket(u, v)
+    assert out == reference_bracket(algebra, u, v)
+    assert all(type(x) is Fraction for x in out)
+    su = {i: x for i, x in enumerate(u) if x}
+    sv = {i: x for i, x in enumerate(v) if x}
+    assert algebra.sparse_bracket(su, sv) == {k: x for k, x in enumerate(out) if x}
+
+
+@st.composite
+def homomorphisms(draw):
+    """(source, target, matrix) of a true homomorphism: a quotient
+    projection, a change of basis, or a presentation's F -> L."""
+    algebra = draw(corpus_algebras())
+    n = algebra.dim
+    kind = draw(st.sampled_from(["quotient", "rebasing", "presentation"]))
+    if kind == "quotient":
+        series = lower_central_series(algebra)
+        _, proj = quotient(algebra, series[draw(st.integers(0, len(series) - 1))])
+        return algebra, proj.target, proj.matrix
+    if kind == "rebasing":
+        p = draw(changes_of_basis(n))
+        return rebase(algebra, p), algebra, p
+    pres = present(algebra)
+    return pres.F, algebra, pres.pi.matrix
+
+
+@settings(deadline=None, max_examples=120)
+@given(homomorphisms(), st.data())
+def test_lie_hom_verdicts_match_dense_check(hom, data):
+    source, target, matrix = hom
+    assert reference_is_hom(source, target, matrix)
+    assert accepts(source, target, matrix)
+    if target.dim == 0:  # the quotient by L itself: no entry to move
+        return
+    r = data.draw(st.integers(0, target.dim - 1))
+    c = data.draw(st.integers(0, source.dim - 1))
+    q = data.draw(st.integers(1, 5))
+    moved = RationalMatrix.from_entries(
+        target.dim, source.dim, list(matrix.entries()) + [(r, c, Fraction(1, q))]
+    )
+    assert accepts(source, target, moved) == reference_is_hom(source, target, moved)
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if example(n).brackets])
+def test_lie_hom_rejects_moved_identity_entry(name):
+    # the first stored bracket [e_i, e_j] has a target e_k with k not in
+    # {i, j}; scaling e_k's image by 1 + 1/3 breaks the identity on (i, j)
+    algebra = example(name)
+    (i, j), coeffs = next(iter(algebra.brackets.items()))
+    k = min(coeffs)
+    assert k not in (i, j)
+    moved = RationalMatrix.from_entries(
+        algebra.dim, algebra.dim, list(identity_hom(algebra).matrix.entries()) + [(k, k, Fraction(1, 3))]
+    )
+    assert not reference_is_hom(algebra, algebra, moved)
+    with pytest.raises(NotAHomomorphism, match="basis pair"):
+        LieHom(algebra, algebra, moved)

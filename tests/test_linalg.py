@@ -22,7 +22,7 @@ from adoforge.linalg import (
     solve_multi,
 )
 
-from conftest import fraction_matrix
+from conftest import fraction_matrix, small_fractions, sparse_fractions
 
 
 class TestRref:
@@ -155,9 +155,6 @@ class TestSubspace:
         assert xy.intersect(yz) == Subspace.from_vectors(3, [(0, 1, 0)])
 
 
-small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-
-
 def matrices(rows, cols):
     return st.lists(
         st.lists(small_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
@@ -238,8 +235,6 @@ def test_determinism_bit_identical():
 
 # --- sparse subspaces: restricted actions and null spaces ---------------
 
-sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
-
 
 def sparse_matrices(rows, cols):
     return st.lists(
@@ -295,6 +290,38 @@ def test_restricted_action_not_invariant():
     m = fraction_matrix([[0, 0], [1, 0]])
     assert sub.restricted_action(m) is None
     assert solve_multi(sub.basis, m @ sub.basis) is None
+
+
+def reference_basis(sub):
+    """Subspace.basis as built on every read before it was kept."""
+    data = {}
+    for j, row in enumerate(sub._rows):
+        for i, v in row.items():
+            data.setdefault(i, {})[j] = v
+    return RationalMatrix(sub.ambient_dim, sub.dim, data)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_basis_built_once_and_equal_to_a_fresh_build(n, data):
+    m = data.draw(sparse_matrices(n, n))
+    vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(0, n)))]
+    for sub in (krylov_span(m, vectors), Subspace.from_vectors(n, vectors), kernel_basis(m)):
+        first = sub.basis
+        assert sub.basis is first
+        assert first == reference_basis(sub)
+        x = sub.restricted_action(m)
+        assert sub.basis is first and first == reference_basis(sub)
+        assert x == solve_multi(first, m @ first)
+
+
+def test_restricted_action_not_invariant_with_kept_basis():
+    # the kept basis does not skip the confirmation product
+    sub = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    basis = sub.basis
+    assert sub.restricted_action(fraction_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is not None
+    assert sub.restricted_action(fraction_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])) is None
+    assert sub.basis is basis
 
 
 def test_restricted_action_shape_check():

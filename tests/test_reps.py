@@ -30,7 +30,7 @@ from adoforge.reps import (
     tensor_product,
 )
 
-from conftest import single_entry
+from conftest import corpus_algebras, single_entry, sparse_fractions, sparse_vectors
 
 
 def zero_rep(algebra, space_dim):
@@ -440,3 +440,51 @@ def test_cyclic_submodule_matches_dense_closure(rep):
 def test_cyclic_submodule_matches_dense_on_conjugated_corpus(rep, data):
     v = data.draw(st.lists(st.one_of(st.just(Fraction(0)), small_fractions), min_size=rep.space_dim, max_size=rep.space_dim))
     assert_cyclic_matches_dense(rep, v)
+
+
+# --- the one-pass element_action against the old repeated add ---
+
+
+def reference_element_action(rep, x):
+    """acc = acc + x_i rho(e_i), one new matrix per nonzero coefficient."""
+    acc = RationalMatrix.zero(rep.space_dim, rep.space_dim)
+    for xi, m in zip(x, rep.matrices):
+        if xi:
+            acc = acc + m.scale(xi)
+    return acc
+
+
+@st.composite
+def representations(draw):
+    """The adjoint, its tensor square, the derivation representation
+    (graded inputs) or arbitrary sparse matrices, on a corpus algebra."""
+    algebra = draw(corpus_algebras())
+    kind = draw(st.sampled_from(["adjoint", "square", "derivation", "arbitrary"]))
+    if kind == "adjoint":
+        return adjoint(algebra)
+    if kind == "square":
+        return tensor_product(adjoint(algebra), adjoint(algebra))
+    if kind == "derivation" and algebra.grading is not None:
+        return graded_faithful_rep(algebra)
+    sd = draw(st.integers(1, 5))
+    cells = st.lists(sparse_fractions, min_size=sd, max_size=sd)
+    mats = [RationalMatrix.from_rows(draw(st.lists(cells, min_size=sd, max_size=sd))) for _ in range(algebra.dim)]
+    return Representation(algebra, sd, mats)
+
+
+@settings(deadline=None, max_examples=150)
+@given(representations(), st.data())
+def test_element_action_matches_repeated_add(rep, data):
+    x = data.draw(sparse_vectors(rep.algebra.dim))
+    out = element_action(rep, x)
+    assert out == reference_element_action(rep, x)
+    assert all(out._data.values())  # no empty rows, so equality of maps stays equality of matrices
+
+
+def test_element_action_cancels_to_zero_storage(h3):
+    m = RationalMatrix.from_entries(2, 2, [(0, 1, Fraction(1, 2)), (1, 0, 3)])
+    rep = Representation(h3, 2, [m, m.scale(2), single_entry(2, 0, 0)])
+    out = element_action(rep, (Fraction(2), Fraction(-1), Fraction(0)))
+    assert out._data == {} and out == RationalMatrix.zero(2, 2)
+    partly = element_action(rep, (Fraction(2), Fraction(-1), Fraction(5)))
+    assert partly._data == {0: {0: Fraction(5)}}
