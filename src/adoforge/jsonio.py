@@ -35,6 +35,14 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"expected a rational string, got {type(value).__name__}")
 
 
+def parse_int(value, what: str) -> int:
+    """A JSON integer; a bool, float or string is a ``ParseError``, never
+    truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -57,10 +65,10 @@ def matrix_from_json(obj) -> RationalMatrix:
     if not isinstance(obj, dict):
         raise ParseError("matrix must be an object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        raw = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed matrix object: {exc}") from exc
+        rows, cols, raw = obj["rows"], obj["cols"], obj["entries"]
+    except KeyError as exc:
+        raise ParseError(f"malformed matrix object: missing {exc}") from exc
+    rows, cols = parse_int(rows, "matrix rows"), parse_int(cols, "matrix cols")
     if rows < 0 or cols < 0 or not isinstance(raw, list):
         raise ParseError("malformed matrix object")
     seen = set()
@@ -68,9 +76,8 @@ def matrix_from_json(obj) -> RationalMatrix:
     for item in raw:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"matrix entry must be [row, col, value], got {item!r}")
-        r, c, v = item
-        if not isinstance(r, int) or not isinstance(c, int):
-            raise ParseError("matrix entry indices must be integers")
+        r, c = parse_int(item[0], "matrix entry row"), parse_int(item[1], "matrix entry col")
+        v = item[2]
         if not (0 <= r < rows and 0 <= c < cols):
             raise ParseError(f"matrix entry ({r},{c}) outside {rows}x{cols}")
         if (r, c) in seen:
@@ -107,8 +114,8 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError("algebra name must be a string")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    dim = parse_int(obj.get("dim"), "algebra dim")
+    if dim < 0:
         raise ParseError("algebra dim must be a nonnegative integer")
     basis = obj.get("basis")
     if basis is not None:
@@ -122,8 +129,7 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
             left, right, result = rec["left"], rec["right"], rec["result"]
         except KeyError as exc:
             raise ParseError(f"bracket record missing field {exc}") from exc
-        if not (isinstance(left, int) and isinstance(right, int)):
-            raise ParseError("bracket indices must be integers")
+        left, right = parse_int(left, "bracket left"), parse_int(right, "bracket right")
         if not (0 <= left < right < dim):
             raise ParseError(f"bracket pair ({left},{right}) must satisfy left < right within dim")
         if (left, right) in table:
@@ -132,20 +138,24 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
             raise ParseError("bracket result must be an object")
         coeffs = {}
         for key, value in result.items():
-            try:
-                k = int(key)
-            except ValueError as exc:
-                raise ParseError(f"bracket result key {key!r} is not an index") from exc
-            if not 0 <= k < dim:
+            # only the canonical decimal spelling ("0", "12"), so that no two
+            # keys of one result can name the same index
+            if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
+                raise ParseError(f"bracket result key {key!r} is not a canonical decimal index")
+            k = int(key)
+            if k >= dim:
                 raise ParseError(f"bracket result index {k} out of range")
             coeffs[k] = parse_rational(value)
         table[(left, right)] = coeffs
     grading = None
     if "grading" in obj and obj["grading"] is not None:
         raw = obj["grading"]
-        if not (isinstance(raw, list) and len(raw) == dim and all(isinstance(d, int) and d >= 1 for d in raw)):
+        if not (isinstance(raw, list) and len(raw) == dim):
             raise ParseError("grading must be a list of dim positive integers")
-        grading = Grading(tuple(raw))
+        degrees = tuple(parse_int(d, "grading degree") for d in raw)
+        if any(d < 1 for d in degrees):
+            raise ParseError("grading must be a list of dim positive integers")
+        grading = Grading(degrees)
     try:
         algebra = LieAlgebra(dim, table, labels=basis, grading=grading)
     except ValueError as exc:
@@ -166,8 +176,8 @@ def representation_to_json(rep: Representation, algebra_ref) -> dict:
 def representation_from_json(obj) -> tuple[list[RationalMatrix], int, object]:
     if not isinstance(obj, dict):
         raise ParseError("representation document must be a JSON object")
-    space_dim = obj.get("space_dim")
-    if not isinstance(space_dim, int) or space_dim < 0:
+    space_dim = parse_int(obj.get("space_dim"), "space_dim")
+    if space_dim < 0:
         raise ParseError("space_dim must be a nonnegative integer")
     raw = obj.get("matrices")
     if not isinstance(raw, list):

@@ -22,7 +22,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .linalg import (
-    F0,
+    F1,
     RationalMatrix,
     Subspace,
     Vector,
@@ -31,7 +31,6 @@ from .linalg import (
     mul_rowmaps,
     solve_multi,
     unit_vector,
-    vec_is_zero,
 )
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -175,17 +174,17 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 
 
 def _jacobi_residual(algebra: LieAlgebra, i: int, j: int, k: int) -> Vector | None:
-    n = algebra.dim
-    acc = [F0] * n
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] as a dense vector,
+    or None when it is zero; the sum runs on a sparse dict."""
+    acc: dict[int, Fraction] = {}
+    get = acc.get
     for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
-        inner = algebra.bracket_basis(a, b)
-        for m, coeff in inner.items():
-            outer = algebra.bracket_basis(m, c)
-            for t, oc in outer.items():
-                acc[t] += coeff * oc
-    if any(acc):
-        return tuple(acc)
-    return None
+        for m, coeff in algebra.bracket_basis(a, b).items():
+            for t, oc in algebra.bracket_basis(m, c).items():
+                old = get(t)
+                acc[t] = coeff * oc if old is None else old + coeff * oc
+    residual = {t: v for t, v in acc.items() if v}
+    return dense_vector(residual, algebra.dim) if residual else None
 
 
 def verify_grading(algebra: LieAlgebra, grading: Grading | None = None) -> bool:
@@ -216,14 +215,20 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def _bracket_span(algebra: LieAlgebra, space: Subspace) -> Subspace:
-    """[L, space] as a subspace."""
+    """[L, space] as a subspace.
+
+    Each echelon row of ``space`` is bracketed sparsely with every basis
+    vector e_i; only the nonzero brackets are made dense, for
+    ``Subspace.from_vectors``.
+    """
+    n = algebra.dim
     vectors = []
-    for col in space.basis_vectors():
-        for i in range(algebra.dim):
-            v = algebra.bracket(unit_vector(algebra.dim, i), col)
-            if not vec_is_zero(v):
-                vectors.append(v)
-    return Subspace.from_vectors(algebra.dim, vectors)
+    for row in space._rows:
+        for i in range(n):
+            v = algebra.sparse_bracket({i: F1}, row)
+            if v:
+                vectors.append(dense_vector(v, n))
+    return Subspace.from_vectors(n, vectors)
 
 
 def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:
@@ -255,13 +260,16 @@ def minimal_generator_count(algebra: LieAlgebra) -> int:
 
 
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
-    """[L, space] contained in space, checked basis vs basis."""
-    if space.ambient_dim != algebra.dim:
+    """[L, space] contained in space, checked basis vs basis: each echelon
+    row is bracketed sparsely with every e_i, and only nonzero brackets are
+    made dense for the membership test."""
+    n = algebra.dim
+    if space.ambient_dim != n:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    for col in space.basis_vectors():
-        for i in range(algebra.dim):
-            v = algebra.bracket(unit_vector(algebra.dim, i), col)
-            if not vec_is_zero(v) and not space.contains_vector(v):
+    for row in space._rows:
+        for i in range(n):
+            v = algebra.sparse_bracket({i: F1}, row)
+            if v and not space.contains_vector(dense_vector(v, n)):
                 return False
     return True
 

@@ -92,7 +92,11 @@ class RationalMatrix:
             if fv == 0:
                 continue
             row = data.setdefault(r, {})
-            nv = row.get(c, F0) + fv
+            old = row.get(c)
+            if old is None:
+                row[c] = fv
+                continue
+            nv = old + fv
             if nv:
                 row[c] = nv
             else:
@@ -160,11 +164,21 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        data = {r: dict(row) for r, row in self._data.items()}
+        # Rows are shared until a row of other lands on them; a value at an
+        # absent position is stored as it is, without adding it to zero.
+        data = dict(self._data)
         for r, row in other._data.items():
-            target = data.setdefault(r, {})
+            target = data.get(r)
+            if target is None:
+                data[r] = row
+                continue
+            target = data[r] = dict(target)
             for c, v in row.items():
-                nv = target.get(c, F0) + v
+                old = target.get(c)
+                if old is None:
+                    target[c] = v
+                    continue
+                nv = old + v
                 if nv:
                     target[c] = nv
                 else:
@@ -267,17 +281,32 @@ def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
 
 
 def kronecker(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Kronecker product: entry ((i*rB+k),(j*cB+l)) = A[i,j]*B[k,l]."""
+    """Kronecker product: entry ((i*rB+k),(j*cB+l)) = A[i,j]*B[k,l].
+
+    Multiplying by 1 cannot change a value, so where an entry of A equals 1
+    the row of B is copied, and where a row of B holds only ones the entry
+    of A is copied; the identity factors of a tensor product cost no
+    arithmetic.
+    """
+    rb, cb = b.rows, b.cols
+    brows = [(k, brow, all(v == 1 for v in brow.values())) for k, brow in b._data.items()]
     data: dict[int, dict[int, Fraction]] = {}
     for i, arow in a._data.items():
-        for k, brow in b._data.items():
+        aitems = [(j * cb, av, av == 1) for j, av in arow.items()]
+        for k, brow, b_ones in brows:
             target: dict[int, Fraction] = {}
-            for j, av in arow.items():
-                base = j * b.cols
-                for l, bv in brow.items():
-                    target[base + l] = av * bv
-            data[i * b.rows + k] = target
-    return RationalMatrix(a.rows * b.rows, a.cols * b.cols, data)
+            for base, av, a_one in aitems:
+                if a_one:
+                    for l, bv in brow.items():
+                        target[base + l] = bv
+                elif b_ones:
+                    for l in brow:
+                        target[base + l] = av
+                else:
+                    for l, bv in brow.items():
+                        target[base + l] = av * bv
+            data[i * rb + k] = target
+    return RationalMatrix(a.rows * rb, a.cols * cb, data)
 
 
 # --- row reduction -------------------------------------------------------
@@ -358,16 +387,18 @@ class Subspace:
     The stored basis columns are the nonzero rows of the RREF of any spanning
     set, so equal subspaces always compare equal.  ``_rows``/``_pivots`` keep
     the echelon rows for fast membership reduction.  A Subspace is immutable,
-    so its basis matrix is built on first use and then kept.
+    so its basis matrix, and the basis's rows off the pivots, are built on
+    first use and then kept.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis", "_off_pivot")
 
     def __init__(self, ambient_dim: int, rows: list[dict[int, Fraction]], pivots: list[int]):
         self.ambient_dim = ambient_dim
         self._rows = rows
         self._pivots = pivots
         self._basis: RationalMatrix | None = None
+        self._off_pivot: RationalMatrix | None = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -420,11 +451,15 @@ class Subspace:
             coords.append(c)
             if c:
                 for k, w in row.items():
-                    nv = residual.get(k, F0) - c * w
+                    old = residual.get(k)
+                    if old is None:
+                        residual[k] = -(c * w)
+                        continue
+                    nv = old - c * w
                     if nv:
                         residual[k] = nv
                     else:
-                        residual.pop(k, None)
+                        del residual[k]
         if residual:
             return None
         return tuple(coords)
@@ -434,8 +469,9 @@ class Subspace:
         the subspace into itself.
 
         The basis columns are the RREF rows, so basis row p_j is the j-th
-        unit row and X is read off at the pivot rows of m @ basis; one exact
-        product confirms it.
+        unit row and X is read off at the pivot rows of m @ basis; there
+        basis @ X equals m @ basis by construction.  One exact product of
+        the basis rows off the pivots with X confirms the other rows.
         """
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             raise DimensionMismatch("restricted_action expects a square matrix on the ambient space")
@@ -443,7 +479,12 @@ class Subspace:
         image = m @ basis
         data = {j: image._data[p] for j, p in enumerate(self._pivots) if p in image._data}
         x = RationalMatrix(self.dim, self.dim, data)
-        return x if basis @ x == image else None
+        pivot_set = set(self._pivots)
+        if self._off_pivot is None:
+            rest = {r: row for r, row in basis._data.items() if r not in pivot_set}
+            self._off_pivot = RationalMatrix(self.ambient_dim, self.dim, rest)
+        off_image = {r: row for r, row in image._data.items() if r not in pivot_set}
+        return x if self._off_pivot @ x == RationalMatrix(self.ambient_dim, self.dim, off_image) else None
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None
@@ -594,7 +635,11 @@ class SpanBasis:
                 return vec
             f = vec[lead]
             for k, v in row.items():
-                nv = vec.get(k, F0) - f * v
+                old = vec.get(k)
+                if old is None:
+                    vec[k] = -(f * v)
+                    continue
+                nv = old - f * v
                 if nv:
                     vec[k] = nv
                 else:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from .linalg import (
+    F1,
     RationalMatrix,
     SpanBasis,
     Subspace,
@@ -21,8 +22,6 @@ from .linalg import (
     kernel_basis,
     kronecker,
     mul_rowmaps,
-    unit_vector,
-    vec_is_zero,
 )
 from .liealg import LieAlgebra, LieHom, quotient
 
@@ -127,7 +126,8 @@ def is_homomorphism(rep: Representation) -> bool:
 
     With rho(e_i) = N_i / d_i (``integer_form``) the identity reads
     d_i d_j rho([e_i,e_j]) = N_i N_j - N_j N_i; the commutator runs on the
-    integer numerators and is compared by value with the scaled left side.
+    integer numerators and is compared by value with the left side, whose
+    bracket coefficients are scaled by d_i d_j before ``element_action``.
     """
     n = rep.algebra.dim
     forms = [m.integer_form() for m in rep.matrices]
@@ -135,7 +135,9 @@ def is_homomorphism(rep: Representation) -> bool:
         ni, di = forms[i]
         for j in range(i + 1, n):
             nj, dj = forms[j]
-            lhs = element_action(rep, dense_vector(rep.algebra.bracket_basis(i, j), n)).scale(di * dj)
+            d = di * dj
+            coeffs = {k: v * d for k, v in rep.algebra.bracket_basis(i, j).items()}
+            lhs = element_action(rep, dense_vector(coeffs, n))
             if lhs._data != _commutator(ni, nj):
                 return False
     return True
@@ -217,8 +219,10 @@ def kernel_submodule(
     Ker rho(z) passes it as ``carrier`` and it is not computed again.
     """
     n = rep.algebra.dim
-    ad_z_cols = [rep.algebra.bracket(z, unit_vector(n, i)) for i in range(n)]
-    if any(not vec_is_zero(c) for c in ad_z_cols):
+    if len(z) != n:
+        raise DimensionMismatch("central element has wrong length")
+    sz = {i: x for i, x in enumerate(z) if x}
+    if any(rep.algebra.sparse_bracket(sz, {i: F1}) for i in range(n)):
         raise NotCentral("z is not central in the algebra")
     if carrier is None:
         carrier = kernel_basis(element_action(rep, z))

@@ -107,3 +107,32 @@ def corpus_algebras(draw):
     if draw(st.booleans()):
         algebra = rebase(algebra, draw(changes_of_basis(algebra.dim)))
     return algebra
+
+
+# --- the zero-adding sum and multiply-every-pair Kronecker product, as references ---
+
+
+def reference_add(a, b):
+    """RationalMatrix.__add__ as it copied every row of a and added each
+    entry of b to F0 at a new position."""
+    data = {r: dict(row) for r, row in a._data.items()}
+    for r, row in b._data.items():
+        target = data.setdefault(r, {})
+        for c, v in row.items():
+            nv = target.get(c, Fraction(0)) + v
+            if nv:
+                target[c] = nv
+            else:
+                del target[c]
+        if not target:
+            del data[r]
+    return RationalMatrix(a.rows, a.cols, data)
+
+
+def reference_kronecker(a, b):
+    """The Kronecker product multiplying every pair of entries."""
+    data = {}
+    for i, arow in a._data.items():
+        for k, brow in b._data.items():
+            data[i * b.rows + k] = {j * b.cols + l: av * bv for j, av in arow.items() for l, bv in brow.items()}
+    return RationalMatrix(a.rows * b.rows, a.cols * b.cols, data)

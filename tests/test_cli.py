@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -348,6 +349,85 @@ class TestVerifyCommand:
         assert report["verification"]["nilpotent"] is False
         assert "not nilpotent" in out
 
+
+
+class TestStrictIntegers:
+    """Every integer field is a JSON int: bool, float and str are parse
+    errors (exit 2), and a bracket result key is a canonical decimal."""
+
+    @pytest.fixture
+    def h3_files(self, tmp_path, capsys):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        rep_path = tmp_path / "rep.json"
+        code, _, _ = run_cli(["construct", str(alg_path), "--out", str(rep_path)], capsys)
+        assert code == 0
+        return alg_path, rep_path
+
+    def verify_tampered(self, h3_files, capsys, tamper):
+        alg_path, rep_path = h3_files
+        rep = json.loads(rep_path.read_text())
+        tamper(rep)
+        rep_path.write_text(json.dumps(rep))
+        return run_cli(["verify", str(alg_path), str(rep_path)], capsys)
+
+    def test_untampered_rep_verifies(self, h3_files, capsys):
+        code, _, _ = self.verify_tampered(h3_files, capsys, lambda rep: None)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda rep: rep["matrices"][0].update(rows=rep["space_dim"] + 0.9),
+            lambda rep: rep["matrices"][0].update(cols=str(rep["space_dim"])),
+            lambda rep: rep["matrices"][0]["entries"][0].__setitem__(0, True),
+            lambda rep: rep["matrices"][0]["entries"][0].__setitem__(1, float(rep["matrices"][0]["entries"][0][1])),
+            lambda rep: rep.update(space_dim=True),
+            lambda rep: rep.update(space_dim=float(rep["space_dim"])),
+        ],
+        ids=["float-rows", "string-cols", "bool-row-index", "float-col-index", "bool-space-dim", "float-space-dim"],
+    )
+    def test_non_integer_rep_fields_exit_2(self, h3_files, capsys, tamper):
+        code, _, report = self.verify_tampered(h3_files, capsys, tamper)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", True), ("dim", 3.0), ("dim", "3"), ("left", False), ("right", True), ("right", 1.0), ("grading", [True, 1, 2])],
+    )
+    def test_non_integer_algebra_fields_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"name": "h3", "dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"2": "1"}}]}
+        if field in ("left", "right"):
+            doc["brackets"][0][field] = value
+        elif field == "dim":  # no bracket to fall out of range of a bool dim
+            doc.update(dim=value, brackets=[])
+        else:
+            doc[field] = value
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        code, _, report = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "result",
+        [{"2": "1", "02": "5"}, {"02": "1"}, {"+2": "1"}, {" 2": "1"}, {"2.0": "1"}, {"-0": "1"}, {"\u0662": "1"}],
+        ids=["two-spellings", "leading-zero", "plus", "space", "decimal-point", "minus-zero", "arabic-digit"],
+    )
+    def test_non_canonical_result_keys_exit_2(self, tmp_path, capsys, result):
+        doc = {"name": "h3", "dim": 3, "brackets": [{"left": 0, "right": 1, "result": result}]}
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        for command in (["validate"], ["construct"]):
+            code, _, report = run_cli(command + [str(path)], capsys)
+            assert code == 2
+            assert report["outcome"]["error"] == "parse_error"
+
+    def test_canonical_keys_and_zero_still_parse(self):
+        doc = {"name": "a", "dim": 11, "brackets": [{"left": 0, "right": 10, "result": {"0": "1", "10": "-1/2"}}]}
+        algebra, _ = algebra_from_json(doc)
+        assert algebra.brackets == {(0, 10): {0: 1, 10: Fraction(-1, 2)}}
+        assert matrix_from_json({"rows": 0, "cols": 0, "entries": []}) == RationalMatrix.zero(0, 0)
 
 class TestDeterminism:
     def test_construct_twice_byte_identical(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from adoforge.liealg import (
 )
 from adoforge.linalg import RationalMatrix, Subspace, dense_vector, unit_vector
 
-from conftest import CORPUS, changes_of_basis, corpus_algebras, rebase, sparse_vectors
+from conftest import CORPUS, changes_of_basis, corpus_algebras, rebase, sparse_fractions, sparse_vectors
 
 
 def span(n, *vectors):
@@ -328,3 +329,117 @@ def test_lie_hom_rejects_moved_identity_entry(name):
     assert not reference_is_hom(algebra, algebra, moved)
     with pytest.raises(NotAHomomorphism, match="basis pair"):
         LieHom(algebra, algebra, moved)
+
+
+# --- sparse bracket spans and the sparse Jacobi residual against the dense ones
+
+
+def reference_bracket_span_vectors(algebra, space):
+    """The vectors the dense _bracket_span handed to Subspace.from_vectors:
+    each basis vector made dense and bracketed with every dense e_i."""
+    vectors = []
+    for col in space.basis_vectors():
+        for i in range(algebra.dim):
+            v = algebra.bracket(unit_vector(algebra.dim, i), col)
+            if any(v):
+                vectors.append(v)
+    return vectors
+
+
+def reference_is_ideal(algebra, space):
+    for col in space.basis_vectors():
+        for i in range(algebra.dim):
+            v = algebra.bracket(unit_vector(algebra.dim, i), col)
+            if any(v) and not space.contains_vector(v):
+                return False
+    return True
+
+
+def reference_jacobi_residual(algebra, i, j, k):
+    acc = [Fraction(0)] * algebra.dim
+    for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
+        for m, coeff in algebra.bracket_basis(a, b).items():
+            for t, oc in algebra.bracket_basis(m, c).items():
+                acc[t] += coeff * oc
+    return tuple(acc) if any(acc) else None
+
+
+def recorded_from_vectors(fn, *args):
+    """fn(*args) and the (ambient, vectors) of every Subspace.from_vectors
+    call it made: what the benchmark's rref cells are counted from."""
+    calls = []
+    original = Subspace.from_vectors.__func__
+
+    def recording(cls, ambient, vectors):
+        vectors = list(vectors)
+        calls.append((ambient, vectors))
+        return original(cls, ambient, vectors)
+
+    with mock.patch.object(Subspace, "from_vectors", classmethod(recording)):
+        out = fn(*args)
+    return out, calls
+
+
+@st.composite
+def algebras_with_subspaces(draw):
+    """A corpus or rebased algebra with a lower central series term, its
+    center, or the span of a few sparse vectors."""
+    algebra = draw(corpus_algebras())
+    n = algebra.dim
+    kind = draw(st.sampled_from(["series", "center", "random"]))
+    if kind == "series":
+        series = lower_central_series(algebra)
+        return algebra, series[draw(st.integers(0, len(series) - 1))]
+    if kind == "center":
+        return algebra, center(algebra)
+    vectors = draw(st.lists(sparse_vectors(n), max_size=3))
+    return algebra, Subspace.from_vectors(n, vectors)
+
+
+@settings(deadline=None, max_examples=100)
+@given(algebras_with_subspaces())
+def test_bracket_span_matches_dense_and_hands_over_the_same_vectors(pair):
+    algebra, space = pair
+    reference = reference_bracket_span_vectors(algebra, space)
+    span, calls = recorded_from_vectors(liealg._bracket_span, algebra, space)
+    assert calls == [(algebra.dim, reference)]
+    assert span == Subspace.from_vectors(algebra.dim, reference)
+    assert is_ideal(algebra, space) == reference_is_ideal(algebra, space)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_series_and_ideals_match_dense_on_corpus(name):
+    algebra = example(name)
+    for term in lower_central_series(algebra):
+        assert recorded_from_vectors(liealg._bracket_span, algebra, term)[1] == [
+            (algebra.dim, reference_bracket_span_vectors(algebra, term))
+        ]
+        assert is_ideal(algebra, term) and reference_is_ideal(algebra, term)
+    for i in range(algebra.dim):
+        line = Subspace.from_vectors(algebra.dim, [unit_vector(algebra.dim, i)])
+        assert is_ideal(algebra, line) == reference_is_ideal(algebra, line)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 5), st.data())
+def test_jacobi_residual_matches_dense(n, data):
+    # random structure constants mostly break the Jacobi identity
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {p: {k: data.draw(sparse_fractions) for k in range(n)} for p in data.draw(st.lists(st.sampled_from(pairs), unique=True))}
+    algebra = LieAlgebra(n, brackets)
+    report = validate(algebra)
+    expected = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                residual = reference_jacobi_residual(algebra, i, j, k)
+                if residual is not None:
+                    expected.append((i, j, k, residual))
+    assert report.jacobi_violations == expected
+    assert all(type(x) is Fraction for *_, r in report.jacobi_violations for x in r)
+
+
+@settings(deadline=None, max_examples=30)
+@given(corpus_algebras())
+def test_corpus_has_no_jacobi_residual(algebra):
+    assert validate(algebra).jacobi_violations == []

@@ -22,7 +22,7 @@ from adoforge.linalg import (
     solve_multi,
 )
 
-from conftest import fraction_matrix, small_fractions, sparse_fractions
+from conftest import fraction_matrix, reference_add, reference_kronecker, small_fractions, sparse_fractions
 
 
 class TestRref:
@@ -567,3 +567,209 @@ def test_matrix_rowdicts_skips_zero_rows():
     # empty dict is built for the others
     m = RationalMatrix.from_entries(10_000, 2, [(7, 1, 3), (2, 0, 1)])
     assert linalg._matrix_rowdicts(m) == [{0: Fraction(1)}, {1: Fraction(3)}]
+
+
+# --- no arithmetic that cannot change a value: the old kernels as references
+
+
+def reference_from_entries(rows, cols, entries):
+    """from_entries as it added every value to F0 at a new position."""
+    data = {}
+    for r, c, v in entries:
+        fv = Fraction(v)
+        if fv == 0:
+            continue
+        row = data.setdefault(r, {})
+        nv = row.get(c, Fraction(0)) + fv
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+            if not row:
+                del data[r]
+    return RationalMatrix(rows, cols, data)
+
+
+def reference_restricted_action(sub, m):
+    """restricted_action confirmed by the full product basis @ X."""
+    basis = sub.basis
+    image = m @ basis
+    x = RationalMatrix(sub.dim, sub.dim, {j: image._data[p] for j, p in enumerate(sub._pivots) if p in image._data})
+    return x if basis @ x == image else None
+
+
+def reference_reduce(rows, vec):
+    """SpanBasis.reduce as it computed F0 - f*w at a new position."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is None:
+            return vec
+        f = vec[lead]
+        for k, v in row.items():
+            nv = vec.get(k, Fraction(0)) - f * v
+            if nv:
+                vec[k] = nv
+            else:
+                del vec[k]
+    return vec
+
+
+def reference_coordinates_of(sub, v):
+    """Subspace.coordinates_of as it computed F0 - c*w at a new position."""
+    residual = {i: Fraction(x) for i, x in enumerate(v) if x}
+    coords = []
+    for p, row in zip(sub._pivots, sub._rows):
+        c = residual.get(p, Fraction(0))
+        coords.append(c)
+        if c:
+            for k, w in row.items():
+                nv = residual.get(k, Fraction(0)) - c * w
+                if nv:
+                    residual[k] = nv
+                else:
+                    residual.pop(k, None)
+    return None if residual else tuple(coords)
+
+
+# the unit written three ways, so a check on the value, not the spelling,
+# is what copies an entry
+units = st.sampled_from([1, Fraction(1), Fraction(2, 2)])
+unit_heavy = st.one_of(units, units, sparse_fractions)
+
+
+@st.composite
+def entry_lists(draw, rows, cols):
+    """Entries with repeated positions, some of them cancelling."""
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), unit_heavy)
+    entries = draw(st.lists(cells, max_size=2 * rows * cols))
+    if entries:
+        for r, c, v in draw(st.lists(st.sampled_from(entries), max_size=3)):
+            entries.append((r, c, -Fraction(v)))
+    return entries
+
+
+@st.composite
+def unit_matrices(draw, rows, cols):
+    """An identity, a partial identity (diagonal ones with some dropped and
+    some off-diagonal entries added), or a matrix heavy in unit entries."""
+    kind = draw(st.sampled_from(["identity", "partial", "units"]))
+    if kind == "identity" and rows == cols:
+        return RationalMatrix.identity(rows)
+    entries = []
+    if kind != "units":
+        entries = [(i, i, draw(units)) for i in range(min(rows, cols)) if draw(st.booleans())]
+    return RationalMatrix.from_entries(rows, cols, entries + draw(entry_lists(rows, cols)))
+
+
+def stored_fractions(m):
+    return all(type(v) is Fraction and v for row in m._data.values() for v in row.values()) and all(m._data.values())
+
+
+@settings(deadline=None, max_examples=100)
+@given(sizes, sizes, st.data())
+def test_from_entries_and_add_match_zero_adding_reference(rows, cols, data):
+    entries = data.draw(entry_lists(rows, cols))
+    m = RationalMatrix.from_entries(rows, cols, entries)
+    assert m == reference_from_entries(rows, cols, entries) and stored_fractions(m)
+    other = data.draw(st.one_of(unit_matrices(rows, cols), st.just(m.scale(-1)), sparse_matrices(rows, cols)))
+    before = (copy.deepcopy(m._data), copy.deepcopy(other._data))
+    total = m + other
+    assert total == reference_add(m, other) and stored_fractions(total)
+    assert m - other == reference_add(m, other.scale(-1))
+    # rows are shared with the operands, never written through
+    assert (m._data, other._data) == before
+
+
+def test_add_of_cancelling_rows_drops_them():
+    a = RationalMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, Fraction(2, 2))])
+    b = RationalMatrix.from_entries(2, 2, [(0, 0, -1), (1, 0, 3)])
+    assert (a + b)._data == {1: {1: Fraction(1), 0: Fraction(3)}}
+    assert (a + a.scale(-1))._data == {}
+    assert RationalMatrix.from_entries(2, 2, [(0, 1, 1), (0, 1, Fraction(-2, 2))])._data == {}
+
+
+@settings(deadline=None, max_examples=100)
+@given(sizes, sizes, sizes, sizes, st.data())
+def test_kronecker_matches_multiply_every_pair(p, q, s, t, data):
+    a = data.draw(st.one_of(unit_matrices(p, q), sparse_matrices(p, q)))
+    b = data.draw(st.one_of(unit_matrices(s, t), sparse_matrices(s, t)))
+    k = kronecker(a, b)
+    assert k == reference_kronecker(a, b) and stored_fractions(k)
+    assert (k.rows, k.cols) == (p * s, q * t)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_tensor_action_sum_matches_reference(n, m, data):
+    # the shape tensor_product builds: A (x) I + I (x) B
+    a = data.draw(st.one_of(unit_matrices(n, n), sparse_matrices(n, n)))
+    b = data.draw(st.one_of(unit_matrices(m, m), sparse_matrices(m, m)))
+    ia, ib = RationalMatrix.identity(n), RationalMatrix.identity(m)
+    got = kronecker(a, ib) + kronecker(ia, b)
+    assert got == reference_add(reference_kronecker(a, ib), reference_kronecker(ia, b))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
+def test_restricted_action_matches_full_product_reference(n, invariant, data):
+    m = data.draw(st.one_of(sparse_matrices(n, n), unit_matrices(n, n)))
+    count = data.draw(st.integers(min_value=0, max_value=n))
+    vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
+    sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
+    x = sub.restricted_action(m)
+    assert x == reference_restricted_action(sub, m)
+    assert sub.restricted_action(m) == x  # the kept off-pivot rows give the same verdict
+    if invariant:
+        assert x is not None
+
+
+def test_restricted_action_rejects_image_leaving_through_one_off_pivot_row():
+    # span{(1, 0, 1), (0, 1, 0)} has pivots 0 and 1; m sends e1 to e2, so
+    # the image is zero on both pivot rows and leaves only through row 2
+    sub = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
+    assert sub._pivots == [0, 1]
+    m = RationalMatrix.from_entries(3, 3, [(2, 1, 1)])
+    assert sub.restricted_action(m) is None
+    assert reference_restricted_action(sub, m) is None
+    # the same image plus a matching pivot row stays inside: X is read there
+    fixed = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
+    assert sub.restricted_action(fixed) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_restricted_action_none_after_one_off_pivot_row_moves(n, data):
+    # m + e_r w^T differs from an invariant m only on ambient row r, off the
+    # pivots, where no vector of the subspace is a multiple of e_r
+    m = data.draw(sparse_matrices(n, n))
+    vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(1, n)))]
+    sub = krylov_span(m, vectors)
+    free = [r for r in range(n) if r not in sub._pivots]
+    if sub.dim == 0 or not free:
+        return
+    r = data.draw(st.sampled_from(free))
+    w = data.draw(st.lists(sparse_fractions, min_size=n, max_size=n))
+    moved = m + RationalMatrix.from_entries(n, n, [(r, c, v) for c, v in enumerate(w)])
+    leaves = any(sum(w[i] * x for i, x in enumerate(col)) for col in sub.basis_vectors())
+    assert (sub.restricted_action(moved) is None) == leaves
+    assert reference_restricted_action(sub, moved) == sub.restricted_action(moved)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_reduce_and_coordinates_match_zero_subtracting_reference(n, data):
+    vectors = [data.draw(st.lists(unit_heavy, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(0, n)))]
+    sub = Subspace.from_vectors(n, vectors)
+    span = linalg.SpanBasis()
+    for v in vectors:
+        span.add({i: Fraction(x) for i, x in enumerate(v) if x})
+    for _ in range(3):
+        v = data.draw(st.one_of(st.lists(unit_heavy, min_size=n, max_size=n), st.sampled_from(sub.basis_vectors() or [(0,) * n])))
+        assert sub.coordinates_of(v) == reference_coordinates_of(sub, v)
+        sparse = {i: Fraction(x) for i, x in enumerate(v) if x}
+        assert span.reduce(sparse) == reference_reduce(span._rows, sparse)
+        # integer values, as the nilpotency chain hands over
+        ints = {i: int(x * 6) for i, x in sparse.items() if int(x * 6)}
+        assert span.reduce(ints) == reference_reduce(span._rows, ints)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from adoforge.catalog import abelian, example
 from adoforge.errors import AlgebraMismatch, NotCentral, NotInvariant
 from adoforge.graded import graded_faithful_rep
-from adoforge.liealg import LieHom, identity_hom
+from adoforge.liealg import LieHom, center, identity_hom
 from adoforge.linalg import (
     RationalMatrix,
     SpanBasis,
@@ -30,7 +30,7 @@ from adoforge.reps import (
     tensor_product,
 )
 
-from conftest import corpus_algebras, single_entry, sparse_fractions, sparse_vectors
+from conftest import corpus_algebras, reference_add, reference_kronecker, single_entry, sparse_fractions, sparse_vectors
 
 
 def zero_rep(algebra, space_dim):
@@ -488,3 +488,66 @@ def test_element_action_cancels_to_zero_storage(h3):
     assert out._data == {} and out == RationalMatrix.zero(2, 2)
     partly = element_action(rep, (Fraction(2), Fraction(-1), Fraction(5)))
     assert partly._data == {0: {0: Fraction(5)}}
+
+
+# --- copied unit entries and the sparse centrality check against the old ones
+
+
+def reference_tensor_product(rho, tau):
+    """rho(x) (x) I + I (x) tau(x) through the multiply-every-pair Kronecker
+    product and the zero-adding sum."""
+    iv, iw = RationalMatrix.identity(rho.space_dim), RationalMatrix.identity(tau.space_dim)
+    mats = [reference_add(reference_kronecker(a, iw), reference_kronecker(iv, b)) for a, b in zip(rho.matrices, tau.matrices)]
+    return Representation(rho.algebra, rho.space_dim * tau.space_dim, mats)
+
+
+@settings(deadline=None, max_examples=60)
+@given(representations(), representations(), st.data())
+def test_tensor_product_matches_multiply_every_pair(rho, tau, data):
+    if not rho.algebra.structurally_equal(tau.algebra) or rho.space_dim * tau.space_dim > 100:
+        tau = data.draw(st.sampled_from([adjoint(rho.algebra), zero_rep(rho.algebra, 2)]))
+    if rho.space_dim * tau.space_dim > 100:
+        return
+    out = tensor_product(rho, tau)
+    assert out.matrices == reference_tensor_product(rho, tau).matrices
+
+
+@pytest.mark.parametrize(
+    "rep", [rep for rep in CORPUS_REPS if rep.space_dim <= 10], ids=lambda rep: f"{rep.algebra.dim}-on-{rep.space_dim}"
+)
+def test_tensor_square_of_corpus_rep_matches_reference(rep):
+    assert tensor_product(rep, rep).matrices == reference_tensor_product(rep, rep).matrices
+
+
+def reference_is_central(algebra, z):
+    n = algebra.dim
+    return all(not any(algebra.bracket(z, unit_vector(n, i))) for i in range(n))
+
+
+@settings(deadline=None, max_examples=80)
+@given(corpus_algebras(), st.data())
+def test_kernel_submodule_centrality_matches_dense_check(algebra, data):
+    n = algebra.dim
+    cent = center(algebra).basis_vectors()
+    z = data.draw(st.one_of(sparse_vectors(n), st.sampled_from(cent or [zero_vector(n)])))
+    rep = adjoint(algebra)
+    if reference_is_central(algebra, z):
+        carrier, induced = kernel_submodule(rep, z)  # ad(z) = 0: nothing to reject
+        assert carrier.dim == rep.space_dim
+    else:
+        with pytest.raises(NotCentral, match="not central in the algebra"):
+            kernel_submodule(rep, z)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "filiform4", "free2_3"])
+def test_kernel_submodule_rejects_each_non_central_basis_vector(name):
+    algebra = example(name)
+    cent = center(algebra)
+    rep = graded_faithful_rep(algebra)
+    for i in range(algebra.dim):
+        z = unit_vector(algebra.dim, i)
+        if cent.contains_vector(z):
+            continue
+        assert not reference_is_central(algebra, z)
+        with pytest.raises(NotCentral, match="not central in the algebra"):
+            kernel_submodule(rep, z)
