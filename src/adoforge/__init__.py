@@ -60,6 +60,7 @@ from .reps import (
     cyclic_submodule,
     direct_sum,
     element_action,
+    is_faithful,
     is_homomorphism,
     is_nilpotent_rep,
     kernel_submodule,

@@ -68,6 +68,7 @@ from .reps import (
     cyclic_submodule,
     direct_sum,
     element_action,
+    is_faithful,
     is_homomorphism,
     is_nilpotent_rep,
     kernel_submodule,
@@ -149,7 +150,7 @@ def verify_output(algebra: LieAlgebra, rep: Representation) -> VerificationRepor
         raise AlgebraMismatch("representation belongs to a different algebra")
     return VerificationReport(
         homomorphism=is_homomorphism(rep),
-        faithful=rep_kernel(rep).dim == 0,
+        faithful=is_faithful(rep),
         nilpotent=is_nilpotent_rep(rep),
     )
 

@@ -10,12 +10,15 @@ anywhere.
 ``integer_form`` writes a matrix as integer numerators over one common
 denominator, and ``mul_rowmaps``, the one sparse product, runs on those as
 well, so exact checks can multiply without building a Fraction per entry.
+``SpanBasis``, the incremental span used by those checks and by orbit
+closures, takes integer vectors only and eliminates fraction-free: its rows
+stay primitive and reduction cross-multiplies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
@@ -619,42 +622,66 @@ def nilpotency_index(m: RationalMatrix) -> int:
 
 
 class SpanBasis:
-    """Incremental echelon basis of sparse vectors, for span closures."""
+    """Incremental echelon basis of sparse integer vectors, for span closures.
+
+    Fraction-free: every stored row is primitive (its entries have gcd 1)
+    with a positive lead, and reduction cross-multiplies, replacing v by
+    (a/g) v - (b/g) w where a > 0 leads the stored row w, b leads v and
+    g = gcd(a, b).  No Fraction is built; the entries must be ints, and a
+    Fraction that reaches a gcd step raises ``TypeError``.  A residual is
+    the input reduced up to a nonzero integer factor, which changes no span.
+    """
 
     __slots__ = ("_rows",)
 
     def __init__(self):
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> normalized row
+        self._rows: dict[int, dict[int, int]] = {}  # lead -> primitive row
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         vec = dict(vec)
         while vec:
             lead = min(vec)
             row = self._rows.get(lead)
             if row is None:
                 return vec
-            f = vec[lead]
+            a = row[lead]
+            b = vec[lead]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                for k in vec:
+                    vec[k] *= a
             for k, v in row.items():
                 old = vec.get(k)
                 if old is None:
-                    vec[k] = -(f * v)
+                    vec[k] = -(b * v)
                     continue
-                nv = old - f * v
+                nv = old - b * v
                 if nv:
                     vec[k] = nv
                 else:
                     del vec[k]
         return vec
 
-    def add(self, vec: dict[int, Fraction]) -> bool:
+    def add(self, vec: dict[int, int]) -> bool:
         """Add a vector; True if it enlarged the span."""
         residual = self.reduce(vec)
         if not residual:
             return False
         lead = min(residual)
-        inv = F1 / residual[lead]
-        self._rows[lead] = {k: v * inv for k, v in residual.items()}
+        g = gcd(*residual.values())
+        if residual[lead] < 0:
+            g = -g
+        if g != 1:
+            residual = {k: v // g for k, v in residual.items()}
+        self._rows[lead] = residual
         return True
+
+    def rows(self) -> list[dict[int, int]]:
+        """The stored primitive rows, a basis of the span."""
+        return list(self._rows.values())
 
     @property
     def dim(self) -> int:

@@ -3,12 +3,16 @@
 A Representation is one square matrix per basis element of its algebra.
 Nothing here assumes the homomorphism identity; ``is_homomorphism`` checks
 it.  The combinators trust their inputs, and the engine checks its final
-output once, exactly, at its boundary.
+output once, exactly, at its boundary.  Those checks run on the integer
+numerators of the matrices, and the two that need spans keep them small:
+``is_faithful`` is a rank of n flattened matrices, and ``is_nilpotent_rep``
+follows a chain of subspaces of V, not of End(V).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
@@ -110,7 +114,11 @@ def restrict_along(rho: Representation, phi: LieHom) -> Representation:
 
 
 def rep_kernel(rep: Representation) -> Subspace:
-    """{x in L : rho(x) = 0}, the kernel of the stacked map L -> End(V)."""
+    """{x in L : rho(x) = 0}, the kernel of the stacked map L -> End(V).
+
+    For the kernel vectors themselves; ``is_faithful`` decides whether the
+    kernel is zero without computing it.
+    """
     n = rep.algebra.dim
     sd = rep.space_dim
     entries = []
@@ -168,39 +176,53 @@ def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:
     return out
 
 
-def is_nilpotent_rep(rep: Representation) -> bool:
-    """Associative span chain W_1 = span{rho(e_i)}, W_{k+1} = span(W_k W_1).
+def _transposed_numerators(rep: Representation) -> list[dict[int, dict[int, int]]]:
+    """Integer forms of the nonzero rho(e_i)^T, so that ``mul_rowmaps({0: w}, t)``
+    is N_i w as a row: it visits only the columns of N_i that w holds."""
+    return [m.transpose().integer_form()[0] for m in rep.matrices if not m.is_zero()]
 
-    If the representation is nilpotent the chain hits zero within space_dim
-    steps (the matrices are simultaneously strictly triangularizable), and
-    any W_k = 0 forces every rho(x)^k = 0; so checking the chain up to
-    k = space_dim decides nilpotency exactly.  The chain runs on the integer
-    numerators N_i of rho(e_i) = N_i / d_i: a nonzero scalar does not change
-    a span, so every W_k, and the verdict, is the same.
+
+def is_faithful(rep: Representation) -> bool:
+    """Ker rho = 0, decided as rank n of the flattened matrices.
+
+    rho(e_i) = N_i / d_i, and a nonzero scalar changes no rank, so the
+    integer numerators N_i, each flattened to a vector of length
+    space_dim^2, must be linearly independent.  ``rep_kernel`` computes the
+    same kernel as a subspace, for callers that need its vectors.
     """
     sd = rep.space_dim
-    if sd == 0:
-        return True
-    generators = [m.integer_form()[0] for m in rep.matrices if not m.is_zero()]
-    if not generators:
-        return True
-    basis = SpanBasis()
-    current = []
-    for m in generators:
-        if basis.add(_flatten(m, sd)):
-            current.append(m)
-    for _ in range(sd):
-        if not current:
-            return True
-        nxt_basis = SpanBasis()
-        nxt = []
-        for w in current:
-            for g in generators:
-                p = mul_rowmaps(w, g)
-                if p and nxt_basis.add(_flatten(p, sd)):
-                    nxt.append(p)
-        current = nxt
-    return not current
+    span = SpanBasis()
+    return all(span.add(_flatten(m.integer_form()[0], sd)) for m in rep.matrices)
+
+
+def is_nilpotent_rep(rep: Representation) -> bool:
+    """Image chain U_1 = sum Im rho(e_i), U_{k+1} = sum rho(e_i) U_k in V.
+
+    U_k is spanned by the images of the words of length k in the rho(e_i),
+    so U_k = 0 exactly when every such word is zero, that is when the
+    associative algebra they generate is nilpotent.  Each word of length
+    k+1 factors through one of length k, so U_{k+1} <= U_k: the chain
+    shrinks strictly until it reaches 0, or it keeps its dimension at some
+    nonzero step and then stays there forever.  The chain runs on the
+    integer numerators N_i of rho(e_i) = N_i / d_i, applied through their
+    transposes: a nonzero scalar does not change an image, so every U_k,
+    and the verdict, is the same.
+    """
+    transposes = _transposed_numerators(rep)
+    span = SpanBasis()
+    for t in transposes:
+        for column in t.values():
+            span.add(column)
+    current = span.rows()
+    while current:
+        nxt = SpanBasis()
+        for u in current:
+            for t in transposes:
+                image = mul_rowmaps({0: u}, t)
+                if image and nxt.add(image[0]) and nxt.dim == len(current):
+                    return False
+        current = nxt.rows()
+    return True
 
 
 def kernel_submodule(
@@ -244,26 +266,29 @@ def kernel_submodule(
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:
     """Sub-representation on the smallest invariant subspace containing v.
 
-    The orbit closure runs on sparse ``{index: value}`` vectors; only the
-    closure's spanning vectors are made dense, for ``Subspace.from_vectors``.
+    The orbit closure runs on sparse integer vectors: v is scaled to its
+    integer numerators and each rho(e_i) to its integer form N_i, whose
+    transpose is built once per call.  A nonzero scalar on v or on a matrix
+    changes no closure, and ``Subspace.from_vectors`` puts the closure's
+    spanning vectors in canonical form.
     """
     sd = rep.space_dim
     if len(v) != sd:
         raise DimensionMismatch("vector must live in the representation space")
+    d = lcm(*(x.denominator for x in v if x))
+    vd = {i: x.numerator * (d // x.denominator) for i, x in enumerate(v) if x}
+    transposes = _transposed_numerators(rep)
     span = SpanBasis()
-    frontier = []
-    vd = {i: x for i, x in enumerate(v) if x}
-    if vd and span.add(vd):
-        frontier.append(vd)
+    frontier = [vd] if vd and span.add(vd) else []
     closure = list(frontier)
     while frontier:
         new_frontier = []
         for w in frontier:
-            for m in rep.matrices:
-                img = _apply_sparse(m, w)
-                if img and span.add(img):
-                    new_frontier.append(img)
-                    closure.append(img)
+            for t in transposes:
+                image = mul_rowmaps({0: w}, t)
+                if image and span.add(image[0]):
+                    new_frontier.append(image[0])
+                    closure.append(image[0])
         frontier = new_frontier
     sub = Subspace.from_vectors(sd, [dense_vector(w, sd) for w in closure])
     mats = []
@@ -273,9 +298,3 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
             raise NotInvariant("cyclic closure is not invariant")
         mats.append(x)
     return Representation(rep.algebra, sub.dim, mats)
-
-
-def _apply_sparse(m: RationalMatrix, w: dict[int, Fraction]) -> dict[int, Fraction]:
-    """m @ w for a sparse ``{index: value}`` vector, as a sparse vector."""
-    column = mul_rowmaps(m._data, {c: {0: x} for c, x in w.items()})
-    return {r: row[0] for r, row in column.items()}

@@ -136,3 +136,51 @@ def reference_kronecker(a, b):
         for k, brow in b._data.items():
             data[i * b.rows + k] = {j * b.cols + l: av * bv for j, av in arow.items() for l, bv in brow.items()}
     return RationalMatrix(a.rows * b.rows, a.cols * b.cols, data)
+
+
+# --- the Fraction span basis that linalg.SpanBasis replaced, as a reference ---
+
+
+class FractionSpanBasis:
+    """linalg.SpanBasis as it ran on Fractions: rows normalized to 1 at
+    their lead.  Kept verbatim as the reference for the fraction-free one
+    and for the reference checks that feed it Fractions."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> normalized row
+
+    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            row = self._rows.get(lead)
+            if row is None:
+                return vec
+            f = vec[lead]
+            for k, v in row.items():
+                old = vec.get(k)
+                if old is None:
+                    vec[k] = -(f * v)
+                    continue
+                nv = old - f * v
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+        return vec
+
+    def add(self, vec: dict[int, Fraction]) -> bool:
+        """Add a vector; True if it enlarged the span."""
+        residual = self.reduce(vec)
+        if not residual:
+            return False
+        lead = min(residual)
+        inv = Fraction(1) / residual[lead]
+        self._rows[lead] = {k: v * inv for k, v in residual.items()}
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -6,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import adoforge
 import adoforge.engine as engine
+import adoforge.linalg as linalg
 import adoforge.reps as reps
 from adoforge.catalog import abelian, example, heisenberg3, heisenberg5
 from adoforge.errors import (
@@ -40,6 +43,7 @@ from adoforge.liealg import LieAlgebra
 from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
+from test_reps import conjugated_corpus_reps
 
 
 class TestDistinguishByKernels:
@@ -504,3 +508,60 @@ class TestBoundaryCheck:
         assert out["cli_code"] == 1
         assert out["cli_report"]["outcome"]["error"] == "verification_failed"
         assert out["cli_report"]["verification"] == verdict
+
+
+# --- the boundary check stays in V: no kernel of the stacked End(V) map ---
+
+
+@contextlib.contextmanager
+def counting_calls(*fns):
+    """Count the calls of each fn through every adoforge module binding."""
+    counts = {fn.__name__: 0 for fn in fns}
+    modules = [m for name, m in sys.modules.items() if m is not None and name.split(".")[0] == "adoforge"]
+    patched = []
+    for fn in fns:
+        def wrapper(*args, __fn=fn, **kwargs):
+            counts[__fn.__name__] += 1
+            return __fn(*args, **kwargs)
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    patched.append((m, attr, value))
+                    setattr(m, attr, wrapper)
+    try:
+        yield counts
+    finally:
+        for m, attr, value in patched:
+            setattr(m, attr, value)
+
+
+BOUNDARY_KERNELS = (reps.rep_kernel, linalg.kernel_basis)
+
+
+@settings(deadline=None, max_examples=30)
+@given(conjugated_corpus_reps())
+def test_verify_output_builds_no_kernel(rep):
+    with counting_calls(*BOUNDARY_KERNELS) as counts:
+        report = verify_output(rep.algebra, rep)
+    assert counts == {"rep_kernel": 0, "kernel_basis": 0}
+    assert report.faithful == (rep_kernel(rep).dim == 0)
+
+
+@pytest.mark.parametrize("method", ["auto", "induction"])
+def test_construct_verifies_once_without_kernel(f4, method):
+    calls = []
+    original = engine.verify_output
+
+    def recording(algebra, rep):
+        with counting_calls(*BOUNDARY_KERNELS) as counts:
+            report = original(algebra, rep)
+        calls.append(dict(counts))
+        return report
+
+    engine.verify_output = recording
+    try:
+        rep, _ = construct_faithful_nilpotent(f4, EngineConfig(method=method))
+    finally:
+        engine.verify_output = original
+    assert calls == [{"rep_kernel": 0, "kernel_basis": 0}]
+    assert verify_output(f4, rep).ok

@@ -22,7 +22,7 @@ from adoforge.linalg import (
     solve_multi,
 )
 
-from conftest import fraction_matrix, reference_add, reference_kronecker, small_fractions, sparse_fractions
+from conftest import FractionSpanBasis, fraction_matrix, reference_add, reference_kronecker, small_fractions, sparse_fractions
 
 
 class TestRref:
@@ -762,7 +762,7 @@ def test_restricted_action_none_after_one_off_pivot_row_moves(n, data):
 def test_reduce_and_coordinates_match_zero_subtracting_reference(n, data):
     vectors = [data.draw(st.lists(unit_heavy, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(0, n)))]
     sub = Subspace.from_vectors(n, vectors)
-    span = linalg.SpanBasis()
+    span = FractionSpanBasis()
     for v in vectors:
         span.add({i: Fraction(x) for i, x in enumerate(v) if x})
     for _ in range(3):
@@ -773,3 +773,66 @@ def test_reduce_and_coordinates_match_zero_subtracting_reference(n, data):
         # integer values, as the nilpotency chain hands over
         ints = {i: int(x * 6) for i, x in sparse.items() if int(x * 6)}
         assert span.reduce(ints) == reference_reduce(span._rows, ints)
+
+
+# --- the fraction-free SpanBasis against the Fraction one it replaced ---
+
+int_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-6, max_value=6))
+
+
+def is_multiple(a, b):
+    """a = c b for a nonzero rational c (both sparse, possibly empty)."""
+    if a.keys() != b.keys():
+        return False
+    if not a:
+        return True
+    k = min(a)
+    return all(a[i] * b[k] == b[i] * a[k] for i in a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_integer_span_basis_spans_as_fraction_reference(n, data):
+    vectors = data.draw(st.lists(st.lists(int_entries, min_size=n, max_size=n), max_size=n + 2))
+    span, reference = linalg.SpanBasis(), FractionSpanBasis()
+    for v in vectors:
+        sparse = {i: x for i, x in enumerate(v) if x}
+        assert span.add(sparse) == reference.add({i: Fraction(x) for i, x in sparse.items()})
+        assert span.dim == reference.dim
+    for lead, row in span._rows.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(type(x) is int for x in row.values())
+        assert reduce(gcd, row.values()) == 1
+        # the same echelon rows, each a positive multiple of the normalized one
+        assert is_multiple(row, reference._rows[lead])
+    dense = [tuple(row.get(i, 0) for i in range(n)) for row in span.rows()]
+    assert Subspace.from_vectors(n, dense) == Subspace.from_vectors(n, vectors)
+    for _ in range(3):
+        v = data.draw(st.lists(int_entries, min_size=n, max_size=n))
+        sparse = {i: x for i, x in enumerate(v) if x}
+        residual = span.reduce(sparse)
+        assert all(type(x) is int for x in residual.values())
+        assert is_multiple(residual, reference.reduce({i: Fraction(x) for i, x in sparse.items()}))
+        assert (not residual) == Subspace.from_vectors(n, vectors).contains_vector(v)
+
+
+def test_integer_span_basis_rejects_fractions():
+    span = linalg.SpanBasis()
+    with pytest.raises(TypeError):
+        span.add({0: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        span.add({1: Fraction(2, 2), 2: Fraction(3)})
+    assert span.add({0: 2, 1: -4}) and span.rows() == [{0: 1, 1: -2}]
+    with pytest.raises(TypeError):
+        span.add({0: Fraction(1), 1: Fraction(1)})
+    assert span.add({0: -3, 2: 6}) and span.rows() == [{0: 1, 1: -2}, {1: 1, 2: -1}]
+
+
+def test_integer_span_basis_cross_multiplies():
+    span = linalg.SpanBasis()
+    assert span.add({0: 4, 1: 6})
+    assert span.rows() == [{0: 2, 1: 3}]
+    # 2 (3, 1) - 3 (2, 3) = (0, -7): no division, then the primitive (0, 1)
+    assert span.reduce({0: 3, 1: 1}) == {1: -7}
+    assert span.add({0: 3, 1: 1}) and span.rows() == [{0: 2, 1: 3}, {1: 1}]
+    assert not span.add({0: -6, 1: 5}) and span.dim == 2

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from adoforge.catalog import abelian, example
 from adoforge.errors import AlgebraMismatch, NotCentral, NotInvariant
 from adoforge.graded import graded_faithful_rep
-from adoforge.liealg import LieHom, center, identity_hom
+from adoforge.liealg import LieAlgebra, LieHom, center, identity_hom
 from adoforge.linalg import (
     RationalMatrix,
-    SpanBasis,
     Subspace,
+    block_diag,
     nilpotency_index,
     solve_multi,
     unit_vector,
@@ -22,6 +22,7 @@ from adoforge.reps import (
     cyclic_submodule,
     direct_sum,
     element_action,
+    is_faithful,
     is_homomorphism,
     is_nilpotent_rep,
     kernel_submodule,
@@ -30,7 +31,15 @@ from adoforge.reps import (
     tensor_product,
 )
 
-from conftest import corpus_algebras, reference_add, reference_kronecker, single_entry, sparse_fractions, sparse_vectors
+from conftest import FractionSpanBasis, corpus_algebras, reference_add, reference_kronecker, single_entry, sparse_fractions, sparse_vectors
+
+
+# e, f and e+h of sl2: three nilpotent matrices whose span is not
+SL2_LIKE = [
+    RationalMatrix.from_rows([[0, 1], [0, 0]]),
+    RationalMatrix.from_rows([[0, 0], [1, 0]]),
+    RationalMatrix.from_rows([[1, 1], [-1, -1]]),
+]
 
 
 def zero_rep(algebra, space_dim):
@@ -192,11 +201,8 @@ class TestIsNilpotentRep:
     def test_nilpotent_basis_non_nilpotent_span(self):
         # e, f, and e+h span sl2 by nilpotent matrices, yet the span contains
         # non-nilpotent elements; the associative chain must detect this.
-        e = RationalMatrix.from_rows([[0, 1], [0, 0]])
-        f = RationalMatrix.from_rows([[0, 0], [1, 0]])
-        g = RationalMatrix.from_rows([[1, 1], [-1, -1]])
         sl2ish = abelian(3)  # container only; homomorphism not required here
-        rep = Representation(sl2ish, 2, [e, f, g])
+        rep = Representation(sl2ish, 2, SL2_LIKE)
         assert not is_nilpotent_rep(rep)
 
 
@@ -297,12 +303,12 @@ def fraction_is_nilpotent_rep(rep):
     def flat(m):
         return {r * sd + c: v for r, c, v in m.entries()}
 
-    basis = SpanBasis()
+    basis = FractionSpanBasis()
     current = [m for m in generators if basis.add(flat(m))]
     for _ in range(sd):
         if not current:
             return True
-        nxt_basis = SpanBasis()
+        nxt_basis = FractionSpanBasis()
         nxt = []
         for w in current:
             for g in generators:
@@ -390,13 +396,161 @@ def test_integer_checks_agree_on_random_matrices(name, sd, strictly_upper, data)
     assert_checks_agree(Representation(algebra, sd, matrices))
 
 
+# --- the boundary check in V: faithfulness by rank, nilpotency by images ---
+
+
+def padded(rep, extra):
+    """rep on V + Q^extra, acting as zero on the added summand."""
+    zero = RationalMatrix.zero(extra, extra)
+    return Representation(rep.algebra, rep.space_dim + extra, [block_diag([m, zero]) for m in rep.matrices])
+
+
+def assert_faithful_agrees(rep):
+    assert is_faithful(rep) == (rep_kernel(rep).dim == 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps())
+def test_is_faithful_agrees_on_conjugated_corpus(rep):
+    assert_faithful_agrees(rep)
+
+
+@settings(deadline=None, max_examples=60)
+@given(conjugated_corpus_reps(), st.data())
+def test_is_faithful_agrees_after_one_entry_moves(rep, data):
+    # one stored entry of one matrix moves to another position (or, on a
+    # zero matrix, a new entry appears), which can make a kernel or close one
+    i = data.draw(st.integers(min_value=0, max_value=rep.algebra.dim - 1))
+    entries = list(rep.matrices[i].entries())
+    r = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    c = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    if entries:
+        r0, c0, v = data.draw(st.sampled_from(entries))
+        entries.remove((r0, c0, v))
+    else:
+        v = Fraction(1, data.draw(st.integers(min_value=1, max_value=7)))
+    matrices = list(rep.matrices)
+    matrices[i] = RationalMatrix.from_entries(rep.space_dim, rep.space_dim, entries + [(r, c, v)])
+    assert_faithful_agrees(Representation(rep.algebra, rep.space_dim, matrices))
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps(), st.data())
+def test_is_faithful_agrees_when_one_matrix_copies_another(rep, data):
+    n = rep.algebra.dim
+    if n < 2:
+        return
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    q = data.draw(small_fractions.filter(bool))
+    matrices = list(rep.matrices)
+    matrices[j] = matrices[i].scale(q)
+    moved = Representation(rep.algebra, rep.space_dim, matrices)
+    assert not is_faithful(moved)
+    assert_faithful_agrees(moved)
+
+
+@pytest.mark.parametrize("name", ["abelian1", "abelian3", "heisenberg3", "heisenberg5", "filiform4", "free2_3"])
+@pytest.mark.parametrize("extra", [0, 1, 3])
+def test_is_faithful_on_padded_adjoint(name, extra):
+    # the adjoint's kernel is the center, nonzero for a nilpotent algebra
+    algebra = example(name)
+    rep = padded(adjoint(algebra), extra)
+    assert rep_kernel(rep) == center(algebra)
+    assert not is_faithful(rep)
+    assert_faithful_agrees(rep)
+
+
+@pytest.mark.parametrize("space_dim", [0, 1, 3])
+@pytest.mark.parametrize("name", ["abelian1", "abelian2", "heisenberg3"])
+def test_is_faithful_on_zero_matrices(name, space_dim):
+    algebra = example(name)
+    rep = zero_rep(algebra, space_dim)
+    assert not is_faithful(rep)
+    assert_faithful_agrees(rep)
+    # one zero matrix among independent ones is still a kernel vector
+    if space_dim >= 2 and algebra.dim >= 2:
+        matrices = [single_entry(space_dim, 0, 1)] + list(rep.matrices[1:])
+        assert not is_faithful(Representation(algebra, space_dim, matrices))
+
+
+@pytest.mark.parametrize("space_dim", [0, 2])
+def test_is_faithful_on_zero_dimensional_algebra(space_dim):
+    rep = Representation(LieAlgebra(0, {}), space_dim, [])
+    assert is_faithful(rep)
+    assert_faithful_agrees(rep)
+    assert is_nilpotent_rep(rep) == fraction_is_nilpotent_rep(rep)
+
+
+def jordan_block(k, scale=1):
+    return RationalMatrix.from_entries(k, k, [(r, r + 1, scale) for r in range(k - 1)])
+
+
+def chain_dims(rep):
+    """dim U_1, dim U_2, ... of the image chain, in dense Fractions, until
+    it reaches 0 or keeps its dimension."""
+    vectors = [m.column(c) for m in rep.matrices for c in range(rep.space_dim)]
+    dims = []
+    while True:
+        sub = Subspace.from_vectors(rep.space_dim, vectors)
+        if dims and sub.dim == dims[-1] or sub.dim == 0:
+            return dims + [sub.dim]
+        dims.append(sub.dim)
+        vectors = [m.apply(u) for u in sub.basis_vectors() for m in rep.matrices]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1, Fraction(-2, 3)])
+def test_image_chain_shrinks_then_stalls(k, scale):
+    # Jordan block (+) the sl2-like triple: the chain sheds the Jordan part
+    # one dimension per step, then keeps the sl2 part for ever
+    algebra = abelian(3)
+    blocks = [jordan_block(k, scale), RationalMatrix.zero(k, k), jordan_block(k, 1)]
+    rep = Representation(algebra, k + 2, [block_diag([b, m]) for b, m in zip(blocks, SL2_LIKE)])
+    dims = chain_dims(rep)
+    assert dims[-1] == dims[-2] == 2 and len(dims) == k + 1
+    assert not is_nilpotent_rep(rep) and not fraction_is_nilpotent_rep(rep)
+    # without the sl2 part the same Jordan blocks are nilpotent
+    nil = Representation(algebra, k, blocks)
+    assert is_nilpotent_rep(nil) and fraction_is_nilpotent_rep(nil)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_image_chain_stalls_on_one_invertible_block(k):
+    # J_k (+) [[1/2]]: U_j = Im J_k^j (+) Q, so the chain stalls at dim 1
+    algebra = abelian(1)
+    m = block_diag([jordan_block(k), RationalMatrix.from_rows([[Fraction(1, 2)]])])
+    rep = Representation(algebra, k + 1, [m])
+    assert chain_dims(rep)[-2:] == [1, 1]
+    assert not is_nilpotent_rep(rep) and not fraction_is_nilpotent_rep(rep)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=2), st.data())
+def test_nilpotency_agrees_on_nilpotent_block_plus_any_block(k, j, data):
+    # a strictly upper triangular block shrinks the chain; the other block,
+    # unconstrained, usually makes it stall
+    algebra = example("heisenberg3")
+    upper = [(r, c) for r in range(k) for c in range(r + 1, k)]
+    cells = [(r, c) for r in range(j) for c in range(j)]
+    draw = lambda: data.draw(st.one_of(st.just(0), small_fractions))
+    matrices = [
+        block_diag([
+            RationalMatrix.from_entries(k, k, [(r, c, draw()) for r, c in upper]),
+            RationalMatrix.from_entries(j, j, [(r, c, draw()) for r, c in cells]),
+        ])
+        for _ in range(algebra.dim)
+    ]
+    rep = Representation(algebra, k + j, matrices)
+    assert is_nilpotent_rep(rep) == fraction_is_nilpotent_rep(rep)
+
+
 # --- the sparse orbit closure against the dense one it replaced -----------
 
 def dense_cyclic_submodule(rep, v):
     """cyclic_submodule as it ran before the sparse closure: a dense
     ``apply`` per image and a dict comprehension over it.  Kept as the
     reference."""
-    span = SpanBasis()
+    span = FractionSpanBasis()
     frontier = []
     vd = {i: x for i, x in enumerate(v) if x}
     if vd and span.add(vd):
