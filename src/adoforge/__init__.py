@@ -72,13 +72,13 @@ from .graded import (
     Cocycle,
     CocycleSpace,
     CurrentAlgebra,
+    cocycle_extension,
     cocycle_extension_rep,
     cocycle_space,
     current_algebra,
     current_algebra_faithful_rep,
     derivation_rep,
     euler_derivation,
-    free_nilpotent_faithful_rep,
     graded_embedding,
     graded_faithful_rep,
 )

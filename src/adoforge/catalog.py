@@ -15,6 +15,8 @@ EXAMPLE_NAMES = (
     "filiform4",
     "free{r}_{c}",
     "solvable2",
+    "cn7a",
+    "cn7b",
 )
 
 
@@ -42,6 +44,26 @@ def filiform4() -> LieAlgebra:
     )
 
 
+def _cn7(extra: dict) -> LieAlgebra:
+    brackets = {(0, i): {i + 1: 1} for i in range(1, 6)}
+    brackets.update(extra)
+    return LieAlgebra(7, brackets)
+
+
+def cn7a() -> LieAlgebra:
+    """Characteristically nilpotent (Dixmier-Lister, Proc. AMS 8, 1957):
+    every derivation is nilpotent, so none is nonsingular and there is no
+    grading.  [e0, ei] = e(i+1) for i = 1..5 and [e1, e2] = -e4 - e5 - e6,
+    [e1, e3] = -e5 - e6, [e1, e4] = -e6."""
+    return _cn7({(1, 2): {4: -1, 5: -1, 6: -1}, (1, 3): {5: -1, 6: -1}, (1, 4): {6: -1}})
+
+
+def cn7b() -> LieAlgebra:
+    """The second Dixmier-Lister algebra: as ``cn7a`` but with
+    [e1, e2] = -e4 - e6, [e1, e3] = -e5, [e1, e4] = -e6."""
+    return _cn7({(1, 2): {4: -1, 6: -1}, (1, 3): {5: -1}, (1, 4): {6: -1}})
+
+
 def solvable2() -> LieAlgebra:
     """Two-dimensional non-nilpotent algebra [e0, e1] = e1."""
     return LieAlgebra(2, {(0, 1): {1: 1}})
@@ -60,6 +82,10 @@ def example(name: str) -> LieAlgebra:
         return filiform4()
     if name == "solvable2":
         return solvable2()
+    if name == "cn7a":
+        return cn7a()
+    if name == "cn7b":
+        return cn7b()
     m = _ABELIAN.match(name)
     if m:
         n = int(m.group(1))

@@ -2,9 +2,10 @@
 
 Data goes to stdout (or --out); a machine-readable run report goes to stderr
 on every invocation, a command line that does not parse included.  Exit
-codes: 0 ok, 1 validation/verification failure, 2 parse error (an unknown or
-malformed flag, a bad ``--max-tensor-power`` or ``ADO_FORGE_BUDGET``),
-3 not nilpotent, 4 budget exceeded.  An unexpected exception is recorded as
+codes: 0 ok, 1 validation/verification failure, 2 parse error (an unknown flag
+such as ``--max-tensor-power``, a malformed one, a ``--method`` other than
+``auto`` or ``induction``, or a bad ``ADO_FORGE_BUDGET``), 3 not nilpotent,
+4 budget exceeded.  An unexpected exception is recorded as
 ``internal_error`` in the run report and then re-raised.
 """
 
@@ -176,16 +177,9 @@ def cmd_info(args, run: _Run) -> int:
 def _engine_config(args) -> EngineConfig:
     budget = os.environ.get("ADO_FORGE_BUDGET") or "20000"
     try:
-        return EngineConfig(
-            method=args.method,
-            max_tensor_power=args.max_tensor_power,
-            dimension_budget=int(budget),
-        )
+        return EngineConfig(method=args.method, dimension_budget=int(budget))
     except ValueError as exc:
-        raise ParseError(
-            f"bad engine setting (ADO_FORGE_BUDGET={budget!r}, "
-            f"--max-tensor-power {args.max_tensor_power}): {exc}"
-        ) from exc
+        raise ParseError(f"bad engine setting (ADO_FORGE_BUDGET={budget!r}): {exc}") from exc
 
 
 def cmd_construct(args, run: _Run) -> int:
@@ -270,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a faithful nilpotent representation")
     p.add_argument("path")
-    p.add_argument("--method", choices=("auto", "graded", "induction"), default="auto")
-    p.add_argument("--max-tensor-power", type=int, default=6)
+    p.add_argument("--method", choices=("auto", "induction"), default="auto")
     p.add_argument("--out", default=None, help="representation JSON path (default stdout)")
     p.add_argument("--certificate", default=None, help="certificate JSON path")
     p.set_defaults(func=cmd_construct)

@@ -2,20 +2,22 @@
 search, gluing, transport back to the input algebra, and certificates.
 
 The pipeline builds a faithful nilpotent representation for any validated
-nilpotent algebra over Q.  Algebras with a verified grading take the direct
-graded route: the dim L + 1 representation of their scaling derivation,
-whose size is checked against the budget before it is built.  Everything
-else is presented as a quotient F/I of a free nilpotent algebra and handled
-by walking a codimension-one ideal flag inside I.  At each flag step the
+nilpotent algebra over Q.  Under ``auto``, algebras with a grading take the
+direct graded route: the dim L + 1 representation of their scaling
+derivation, whose size is checked against the budget before ``validate``
+(which rejects a grading the brackets do not respect).  Everything else is
+presented as a quotient F/I of a free nilpotent algebra and handled by
+walking a codimension-one ideal flag inside I.  At each flag step the
 previous algebra is a one-dimensional central extension of the next one;
 non-central directions are separated by the adjoint representation, central
-ones by searching tensor powers of the previous faithful representation for
-a kernel non-inclusion witness, carving out the kernel submodule it acts on
-and compressing that to the cyclic submodule the witness generates.  The
-interior steps do not re-prove what the construction guarantees, such as the
-centrality of each flag image; ``construct_faithful_nilpotent`` verifies its
-output exactly, once, and raises ``VerificationFailed`` when that fails.
-``EngineConfig`` has three keys: ``method`` and two budgets.
+ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
+faithful representation for a kernel non-inclusion witness, carving out the
+kernel submodule it acts on and compressing that to the cyclic submodule the
+witness generates.  The interior steps do not re-prove what the construction
+guarantees, such as the centrality of each flag image;
+``construct_faithful_nilpotent`` verifies its output exactly, once, and
+raises ``VerificationFailed`` when that fails.  ``EngineConfig`` has two
+keys: ``method`` and ``dimension_budget``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
     DegenerateFlag,
-    InvalidGrading,
     NotInvertible,
     NotLinearlyIndependent,
     NotSurjective,
@@ -58,10 +59,9 @@ from .liealg import (
     nilpotency_class,
     quotient,
     validate,
-    verify_grading,
 )
 from .freenilp import present
-from .graded import free_nilpotent_faithful_rep, graded_faithful_rep
+from .graded import current_algebra_faithful_rep, graded_faithful_rep
 from .reps import (
     Representation,
     adjoint,
@@ -81,20 +81,21 @@ Separator = Callable[[Sequence[Fraction]], Representation]
 
 # Bumped whenever the config keys or the fields of a step change, so a
 # certificate of another format fails replay by name, not by divergence.
-CERTIFICATE_FORMAT_VERSION = 1
+CERTIFICATE_FORMAT_VERSION = 2
+
+MAX_TENSOR_POWER = 6  # highest tensor power the kernel search builds
 
 
 @dataclass
 class EngineConfig:
-    method: str = "auto"              # auto | graded | induction
-    max_tensor_power: int = 6
+    method: str = "auto"              # auto | induction
     dimension_budget: int = 20000     # representation space cap
 
     def __post_init__(self):
-        if self.method not in ("auto", "graded", "induction"):
+        if self.method not in ("auto", "induction"):
             raise ValueError(f"unknown method {self.method!r}")
-        if any(type(b) is not int or b < 1 for b in (self.max_tensor_power, self.dimension_budget)):
-            raise ValueError("all budgets must be positive integers")
+        if type(self.dimension_budget) is not int or self.dimension_budget < 1:
+            raise ValueError("dimension_budget must be a positive integer")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -191,17 +192,18 @@ def _distinguish(
     kernel basis of rho(z), that kernel).  The family of tensor powers of a
     faithful nilpotent representation is closed under tensoring and contains
     a faithful member, which is exactly what makes some finite power
-    succeed; the budgets turn "finite" into an explicit failure mode instead
-    of an unbounded run.  Searches that share rho0 and z pass the same
-    ``ladder``, so each power and its z-kernel is built at most once; the
-    dimension budget is checked before a new power is built.
+    succeed; ``MAX_TENSOR_POWER`` and the dimension budget turn "finite"
+    into an explicit failure mode instead of an unbounded run.  Searches
+    that share rho0 and z pass the same ``ladder``, so each power and its
+    z-kernel is built at most once; the dimension budget is checked before a
+    new power is built.
     """
     pair = RationalMatrix.from_columns(rho0.algebra.dim, [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
     if ladder is None:
         ladder = []
-    for power in range(1, config.max_tensor_power + 1):
+    for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
             rho = rho0
             if ladder:
@@ -218,7 +220,7 @@ def _distinguish(
         if witness is not None:
             return rho, power, witness, kernel
     raise TensorBudgetExceeded(
-        f"no kernel witness within tensor power {config.max_tensor_power}"
+        f"no kernel witness within tensor power {MAX_TENSOR_POWER}"
     )
 
 
@@ -308,7 +310,7 @@ def _induction_pipeline(
         kernel_dim=pres.I.dim,
         nil_class=pres.F.grading.max_degree,
     )
-    rho = free_nilpotent_faithful_rep(pres.F)
+    rho = current_algebra_faithful_rep(pres.F)
     _check_budget(rho.space_dim, config)
     cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
 
@@ -385,17 +387,16 @@ def construct_faithful_nilpotent(
     ``VerificationFailed`` when any of the three properties fails.
     """
     config = config or EngineConfig()
+    graded = config.method == "auto" and algebra.grading is not None
+    if graded:
+        _check_budget(algebra.dim + 1, config)
     if not validate(algebra).ok:
         raise ValidationFailed("input algebra fails validation; run validate() for details")
     nilpotency_class(algebra)  # raises NotNilpotent otherwise
     cert = Certificate(config=config.as_dict())
-    graded_ok = algebra.grading is not None and verify_grading(algebra)
-    if config.method == "graded" and not graded_ok:
-        raise InvalidGrading("method=graded requires a valid grading on the input")
     if algebra.dim == 0:
         rep = Representation(algebra, 0, [])
-    elif config.method == "graded" or (config.method == "auto" and graded_ok):
-        _check_budget(algebra.dim + 1, config)
+    elif graded:
         rep = graded_faithful_rep(algebra)
         cert.add("graded_pipeline", derivation=list(algebra.grading.degrees), rep_dim=rep.space_dim)
     else:

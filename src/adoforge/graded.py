@@ -1,5 +1,7 @@
 """Graded routes: one nonsingular derivation, and the paper's current-algebra
-pipeline.
+pipeline.  Both are cocycle extensions, which only ``cocycle_extension``
+assembles: for 1-cocycles psi_b in Z^1(L, V), x acts on V + Q^k by
+[[rho(x), psi_1(x) ... psi_k(x)], [0, 0]].
 
 A derivation D of L is a 1-cocycle for the adjoint representation:
 [x, Dy] - [y, Dx] = D[x, y].  When ker D = 0, letting x act on L + Q by
@@ -207,6 +209,23 @@ def euler_derivation(current: CurrentAlgebra) -> Cocycle:
     return Cocycle(ad, RationalMatrix.from_entries(product.dim, product.dim, entries))
 
 
+def cocycle_extension(rep: Representation, maps: list[RationalMatrix]) -> Representation:
+    """[[rho(x), psi_1(x) ... psi_k(x)], [0, 0]] on V + Q^k, where column i of
+    maps[b] (space_dim x algebra.dim) is psi_b(e_i).  A homomorphism when
+    every psi_b is a 1-cocycle for rep, nilpotent whenever rep is; its
+    kernel is Ker rho intersected with every Ker psi_b."""
+    vd, n = rep.space_dim, rep.algebra.dim
+    if any(m.rows != vd or m.cols != n for m in maps):
+        raise DimensionMismatch("extension maps must be space_dim x algebra.dim")
+    total = vd + len(maps)
+    data = [{r: dict(row) for r, row in m._data.items()} for m in rep.matrices]
+    for b, psi in enumerate(maps):
+        for r, row in psi._data.items():
+            for i, v in row.items():
+                data[i].setdefault(r, {})[vd + b] = v
+    return Representation(rep.algebra, total, [RationalMatrix(total, total, d) for d in data])
+
+
 def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle) -> Representation:
     """Faithful extension on V + Z^1(L, V) given a cocycle with zero kernel.
 
@@ -223,15 +242,8 @@ def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle
     if kernel_basis(phi.map).dim != 0:
         raise DegenerateCocycle("cocycle has a nonzero kernel")
     space = cocycle_space(algebra, rep)
-    vd = rep.space_dim
-    total = vd + space.dim
-    # column vd + b of rho(e_i) is psi_b(e_i), read off psi_b's row maps
-    data = [{r: dict(row) for r, row in m._data.items()} for m in rep.matrices]
-    for b, psi in enumerate(space.basis):
-        for r, row in psi.map._data.items():
-            for i, v in row.items():
-                data[i].setdefault(r, {})[vd + b] = v
-    return Representation(algebra, total, [RationalMatrix(total, total, d) for d in data])
+    extended = cocycle_extension(rep, [psi.map for psi in space.basis])
+    return Representation(algebra, extended.space_dim, extended.matrices)
 
 
 def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
@@ -242,15 +254,7 @@ def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
     faithful because rho(x) = 0 forces D(x) = 0, and nilpotent because it is
     block upper triangular with ad x nilpotent on the diagonal.
     """
-    n = algebra.dim
-    if D.rows != n or D.cols != n:
-        raise DimensionMismatch("derivation must be a dim x dim matrix")
-    mats = []
-    for i, ad_i in enumerate(adjoint(algebra).matrices):
-        entries = list(ad_i.entries())
-        entries.extend((r, n, v) for r, v in enumerate(D.column(i)) if v)
-        mats.append(RationalMatrix.from_entries(n + 1, n + 1, entries))
-    return Representation(algebra, n + 1, mats)
+    return cocycle_extension(adjoint(algebra), [D])
 
 
 def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
@@ -275,15 +279,7 @@ def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
     n = 1 + algebra.grading.max_degree
     current = current_algebra(algebra, n)
     embedding = graded_embedding(algebra, current)
-    ad = adjoint(current.product)
     phi = euler_derivation(current)
-    extended = cocycle_extension_rep(current.product, ad, phi)
+    extended = cocycle_extension_rep(current.product, phi.rep, phi)
     return restrict_along(extended, embedding)
 
-
-def free_nilpotent_faithful_rep(free_algebra: LieAlgebra) -> Representation:
-    """Faithful nilpotent representation of a free nilpotent algebra carrying
-    its Hall-degree grading, by the current-algebra pipeline."""
-    if free_algebra.grading is None:
-        raise InvalidGrading("free nilpotent algebra must carry its degree grading")
-    return current_algebra_faithful_rep(free_algebra)

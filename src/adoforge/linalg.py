@@ -69,13 +69,14 @@ class RationalMatrix:
     empty rows, so equality of the maps is equality of matrices.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_integer_form")
 
     def __init__(self, rows: int, cols: int, data: dict[int, dict[int, Fraction]]):
         # Takes ownership of `data`; callers go through the classmethods.
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._integer_form = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -200,12 +201,18 @@ class RationalMatrix:
 
     def integer_form(self) -> tuple[dict[int, dict[int, int]], int]:
         """(N, d) with self == N / d: d is the lcm of the entry denominators
-        and N the ``{row: {col: int}}`` map of numerators over d."""
-        d = lcm(*{v.denominator for row in self._data.values() for v in row.values()})
-        numerators = {
-            r: {c: v.numerator * (d // v.denominator) for c, v in row.items()} for r, row in self._data.items()
-        }
-        return numerators, d
+        and N the ``{row: {col: int}}`` map of numerators over d.
+
+        Built on the first call and returned as the same object after that,
+        so every caller shares N and must not mutate it.
+        """
+        if self._integer_form is None:
+            d = lcm(*{v.denominator for row in self._data.values() for v in row.values()})
+            numerators = {
+                r: {c: v.numerator * (d // v.denominator) for c, v in row.items()} for r, row in self._data.items()
+            }
+            self._integer_form = numerators, d
+        return self._integer_form
 
     def apply(self, vec: Sequence[Fraction]) -> Vector:
         """Matrix-vector product as a dense tuple."""

@@ -177,9 +177,19 @@ def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:
 
 
 def _transposed_numerators(rep: Representation) -> list[dict[int, dict[int, int]]]:
-    """Integer forms of the nonzero rho(e_i)^T, so that ``mul_rowmaps({0: w}, t)``
-    is N_i w as a row: it visits only the columns of N_i that w holds."""
-    return [m.transpose().integer_form()[0] for m in rep.matrices if not m.is_zero()]
+    """N_i^T for the integer forms N_i of the nonzero rho(e_i), so that
+    ``mul_rowmaps({0: w}, t)`` is N_i w as a row: it visits only the columns
+    of N_i that w holds.  The shared integer forms are read, not copied."""
+    transposes = []
+    for m in rep.matrices:
+        if m.is_zero():
+            continue
+        t: dict[int, dict[int, int]] = {}
+        for r, row in m.integer_form()[0].items():
+            for c, v in row.items():
+                t.setdefault(c, {})[r] = v
+        transposes.append(t)
+    return transposes
 
 
 def is_faithful(rep: Representation) -> bool:

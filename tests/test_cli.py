@@ -82,10 +82,10 @@ class TestJsonFormats:
 
         rep, cert = construct_faithful_nilpotent(heisenberg3())
         obj = certificate_to_json(cert)
-        assert obj["format_version"] == 1
+        assert obj["format_version"] == 2
         again = certificate_from_json(load_json(dumps_canonical(obj)))
         assert again.steps == cert.steps and again.config == cert.config
-        assert again.format_version == 1
+        assert again.format_version == 2
 
 
 class TestExamples:
@@ -93,8 +93,9 @@ class TestExamples:
         code, out, _ = run_cli(["examples", "--list"], capsys)
         assert code == 0
         names = out.strip().splitlines()
-        assert len(names) == 6
+        assert len(names) == 8
         assert "heisenberg3" in names and "free{r}_{c}" in names
+        assert "cn7a" in names and "cn7b" in names
 
     def test_heisenberg3_payload(self, capsys):
         code, out, _ = run_cli(["examples", "heisenberg3"], capsys)
@@ -172,14 +173,18 @@ class TestInfoCommand:
 
 class TestConstructCommand:
     def test_graded_method(self, tmp_path, capsys):
+        """``auto`` takes the graded route on an input with a grading."""
         path = write_example(tmp_path, "heisenberg3", capsys)
-        rep_path = tmp_path / "rep.json"
+        rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
         code, _, report = run_cli(
-            ["construct", str(path), "--method", "graded", "--out", str(rep_path)], capsys
+            ["construct", str(path), "--method", "auto", "--out", str(rep_path), "--certificate", str(cert_path)],
+            capsys,
         )
         assert code == 0
         assert report["verification"] == {"homomorphism": True, "faithful": True, "nilpotent": True}
-        assert rep_path.exists()
+        assert report["output_dims"] == {"algebra_dim": 3, "space_dim": 4}
+        cert = certificate_from_json(json.loads(cert_path.read_text()))
+        assert cert.steps[0]["kind"] == "graded_pipeline"
 
     def test_induction_certificate_structure(self, tmp_path, capsys):
         path = write_example(tmp_path, "filiform4", capsys)
@@ -215,6 +220,29 @@ class TestConstructCommand:
         code, _, report = run_cli(["construct", str(path), "--method", "induction"], capsys)
         assert code == 4
 
+    def test_graded_budget_exits_4_before_validating(self, tmp_path, capsys, monkeypatch):
+        """dim + 1 = 20001 is over the default budget: the graded route
+        raises before the O(n^3) Jacobi check, counted through the module
+        bindings.  A call is counted and then refused, since the real check
+        would not finish on this input."""
+        calls = {"validate": 0, "nilpotency_class": 0}
+
+        def refusing(name):
+            def wrapper(*args):
+                calls[name] += 1
+                raise RuntimeError(f"{name} called before the budget check")
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, refusing(name))
+        monkeypatch.setattr(cli, "validate", refusing("validate"))
+        path = write_example(tmp_path, "abelian20000", capsys)
+        code, _, report = run_cli(["construct", str(path)], capsys)
+        assert code == 4
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert "20001" in report["outcome"]["message"]
+        assert calls == {"validate": 0, "nilpotency_class": 0}
+
     def test_graded_budget_exits_4_before_building(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(engine, "graded_faithful_rep", lambda a: calls.append(a))
@@ -234,8 +262,9 @@ class TestConstructCommand:
             (None, ["--max-tensor-power", "abc"]),
             (None, ["--bogus"]),
             (None, ["--no-compress"]),
+            (None, ["--method", "graded"]),
         ],
-        ids=["budget-abc", "budget-0", "tensor-power-0", "tensor-power-abc", "bogus", "no-compress"],
+        ids=["budget-abc", "budget-0", "tensor-power-0", "tensor-power-abc", "bogus", "no-compress", "method-graded"],
     )
     def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, budget, extra):
         path = write_example(tmp_path, "heisenberg3", capsys)
@@ -244,7 +273,7 @@ class TestConstructCommand:
         code, _, report = run_cli(["construct", str(path), *extra], capsys)
         assert code == 2
         assert report["outcome"]["error"] == "parse_error"
-        assert (extra[0] if extra else "ADO_FORGE_BUDGET") in report["outcome"]["message"]
+        assert all(word in report["outcome"]["message"] for word in extra or ["ADO_FORGE_BUDGET"])
 
     def test_crash_reported_as_internal_error(self, tmp_path, capsys, monkeypatch):
         def crash(*args):
@@ -312,8 +341,9 @@ class TestConstructCommand:
         code, _, _ = run_cli(["verify", str(path), str(rep_path)], capsys)
         assert code == 0
         code, _, report = run_cli(["construct", str(path), "--method", "graded"], capsys)
-        assert code == 1
-        assert report["outcome"]["error"] == "invalid_grading"
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert "'graded'" in report["outcome"]["message"]
 
 
 class TestVerifyCommand:

@@ -17,7 +17,6 @@ from adoforge.catalog import abelian, example, heisenberg3, heisenberg5
 from adoforge.errors import (
     BudgetExceeded,
     DegenerateFlag,
-    InvalidGrading,
     NotLinearlyIndependent,
     NotInvertible,
     NotNilpotent,
@@ -39,7 +38,7 @@ from adoforge.engine import (
 from adoforge.freenilp import present
 from adoforge.graded import graded_faithful_rep
 from adoforge.jsonio import certificate_from_json, certificate_to_json
-from adoforge.liealg import LieAlgebra
+from adoforge.liealg import Grading, LieAlgebra
 from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
@@ -76,20 +75,24 @@ class TestDistinguishByKernels:
 
     def test_budget_failure_reported(self, h3, std_h3_rep):
         # kernels of dependent directions cannot be distinguished, but the
-        # search treats any independent pair; force exhaustion with power 1
-        # on a pair whose witness needs the cocycle part that this tiny
-        # representation lacks.
+        # search treats any independent pair; force exhaustion on a pair
+        # whose witness needs the cocycle part that this tiny representation
+        # lacks.
         rep = Representation(
             h3,
             3,
             [RationalMatrix.zero(3, 3), std_h3_rep.matrices[1], std_h3_rep.matrices[2]],
         )
         # Ker rho(z) for z = e2 is inside Ker rho(e0) = everything here,
-        # and tensor powers keep that inclusion, so the budget must fire.
+        # and tensor powers keep that inclusion, so the search must stop at
+        # MAX_TENSOR_POWER (3^6 = 729 is inside the default budget).
+        assert engine.MAX_TENSOR_POWER == 6
+        with pytest.raises(TensorBudgetExceeded, match="within tensor power 6"):
+            distinguish_by_kernels(rep, unit_vector(3, 2), unit_vector(3, 0))
+        ladder = []
         with pytest.raises(TensorBudgetExceeded):
-            distinguish_by_kernels(
-                rep, unit_vector(3, 2), unit_vector(3, 0), EngineConfig(max_tensor_power=2)
-            )
+            engine._distinguish(rep, unit_vector(3, 2), unit_vector(3, 0), EngineConfig(), ladder)
+        assert [r.space_dim for r, _ in ladder] == [3, 9, 27, 81, 243, 729]
 
 
 class TestTensorLadder:
@@ -190,6 +193,17 @@ class TestConstruct:
         assert cert.steps[0]["kind"] == "graded_pipeline"
         assert verify_output(h3, rep).ok
 
+    @pytest.mark.parametrize("method", ["auto", "induction"])
+    def test_unrespected_grading_fails_validation(self, method, monkeypatch):
+        # [e0, e1] = e2 needs deg e2 = 2; auto picks the graded route from
+        # the grading alone, so validate must stop it before it is built
+        built = []
+        monkeypatch.setattr(engine, "graded_faithful_rep", built.append)
+        wrong = LieAlgebra(3, {(0, 1): {2: 1}}, grading=Grading((1, 1, 1)))
+        with pytest.raises(ValidationFailed):
+            construct_faithful_nilpotent(wrong, EngineConfig(method=method))
+        assert built == []
+
     def test_h3_induction_trivial_kernel(self, h3):
         rep, cert = construct_faithful_nilpotent(h3, EngineConfig(method="induction"))
         assert cert.steps_of_kind("presented")[0]["kernel_dim"] == 0
@@ -211,13 +225,15 @@ class TestConstruct:
             assert isinstance(step["compressed_dim"], int)
             assert 0 < step["compressed_dim"] <= step["carrier_dim"]
 
-    def test_config_has_three_keys(self):
-        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "method", "max_tensor_power", "dimension_budget",
-        ]
-        assert EngineConfig().as_dict() == {
-            "method": "auto", "max_tensor_power": 6, "dimension_budget": 20000,
-        }
+    def test_config_has_two_keys(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == ["method", "dimension_budget"]
+        assert EngineConfig().as_dict() == {"method": "auto", "dimension_budget": 20000}
+        assert EngineConfig(method="induction").method == "induction"
+
+    @pytest.mark.parametrize("method", ["graded", "fastest", "Auto"])
+    def test_only_auto_and_induction_methods(self, method):
+        with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+            EngineConfig(method=method)
 
     def test_not_nilpotent_rejected(self, solvable):
         with pytest.raises(NotNilpotent):
@@ -228,11 +244,6 @@ class TestConstruct:
         broken = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {0: 1}})
         with pytest.raises(ValidationFailed):
             construct_faithful_nilpotent(broken)
-
-    def test_graded_method_needs_grading(self, solvable):
-        bare = LieAlgebra(2, {})
-        with pytest.raises(InvalidGrading):
-            construct_faithful_nilpotent(bare, EngineConfig(method="graded"))
 
     def test_free2_4_auto(self):
         rep, cert = construct_faithful_nilpotent(example("free2_4"))
@@ -247,8 +258,9 @@ class TestConstruct:
         ]
 
     def test_graded_and_induction_agree_on_properties(self, f4):
-        fast, _ = construct_faithful_nilpotent(f4, EngineConfig(method="graded"))
+        fast, fast_cert = construct_faithful_nilpotent(f4, EngineConfig(method="auto"))
         slow, _ = construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
+        assert fast_cert.steps_of_kind("graded_pipeline")[0]["derivation"] == [1, 1, 2, 3]
         assert verify_output(f4, fast).ok and verify_output(f4, slow).ok
 
 
@@ -422,14 +434,28 @@ class TestReplay:
             "config": dict(cert.config, free_dimension_budget=200, compress=True),
             "steps": cert.steps,
         }
-        with pytest.raises(ReplayFailed, match="format_version None is not 1"):
+        with pytest.raises(ReplayFailed, match="format_version None is not 2"):
             replay_certificate(h3, certificate_from_json(old))
 
-    @pytest.mark.parametrize("version", [0, 2, "1", 1.0, True])
+    def test_version_1_certificate_rejected_by_version(self, h3):
+        """A format-1 certificate, with the three-key configuration that
+        still held ``max_tensor_power``."""
+        _, cert = construct_faithful_nilpotent(h3)
+        old = dict(certificate_to_json(cert), format_version=1, config=dict(cert.config, max_tensor_power=6))
+        with pytest.raises(ReplayFailed, match="format_version 1 is not 2"):
+            replay_certificate(h3, certificate_from_json(old))
+
+    def test_max_tensor_power_key_rejected_by_name(self, h3):
+        _, cert = construct_faithful_nilpotent(h3)
+        old = Certificate(config=dict(cert.config, max_tensor_power=6), steps=cert.steps)
+        with pytest.raises(ReplayFailed, match=r"unknown \['max_tensor_power'\], missing \[\]"):
+            replay_certificate(h3, old)
+
+    @pytest.mark.parametrize("version", [0, 1, "2", 1.0, 2.0, True])
     def test_other_version_rejected(self, h3, version):
         _, cert = construct_faithful_nilpotent(h3)
         obj = dict(certificate_to_json(cert), format_version=version)
-        with pytest.raises(ReplayFailed, match=f"format_version {version!r} is not 1"):
+        with pytest.raises(ReplayFailed, match=f"format_version {version!r} is not 2"):
             replay_certificate(h3, certificate_from_json(obj))
 
     def test_unknown_config_keys_named(self, h3):
@@ -438,8 +464,8 @@ class TestReplay:
         with pytest.raises(ReplayFailed, match=r"unknown \['compress'\], missing \[\]"):
             replay_certificate(h3, extra)
         short = dict(cert.config)
-        del short["max_tensor_power"]
-        with pytest.raises(ReplayFailed, match=r"unknown \[\], missing \['max_tensor_power'\]"):
+        del short["dimension_budget"]
+        with pytest.raises(ReplayFailed, match=r"unknown \[\], missing \['dimension_budget'\]"):
             replay_certificate(h3, Certificate(config=short, steps=cert.steps))
 
     @pytest.mark.parametrize(
@@ -447,9 +473,10 @@ class TestReplay:
         [
             {"method": "fastest"},
             {"dimension_budget": 0},
-            {"max_tensor_power": "6"},
-            {"max_tensor_power": 2.5},
+            {"dimension_budget": "20000"},
+            {"dimension_budget": 2.5},
             {"dimension_budget": True},
+            {"method": "graded"},
         ],
     )
     def test_invalid_config_values_typed(self, h3, change):

@@ -37,17 +37,17 @@ CASES = {
     "filiform4": (
         filiform4,
         "0b1bda994d376b45b956a72e722561f9c08ec46717ee9d2399c8ed7e8145f58a",
-        "254f4d25ee65ff915d123bb7e57fe3a5d95977a80f0ea0eff130576858406b37",
+        "219316b5957e192bcf6ae1995d30334f1ca0d11d2c2fffcc81a0f3744bda5b11",
     ),
     "heisenberg5": (
         heisenberg5,
         "b6073e3614567daaf970938c078fb124e0151a4343f8c9b5ee584440f3ad49ac",
-        "46315334399b42f98b3e37c5f71beab671ef9d48c3bb87d49191dd8a1d3c2a62",
+        "0c7b8069f9d42afed38bc49c53dc76a02444214f95b5f38d2c9bc3663417d990",
     ),
     "heisenberg5_rebased": (
         lambda: rebased(heisenberg5()),
         "30802820a23502b538b89c021940fb4d8b85c0a25f41ead3c4671fe5a31765dd",
-        "adbb7473684c456e220e6bfd44fffab75137e06ae6e5f933cb18007a49b272bf",
+        "d133cadeec74f42fb310368101eb61203b912461f6349841afbb6e1238d3e9a9",
     ),
 }
 
@@ -71,15 +71,15 @@ def test_induction_output_bytes_pinned(tmp_path, capsys, name):
 GRADED_CASES = {
     "heisenberg3": (
         "61ad730dfb28534d1407527da50feff22415a46d526b79ea4489a9b0488f9c49",
-        "b032485222169295187c05dca7df54c542d5a76762e0221d68ebe85253b49b1d",
+        "b323ab5ebcd4d20057d172707a327f2499d6bae34a0b1a3b4095b01e6cd257d7",
     ),
     "filiform4": (
         "486b642b58394349751cb6497e5dc3ed3e298bc1db230d4b9d0894e6e579fb94",
-        "e5cfbcaba7b115ba249666436bf209c4d03825a1999a5edf38605a774b3d0275",
+        "10561aecc1c79ce778b0888853257773d129f0135d7212d24ca11a4d9833bb9f",
     ),
     "free2_3": (
         "cdbfccfa86eb760b099bdf724cb5a14bb99d2b61e39a3209d627f73593460806",
-        "b55672b12b714e84f162af4a8e833a542c65f43490c6fe9008a273c55ec1d28a",
+        "b9f0e475f3ec91140c609221918b444fc6a8f0b373263a23adecdeac80a9bf15",
     ),
 }
 

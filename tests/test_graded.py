@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adoforge.engine as engine
 from adoforge.catalog import abelian, example, filiform4, heisenberg3
 from adoforge.engine import verify_output
 from adoforge.errors import (
@@ -16,17 +17,17 @@ from adoforge.errors import (
 from adoforge.freenilp import free_nilpotent
 from adoforge.graded import (
     Cocycle,
+    cocycle_extension,
     cocycle_extension_rep,
     cocycle_space,
     current_algebra,
     current_algebra_faithful_rep,
     derivation_rep,
     euler_derivation,
-    free_nilpotent_faithful_rep,
     graded_embedding,
     graded_faithful_rep,
 )
-from adoforge.liealg import LieAlgebra, lower_central_series, validate
+from adoforge.liealg import LieAlgebra, center, lower_central_series, validate
 from adoforge.linalg import RationalMatrix, dense_vector, kernel_basis, unit_vector, vec_is_zero
 from adoforge.reps import (
     Representation,
@@ -36,7 +37,7 @@ from adoforge.reps import (
     rep_kernel,
 )
 
-from conftest import corpus_algebras, small_fractions
+from conftest import CORPUS, corpus_algebras, small_fractions
 
 
 class TestCurrentAlgebra:
@@ -208,6 +209,58 @@ class TestCocycleExtension:
             assert extended.matrices[i] == RationalMatrix.from_entries(total, total, entries)
 
 
+def scaling_derivation(algebra):
+    return RationalMatrix.from_entries(
+        algebra.dim, algebra.dim, [(i, i, d) for i, d in enumerate(algebra.grading.degrees)]
+    )
+
+
+class TestCocycleExtensionBuilder:
+    """``cocycle_extension`` is the one builder of the extension matrices;
+    ``derivation_rep`` and ``cocycle_extension_rep`` call it."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_no_maps_returns_rep(self, name):
+        algebra = example(name)
+        for rep in (adjoint(algebra), graded_faithful_rep(algebra)):
+            extended = cocycle_extension(rep, [])
+            assert extended.algebra is rep.algebra
+            assert extended.space_dim == rep.space_dim
+            assert extended.matrices == rep.matrices
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_derivation_rep_is_one_map_extension(self, name):
+        algebra = example(name)
+        n = algebra.dim
+        ad = adjoint(algebra)
+        for D in (scaling_derivation(algebra), RationalMatrix.identity(n), ad.matrices[0]):
+            rep = derivation_rep(algebra, D)
+            assert rep.matrices == cocycle_extension(ad, [D]).matrices
+            # the block matrix written out: ad e_i, then D e_i in column n
+            for i in range(n):
+                entries = list(ad.matrices[i].entries())
+                entries.extend((r, n, v) for r, v in enumerate(D.column(i)) if v)
+                assert rep.matrices[i] == RationalMatrix.from_entries(n + 1, n + 1, entries)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_cocycle_extension_rep_extends_by_cocycle_basis(self, name):
+        algebra = example(name)
+        ad = adjoint(algebra)
+        phi = Cocycle(ad, scaling_derivation(algebra))
+        extended = cocycle_extension_rep(algebra, ad, phi)
+        space = cocycle_space(algebra, ad)
+        assert extended.algebra is algebra
+        assert extended.space_dim == algebra.dim + space.dim
+        assert extended.matrices == cocycle_extension(ad, [psi.map for psi in space.basis]).matrices
+        assert verify_output(algebra, extended).ok
+
+    def test_map_shape_checked(self, h3):
+        ad = adjoint(h3)
+        for shape in ((3, 2), (2, 3), (4, 3)):
+            with pytest.raises(DimensionMismatch):
+                cocycle_extension(ad, [RationalMatrix.zero(*shape)])
+
+
 class TestGradedFaithfulRep:
     def test_abelian1(self):
         rep = graded_faithful_rep(abelian(1))
@@ -289,20 +342,32 @@ class TestCurrentAlgebraFaithfulRep:
 
 
 class TestFreeNilpotentFaithfulRep:
+    """``current_algebra_faithful_rep`` on free nilpotent algebras, which is
+    how the engine seeds the induction route."""
+
     def test_free11(self):
-        rep = free_nilpotent_faithful_rep(free_nilpotent(1, 1))
+        rep = current_algebra_faithful_rep(free_nilpotent(1, 1))
         assert rep.space_dim == 2
 
-    def test_seeded_by_current_algebra_route(self):
-        f = free_nilpotent(2, 3)
-        rep = free_nilpotent_faithful_rep(f)
+    def test_seeded_by_current_algebra_route(self, monkeypatch):
+        seeds = []
+        real = engine.current_algebra_faithful_rep
+
+        def recording(algebra):
+            seeds.append((algebra, real(algebra)))
+            return seeds[-1][1]
+
+        monkeypatch.setattr(engine, "current_algebra_faithful_rep", recording)
+        f4 = filiform4()
+        engine.construct_faithful_nilpotent(f4, engine.EngineConfig(method="induction"))
+        ((free, rep),) = seeds
+        assert free.structurally_equal(free_nilpotent(2, 3))
         assert rep.space_dim == 112
-        assert rep.matrices == current_algebra_faithful_rep(f).matrices
 
     @pytest.mark.parametrize("r,c", [(2, 2), (2, 3)])
     def test_faithful_nilpotent(self, r, c):
         f = free_nilpotent(r, c)
-        rep = free_nilpotent_faithful_rep(f)
+        rep = current_algebra_faithful_rep(f)
         assert is_homomorphism(rep)
         assert rep_kernel(rep).dim == 0
         assert is_nilpotent_rep(rep)
@@ -310,7 +375,27 @@ class TestFreeNilpotentFaithfulRep:
     def test_grading_required(self):
         bare = LieAlgebra(3, {(0, 1): {2: 1}})
         with pytest.raises(InvalidGrading):
-            free_nilpotent_faithful_rep(bare)
+            current_algebra_faithful_rep(bare)
+
+
+class TestNoNonsingularDerivation:
+    """The Dixmier-Lister algebras: no grading and no nonsingular derivation,
+    so neither graded route applies (kept out of the construct corpus)."""
+
+    @pytest.mark.parametrize("name", ["cn7a", "cn7b"])
+    def test_facts(self, name):
+        algebra = example(name)
+        assert algebra.grading is None
+        assert validate(algebra).ok
+        assert [s.dim for s in lower_central_series(algebra)] == [7, 5, 4, 3, 2, 1, 0]
+        assert center(algebra).dim == 1
+        # Z^1(L, ad) = Der(L)
+        der = cocycle_space(algebra, adjoint(algebra))
+        assert der.dim == 10
+        # the derivations generate a nilpotent associative algebra, so every
+        # derivation is nilpotent and none is nonsingular
+        maps = [psi.map for psi in der.basis]
+        assert is_nilpotent_rep(Representation(abelian(len(maps)), algebra.dim, maps))
 
 
 # --- the sparse cocycle check against the old dense one ---

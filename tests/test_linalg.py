@@ -379,6 +379,12 @@ class TestIntegerForm:
         assert numerators == {0: {0: 6}, 1: {0: -15, 1: 4}}
         assert all(type(v) is int for row in numerators.values() for v in row.values())
 
+    def test_built_once(self):
+        m = fraction_matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+        form = m.integer_form()
+        assert m.integer_form() is form
+        assert form == ({0: {0: 3}, 1: {1: 4}}, 6)
+
     def test_zero_and_integer_matrices(self):
         assert RationalMatrix.zero(2, 3).integer_form() == ({}, 1)
         assert fraction_matrix([[2, 0], [0, -3]]).integer_form() == ({0: {0: 2}, 1: {1: -3}}, 1)

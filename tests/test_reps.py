@@ -362,6 +362,32 @@ def test_integer_checks_agree_on_conjugated_corpus(rep):
     assert is_homomorphism(rep) and is_nilpotent_rep(rep)
 
 
+@settings(deadline=None, max_examples=20)
+@given(conjugated_corpus_reps())
+def test_verify_output_transposes_no_matrix(rep):
+    """The boundary check transposes the shared integer forms, never a
+    Fraction matrix, and builds each integer form once."""
+    from adoforge.engine import verify_output
+
+    calls = []
+    real = RationalMatrix.transpose
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    RationalMatrix.transpose = counting
+    try:
+        report = verify_output(rep.algebra, rep)
+    finally:
+        RationalMatrix.transpose = real
+    assert calls == []
+    assert report.homomorphism and report.nilpotent
+    forms = [m.integer_form() for m in rep.matrices]
+    assert verify_output(rep.algebra, rep) == report
+    assert all(m.integer_form() is f for m, f in zip(rep.matrices, forms))
+
+
 @settings(deadline=None, max_examples=40)
 @given(conjugated_corpus_reps(), st.data())
 def test_integer_checks_agree_after_one_entry_moves(rep, data):
