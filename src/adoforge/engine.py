@@ -13,11 +13,13 @@ non-central directions are separated by the adjoint representation, central
 ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
 faithful representation for a kernel non-inclusion witness, carving out the
 kernel submodule it acts on and compressing that to the cyclic submodule the
-witness generates.  The interior steps do not re-prove what the construction
-guarantees, such as the centrality of each flag image;
-``construct_faithful_nilpotent`` verifies its output exactly, once, and
-raises ``VerificationFailed`` when that fails.  ``EngineConfig`` has two
-keys: ``method`` and ``dimension_budget``.
+witness generates.  The representation of the last quotient F/I is
+transported back to L along proj after a section of pi, which is well
+defined because Ker pi = I = Ker proj.  The interior steps do not re-prove
+what the construction guarantees, such as the centrality of each flag
+image; ``construct_faithful_nilpotent`` verifies its output exactly, once,
+and raises ``VerificationFailed`` when that fails.  ``EngineConfig`` has
+two keys: ``method`` and ``dimension_budget``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
     DegenerateFlag,
-    NotInvertible,
     NotLinearlyIndependent,
     NotSurjective,
     ReplayFailed,
@@ -55,7 +56,6 @@ from .liealg import (
     LieHom,
     central_flag,
     codim1_refinement,
-    identity_hom,
     nilpotency_class,
     quotient,
     validate,
@@ -238,16 +238,10 @@ def distinguish_by_kernels(
 
 
 def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[Representation, dict]:
-    if algebra.dim == 0:
-        empty = Representation(algebra, 0, [])
-        return empty, {"algebra_dim": 0, "summand_dims": [], "kernel_dims": []}
-    x1 = unit_vector(algebra.dim, 0)
-    rho = separator(x1)
-    if element_action(rho, x1).is_zero():
-        raise SeparatorFailed("separator returned a representation vanishing on its element")
-    kernel = rep_kernel(rho)
-    summands = [rho.space_dim]
-    kernels = [kernel.dim]
+    rho = Representation(algebra, 0, [RationalMatrix.zero(0, 0)] * algebra.dim)
+    kernel = Subspace.full(algebra.dim)
+    summands: list[int] = []
+    kernels: list[int] = []
     while kernel.dim > 0:
         x = kernel.basis_vectors()[0]
         rho_x = separator(x)
@@ -264,9 +258,10 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
     """Assemble a faithful nilpotent representation from a separator that
     maps any nonzero x to a nilpotent representation with rho_x(x) != 0.
 
-    Starts from the first basis vector and keeps direct-summing away the
-    first canonical kernel vector; the kernel dimension drops strictly every
-    iteration, so at most dim L summands appear.
+    Starts from the zero representation, whose kernel is all of L, and keeps
+    direct-summing away the first canonical kernel vector (the first is
+    e_0); the kernel dimension drops strictly every iteration, so at most
+    dim L summands appear.
     """
     rep, _ = _glue_traced(algebra, separator)
     return rep
@@ -310,13 +305,15 @@ def _induction_pipeline(
         kernel_dim=pres.I.dim,
         nil_class=pres.F.grading.max_degree,
     )
+    # the current algebra has dim F * class, and Z^1 holds the Euler cocycle
+    _check_budget(pres.F.dim * pres.F.grading.max_degree + 1, config)
     rho = current_algebra_faithful_rep(pres.F)
     _check_budget(rho.space_dim, config)
     cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
 
     flag = _ideal_flag(pres.F, pres.I)
     current = pres.F
-    proj = identity_hom(pres.F)
+    proj = RationalMatrix.identity(pres.F.dim)  # F -> current
     for k in range(len(flag) - 1):
         g = _flag_generator(flag[k + 1], flag[k])
         z = proj.apply(g)
@@ -331,23 +328,24 @@ def _induction_pipeline(
         # of one step that land on the same power share the kernel submodule.
         carved: dict[int, tuple[Subspace, Representation]] = {}
 
-        def separator(x, _rho=rho, _z=z, _p=p, _quo=quo, _adj=adj, _ladder=ladder, _carved=carved):
-            if not element_action(_adj, x).is_zero():
-                return _adj
-            lift = solve(_p.matrix, x)
+        # Called only by this step's glue, before rho is rebound to its result.
+        def separator(x):
+            if not element_action(adj, x).is_zero():
+                return adj
+            lift = solve(p.matrix, x)
             if lift is None:
                 raise NotSurjective("quotient projection must be surjective")
-            rep_big, power, witness, kernel = _distinguish(_rho, _z, lift, config, _ladder)
+            rep_big, power, witness, kernel = _distinguish(rho, z, lift, config, ladder)
             cert.add(
                 "kernel_search",
                 element=_coords_json(x),
                 tensor_power=power,
                 rep_dim=rep_big.space_dim,
             )
-            if power not in _carved:
-                carrier, induced = kernel_submodule(rep_big, _z, kernel)
-                _carved[power] = carrier, Representation(_quo, induced.space_dim, induced.matrices)
-            carrier, induced = _carved[power]
+            if power not in carved:
+                carrier, induced = kernel_submodule(rep_big, z, kernel)
+                carved[power] = carrier, Representation(quo, induced.space_dim, induced.matrices)
+            carrier, induced = carved[power]
             compressed = cyclic_submodule(induced, unit_vector(carrier.dim, witness))
             cert.add(
                 "kernel_submodule",
@@ -359,21 +357,14 @@ def _induction_pipeline(
         rho, trace = _glue_traced(quo, separator)
         cert.add("glue", **trace)
         current = quo
-        proj = p.compose(proj)
+        proj = p.matrix @ proj
 
-    # Transport the representation of F/I back onto L along the canonical
-    # isomorphism induced by the presentation.
-    lift_cols = []
-    for j in range(current.dim):
-        lift = solve(proj.matrix, unit_vector(current.dim, j))
-        if lift is None:
-            raise NotSurjective("projection onto the last quotient must be surjective")
-        lift_cols.append(pres.pi.apply(lift))
-    psi = RationalMatrix.from_columns(algebra.dim, lift_cols)
-    inv = solve_multi(psi, RationalMatrix.identity(algebra.dim))
-    if inv is None:
-        raise NotInvertible("presentation quotient must be isomorphic to the input")
-    iso = LieHom(algebra, current, inv)
+    # Transport the representation of F/I back onto L: proj after any linear
+    # section of pi is well defined, since Ker pi = I = Ker proj.
+    section = solve_multi(pres.pi.matrix, RationalMatrix.identity(algebra.dim))
+    if section is None:
+        raise NotSurjective("presentation map onto the input must be surjective")
+    iso = LieHom(algebra, current, proj @ section)
     return restrict_along(rho, iso)
 
 

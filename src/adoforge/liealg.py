@@ -312,12 +312,6 @@ class LieHom:
 
         return kernel_basis(self.matrix).dim == 0
 
-    def compose(self, inner: "LieHom") -> "LieHom":
-        """self o inner (inner applied first)."""
-        if not inner.target.structurally_equal(self.source):
-            raise DimensionMismatch("composition target/source mismatch")
-        return LieHom(inner.source, self.target, self.matrix @ inner.matrix)
-
     def __repr__(self) -> str:
         return f"LieHom({self.source.dim} -> {self.target.dim})"
 

@@ -18,7 +18,6 @@ from adoforge.errors import (
     BudgetExceeded,
     DegenerateFlag,
     NotLinearlyIndependent,
-    NotInvertible,
     NotNilpotent,
     NotSurjective,
     ReplayFailed,
@@ -174,6 +173,14 @@ class TestGlueLocal:
         rep = glue_local(h3, separator)
         assert rep_kernel(rep).dim == 0
         assert rep.space_dim <= ad.space_dim + std_h3_rep.space_dim
+
+    def test_zero_dim_algebra_needs_no_separator(self):
+        calls = []
+        rep, trace = engine._glue_traced(abelian(0), lambda x: calls.append(x))
+        assert (rep.space_dim, rep.matrices) == (0, ())
+        assert trace == {"algebra_dim": 0, "summand_dims": [], "kernel_dims": []}
+        assert glue_local(abelian(0), lambda x: calls.append(x)).space_dim == 0
+        assert calls == []
 
     def test_zero_separator_fails(self, h3):
         zero = Representation(h3, 2, [RationalMatrix.zero(2, 2)] * 3)
@@ -334,6 +341,19 @@ class TestBudgetBeforeBuilding:
         rep, _ = construct_faithful_nilpotent(h3, EngineConfig(dimension_budget=4))
         assert rep.space_dim == 4 and len(calls) == 1
 
+    def test_induction_seed_bound_checked_before_building(self, f4, h5, monkeypatch):
+        # the seed has at least dim F * class + 1 dimensions: 5 * 3 + 1 for
+        # filiform4 (F = free2_3), 10 * 2 + 1 for heisenberg5 (F = free4_2)
+        seeds = []
+        real = engine.current_algebra_faithful_rep
+        monkeypatch.setattr(engine, "current_algebra_faithful_rep", lambda f: seeds.append(real(f)) or seeds[-1])
+        with pytest.raises(BudgetExceeded, match="dimension 16 exceeds budget 8"):
+            construct_faithful_nilpotent(f4, EngineConfig(method="induction", dimension_budget=8))
+        assert seeds == []
+        with pytest.raises(BudgetExceeded, match="dimension 260 exceeds budget 50"):
+            construct_faithful_nilpotent(h5, EngineConfig(method="induction", dimension_budget=50))
+        assert [s.space_dim for s in seeds] == [260]
+
 
 class TestTypedInteriorErrors:
     """Failures that the construction rules out still raise a typed error,
@@ -350,14 +370,9 @@ class TestTypedInteriorErrors:
             construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
 
     def test_transport_lift(self, h3, monkeypatch):
-        # h3 presents with I = 0: no flag step, so the transport is the first solve
-        monkeypatch.setattr(engine, "solve", lambda a, b: None)
-        with pytest.raises(NotSurjective, match="last quotient"):
-            construct_faithful_nilpotent(h3, EngineConfig(method="induction"))
-
-    def test_transport_inverse(self, h3, monkeypatch):
+        # h3 presents with I = 0: no flag step, so the section of pi is the first solve
         monkeypatch.setattr(engine, "solve_multi", lambda a, b: None)
-        with pytest.raises(NotInvertible):
+        with pytest.raises(NotSurjective, match="presentation map"):
             construct_faithful_nilpotent(h3, EngineConfig(method="induction"))
 
 
