@@ -16,7 +16,6 @@ from .errors import (
     NotAnIdeal,
     NotCentral,
     NotInvariant,
-    NotInvertible,
     NotLinearlyIndependent,
     NotNilpotent,
     NotSurjective,

@@ -4,9 +4,10 @@ Data goes to stdout (or --out); a machine-readable run report goes to stderr
 on every invocation, a command line that does not parse included.  Exit
 codes: 0 ok, 1 validation/verification failure, 2 parse error (an unknown flag
 such as ``--max-tensor-power``, a malformed one, a ``--method`` other than
-``auto`` or ``induction``, or a bad ``ADO_FORGE_BUDGET``), 3 not nilpotent,
-4 budget exceeded.  An unexpected exception is recorded as
-``internal_error`` in the run report and then re-raised.
+``auto`` or ``induction``, a bad ``ADO_FORGE_BUDGET``, an input file that
+cannot be read or is not UTF-8 JSON, or an output path that cannot be
+written), 3 not nilpotent, 4 budget exceeded.  An unexpected exception is
+recorded as ``internal_error`` in the run report and then re-raised.
 """
 
 from __future__ import annotations
@@ -100,21 +101,34 @@ class _Phase:
         return False
 
 
-def _read_algebra(path: str, run: _Run):
-    raw = Path(path).read_bytes()
-    run.report["input_digest"] = digest_bytes(raw)
+def _read_json(path: str, run: _Run, digest_key: str):
+    """The JSON document in the file at path; its SHA-256 goes into the run
+    report under digest_key.  A file that cannot be read (missing, a
+    directory, no permission) or is not UTF-8 is a ``ParseError``."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
+    run.report[digest_key] = digest_bytes(raw)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from exc
-    return algebra_from_json(load_json(text))
+    return load_json(text)
+
+
+def _read_algebra(path: str, run: _Run):
+    return algebra_from_json(_read_json(path, run, "input_digest"))
 
 
 def _write_data(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output: {exc}") from exc
 
 
 def cmd_validate(args, run: _Run) -> int:
@@ -206,9 +220,8 @@ def cmd_construct(args, run: _Run) -> int:
 def cmd_verify(args, run: _Run) -> int:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.algebra, run)
-        rep_raw = Path(args.representation).read_bytes()
-        run.report["representation_digest"] = digest_bytes(rep_raw)
-        matrices, space_dim, _ref = representation_from_json(load_json(rep_raw.decode("utf-8")))
+        doc = _read_json(args.representation, run, "representation_digest")
+        matrices, space_dim, _ref = representation_from_json(doc)
     if len(matrices) != algebra.dim:
         run.fail("algebra_mismatch", "matrix count differs from algebra dimension")
         print(f"FAIL shape: {len(matrices)} matrices for a dim-{algebra.dim} algebra")
@@ -289,9 +302,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         run.report["command"] = args.command
         code = args.func(args, run)
-    except FileNotFoundError as exc:
-        run.fail("parse_error", f"cannot read input: {exc}")
-        code = EXIT_PARSE
     except AdoForgeError as exc:
         run.fail(exc.kind, str(exc))
         code = _exit_code_for(exc)

@@ -12,13 +12,14 @@ previous algebra is a one-dimensional central extension of the next one;
 non-central directions are separated by the adjoint representation, central
 ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
 faithful representation for a kernel non-inclusion witness, carving out the
-kernel submodule it acts on and compressing that to the cyclic submodule the
-witness generates.  The representation of the last quotient F/I is
-transported back to L along proj after a section of pi, which is well
-defined because Ker pi = I = Ker proj.  The interior steps do not re-prove
-what the construction guarantees, such as the centrality of each flag
-image; ``construct_faithful_nilpotent`` verifies its output exactly, once,
-and raises ``VerificationFailed`` when that fails.  ``EngineConfig`` has
+kernel submodule it acts on, induced onto the step's one quotient L/<z>, and
+compressing that to the cyclic submodule the witness generates.  The
+representation of the last quotient F/I is transported back to L along proj
+after a section of pi, which is well defined because Ker pi = I = Ker proj.
+The interior steps do not re-prove what the construction guarantees, such
+as the centrality of each flag image; ``construct_faithful_nilpotent``
+verifies its output exactly, once, and raises ``VerificationFailed`` when
+that fails.  ``EngineConfig`` has
 two keys: ``method`` and ``dimension_budget``.
 """
 
@@ -324,9 +325,9 @@ def _induction_pipeline(
         quo, p = quotient(current, z_line)
         adj = adjoint(quo)
         ladder: Ladder = []
-        # (carrier, induced representation of quo) per tensor power: searches
-        # of one step that land on the same power share the kernel submodule.
-        carved: dict[int, tuple[Subspace, Representation]] = {}
+        # the kernel submodule of each tensor power, induced onto quo:
+        # searches of one step that land on the same power share it.
+        carved: dict[int, Representation] = {}
 
         # Called only by this step's glue, before rho is rebound to its result.
         def separator(x):
@@ -343,13 +344,12 @@ def _induction_pipeline(
                 rep_dim=rep_big.space_dim,
             )
             if power not in carved:
-                carrier, induced = kernel_submodule(rep_big, z, kernel)
-                carved[power] = carrier, Representation(quo, induced.space_dim, induced.matrices)
-            carrier, induced = carved[power]
-            compressed = cyclic_submodule(induced, unit_vector(carrier.dim, witness))
+                carved[power] = kernel_submodule(rep_big, z, quo, kernel)
+            induced = carved[power]
+            compressed = cyclic_submodule(induced, unit_vector(induced.space_dim, witness))
             cert.add(
                 "kernel_submodule",
-                carrier_dim=carrier.dim,
+                carrier_dim=induced.space_dim,
                 compressed_dim=compressed.space_dim,
             )
             return compressed

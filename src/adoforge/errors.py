@@ -93,10 +93,6 @@ class NotSurjective(AdoForgeError):
     kind = "not_surjective"
 
 
-class NotInvertible(AdoForgeError):
-    kind = "not_invertible"
-
-
 class UnknownExample(AdoForgeError):
     kind = "unknown_example"
 

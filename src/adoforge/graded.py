@@ -226,24 +226,19 @@ def cocycle_extension(rep: Representation, maps: list[RationalMatrix]) -> Repres
     return Representation(rep.algebra, total, [RationalMatrix(total, total, d) for d in data])
 
 
-def cocycle_extension_rep(algebra: LieAlgebra, rep: Representation, phi: Cocycle) -> Representation:
+def cocycle_extension_rep(phi: Cocycle) -> Representation:
     """Faithful extension on V + Z^1(L, V) given a cocycle with zero kernel.
 
-    x acts by (v, psi) -> (rho(x)v + psi(x), 0).  The inputs are checked
-    here; the result is faithful because phi has zero kernel, and nilpotent
-    whenever rho is.
+    V and L are phi's module ``phi.rep`` and its algebra.  x acts by
+    (v, psi) -> (rho(x)v + psi(x), 0).  phi is checked here; the result is
+    faithful because phi has zero kernel, and nilpotent whenever rho is.
     """
-    if not algebra.structurally_equal(rep.algebra):
-        raise DimensionMismatch("representation must belong to the given algebra")
-    if phi.rep is not rep and phi.rep.matrices != rep.matrices:
-        raise NotACocycle("cocycle is valued in a different module")
     if not phi.satisfies_identity():
         raise NotACocycle("map does not satisfy the cocycle identity")
     if kernel_basis(phi.map).dim != 0:
         raise DegenerateCocycle("cocycle has a nonzero kernel")
-    space = cocycle_space(algebra, rep)
-    extended = cocycle_extension(rep, [psi.map for psi in space.basis])
-    return Representation(algebra, extended.space_dim, extended.matrices)
+    space = cocycle_space(phi.rep.algebra, phi.rep)
+    return cocycle_extension(phi.rep, [psi.map for psi in space.basis])
 
 
 def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
@@ -280,6 +275,6 @@ def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
     current = current_algebra(algebra, n)
     embedding = graded_embedding(algebra, current)
     phi = euler_derivation(current)
-    extended = cocycle_extension_rep(current.product, phi.rep, phi)
+    extended = cocycle_extension_rep(phi)
     return restrict_along(extended, embedding)
 

@@ -121,8 +121,11 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
     if basis is not None:
         if not (isinstance(basis, list) and len(basis) == dim and all(isinstance(b, str) for b in basis)):
             raise ParseError("basis must be a list of dim strings")
+    brackets = obj.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError("brackets must be a list")
     table = {}
-    for rec in obj.get("brackets", []):
+    for rec in brackets:
         if not isinstance(rec, dict):
             raise ParseError("bracket record must be an object")
         try:
@@ -205,7 +208,9 @@ def certificate_from_json(obj) -> Certificate:
 
 
 def load_json(text: str):
+    """A JSON document; malformed or too deeply nested text (the decoder
+    recurses once per level) is a ``ParseError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc

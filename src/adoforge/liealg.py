@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     NotAHomomorphism,
     NotAnIdeal,
-    NotInvertible,
     NotNilpotent,
     ZeroIdeal,
 )
@@ -29,8 +28,6 @@ from .linalg import (
     dense_vector,
     frac,
     mul_rowmaps,
-    solve_multi,
-    unit_vector,
 )
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -316,10 +313,6 @@ class LieHom:
         return f"LieHom({self.source.dim} -> {self.target.dim})"
 
 
-def identity_hom(algebra: LieAlgebra) -> LieHom:
-    return LieHom(algebra, algebra, RationalMatrix.identity(algebra.dim))
-
-
 @dataclass
 class IdealChain:
     """Ascending flag of ideals with codimension-1 steps and [L, I_i] <= I_{i-1}."""
@@ -341,15 +334,15 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
         proj_matrix = RationalMatrix.identity(n)
         quo = LieAlgebra(n, algebra.brackets, labels=algebra.labels, grading=algebra.grading)
         return quo, LieHom(algebra, quo, proj_matrix)
-    # x = B a + E_Q b uniquely; the projection reads off b.
-    basis_cols = ideal.basis_vectors()
-    lhs = RationalMatrix.from_columns(n, basis_cols + [unit_vector(n, i) for i in complement])
-    inv = solve_multi(lhs, RationalMatrix.identity(n))
-    if inv is None:
-        raise NotInvertible("ideal basis plus complement must be invertible")
-    proj_matrix = RationalMatrix.from_entries(
-        q, n, ((r - ideal.dim, c, v) for r, c, v in inv.entries() if r >= ideal.dim)
-    )
+    # x = B a + E_Q b uniquely.  Each echelon row of B is 1 at its own pivot
+    # and 0 at the others, so a = x at the pivots and b = x_Q - B_Q a: row j
+    # of the projection is 1 at complement[j] and -B[complement[j], p] at
+    # each pivot p.
+    position = {c: j for j, c in enumerate(complement)}
+    entries = [(j, c, F1) for j, c in enumerate(complement)]
+    for p, row in zip(ideal._pivots, ideal._rows):
+        entries.extend((position[c], p, -v) for c, v in row.items() if c != p)
+    proj_matrix = RationalMatrix.from_entries(q, n, sorted(entries))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(q):
         for b in range(a + 1, q):

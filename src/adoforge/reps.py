@@ -6,7 +6,9 @@ it.  The combinators trust their inputs, and the engine checks its final
 output once, exactly, at its boundary.  Those checks run on the integer
 numerators of the matrices, and the two that need spans keep them small:
 ``is_faithful`` is a rank of n flattened matrices, and ``is_nilpotent_rep``
-follows a chain of subspaces of V, not of End(V).
+follows a chain of subspaces of V, not of End(V).  ``kernel_submodule``
+builds no quotient: it induces the kernel submodule onto the quotient
+L/<z> that its caller built once for the flag step.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .linalg import (
     kronecker,
     mul_rowmaps,
 )
-from .liealg import LieAlgebra, LieHom, quotient
+from .liealg import LieAlgebra, LieHom
 
 
 class Representation:
@@ -236,41 +238,39 @@ def is_nilpotent_rep(rep: Representation) -> bool:
 
 
 def kernel_submodule(
-    rep: Representation, z: Sequence[Fraction], carrier: Subspace | None = None
-) -> tuple[Subspace, Representation]:
-    """Carrier Ker rho(z) plus the induced representation of algebra/<z>.
+    rep: Representation, z: Sequence[Fraction], quo: LieAlgebra, carrier: Subspace
+) -> Representation:
+    """The representation of quo = L/<z> induced on carrier = Ker rho(z).
 
     z must be central in the algebra, which is checked (``NotCentral``).  The
     caller promises that rho(z) commutes with every rho(e_i), as it does for
     a homomorphism and central z; that is not re-proved here.  The carrier
     is then invariant, which ``restricted_action`` confirms for each
     compressed action (``NotCentral`` otherwise; all of them share the
-    carrier's one basis matrix), and z acts as zero on it,
-    so the compressed action factors through the quotient by the line of z
-    and is a homomorphism whenever rep is one.  A caller that already holds
-    Ker rho(z) passes it as ``carrier`` and it is not computed again.
+    carrier's one basis matrix), and z acts as zero on it, so the compressed
+    action factors through L/<z> and is a homomorphism whenever rep is one.
+    ``quotient`` drops the pivot of the line of z, z's leading index, so
+    basis vector j of quo lifts to the j-th of the other standard basis
+    vectors, whose compressed action represents it.  The caller builds quo
+    once per flag step; a quo not of dim L - 1 raises ``DimensionMismatch``.
     """
     n = rep.algebra.dim
     if len(z) != n:
         raise DimensionMismatch("central element has wrong length")
     sz = {i: x for i, x in enumerate(z) if x}
+    if not sz or quo.dim != n - 1:
+        raise DimensionMismatch("quo must be L/<z> for a nonzero z, of dimension dim L - 1")
     if any(rep.algebra.sparse_bracket(sz, {i: F1}) for i in range(n)):
         raise NotCentral("z is not central in the algebra")
-    if carrier is None:
-        carrier = kernel_basis(element_action(rep, z))
+    lead = min(sz)
     compressed = []
     for i, m in enumerate(rep.matrices):
         x = carrier.restricted_action(m)
         if x is None:
             raise NotCentral(f"rho(e_{i}) does not stabilize Ker rho(z)")
-        compressed.append(x)
-    z_line = Subspace.from_vectors(n, [z])
-    quo, _ = quotient(rep.algebra, z_line)
-    # Basis vector j of the quotient lifts to the standard basis vector at
-    # the j-th complement coordinate; its compressed action represents it.
-    pivot = set(z_line._pivots)
-    complement = [i for i in range(n) if i not in pivot]
-    return carrier, Representation(quo, carrier.dim, [compressed[i] for i in complement])
+        if i != lead:
+            compressed.append(x)
+    return Representation(quo, carrier.dim, compressed)
 
 
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:

@@ -112,9 +112,8 @@ def test_criterion_3_cocycle_extension(capsys):
     """Zero representation kernel and preserved nilpotency on every corpus run."""
     for name, algebra in corpus_algebras():
         current = current_algebra(algebra, 1 + algebra.grading.max_degree)
-        ad = adjoint(current.product)
         phi = euler_derivation(current)
-        extended = cocycle_extension_rep(current.product, ad, phi)
+        extended = cocycle_extension_rep(phi)
         assert rep_kernel(extended).dim == 0, name
         assert is_nilpotent_rep(extended), name
     print("ACCEPTANCE 3 PASS: cocycle extensions faithful and nilpotent on the corpus")

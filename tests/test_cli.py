@@ -140,6 +140,8 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         code, _, report = run_cli(["validate", "/does/not/exist.json"], capsys)
         assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert report["outcome"]["message"].startswith("cannot read input:")
 
 
 class TestInfoCommand:
@@ -453,6 +455,17 @@ class TestStrictIntegers:
             assert code == 2
             assert report["outcome"]["error"] == "parse_error"
 
+    @pytest.mark.parametrize("brackets", [None, 5, {}], ids=["null", "number", "object"])
+    def test_brackets_not_a_list(self, tmp_path, capsys, brackets):
+        doc = {"name": "a", "dim": 2, "brackets": brackets}
+        with pytest.raises(ParseError, match="brackets must be a list"):
+            algebra_from_json(doc)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        code, _, report = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert report["outcome"] == {"error": "parse_error", "message": "brackets must be a list"}
+
     def test_canonical_keys_and_zero_still_parse(self):
         doc = {"name": "a", "dim": 11, "brackets": [{"left": 0, "right": 10, "result": {"0": "1", "10": "-1/2"}}]}
         algebra, _ = algebra_from_json(doc)
@@ -476,3 +489,56 @@ class TestDeterminism:
             certs.append(cert_path.read_bytes())
         assert outs[0] == outs[1]
         assert certs[0] == certs[1]
+
+
+class TestFileErrors:
+    """A file that cannot be read, decoded or written is a parse_error with
+    exit 2, never an internal_error."""
+
+    def test_non_utf8_representation(self, tmp_path, capsys):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_bytes(b'{"space_dim": 1, "algebra": "\xff"}')
+        code, _, report = run_cli(["verify", str(alg_path), str(rep_path)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert report["outcome"]["message"].startswith("input is not UTF-8:")
+        assert len(report["representation_digest"]) == 64
+
+    @pytest.mark.parametrize("command", ["validate", "info", "construct", "verify-algebra", "verify-representation"])
+    def test_directory_as_input(self, tmp_path, capsys, command):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        argv = {
+            "validate": ["validate", str(tmp_path)],
+            "info": ["info", str(tmp_path)],
+            "construct": ["construct", str(tmp_path)],
+            "verify-algebra": ["verify", str(tmp_path), str(alg_path)],
+            "verify-representation": ["verify", str(alg_path), str(tmp_path)],
+        }[command]
+        code, _, report = run_cli(argv, capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert report["outcome"]["message"].startswith("cannot read input:")
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("flag", ["--out", "--certificate"])
+    def test_output_cannot_be_written(self, tmp_path, capsys, target, flag):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+        code, _, report = run_cli(["construct", str(alg_path), flag, str(out)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert report["outcome"]["message"].startswith("cannot write output:")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, report = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        assert report["outcome"]["message"].startswith("invalid JSON:")
+
+    def test_examples_out_cannot_be_written(self, tmp_path, capsys):
+        code, _, report = run_cli(["examples", "heisenberg3", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert report["outcome"]["message"].startswith("cannot write output:")

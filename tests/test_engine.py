@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 import adoforge
 import adoforge.engine as engine
+import adoforge.liealg as liealg
 import adoforge.linalg as linalg
 import adoforge.reps as reps
 from adoforge.catalog import abelian, example, heisenberg3, heisenberg5
@@ -104,9 +105,12 @@ class TestTensorLadder:
         real = {name: getattr(engine, name) for name in ("quotient", "tensor_product", "kernel_submodule")}
         real_kernel_basis = reps.kernel_basis
 
+        quotients = []  # each flag step's quotient
+
         def quotient(*args):  # the engine takes one quotient per flag step
             built.append(0)
-            return real["quotient"](*args)
+            quotients.append(real["quotient"](*args))
+            return quotients[-1]
 
         def tensor_product(*args):
             built[-1] += 1
@@ -116,10 +120,11 @@ class TestTensorLadder:
             kernel_calls.append(args)
             return real_kernel_basis(*args)
 
-        def kernel_submodule(rep, z, carrier=None):
+        def kernel_submodule(rep, z, quo, carrier):
             assert carrier is not None
+            assert quo is quotients[-1][0]  # induced onto this step's quotient
             before = len(kernel_calls)
-            out = real["kernel_submodule"](rep, z, carrier)
+            out = real["kernel_submodule"](rep, z, quo, carrier)
             in_submodule.append(len(kernel_calls) - before)
             return out
 
@@ -144,6 +149,24 @@ class TestTensorLadder:
         assert len(cert.steps_of_kind("kernel_search")) == 8
         assert len(searched) == 5
         assert in_submodule == [0] * len(searched)
+
+    def test_one_quotient_per_flag_step(self, h5, monkeypatch):
+        # counted through every adoforge module that binds liealg.quotient,
+        # so a second quotient of one step, in the engine or in reps, shows
+        real = liealg.quotient
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "adoforge" or name.startswith("adoforge."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        _, cert = construct_faithful_nilpotent(h5, EngineConfig(method="induction"))
+        assert len(calls) == len(cert.steps_of_kind("flag_step")) == 5
 
     def test_budget_checked_before_building(self, std_h3_rep, monkeypatch):
         built = []
@@ -320,10 +343,10 @@ class TestKernelSubmoduleInputs:
         commutes = []
         real = engine.kernel_submodule
 
-        def checked(rep, z, carrier=None):
+        def checked(rep, z, quo, carrier):
             mz = element_action(rep, z)
             commutes.append(all(mz @ m == m @ mz for m in rep.matrices))
-            return real(rep, z, carrier)
+            return real(rep, z, quo, carrier)
 
         monkeypatch.setattr(engine, "kernel_submodule", checked)
         construct_faithful_nilpotent(build(), EngineConfig(method="induction"))

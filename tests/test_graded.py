@@ -165,7 +165,7 @@ class TestCocycleExtension:
         a1 = abelian(1)
         rep = Representation(a1, 1, [RationalMatrix.zero(1, 1)])
         phi = Cocycle(rep, RationalMatrix.identity(1))
-        extended = cocycle_extension_rep(a1, rep, phi)
+        extended = cocycle_extension_rep(phi)
         assert extended.space_dim == 2
         assert extended.matrices[0] == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
         assert rep_kernel(extended).dim == 0
@@ -175,19 +175,19 @@ class TestCocycleExtension:
         rep = Representation(h3, 1, [RationalMatrix.zero(1, 1)] * 3)
         zero_map = Cocycle(rep, RationalMatrix.zero(1, 3))
         with pytest.raises(DegenerateCocycle):
-            cocycle_extension_rep(h3, rep, zero_map)
+            cocycle_extension_rep(zero_map)
 
     def test_non_cocycle_rejected(self, h3):
         rep = Representation(h3, 1, [RationalMatrix.zero(1, 1)] * 3)
         # phi(e2) != 0 violates the identity since e2 = [e0,e1] and rho = 0
         bad = Cocycle(rep, RationalMatrix.from_entries(1, 3, [(0, 0, 1), (0, 1, 1), (0, 2, 1)]))
         with pytest.raises(NotACocycle):
-            cocycle_extension_rep(h3, rep, bad)
+            cocycle_extension_rep(bad)
 
     def test_full_pipeline_on_current_h3(self, h3):
         current = current_algebra(h3, 3)
         phi = euler_derivation(current)
-        extended = cocycle_extension_rep(current.product, adjoint(current.product), phi)
+        extended = cocycle_extension_rep(phi)
         assert extended.space_dim == 6 + cocycle_space(current.product, adjoint(current.product)).dim
         assert is_homomorphism(extended)
         assert rep_kernel(extended).dim == 0
@@ -199,7 +199,7 @@ class TestCocycleExtension:
         # dense column() per cocycle and basis element
         current = current_algebra(build(), 3)
         product, ad = current.product, adjoint(current.product)
-        extended = cocycle_extension_rep(product, ad, euler_derivation(current))
+        extended = cocycle_extension_rep(euler_derivation(current))
         space = cocycle_space(product, ad)
         vd, total = ad.space_dim, extended.space_dim
         for i in range(product.dim):
@@ -247,7 +247,7 @@ class TestCocycleExtensionBuilder:
         algebra = example(name)
         ad = adjoint(algebra)
         phi = Cocycle(ad, scaling_derivation(algebra))
-        extended = cocycle_extension_rep(algebra, ad, phi)
+        extended = cocycle_extension_rep(phi)
         space = cocycle_space(algebra, ad)
         assert extended.algebra is algebra
         assert extended.space_dim == algebra.dim + space.dim
@@ -460,4 +460,4 @@ def test_satisfies_identity_rejects_moved_scaling_entry(h3):
     assert not reference_satisfies_identity(phi)
     assert not phi.satisfies_identity()
     with pytest.raises(NotACocycle):
-        cocycle_extension_rep(h3, phi.rep, phi)
+        cocycle_extension_rep(phi)

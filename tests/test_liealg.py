@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adoforge.liealg as liealg
+import adoforge.linalg as linalg
 from adoforge.catalog import abelian, example
 from adoforge.freenilp import present
-from adoforge.errors import AlgebraMismatch, NotAHomomorphism, NotAnIdeal, NotInvertible, NotNilpotent, ZeroIdeal
+from adoforge.errors import AlgebraMismatch, NotAHomomorphism, NotAnIdeal, NotNilpotent, ZeroIdeal
 from adoforge.liealg import (
     Grading,
     IdealChain,
@@ -16,7 +17,6 @@ from adoforge.liealg import (
     center,
     central_flag,
     codim1_refinement,
-    identity_hom,
     is_ideal,
     lower_central_series,
     minimal_generator_count,
@@ -25,7 +25,7 @@ from adoforge.liealg import (
     validate,
     verify_grading,
 )
-from adoforge.linalg import RationalMatrix, Subspace, dense_vector, unit_vector
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, solve_multi, unit_vector
 
 from conftest import CORPUS, changes_of_basis, corpus_algebras, rebase, sparse_fractions, sparse_vectors
 
@@ -126,12 +126,51 @@ class TestQuotient:
 
         assert kernel_basis(proj.matrix) == ideal
 
-    def test_singular_change_of_basis_is_typed(self, h3, monkeypatch):
-        # the ideal basis plus the complement coordinates is always invertible;
-        # should the solve fail anyway, the error has a kind, also under -O
-        monkeypatch.setattr(liealg, "solve_multi", lambda a, b: None)
-        with pytest.raises(NotInvertible):
-            quotient(h3, span(3, unit_vector(3, 2)))
+    def test_projection_solves_no_system(self, f4, monkeypatch):
+        # the projection is read off the ideal's echelon rows
+        ideals = lower_central_series(f4) + central_flag(f4).ideals
+        expected = [reference_projection(f4, ideal) for ideal in ideals]
+
+        def refuse(*args):
+            raise AssertionError("quotient solved a linear system")
+
+        for module in (liealg, linalg):  # every binding quotient could reach
+            for name in ("solve", "solve_multi"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [quotient(f4, ideal)[1].matrix for ideal in ideals] == expected
+
+
+def reference_projection(algebra, ideal):
+    """The projection x -> b of x = B a + E_Q b (B the ideal's basis, E_Q the
+    standard basis vectors off its pivots), solved through the inverse of
+    [B | E_Q] as ``quotient`` did before it read b off the echelon rows."""
+    n = algebra.dim
+    complement = [i for i in range(n) if i not in set(ideal._pivots)]
+    lhs = RationalMatrix.from_columns(n, ideal.basis_vectors() + [unit_vector(n, i) for i in complement])
+    inv = solve_multi(lhs, RationalMatrix.identity(n))
+    return RationalMatrix.from_entries(
+        len(complement), n, ((r - ideal.dim, c, v) for r, c, v in inv.entries() if r >= ideal.dim)
+    )
+
+
+@st.composite
+def algebra_ideals(draw):
+    """A corpus algebra, rebased or not, with one of its ideals: a lower
+    central series term, the center, or a member of its central flag."""
+    algebra = draw(corpus_algebras())
+    ideals = lower_central_series(algebra) + [center(algebra)] + central_flag(algebra).ideals
+    return algebra, draw(st.sampled_from(ideals))
+
+
+@settings(deadline=None, max_examples=120)
+@given(algebra_ideals())
+def test_quotient_projection_matches_inverse_solve(pair):
+    algebra, ideal = pair
+    quo, proj = quotient(algebra, ideal)
+    reference = reference_projection(algebra, ideal)
+    assert proj.matrix == reference
+    assert quo.dim == algebra.dim - ideal.dim
 
 
 class TestCentralFlag:
@@ -324,7 +363,7 @@ def test_lie_hom_rejects_moved_identity_entry(name):
     k = min(coeffs)
     assert k not in (i, j)
     moved = RationalMatrix.from_entries(
-        algebra.dim, algebra.dim, list(identity_hom(algebra).matrix.entries()) + [(k, k, Fraction(1, 3))]
+        algebra.dim, algebra.dim, list(LieHom(algebra, algebra, RationalMatrix.identity(algebra.dim)).matrix.entries()) + [(k, k, Fraction(1, 3))]
     )
     assert not reference_is_hom(algebra, algebra, moved)
     with pytest.raises(NotAHomomorphism, match="basis pair"):

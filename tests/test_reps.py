@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adoforge.catalog import abelian, example
-from adoforge.errors import AlgebraMismatch, NotCentral, NotInvariant
+from adoforge.errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from adoforge.graded import graded_faithful_rep
-from adoforge.liealg import LieAlgebra, LieHom, center, identity_hom
+from adoforge.liealg import LieAlgebra, LieHom, center, quotient
 from adoforge.linalg import (
     RationalMatrix,
     Subspace,
     block_diag,
+    kernel_basis,
     nilpotency_index,
     solve_multi,
     unit_vector,
@@ -126,7 +127,7 @@ class TestTensorProduct:
 
 class TestRestrictAlong:
     def test_identity(self, h3, std_h3_rep):
-        again = restrict_along(std_h3_rep, identity_hom(h3))
+        again = restrict_along(std_h3_rep, LieHom(h3, h3, RationalMatrix.identity(3)))
         assert again.matrices == std_h3_rep.matrices
 
     def test_zero_map(self, h3, abelian2):
@@ -146,7 +147,7 @@ class TestRestrictAlong:
         current = current_algebra(h3, 3)
         embedding = graded_embedding(h3, current)
         phi = euler_derivation(current)
-        big = cocycle_extension_rep(current.product, adjoint(current.product), phi)
+        big = cocycle_extension_rep(phi)
         restricted = restrict_along(big, embedding)
         assert rep_kernel(restricted).dim == 0
 
@@ -206,16 +207,25 @@ class TestIsNilpotentRep:
         assert not is_nilpotent_rep(rep)
 
 
+def carve(rep, z):
+    """Ker rho(z) and the representation of L/<z> that ``kernel_submodule``
+    induces on it, with the quotient built the way the engine builds it."""
+    n = rep.algebra.dim
+    quo, _ = quotient(rep.algebra, Subspace.from_vectors(n, [z]))
+    carrier = kernel_basis(element_action(rep, z))
+    return carrier, kernel_submodule(rep, z, quo, carrier)
+
+
 class TestKernelSubmodule:
     def test_central_zero_action_keeps_space(self, h3):
         ad = adjoint(h3)  # rho(e2) = 0
-        carrier, induced = kernel_submodule(ad, unit_vector(3, 2))
+        carrier, induced = carve(ad, unit_vector(3, 2))
         assert carrier == Subspace.full(3)
         assert induced.algebra.dim == 2
         assert is_homomorphism(induced)
 
     def test_standard_rep_center_carve(self, std_h3_rep):
-        carrier, induced = kernel_submodule(std_h3_rep, unit_vector(3, 2))
+        carrier, induced = carve(std_h3_rep, unit_vector(3, 2))
         # Ker E13 = span{e0, e1}
         assert carrier == Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
         assert induced.space_dim == 2
@@ -224,21 +234,40 @@ class TestKernelSubmodule:
         assert is_nilpotent_rep(induced)
 
     def test_non_central_rejected(self, std_h3_rep):
+        z = unit_vector(3, 0)  # its line is no ideal, so abelian(2) stands in for L/<z>
         with pytest.raises(NotCentral):
-            kernel_submodule(std_h3_rep, unit_vector(3, 0))
+            kernel_submodule(std_h3_rep, z, abelian(2), kernel_basis(element_action(std_h3_rep, z)))
 
     def test_given_carrier_used_as_is(self, std_h3_rep):
+        # the induced action is the compressed action on the given carrier of
+        # every basis element but e2, the pivot that the quotient drops
+        carrier, induced = carve(std_h3_rep, unit_vector(3, 2))
+        assert induced.space_dim == carrier.dim
+        assert induced.matrices == tuple(carrier.restricted_action(m) for m in std_h3_rep.matrices[:2])
+
+    def test_induced_onto_the_given_quotient(self, h5):
+        rep = graded_faithful_rep(h5)
+        z = center(h5).basis_vectors()[0]
+        quo, _ = quotient(h5, Subspace.from_vectors(5, [z]))
+        induced = kernel_submodule(rep, z, quo, kernel_basis(element_action(rep, z)))
+        assert induced.algebra is quo
+        assert is_homomorphism(induced)
+
+    def test_quotient_of_wrong_dim_rejected(self, std_h3_rep):
         z = unit_vector(3, 2)
-        carrier, induced = kernel_submodule(std_h3_rep, z)
-        given, induced_given = kernel_submodule(std_h3_rep, z, carrier)
-        assert given is carrier
-        assert induced_given.matrices == induced.matrices
+        carrier = kernel_basis(element_action(std_h3_rep, z))
+        for quo in (abelian(1), abelian(3), std_h3_rep.algebra):
+            with pytest.raises(DimensionMismatch, match="dimension dim L - 1"):
+                kernel_submodule(std_h3_rep, z, quo, carrier)
+        # a zero z spans no line, so it has no quotient of dim L - 1
+        with pytest.raises(DimensionMismatch, match="nonzero z"):
+            kernel_submodule(std_h3_rep, zero_vector(3), abelian(2), Subspace.full(3))
 
     def test_non_invariant_carrier_rejected(self, std_h3_rep):
         # rho(e0) = E12 sends the second basis vector to the first
         line = Subspace.from_vectors(3, [unit_vector(3, 1)])
         with pytest.raises(NotCentral, match="does not stabilize"):
-            kernel_submodule(std_h3_rep, unit_vector(3, 2), line)
+            kernel_submodule(std_h3_rep, unit_vector(3, 2), abelian(2), line)
 
 
 class TestCyclicSubmodule:
@@ -711,12 +740,18 @@ def test_kernel_submodule_centrality_matches_dense_check(algebra, data):
     cent = center(algebra).basis_vectors()
     z = data.draw(st.one_of(sparse_vectors(n), st.sampled_from(cent or [zero_vector(n)])))
     rep = adjoint(algebra)
-    if reference_is_central(algebra, z):
-        carrier, induced = kernel_submodule(rep, z)  # ad(z) = 0: nothing to reject
-        assert carrier.dim == rep.space_dim
+    carrier = kernel_basis(element_action(rep, z))
+    if not any(z):  # no line, so no quotient of dim L - 1
+        with pytest.raises(DimensionMismatch, match="nonzero z"):
+            kernel_submodule(rep, z, abelian(n - 1), carrier)
+    elif reference_is_central(algebra, z):
+        quo, _ = quotient(algebra, Subspace.from_vectors(n, [z]))
+        induced = kernel_submodule(rep, z, quo, carrier)  # ad(z) = 0: nothing to reject
+        assert carrier.dim == induced.space_dim == rep.space_dim
     else:
+        # the line of a non-central z is no ideal: abelian(n - 1) stands in for L/<z>
         with pytest.raises(NotCentral, match="not central in the algebra"):
-            kernel_submodule(rep, z)
+            kernel_submodule(rep, z, abelian(n - 1), carrier)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "filiform4", "free2_3"])
@@ -730,4 +765,4 @@ def test_kernel_submodule_rejects_each_non_central_basis_vector(name):
             continue
         assert not reference_is_central(algebra, z)
         with pytest.raises(NotCentral, match="not central in the algebra"):
-            kernel_submodule(rep, z)
+            kernel_submodule(rep, z, abelian(algebra.dim - 1), kernel_basis(element_action(rep, z)))
