@@ -13,7 +13,11 @@ non-central directions are separated by the adjoint representation, central
 ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
 faithful representation for a kernel non-inclusion witness, carving out the
 kernel submodule it acts on, induced onto the step's one quotient L/<z>, and
-compressing that to the cyclic submodule the witness generates.  The
+compressing that to the cyclic submodule the witness generates.  That
+representation is the direct sum of the previous step's glue summands (the
+seed at the first step), so each tensor power is searched block by block:
+the products of one summand per factor, on disjoint coordinates, give the
+same witness, carrier and compression as the whole power.  The
 representation of the last quotient F/I is transported back to L along proj
 after a section of pi, which is well defined because Ker pi = I = Ker proj.
 The interior steps do not re-prove what the construction guarantees, such
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import (
@@ -175,51 +180,98 @@ def _kernel_witness(rep: Representation, kernel: Subspace, x: Sequence[Fraction]
     return min((c for _, c, _ in image.entries()), default=None)
 
 
-# One flag step's tensor powers rho0, rho0^(x)2, ... of its faithful
-# representation, each paired with Ker rho(z) for the step's central z.
-Ladder = list[tuple[Representation, Subspace]]
+@dataclass
+class _Block:
+    """One block P_(i1) (x) ... (x) P_(ip) of the tensor power V^(x)p of
+    V = P_0 + ... + P_(k-1), with Ker rho(z) on it and the increasing map
+    ``coords`` from its coordinates to those of V^(x)p."""
+
+    rep: Representation
+    kernel: Subspace
+    coords: list[int]
+
+
+# One flag step's tensor ladder: for each power p, the blocks of V^(x)p in
+# lexicographic order of their part indices (i1, ..., ip).
+Ladder = list[list[_Block]]
+
+
+def _next_level(
+    parts: Sequence[Representation], z: Sequence[Fraction], ladder: Ladder, config: EngineConfig
+) -> list[_Block]:
+    """The blocks of the next tensor power of V = + parts, each built once as
+    (block of the power below) (x) part.
+
+    V^(x)p = V^(x)(p-1) (x) V puts coordinate b of part k after coordinate g
+    of V^(x)(p-1) at g * dim V + offset(k) + b, so each block's coordinate
+    map stays increasing.  The dimension budget is checked on (dim V)^p
+    before the first block is built.
+    """
+    offsets = list(accumulate((part.space_dim for part in parts), initial=0))
+    dim_v = offsets[-1]
+    power = len(ladder) + 1
+    if not ladder:
+        built = [(part, list(range(off, off + part.space_dim))) for part, off in zip(parts, offsets)]
+    else:
+        if dim_v**power > config.dimension_budget:
+            raise TensorBudgetExceeded(
+                f"tensor power {power} needs dimension {dim_v**power} > budget {config.dimension_budget}"
+            )
+        built = [
+            (
+                tensor_product(block.rep, part),
+                [g * dim_v + off + b for g in block.coords for b in range(part.space_dim)],
+            )
+            for block in ladder[-1]
+            for part, off in zip(parts, offsets)
+        ]
+    return [_Block(rep, kernel_basis(element_action(rep, z)), coords) for rep, coords in built]
 
 
 def _distinguish(
-    rho0: Representation,
+    parts: Sequence[Representation],
     z: Sequence[Fraction],
     x: Sequence[Fraction],
     config: EngineConfig,
     ladder: Ladder | None = None,
-) -> tuple[Representation, int, int, Subspace]:
-    """Search rho0, rho0^(x)2, ... for Ker rho(z) not contained in Ker rho(x).
+) -> tuple[int, int, int]:
+    """Search V, V^(x)2, ... for Ker rho(z) not contained in Ker rho(x),
+    where V is the direct sum of ``parts``.
 
-    Returns (representation, tensor power, witness index into the canonical
-    kernel basis of rho(z), that kernel).  The family of tensor powers of a
-    faithful nilpotent representation is closed under tensoring and contains
-    a faithful member, which is exactly what makes some finite power
-    succeed; ``MAX_TENSOR_POWER`` and the dimension budget turn "finite"
-    into an explicit failure mode instead of an unbounded run.  Searches
-    that share rho0 and z pass the same ``ladder``, so each power and its
-    z-kernel is built at most once; the dimension budget is checked before a
-    new power is built.
+    Returns (tensor power p, index of the witness block in ``ladder[p - 1]``,
+    witness index into that block's canonical basis of Ker rho(z)).  The
+    family of tensor powers of a faithful nilpotent representation is closed
+    under tensoring and contains a faithful member, which is exactly what
+    makes some finite power succeed; ``MAX_TENSOR_POWER`` and the dimension
+    budget turn "finite" into an explicit failure mode instead of an
+    unbounded run.
+
+    V^(x)p is the direct sum of its blocks, which sit on disjoint
+    coordinates and are each invariant, so Ker rho(z) on V^(x)p is the sum
+    of the blocks' kernels and its canonical echelon basis is the union of
+    theirs, each embedded in order.  The first canonical kernel vector of
+    V^(x)p that rho(x) does not kill is therefore, among the blocks' first
+    such vectors, the one with the smallest pivot in V^(x)p.  Searches that
+    share the parts and z pass the same ``ladder``, so each block and its
+    z-kernel is built at most once.
     """
-    pair = RationalMatrix.from_columns(rho0.algebra.dim, [tuple(z), tuple(x)])
+    pair = RationalMatrix.from_columns(len(z), [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
     if ladder is None:
         ladder = []
     for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
-            rho = rho0
-            if ladder:
-                prev = ladder[-1][0]
-                next_dim = prev.space_dim * rho0.space_dim
-                if next_dim > config.dimension_budget:
-                    raise TensorBudgetExceeded(
-                        f"tensor power {power} needs dimension {next_dim} > budget {config.dimension_budget}"
-                    )
-                rho = tensor_product(prev, rho0)
-            ladder.append((rho, kernel_basis(element_action(rho, z))))
-        rho, kernel = ladder[power - 1]
-        witness = _kernel_witness(rho, kernel, x)
-        if witness is not None:
-            return rho, power, witness, kernel
+            ladder.append(_next_level(parts, z, ladder, config))
+        found = None  # (pivot in V^(x)p, block index, witness)
+        for index, block in enumerate(ladder[power - 1]):
+            witness = _kernel_witness(block.rep, block.kernel, x)
+            if witness is not None:
+                pivot = block.coords[block.kernel._pivots[witness]]
+                if found is None or pivot < found[0]:
+                    found = (pivot, index, witness)
+        if found is not None:
+            return power, found[1], found[2]
     raise TensorBudgetExceeded(
         f"no kernel witness within tensor power {MAX_TENSOR_POWER}"
     )
@@ -234,13 +286,18 @@ def distinguish_by_kernels(
     """A tensor power of rho0 whose z-action kernel is not inside the
     x-action kernel.  rho0 must be faithful and nilpotent (the engine
     guarantees this for its own calls)."""
-    rep, _, _, _ = _distinguish(rho0, z, x, config or EngineConfig())
-    return rep
+    ladder: Ladder = []
+    power, index, _ = _distinguish([rho0], z, x, config or EngineConfig(), ladder)
+    return ladder[power - 1][index].rep
 
 
-def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[Representation, dict]:
+def _glue_traced(
+    algebra: LieAlgebra, separator: Separator
+) -> tuple[Representation, list[Representation], dict]:
+    """The glued representation, its summands in order, and the trace."""
     rho = Representation(algebra, 0, [RationalMatrix.zero(0, 0)] * algebra.dim)
     kernel = Subspace.full(algebra.dim)
+    parts: list[Representation] = []
     summands: list[int] = []
     kernels: list[int] = []
     while kernel.dim > 0:
@@ -250,9 +307,10 @@ def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[Representat
             raise SeparatorFailed("separator returned a representation vanishing on its element")
         rho = direct_sum(rho, rho_x)
         kernel = rep_kernel(rho)
+        parts.append(rho_x)
         summands.append(rho_x.space_dim)
         kernels.append(kernel.dim)
-    return rho, {"algebra_dim": algebra.dim, "summand_dims": summands, "kernel_dims": kernels}
+    return rho, parts, {"algebra_dim": algebra.dim, "summand_dims": summands, "kernel_dims": kernels}
 
 
 def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
@@ -264,7 +322,7 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
     e_0); the kernel dimension drops strictly every iteration, so at most
     dim L summands appear.
     """
-    rep, _ = _glue_traced(algebra, separator)
+    rep, _, _ = _glue_traced(algebra, separator)
     return rep
 
 
@@ -313,6 +371,7 @@ def _induction_pipeline(
     cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
 
     flag = _ideal_flag(pres.F, pres.I)
+    parts = [rho]  # rho is their direct sum
     current = pres.F
     proj = RationalMatrix.identity(pres.F.dim)  # F -> current
     for k in range(len(flag) - 1):
@@ -324,37 +383,43 @@ def _induction_pipeline(
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)
         adj = adjoint(quo)
+        dim_v = sum(part.space_dim for part in parts)
         ladder: Ladder = []
-        # the kernel submodule of each tensor power, induced onto quo:
-        # searches of one step that land on the same power share it.
-        carved: dict[int, Representation] = {}
+        # the kernel submodule of each (tensor power, block), induced onto
+        # quo: searches of one step that land on the same block share it.
+        carved: dict[tuple[int, int], Representation] = {}
 
-        # Called only by this step's glue, before rho is rebound to its result.
+        # Called only by this step's glue, before parts is rebound to its summands.
         def separator(x):
             if not element_action(adj, x).is_zero():
                 return adj
             lift = solve(p.matrix, x)
             if lift is None:
                 raise NotSurjective("quotient projection must be surjective")
-            rep_big, power, witness, kernel = _distinguish(rho, z, lift, config, ladder)
+            power, index, witness = _distinguish(parts, z, lift, config, ladder)
             cert.add(
                 "kernel_search",
                 element=_coords_json(x),
                 tensor_power=power,
-                rep_dim=rep_big.space_dim,
+                rep_dim=dim_v**power,
             )
-            if power not in carved:
-                carved[power] = kernel_submodule(rep_big, z, quo, kernel)
-            induced = carved[power]
+            level = ladder[power - 1]
+            if (power, index) not in carved:
+                block = level[index]
+                carved[power, index] = kernel_submodule(block.rep, z, quo, block.kernel)
+            induced = carved[power, index]
+            # the witness's cyclic submodule lies in its block, and the
+            # block's coordinates embed in order, so this is the same
+            # compression as inside the whole kernel of V^(x)power
             compressed = cyclic_submodule(induced, unit_vector(induced.space_dim, witness))
             cert.add(
                 "kernel_submodule",
-                carrier_dim=induced.space_dim,
+                carrier_dim=sum(block.kernel.dim for block in level),
                 compressed_dim=compressed.space_dim,
             )
             return compressed
 
-        rho, trace = _glue_traced(quo, separator)
+        rho, parts, trace = _glue_traced(quo, separator)
         cert.add("glue", **trace)
         current = quo
         proj = p.matrix @ proj

@@ -5,8 +5,9 @@ treated as immutable after construction.  Row reduction copies only the
 nonzero rows and keeps a column -> rows index, so each elimination visits
 just the rows that hold the pivot column; it returns the pivot rows alone.
 Every reduction pivots on the leftmost column, so all outputs are canonical
-RREF and two runs on equal inputs are bit-identical.  No floating point
-anywhere.
+RREF and two runs on equal inputs are bit-identical; ``kernel_basis`` hands
+it the columns in reverse, so that its null vectors come out canonical with
+no second elimination.  No floating point anywhere.
 ``integer_form`` writes a matrix as integer numerators over one common
 denominator, and ``mul_rowmaps``, the one sparse product, runs on those as
 well, so exact checks can multiply without building a Fraction per entry.
@@ -538,17 +539,28 @@ class Subspace:
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols."""
-    rows, pivots = _rref_rowdicts(_matrix_rowdicts(m), m.cols)
-    pivot_set = set(pivots)
-    # One null vector per free column: 1 there, minus that column of each
-    # RREF row at the row's pivot.  RREF rows are zero at the other pivots.
+    """Null space of m as a canonical Subspace of Q^cols, in one elimination.
+
+    The columns are eliminated right to left (column c is handed to
+    ``_rref_rowdicts`` as column cols - 1 - c), so every reduced row is 1 at
+    its pivot p, zero at the other pivots, and nonzero elsewhere only at
+    free columns left of p.  The null vector of a free column f is 1 at f
+    minus that column of each reduced row at the row's pivot: its entries
+    other than f sit at pivots right of f, and it is zero at every other
+    free column.  These vectors are therefore already the canonical echelon
+    basis of the null space, with the free columns as pivots.
+    """
+    last = m.cols - 1
+    flipped = [{last - c: v for c, v in row.items()} for row in _matrix_rowdicts(m)]
+    rows, flipped_pivots = _rref_rowdicts(flipped, m.cols)
+    pivot_set = {last - q for q in flipped_pivots}
     null = {free: {free: F1} for free in range(m.cols) if free not in pivot_set}
-    for row, p in zip(rows, pivots):
-        for c, v in row.items():
-            if c != p:
-                null[c][p] = -v
-    return Subspace(m.cols, *_rref_rowdicts(list(null.values()), m.cols))
+    for row, q in zip(rows, flipped_pivots):
+        p = last - q
+        for k, v in row.items():
+            if k != q:
+                null[last - k][p] = -v
+    return Subspace(m.cols, list(null.values()), list(null))
 
 
 def image_basis(m: RationalMatrix) -> Subspace:

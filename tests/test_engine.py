@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import adoforge
 import adoforge.engine as engine
@@ -42,7 +43,7 @@ from adoforge.liealg import Grading, LieAlgebra
 from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
-from test_reps import conjugated_corpus_reps
+from test_reps import CORPUS_REPS, conjugated_corpus_reps
 
 
 class TestDistinguishByKernels:
@@ -91,30 +92,42 @@ class TestDistinguishByKernels:
             distinguish_by_kernels(rep, unit_vector(3, 2), unit_vector(3, 0))
         ladder = []
         with pytest.raises(TensorBudgetExceeded):
-            engine._distinguish(rep, unit_vector(3, 2), unit_vector(3, 0), EngineConfig(), ladder)
-        assert [r.space_dim for r, _ in ladder] == [3, 9, 27, 81, 243, 729]
+            engine._distinguish([rep], unit_vector(3, 2), unit_vector(3, 0), EngineConfig(), ladder)
+        # one part, so one block per power, holding the whole power
+        assert [len(level) for level in ladder] == [1] * 6
+        assert [sum(b.rep.space_dim for b in level) for level in ladder] == [3, 9, 27, 81, 243, 729]
 
 
 class TestTensorLadder:
     """Counts calls through the ``engine`` and ``reps`` module bindings."""
 
     def test_each_power_built_once_per_flag_step(self, h5, monkeypatch):
-        built = []  # tensor_product calls, one entry per flag step
+        built = []  # per flag step, the (block, part) of each tensor_product call
+        landed = []  # per flag step, the (power, block index) of every kernel search
+        carved = []  # per flag step, the block each kernel_submodule call carved
         kernel_calls = []  # one entry per reps.kernel_basis call
         in_submodule = []  # kernel_basis calls made inside each kernel_submodule
-        real = {name: getattr(engine, name) for name in ("quotient", "tensor_product", "kernel_submodule")}
+        names = ("quotient", "tensor_product", "kernel_submodule", "_distinguish")
+        real = {name: getattr(engine, name) for name in names}
         real_kernel_basis = reps.kernel_basis
 
         quotients = []  # each flag step's quotient
 
         def quotient(*args):  # the engine takes one quotient per flag step
-            built.append(0)
+            built.append([])
+            landed.append(set())
+            carved.append([])
             quotients.append(real["quotient"](*args))
             return quotients[-1]
 
-        def tensor_product(*args):
-            built[-1] += 1
-            return real["tensor_product"](*args)
+        def tensor_product(block, part):
+            built[-1].append((id(block), id(part)))
+            return real["tensor_product"](block, part)
+
+        def _distinguish(parts, z, x, config, ladder):
+            found = real["_distinguish"](parts, z, x, config, ladder)
+            landed[-1].add(found[:2])
+            return found
 
         def kernel_basis(*args):
             kernel_calls.append(args)
@@ -123,32 +136,41 @@ class TestTensorLadder:
         def kernel_submodule(rep, z, quo, carrier):
             assert carrier is not None
             assert quo is quotients[-1][0]  # induced onto this step's quotient
+            carved[-1].append(id(rep))
             before = len(kernel_calls)
             out = real["kernel_submodule"](rep, z, quo, carrier)
             in_submodule.append(len(kernel_calls) - before)
             return out
 
-        monkeypatch.setattr(engine, "quotient", quotient)
-        monkeypatch.setattr(engine, "tensor_product", tensor_product)
-        monkeypatch.setattr(engine, "kernel_submodule", kernel_submodule)
+        for name, fn in (("quotient", quotient), ("tensor_product", tensor_product),
+                         ("kernel_submodule", kernel_submodule), ("_distinguish", _distinguish)):
+            monkeypatch.setattr(engine, name, fn)
         monkeypatch.setattr(reps, "kernel_basis", kernel_basis)
         _, cert = construct_faithful_nilpotent(h5, EngineConfig(method="induction"))
 
         top_power = []
-        searched = set()  # (flag step, tensor power) of every kernel search
         for step in cert.steps:
             if step["kind"] == "flag_step":
                 top_power.append(1)
             elif step["kind"] == "kernel_search":
                 top_power[-1] = max(top_power[-1], step["tensor_power"])
-                searched.add((len(top_power) - 1, step["tensor_power"]))
-        assert built == [p - 1 for p in top_power] == [0, 1, 1, 0, 1]
-        # two searches share the tensor square in each of two flag steps; in
-        # flag steps 0-2 both searches land on the same power and share its
-        # kernel submodule, so there is one real call per (step, power)
+        # the first step's one part is the seed; every later step's parts
+        # are the previous step's glue summands
+        parts = [1] + [len(g["summand_dims"]) for g in cert.steps_of_kind("glue")][:-1]
+        assert parts == [1, 3, 3, 3, 2]
+        # power p of k parts has k^p blocks, and each power >= 2 is built
+        # once per flag step, one tensor_product per (power, block)
+        expected = [sum(k**p for p in range(2, top + 1)) for k, top in zip(parts, top_power)]
+        assert [len(b) for b in built] == expected == [0, 9, 9, 0, 4]
+        assert all(len(set(b)) == len(b) for b in built)
+        # eight searches, two in each of flag steps 0-2: in step 0 both land
+        # on the one block of power 1 and share its kernel submodule, in
+        # steps 1 and 2 on two blocks of the square; one real call per
+        # (step, power, block)
         assert len(cert.steps_of_kind("kernel_search")) == 8
-        assert len(searched) == 5
-        assert in_submodule == [0] * len(searched)
+        assert [len(c) for c in carved] == [len(s) for s in landed] == [1, 2, 2, 1, 1]
+        assert all(len(set(c)) == len(c) for c in carved)
+        assert in_submodule == [0] * 7
 
     def test_one_quotient_per_flag_step(self, h5, monkeypatch):
         # counted through every adoforge module that binds liealg.quotient,
@@ -179,6 +201,117 @@ class TestTensorLadder:
         assert built == []
 
 
+# --- the block ladder against the assembled direct sum -------------------
+
+
+def carve_and_compress(block, z, quo, witness):
+    """The engine's separator output for a search that landed on block."""
+    induced = reps.kernel_submodule(block.rep, z, quo, block.kernel)
+    return reps.cyclic_submodule(induced, unit_vector(induced.space_dim, witness))
+
+
+def assert_blocks_match_sum(parts, z, x, config=EngineConfig()):
+    """``_distinguish`` on the parts and on their assembled direct sum finds
+    the same power, witness and carrier, and the same compressed
+    representation; returns the power, or None when both run out."""
+    algebra = parts[0].algebra
+    quo, _ = liealg.quotient(algebra, Subspace.from_vectors(algebra.dim, [z]))
+    whole = reps.direct_sum(parts[0], parts[1])
+    for part in parts[2:]:
+        whole = reps.direct_sum(whole, part)
+    by_parts, by_sum = [], []
+    outcomes = []
+    for pieces, ladder in ((parts, by_parts), ([whole], by_sum)):
+        try:
+            outcomes.append(engine._distinguish(pieces, z, x, config, ladder))
+        except TensorBudgetExceeded as exc:
+            outcomes.append(str(exc))
+    if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+        assert [len(level) for level in by_parts] == [len(parts) ** p for p in range(1, len(by_sum) + 1)]
+        return None
+    (power, index, witness), (power_sum, index_sum, witness_sum) = outcomes
+    assert power == power_sum and index_sum == 0
+    level, (block_sum,) = by_parts[power - 1], by_sum[power - 1]
+    assert len(level) == len(parts) ** power
+    assert block_sum.rep.space_dim == whole.space_dim**power == sum(b.rep.space_dim for b in level)
+    assert sorted(c for b in level for c in b.coords) == block_sum.coords == list(range(whole.space_dim**power))
+    # the canonical kernel of the whole power is the union of the blocks'
+    # canonical kernels, each embedded in order
+    embedded = sorted(({b.coords[k]: v for k, v in row.items()} for b in level for row in b.kernel._rows), key=min)
+    assert embedded == block_sum.kernel._rows
+    assert [min(row) for row in embedded] == block_sum.kernel._pivots
+    # the same witness at the same position, and the same carrier dim
+    block = level[index]
+    pivot = block.coords[block.kernel._pivots[witness]]
+    assert block_sum.kernel._pivots[witness_sum] == pivot
+    assert sum(b.kernel.dim for b in level) == block_sum.kernel.dim
+    compressed = carve_and_compress(block, z, quo, witness)
+    compressed_sum = carve_and_compress(block_sum, z, quo, witness_sum)
+    assert compressed.space_dim == compressed_sum.space_dim
+    assert compressed.matrices == compressed_sum.matrices
+    return power
+
+
+class TestBlockLadder:
+    def test_h3_pair_needs_the_square(self, h3, std_h3_rep):
+        # Ker rho(e2) <= Ker rho(e1) on the standard rep, so a sum of its
+        # copies finds its witness in a block of the tensor square
+        z, x = unit_vector(3, 2), unit_vector(3, 1)
+        assert assert_blocks_match_sum([std_h3_rep, std_h3_rep], z, x) == 2
+        assert assert_blocks_match_sum([std_h3_rep, std_h3_rep, std_h3_rep], z, x) == 2
+        # ad(e2) = 0 and ad(e1) != 0, and on the dual x -> -rho(x)^T the
+        # kernels are not nested either: the witness is in a later block of
+        # power 1, after the first block's kernel
+        ad = adjoint(h3)
+        dual = Representation(h3, 3, [-m.transpose() for m in std_h3_rep.matrices])
+        assert reps.is_homomorphism(dual)
+        assert assert_blocks_match_sum([std_h3_rep, ad], z, x) == 1
+        assert assert_blocks_match_sum([std_h3_rep, std_h3_rep, dual], z, x) == 1
+
+    def test_budget_checked_on_the_whole_power(self, std_h3_rep, monkeypatch):
+        # two parts of dim 3: the square has dim 36, not the 9 of a block
+        built = []
+        monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
+        with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 36 > budget 35"):
+            engine._distinguish(
+                [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35)
+            )
+        assert built == []
+
+
+ALGEBRA_POOLS = {}
+for _rep in CORPUS_REPS:
+    ALGEBRA_POOLS.setdefault(id(_rep.algebra), []).append(_rep)
+
+
+@st.composite
+def direct_sum_searches(draw):
+    """2-3 representations of one corpus algebra, some conjugated, a
+    nonzero central z and an x independent of it."""
+    pool = draw(st.sampled_from(list(ALGEBRA_POOLS.values())))
+    algebra = pool[0].algebra
+    parts = [
+        draw(st.one_of(st.sampled_from(pool), conjugated_corpus_reps(pool)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    centre = liealg.center(algebra).basis_vectors()
+    z = draw(st.sampled_from(centre))
+    x = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=algebra.dim, max_size=algebra.dim))
+    x = tuple(Fraction(v) for v in x)
+    assume(linalg.rank(RationalMatrix.from_columns(algebra.dim, [z, x])) == 2)
+    return parts, z, x
+
+
+@settings(deadline=None, max_examples=60)
+@given(direct_sum_searches())
+def test_blocks_match_the_assembled_sum(search):
+    parts, z, x = search
+    # the budget keeps the whole-power side small; both sides must then
+    # stop at the same power with the same message
+    assert_blocks_match_sum(parts, z, x, EngineConfig(dimension_budget=400))
+
+
 class TestGlueLocal:
     def test_single_step(self):
         a1 = abelian(1)
@@ -197,10 +330,21 @@ class TestGlueLocal:
         assert rep_kernel(rep).dim == 0
         assert rep.space_dim <= ad.space_dim + std_h3_rep.space_dim
 
+    def test_summands_returned_in_order(self, h3, std_h3_rep):
+        ad = adjoint(h3)
+
+        def separator(x):
+            return ad if not element_action(ad, x).is_zero() else std_h3_rep
+
+        rep, summands, trace = engine._glue_traced(h3, separator)
+        assert summands == [ad, std_h3_rep]
+        assert trace["summand_dims"] == [s.space_dim for s in summands]
+        assert rep.matrices == reps.direct_sum(ad, std_h3_rep).matrices
+
     def test_zero_dim_algebra_needs_no_separator(self):
         calls = []
-        rep, trace = engine._glue_traced(abelian(0), lambda x: calls.append(x))
-        assert (rep.space_dim, rep.matrices) == (0, ())
+        rep, summands, trace = engine._glue_traced(abelian(0), lambda x: calls.append(x))
+        assert (rep.space_dim, rep.matrices, summands) == (0, (), [])
         assert trace == {"algebra_dim": 0, "summand_dims": [], "kernel_dims": []}
         assert glue_local(abelian(0), lambda x: calls.append(x)).space_dim == 0
         assert calls == []

@@ -568,6 +568,71 @@ def test_zero_matrices(rows, cols):
     assert linalg._rref_rowdicts([{}] * rows, cols) == ([], [])
 
 
+# --- kernel_basis in one elimination against the two-pass reference ------
+
+def reference_kernel_basis(m):
+    """``kernel_basis`` as it was before its single elimination, kept as the
+    reference: left-to-right elimination, then a second ``_rref_rowdicts``
+    pass that puts the null vectors in canonical form."""
+    rows, pivots = linalg._rref_rowdicts(linalg._matrix_rowdicts(m), m.cols)
+    pivot_set = set(pivots)
+    # One null vector per free column: 1 there, minus that column of each
+    # RREF row at the row's pivot.  RREF rows are zero at the other pivots.
+    null = {free: {free: Fraction(1)} for free in range(m.cols) if free not in pivot_set}
+    for row, p in zip(rows, pivots):
+        for c, v in row.items():
+            if c != p:
+                null[c][p] = -v
+    return Subspace(m.cols, *linalg._rref_rowdicts(list(null.values()), m.cols))
+
+
+def assert_canonical_rref(rows, pivots, cols):
+    """Increasing pivots inside [0, cols); each row leads with 1 at its
+    pivot, is zero at the other pivots, and stores no zero."""
+    assert pivots == sorted(set(pivots)) and all(0 <= p < cols for p in pivots)
+    assert len(rows) == len(pivots)
+    pivot_set = set(pivots)
+    for row, p in zip(rows, pivots):
+        assert min(row) == p and row[p] == 1
+        assert all(row.values()) and max(row) < cols
+        assert not (set(row) & pivot_set) - {p}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(elimination_inputs, st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda s: RationalMatrix.zero(*s))))
+def test_kernel_basis_matches_two_pass_reference(m):
+    before = copy.deepcopy(m._data)
+    kernel = kernel_basis(m)
+    assert m._data == before
+    ref = reference_kernel_basis(m)
+    assert kernel._rows == ref._rows
+    assert kernel._pivots == ref._pivots
+    assert kernel.ambient_dim == m.cols
+    assert_canonical_rref(kernel._rows, kernel._pivots, m.cols)
+    assert m @ kernel.basis == RationalMatrix.zero(m.rows, kernel.dim)
+    assert kernel.dim + rank(m) == m.cols
+
+
+def test_kernel_basis_takes_one_elimination(monkeypatch):
+    calls = []
+    real = linalg._rref_rowdicts
+
+    def counted(rowdicts, cols):
+        calls.append(cols)
+        return real(rowdicts, cols)
+
+    monkeypatch.setattr(linalg, "_rref_rowdicts", counted)
+    m = fraction_matrix([[1, 2, 0, 3], [0, 0, 1, -1], [2, 4, 1, 5]])
+    kernel = kernel_basis(m)
+    assert calls == [4]
+    assert kernel == reference_kernel_basis(m)
+    # right to left, columns 3 and 2 take the pivots; the free columns 0
+    # and 1 lead the null vectors
+    assert kernel._pivots == [0, 1]
+    third = Fraction(1, 3)
+    assert kernel.basis_vectors() == [(1, 0, -third, -third), (0, 1, -2 * third, -2 * third)]
+
+
 def test_matrix_rowdicts_skips_zero_rows():
     # rep_kernel's stacked matrices are tall with few nonzero rows; no
     # empty dict is built for the others

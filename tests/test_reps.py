@@ -365,10 +365,10 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def conjugated_corpus_reps(draw):
-    """A corpus representation conjugated by a random rational unit upper
-    triangular P: x acts as P rho(x) P^-1."""
-    rep = draw(st.sampled_from(CORPUS_REPS))
+def conjugated_corpus_reps(draw, pool=CORPUS_REPS):
+    """A representation from ``pool`` (by default the corpus) conjugated by
+    a random rational unit upper triangular P: x acts as P rho(x) P^-1."""
+    rep = draw(st.sampled_from(pool))
     sd = rep.space_dim
     entries = [(r, r, 1) for r in range(sd)]
     for r in range(sd):
