@@ -12,7 +12,6 @@ from .errors import (
     InvalidGrading,
     KernelNotContained,
     NotACocycle,
-    NotAHomomorphism,
     NotAnIdeal,
     NotCentral,
     NotInvariant,

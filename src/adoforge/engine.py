@@ -20,11 +20,11 @@ the products of one summand per factor, on disjoint coordinates, give the
 same witness, carrier and compression as the whole power.  The
 representation of the last quotient F/I is transported back to L along proj
 after a section of pi, which is well defined because Ker pi = I = Ker proj.
-The interior steps do not re-prove what the construction guarantees, such
-as the centrality of each flag image; ``construct_faithful_nilpotent``
-verifies its output exactly, once, and raises ``VerificationFailed`` when
-that fails.  ``EngineConfig`` has
-two keys: ``method`` and ``dimension_budget``.
+The interior steps do not re-prove what the construction guarantees: that
+each flag image is central, nor that pi, the projections and the transport
+are homomorphisms.  ``construct_faithful_nilpotent`` verifies its output
+exactly, once, and raises ``VerificationFailed`` when that fails.
+``EngineConfig`` has two keys: ``method`` and ``dimension_budget``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .liealg import (
     quotient,
     validate,
 )
-from .freenilp import present
+from .freenilp import DEFAULT_DIMENSION_BUDGET, present
 from .graded import current_algebra_faithful_rep, graded_faithful_rep
 from .reps import (
     Representation,
@@ -233,7 +233,7 @@ def _distinguish(
     z: Sequence[Fraction],
     x: Sequence[Fraction],
     config: EngineConfig,
-    ladder: Ladder | None = None,
+    ladder: Ladder,
 ) -> tuple[int, int, int]:
     """Search V, V^(x)2, ... for Ker rho(z) not contained in Ker rho(x),
     where V is the direct sum of ``parts``.
@@ -251,15 +251,14 @@ def _distinguish(
     of the blocks' kernels and its canonical echelon basis is the union of
     theirs, each embedded in order.  The first canonical kernel vector of
     V^(x)p that rho(x) does not kill is therefore, among the blocks' first
-    such vectors, the one with the smallest pivot in V^(x)p.  Searches that
-    share the parts and z pass the same ``ladder``, so each block and its
-    z-kernel is built at most once.
+    such vectors, the one with the smallest pivot in V^(x)p.  ``ladder``
+    holds the powers built so far (``[]`` for a fresh search) and is
+    extended in place; searches that share the parts and z pass the same
+    one, so each block and its z-kernel is built at most once.
     """
     pair = RationalMatrix.from_columns(len(z), [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
-    if ladder is None:
-        ladder = []
     for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
             ladder.append(_next_level(parts, z, ladder, config))
@@ -440,12 +439,18 @@ def construct_faithful_nilpotent(
 
     The output is verified exactly before it is returned; the certificate's
     last step, ``verified``, records that report.  Raises
-    ``VerificationFailed`` when any of the three properties fails.
+    ``VerificationFailed`` when any of the three properties fails, and
+    ``BudgetExceeded`` before ``validate`` for an input over its route's cap.
     """
     config = config or EngineConfig()
     graded = config.method == "auto" and algebra.grading is not None
     if graded:
         _check_budget(algebra.dim + 1, config)
+    elif algebra.dim > DEFAULT_DIMENSION_BUDGET:
+        # pi: F -> L is onto, so dim F >= dim L, and present caps dim F
+        raise BudgetExceeded(
+            f"induction route: input dimension {algebra.dim} exceeds the free nilpotent budget {DEFAULT_DIMENSION_BUDGET}"
+        )
     if not validate(algebra).ok:
         raise ValidationFailed("input algebra fails validation; run validate() for details")
     nilpotency_class(algebra)  # raises NotNilpotent otherwise

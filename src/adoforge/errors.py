@@ -63,14 +63,6 @@ class NotACocycle(AdoForgeError):
     kind = "not_a_cocycle"
 
 
-class NotAHomomorphism(AdoForgeError):
-    """A representation fails the commutator identity, or a linear map
-    between Lie algebras fails [f(x), f(y)] = f([x, y]), where one is
-    required."""
-
-    kind = "not_a_homomorphism"
-
-
 class TensorBudgetExceeded(BudgetExceeded):
     kind = "tensor_budget_exceeded"
 

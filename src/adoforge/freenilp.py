@@ -205,7 +205,7 @@ def present(algebra: LieAlgebra) -> Presentation:
 
     The generators map to the standard basis vectors at the complement
     coordinates of [L,L]; the map extends to Hall words by bracket
-    evaluation.
+    evaluation, so pi is a homomorphism by construction.
     """
     if algebra.dim == 0:
         raise ValueError("present requires a nonzero algebra")

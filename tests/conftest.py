@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
 from adoforge.liealg import LieAlgebra
-from adoforge.linalg import RationalMatrix, solve_multi
+from adoforge.linalg import RationalMatrix, dense_vector, solve_multi
 from adoforge.reps import Representation
 
 
@@ -107,6 +107,33 @@ def corpus_algebras(draw):
     if draw(st.booleans()):
         algebra = rebase(algebra, draw(changes_of_basis(algebra.dim)))
     return algebra
+
+
+# --- the table-sweep bracket and the dense homomorphism check, as references ---
+
+
+def reference_bracket(algebra, u, v):
+    """The table-sweep bracket: one pass over every stored pair (i, j)."""
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), coeffs in algebra.brackets.items():
+        c = u[i] * v[j] - u[j] * v[i]
+        if c:
+            for k, val in coeffs.items():
+                out[k] += c * val
+    return tuple(out)
+
+
+def reference_is_hom(source, target, matrix):
+    """[f(e_i), f(e_j)] = f([e_i, e_j]) on every source basis pair, with
+    dense vectors: ``apply`` of a densified bracket against the table-sweep
+    bracket of two columns."""
+    cols = [matrix.column(i) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            lhs = matrix.apply(dense_vector(source.bracket_basis(i, j), source.dim))
+            if lhs != reference_bracket(target, cols[i], cols[j]):
+                return False
+    return True
 
 
 # --- the zero-adding sum and multiply-every-pair Kronecker product, as references ---

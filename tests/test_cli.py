@@ -255,6 +255,18 @@ class TestConstructCommand:
         assert report["outcome"]["error"] == "budget_exceeded"
         assert calls == []
 
+    @pytest.mark.parametrize("method", ["auto", "induction"])
+    def test_large_ungraded_exits_4_before_validating(self, tmp_path, capsys, method):
+        """dim 201 without a grading is over the free nilpotent cap of the
+        induction route, which refuses it before ``validate``: the Jacobi
+        failure on (0, 1, 2) goes unseen, so the exit is 4, not 1."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(BROKEN_JACOBI, dim=201)))
+        code, _, report = run_cli(["construct", str(path), "--method", method], capsys)
+        assert code == 4
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert "input dimension 201" in report["outcome"]["message"]
+
     @pytest.mark.parametrize(
         "budget,extra",
         [

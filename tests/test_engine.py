@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import adoforge
 import adoforge.engine as engine
+import adoforge.freenilp as freenilp
+import adoforge.graded as graded
 import adoforge.liealg as liealg
 import adoforge.linalg as linalg
 import adoforge.reps as reps
@@ -26,6 +28,7 @@ from adoforge.errors import (
     SeparatorFailed,
     TensorBudgetExceeded,
     ValidationFailed,
+    VerificationFailed,
 )
 from adoforge.engine import (
     Certificate,
@@ -44,6 +47,8 @@ from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector,
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
 from test_reps import CORPUS_REPS, conjugated_corpus_reps
+
+from conftest import CORPUS, reference_is_hom
 
 
 class TestDistinguishByKernels:
@@ -275,7 +280,7 @@ class TestBlockLadder:
         monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 36 > budget 35"):
             engine._distinguish(
-                [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35)
+                [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35), []
             )
         assert built == []
 
@@ -520,6 +525,63 @@ class TestBudgetBeforeBuilding:
         with pytest.raises(BudgetExceeded, match="dimension 260 exceeds budget 50"):
             construct_faithful_nilpotent(h5, EngineConfig(method="induction", dimension_budget=50))
         assert [s.space_dim for s in seeds] == [260]
+
+
+    @pytest.mark.parametrize("method", ["auto", "induction"])
+    def test_induction_cap_checked_before_validate(self, method, monkeypatch):
+        # F maps onto L, so dim L above the free nilpotent cap is refused
+        # before the O(n^3) Jacobi loop; dim L at the cap reaches it
+        def refusing(algebra):
+            raise RuntimeError(f"validate called on dim {algebra.dim}")
+
+        monkeypatch.setattr(engine, "validate", refusing)
+        with pytest.raises(BudgetExceeded, match="input dimension 201 exceeds the free nilpotent budget 200"):
+            construct_faithful_nilpotent(LieAlgebra(201, {}), EngineConfig(method=method))
+        with pytest.raises(RuntimeError, match="validate called on dim 200"):
+            construct_faithful_nilpotent(LieAlgebra(200, {}), EngineConfig(method=method))
+
+
+class TestProvedOnceAtTheBoundary:
+    """The maps of the induction route are ``LieHom`` values that nothing
+    re-proves: ``verify_output`` catches a broken one, and the tests prove
+    every one the route builds."""
+
+    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "heisenberg5", "free2_3"])
+    def test_broken_presentation_caught_at_the_boundary(self, name, which, monkeypatch):
+        # pi with its first or last stored entry moved by 1/3, and I its kernel
+        real = engine.present
+
+        def present(algebra):
+            pres = real(algebra)
+            m = pres.pi.matrix
+            r, c, _ = list(m.entries())[which]
+            moved = RationalMatrix.from_entries(m.rows, m.cols, list(m.entries()) + [(r, c, Fraction(1, 3))])
+            assert not reference_is_hom(pres.F, algebra, moved)
+            return dataclasses.replace(pres, pi=liealg.LieHom(pres.F, algebra, moved), I=kernel_basis(moved))
+
+        monkeypatch.setattr(engine, "present", present)
+        with pytest.raises(VerificationFailed) as info:
+            construct_faithful_nilpotent(example(name), EngineConfig(method="induction"))
+        assert info.value.report.failing() == ["homomorphism"]
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_every_interior_map_is_a_homomorphism(self, name, monkeypatch):
+        # recorded through every module binding that builds one: pi, the
+        # seed's graded embedding, each flag step's projection, the transport
+        handed = []
+        real = liealg.LieHom
+
+        def recording(source, target, matrix):
+            handed.append((source, target, matrix))
+            return real(source, target, matrix)
+
+        for module in (engine, liealg, freenilp, graded):
+            monkeypatch.setattr(module, "LieHom", recording)
+        _, cert = construct_faithful_nilpotent(example(name), EngineConfig(method="induction"))
+        assert len(handed) == 3 + len(cert.steps_of_kind("flag_step"))
+        for source, target, matrix in handed:
+            assert reference_is_hom(source, target, matrix)
 
 
 class TestTypedInteriorErrors:

@@ -10,6 +10,8 @@ from adoforge.liealg import LieHom, is_ideal, validate, verify_grading
 from adoforge.linalg import RationalMatrix, rank
 from test_golden import rebased
 
+from conftest import reference_is_hom
+
 
 class TestHallBasis:
     def test_rank2_class1(self):
@@ -117,6 +119,7 @@ class TestFreeNilpotent:
         h3 = heisenberg3()
         # e0 -> g2, e1 -> g1, e2 -> [g2,g1] is an isomorphism
         iso = LieHom(h3, f, RationalMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+        assert reference_is_hom(h3, f, iso.matrix)
         assert iso.is_injective()
 
     def test_rank1_is_abelian(self):
@@ -144,7 +147,8 @@ class TestFreeNilpotent:
 
 
 def assert_presentation(pres):
-    """pi: F -> L is onto and I = Ker pi is an ideal of F."""
+    """pi: F -> L is an onto homomorphism and I = Ker pi is an ideal of F."""
+    assert reference_is_hom(pres.F, pres.L, pres.pi.matrix)
     assert rank(pres.pi.matrix) == pres.L.dim
     assert is_ideal(pres.F, pres.I)
 
