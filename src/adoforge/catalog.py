@@ -17,6 +17,7 @@ EXAMPLE_NAMES = (
     "solvable2",
     "cn7a",
     "cn7b",
+    "census7",
 )
 
 
@@ -64,6 +65,20 @@ def cn7b() -> LieAlgebra:
     return _cn7({(1, 2): {4: -1, 6: -1}, (1, 3): {5: -1}, (1, 4): {6: -1}})
 
 
+def census7() -> LieAlgebra:
+    """A 7-dim quotient of F(2, 5) of class 5 with no grading, found by a
+    seeded search over quotients of free nilpotent algebras.  Every
+    derivation vanishes on its 1-dim center, so none is nonsingular."""
+    return LieAlgebra(
+        7,
+        {
+            (0, 1): {2: -1}, (0, 2): {3: -1}, (0, 3): {6: "1/2"}, (0, 4): {5: -1, 6: "-1/2"},
+            (1, 2): {4: -1}, (1, 3): {5: -1, 6: "-1/2"}, (1, 4): {5: -1}, (1, 5): {6: -1},
+            (2, 4): {6: 1},
+        },
+    )
+
+
 def solvable2() -> LieAlgebra:
     """Two-dimensional non-nilpotent algebra [e0, e1] = e1."""
     return LieAlgebra(2, {(0, 1): {1: 1}})
@@ -71,21 +86,12 @@ def solvable2() -> LieAlgebra:
 
 _ABELIAN = re.compile(r"abelian([0-9]+)$")
 _FREE = re.compile(r"free([0-9]+)_([0-9]+)$")
+_NAMED = {f.__name__: f for f in (heisenberg3, heisenberg5, filiform4, solvable2, cn7a, cn7b, census7)}
 
 
 def example(name: str) -> LieAlgebra:
-    if name == "heisenberg3":
-        return heisenberg3()
-    if name == "heisenberg5":
-        return heisenberg5()
-    if name == "filiform4":
-        return filiform4()
-    if name == "solvable2":
-        return solvable2()
-    if name == "cn7a":
-        return cn7a()
-    if name == "cn7b":
-        return cn7b()
+    if name in _NAMED:
+        return _NAMED[name]()
     m = _ABELIAN.match(name)
     if m:
         n = int(m.group(1))

@@ -11,15 +11,15 @@ walking a codimension-one ideal flag inside I.  At each flag step the
 previous algebra is a one-dimensional central extension of the next one;
 non-central directions are separated by the adjoint representation, central
 ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
-faithful representation for a kernel non-inclusion witness, carving out the
-kernel submodule it acts on, induced onto the step's one quotient L/<z>, and
-compressing that to the cyclic submodule the witness generates.  That
-representation is the direct sum of the previous step's glue summands (the
-seed at the first step), so each tensor power is searched block by block:
-the products of one summand per factor, on disjoint coordinates, give the
-same witness, carrier and compression as the whole power.  The
-representation of the last quotient F/I is transported back to L along proj
-after a section of pi, which is well defined because Ker pi = I = Ker proj.
+faithful representation for a kernel non-inclusion witness: a vector of
+Ker rho(z) that rho(x) does not kill, whose cyclic submodule, on which z acts
+as zero, represents the step's one quotient L/<z>.  That representation is
+the direct sum of the previous step's glue summands (the seed at the first
+step), so each tensor power is searched block by block: the products of one
+summand per factor, on disjoint coordinates, give the same witness and the
+same cyclic submodule as the whole power.  The representation of the last
+quotient F/I is transported back to L along proj after a section of pi,
+which is well defined because Ker pi = I = Ker proj.
 The interior steps do not re-prove what the construction guarantees: that
 each flag image is central, nor that pi, the projections and the transport
 are homomorphisms.  ``construct_faithful_nilpotent`` verifies its output
@@ -49,12 +49,12 @@ from .errors import (
 from .linalg import (
     RationalMatrix,
     Subspace,
+    dense_vector,
     frac,
     kernel_basis,
     rank,
     solve,
     solve_multi,
-    unit_vector,
     vec_is_zero,
 )
 from .liealg import (
@@ -71,7 +71,6 @@ from .graded import current_algebra_faithful_rep, graded_faithful_rep
 from .reps import (
     Representation,
     adjoint,
-    cyclic_submodule,
     direct_sum,
     element_action,
     is_faithful,
@@ -384,9 +383,6 @@ def _induction_pipeline(
         adj = adjoint(quo)
         dim_v = sum(part.space_dim for part in parts)
         ladder: Ladder = []
-        # the kernel submodule of each (tensor power, block), induced onto
-        # quo: searches of one step that land on the same block share it.
-        carved: dict[tuple[int, int], Representation] = {}
 
         # Called only by this step's glue, before parts is rebound to its summands.
         def separator(x):
@@ -403,17 +399,15 @@ def _induction_pipeline(
                 rep_dim=dim_v**power,
             )
             level = ladder[power - 1]
-            if (power, index) not in carved:
-                block = level[index]
-                carved[power, index] = kernel_submodule(block.rep, z, quo, block.kernel)
-            induced = carved[power, index]
+            block = level[index]
             # the witness's cyclic submodule lies in its block, and the
             # block's coordinates embed in order, so this is the same
-            # compression as inside the whole kernel of V^(x)power
-            compressed = cyclic_submodule(induced, unit_vector(induced.space_dim, witness))
+            # submodule as inside the whole kernel of V^(x)power
+            v = dense_vector(block.kernel._rows[witness], block.rep.space_dim)
+            compressed = kernel_submodule(block.rep, z, quo, v)
             cert.add(
                 "kernel_submodule",
-                carrier_dim=sum(block.kernel.dim for block in level),
+                carrier_dim=sum(b.kernel.dim for b in level),
                 compressed_dim=compressed.space_dim,
             )
             return compressed

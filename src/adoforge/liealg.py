@@ -288,11 +288,6 @@ class LieHom:
         self.target = target
         self.matrix = matrix
 
-    def is_injective(self) -> bool:
-        from .linalg import kernel_basis
-
-        return kernel_basis(self.matrix).dim == 0
-
     def __repr__(self) -> str:
         return f"LieHom({self.source.dim} -> {self.target.dim})"
 

@@ -436,9 +436,9 @@ class Subspace:
     def basis(self) -> RationalMatrix:
         """Basis matrix; column j is the j-th canonical basis vector.
 
-        Built once per Subspace and shared by every later read (as by each
-        ``restricted_action`` call on one carrier); like every
-        RationalMatrix it must not be mutated.
+        Built once per Subspace and shared by every later read (as by the
+        ``restricted_action`` calls that read one representation's actions
+        on a submodule); like every RationalMatrix it must not be mutated.
         """
         if self._basis is None:
             data: dict[int, dict[int, Fraction]] = {}

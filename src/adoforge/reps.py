@@ -7,8 +7,9 @@ output once, exactly, at its boundary.  Those checks run on the integer
 numerators of the matrices, and the two that need spans keep them small:
 ``is_faithful`` is a rank of n flattened matrices, and ``is_nilpotent_rep``
 follows a chain of subspaces of V, not of End(V).  ``kernel_submodule``
-builds no quotient: it induces the kernel submodule onto the quotient
-L/<z> that its caller built once for the flag step.
+builds no quotient and restricts no action to all of Ker rho(z): it takes
+the cyclic submodule of one vector of that kernel, and lets it represent the
+quotient L/<z> that its caller built once for the flag step.
 """
 
 from __future__ import annotations
@@ -238,21 +239,22 @@ def is_nilpotent_rep(rep: Representation) -> bool:
 
 
 def kernel_submodule(
-    rep: Representation, z: Sequence[Fraction], quo: LieAlgebra, carrier: Subspace
+    rep: Representation, z: Sequence[Fraction], quo: LieAlgebra, v: Sequence[Fraction]
 ) -> Representation:
-    """The representation of quo = L/<z> induced on carrier = Ker rho(z).
+    """The representation of quo = L/<z> on the cyclic submodule of v.
 
     z must be central in the algebra, which is checked (``NotCentral``).  The
     caller promises that rho(z) commutes with every rho(e_i), as it does for
-    a homomorphism and central z; that is not re-proved here.  The carrier
-    is then invariant, which ``restricted_action`` confirms for each
-    compressed action (``NotCentral`` otherwise; all of them share the
-    carrier's one basis matrix), and z acts as zero on it, so the compressed
-    action factors through L/<z> and is a homomorphism whenever rep is one.
-    ``quotient`` drops the pivot of the line of z, z's leading index, so
-    basis vector j of quo lifts to the j-th of the other standard basis
-    vectors, whose compressed action represents it.  The caller builds quo
-    once per flag step; a quo not of dim L - 1 raises ``DimensionMismatch``.
+    a homomorphism and central z, and passes a v in Ker rho(z); the cyclic
+    submodule then lies in Ker rho(z), which ``element_action`` confirms on
+    the submodule alone (``NotCentral`` otherwise).  z acts as zero there, so
+    the action factors through L/<z> and is a homomorphism whenever rep is
+    one.  ``quotient`` drops the pivot of the line of z, z's leading index,
+    so basis vector j of quo lifts to the j-th of the other standard basis
+    vectors, whose action represents it.  On Ker rho(z) the action of z's
+    leading basis element is a combination of the others, so it adds nothing
+    to the closure.  The caller builds quo once per flag step; a quo not of
+    dim L - 1 raises ``DimensionMismatch``.
     """
     n = rep.algebra.dim
     if len(z) != n:
@@ -262,15 +264,11 @@ def kernel_submodule(
         raise DimensionMismatch("quo must be L/<z> for a nonzero z, of dimension dim L - 1")
     if any(rep.algebra.sparse_bracket(sz, {i: F1}) for i in range(n)):
         raise NotCentral("z is not central in the algebra")
+    sub = cyclic_submodule(rep, v)
+    if not element_action(sub, z).is_zero():
+        raise NotCentral("rho(z) does not vanish on the cyclic submodule of v")
     lead = min(sz)
-    compressed = []
-    for i, m in enumerate(rep.matrices):
-        x = carrier.restricted_action(m)
-        if x is None:
-            raise NotCentral(f"rho(e_{i}) does not stabilize Ker rho(z)")
-        if i != lead:
-            compressed.append(x)
-    return Representation(quo, carrier.dim, compressed)
+    return Representation(quo, sub.space_dim, sub.matrices[:lead] + sub.matrices[lead + 1:])
 
 
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:

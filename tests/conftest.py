@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
-from adoforge.liealg import LieAlgebra
-from adoforge.linalg import RationalMatrix, dense_vector, solve_multi
-from adoforge.reps import Representation
+from adoforge.freenilp import free_nilpotent
+from adoforge.liealg import LieAlgebra, _bracket_span, quotient
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, kernel_basis, solve_multi
+from adoforge.reps import Representation, cyclic_submodule, element_action
 
 
 @pytest.fixture
@@ -107,6 +109,55 @@ def corpus_algebras(draw):
     if draw(st.booleans()):
         algebra = rebase(algebra, draw(changes_of_basis(algebra.dim)))
     return algebra
+
+
+# --- seeded ungraded quotients of a free nilpotent algebra ---
+
+
+def random_quotient(rng: random.Random) -> LieAlgebra | None:
+    """One draw of F(2, 4)/I without its grading, or None when I = 0 or the
+    quotient has dim < 4.
+
+    I is generated by 1-2 relations, each putting an entry in [-2, 2] with
+    probability 0.35 on every basis element of degree >= 2, and closed
+    under brackets with F.  A quotient of a free nilpotent algebra by an
+    ideal is nilpotent and satisfies Jacobi by construction; relations of
+    mixed degree leave it with no grading in general.
+    """
+    free = free_nilpotent(2, 4)
+    relations = [
+        [Fraction(rng.randint(-2, 2)) if d >= 2 and rng.random() < 0.35 else Fraction(0) for d in free.grading.degrees]
+        for _ in range(rng.randint(1, 2))
+    ]
+    ideal = Subspace.from_vectors(free.dim, relations)
+    while True:
+        closed = ideal.add(_bracket_span(free, ideal))
+        if closed == ideal:
+            break
+        ideal = closed
+    quo, _ = quotient(free, ideal)
+    return LieAlgebra(quo.dim, quo.brackets) if ideal.dim and quo.dim >= 4 else None
+
+
+def ungraded_quotients():
+    """``random_quotient`` on a drawn seed, keeping the proper quotients of
+    dim >= 4."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: random_quotient(random.Random(seed))).filter(
+        lambda algebra: algebra is not None
+    )
+
+
+# --- the two-step carve that reps.kernel_submodule replaced, as a reference ---
+
+
+def reference_carve(rep, z, quo, v):
+    """Every rho(e_i) but the one at z's leading index restricted to all of
+    Ker rho(z), then the cyclic submodule of v's coordinates there (a unit
+    vector when v is a row of the kernel's echelon basis)."""
+    carrier = kernel_basis(element_action(rep, z))
+    lead = min(i for i, x in enumerate(z) if x)
+    induced = [carrier.restricted_action(m) for i, m in enumerate(rep.matrices) if i != lead]
+    return cyclic_submodule(Representation(quo, carrier.dim, induced), carrier.coordinates_of(v))
 
 
 # --- the table-sweep bracket and the dense homomorphism check, as references ---

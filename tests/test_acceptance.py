@@ -91,8 +91,7 @@ def test_criterion_2_graded_embedding(capsys):
     for name, algebra in corpus_algebras():
         assert algebra.grading is not None and verify_grading(algebra), name
         emb = graded_embedding(algebra)
-        assert emb.is_injective(), name
-        assert kernel_basis(emb.matrix).dim == 0
+        assert kernel_basis(emb.matrix).dim == 0, name
         target = emb.target
         cols = [emb.matrix.column(i) for i in range(algebra.dim)]
         cutoff = 1 + algebra.grading.max_degree

@@ -93,9 +93,9 @@ class TestExamples:
         code, out, _ = run_cli(["examples", "--list"], capsys)
         assert code == 0
         names = out.strip().splitlines()
-        assert len(names) == 8
+        assert len(names) == 9
         assert "heisenberg3" in names and "free{r}_{c}" in names
-        assert "cn7a" in names and "cn7b" in names
+        assert "cn7a" in names and "cn7b" in names and "census7" in names
 
     def test_heisenberg3_payload(self, capsys):
         code, out, _ = run_cli(["examples", "heisenberg3"], capsys)

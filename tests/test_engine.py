@@ -17,7 +17,7 @@ import adoforge.graded as graded
 import adoforge.liealg as liealg
 import adoforge.linalg as linalg
 import adoforge.reps as reps
-from adoforge.catalog import abelian, example, heisenberg3, heisenberg5
+from adoforge.catalog import abelian, census7, example, filiform4, heisenberg3, heisenberg5
 from adoforge.errors import (
     BudgetExceeded,
     DegenerateFlag,
@@ -41,14 +41,14 @@ from adoforge.engine import (
 )
 from adoforge.freenilp import present
 from adoforge.graded import graded_faithful_rep
-from adoforge.jsonio import certificate_from_json, certificate_to_json
-from adoforge.liealg import Grading, LieAlgebra
+from adoforge.jsonio import certificate_from_json, certificate_to_json, dumps_canonical, representation_to_json
+from adoforge.liealg import Grading, LieAlgebra, validate
 from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
 from test_reps import CORPUS_REPS, conjugated_corpus_reps
 
-from conftest import CORPUS, reference_is_hom
+from conftest import CORPUS, reference_carve, reference_is_hom, ungraded_quotients
 
 
 class TestDistinguishByKernels:
@@ -109,7 +109,6 @@ class TestTensorLadder:
     def test_each_power_built_once_per_flag_step(self, h5, monkeypatch):
         built = []  # per flag step, the (block, part) of each tensor_product call
         landed = []  # per flag step, the (power, block index) of every kernel search
-        carved = []  # per flag step, the block each kernel_submodule call carved
         kernel_calls = []  # one entry per reps.kernel_basis call
         in_submodule = []  # kernel_basis calls made inside each kernel_submodule
         names = ("quotient", "tensor_product", "kernel_submodule", "_distinguish")
@@ -121,7 +120,6 @@ class TestTensorLadder:
         def quotient(*args):  # the engine takes one quotient per flag step
             built.append([])
             landed.append(set())
-            carved.append([])
             quotients.append(real["quotient"](*args))
             return quotients[-1]
 
@@ -138,12 +136,10 @@ class TestTensorLadder:
             kernel_calls.append(args)
             return real_kernel_basis(*args)
 
-        def kernel_submodule(rep, z, quo, carrier):
-            assert carrier is not None
+        def kernel_submodule(rep, z, quo, v):
             assert quo is quotients[-1][0]  # induced onto this step's quotient
-            carved[-1].append(id(rep))
             before = len(kernel_calls)
-            out = real["kernel_submodule"](rep, z, quo, carrier)
+            out = real["kernel_submodule"](rep, z, quo, v)
             in_submodule.append(len(kernel_calls) - before)
             return out
 
@@ -169,13 +165,11 @@ class TestTensorLadder:
         assert [len(b) for b in built] == expected == [0, 9, 9, 0, 4]
         assert all(len(set(b)) == len(b) for b in built)
         # eight searches, two in each of flag steps 0-2: in step 0 both land
-        # on the one block of power 1 and share its kernel submodule, in
-        # steps 1 and 2 on two blocks of the square; one real call per
-        # (step, power, block)
+        # on the one block of power 1, in steps 1 and 2 on two blocks of the
+        # square; each takes its submodule with no kernel computation
         assert len(cert.steps_of_kind("kernel_search")) == 8
-        assert [len(c) for c in carved] == [len(s) for s in landed] == [1, 2, 2, 1, 1]
-        assert all(len(set(c)) == len(c) for c in carved)
-        assert in_submodule == [0] * 7
+        assert [len(s) for s in landed] == [1, 2, 2, 1, 1]
+        assert in_submodule == [0] * 8
 
     def test_one_quotient_per_flag_step(self, h5, monkeypatch):
         # counted through every adoforge module that binds liealg.quotient,
@@ -209,10 +203,13 @@ class TestTensorLadder:
 # --- the block ladder against the assembled direct sum -------------------
 
 
-def carve_and_compress(block, z, quo, witness):
-    """The engine's separator output for a search that landed on block."""
-    induced = reps.kernel_submodule(block.rep, z, quo, block.kernel)
-    return reps.cyclic_submodule(induced, unit_vector(induced.space_dim, witness))
+def separator_output(block, z, quo, witness):
+    """The engine's separator output for a search that landed on block,
+    checked against the two-step carve."""
+    v = linalg.dense_vector(block.kernel._rows[witness], block.rep.space_dim)
+    out = reps.kernel_submodule(block.rep, z, quo, v)
+    assert out.matrices == reference_carve(block.rep, z, quo, v).matrices
+    return out
 
 
 def assert_blocks_match_sum(parts, z, x, config=EngineConfig()):
@@ -251,8 +248,8 @@ def assert_blocks_match_sum(parts, z, x, config=EngineConfig()):
     pivot = block.coords[block.kernel._pivots[witness]]
     assert block_sum.kernel._pivots[witness_sum] == pivot
     assert sum(b.kernel.dim for b in level) == block_sum.kernel.dim
-    compressed = carve_and_compress(block, z, quo, witness)
-    compressed_sum = carve_and_compress(block_sum, z, quo, witness_sum)
+    compressed = separator_output(block, z, quo, witness)
+    compressed_sum = separator_output(block_sum, z, quo, witness_sum)
     assert compressed.space_dim == compressed_sum.space_dim
     assert compressed.matrices == compressed_sum.matrices
     return power
@@ -492,14 +489,91 @@ class TestKernelSubmoduleInputs:
         commutes = []
         real = engine.kernel_submodule
 
-        def checked(rep, z, quo, carrier):
+        def checked(rep, z, quo, v):
             mz = element_action(rep, z)
             commutes.append(all(mz @ m == m @ mz for m in rep.matrices))
-            return real(rep, z, quo, carrier)
+            return real(rep, z, quo, v)
 
         monkeypatch.setattr(engine, "kernel_submodule", checked)
         construct_faithful_nilpotent(build(), EngineConfig(method="induction"))
         assert commutes and all(commutes)
+
+
+@contextlib.contextmanager
+def checked_against_the_carve():
+    """Check each ``kernel_submodule`` call the engine makes: its v is a row
+    of the block's canonical Ker rho(z), and its output is the two-step
+    carve's.  Yields the space_dim of each checked output, in call order."""
+    real = engine.kernel_submodule
+    dims = []
+
+    def checked(rep, z, quo, v):
+        assert v in kernel_basis(element_action(rep, z)).basis_vectors()
+        out = real(rep, z, quo, v)
+        assert out.matrices == reference_carve(rep, z, quo, v).matrices
+        dims.append(out.space_dim)
+        return out
+
+    engine.kernel_submodule = checked
+    try:
+        yield dims
+    finally:
+        engine.kernel_submodule = real
+
+
+def output_bytes(algebra, config):
+    """The canonical representation and certificate JSON of a construct and
+    of the replay of its certificate, then that construct's output."""
+    rep, cert = construct_faithful_nilpotent(algebra, config)
+    runs = [
+        (dumps_canonical(representation_to_json(r, "x")), dumps_canonical(certificate_to_json(c)))
+        for r, c in ((rep, cert), replay_certificate(algebra, cert))
+    ]
+    return runs, rep, cert
+
+
+class TestKernelSubmoduleMatchesTheCarve:
+    @pytest.mark.parametrize(
+        "build",
+        [filiform4, heisenberg5, lambda: rebased(heisenberg5())],
+        ids=["filiform4", "heisenberg5", "heisenberg5-rebased"],
+    )
+    def test_every_block_reached_by_induction(self, build):
+        with checked_against_the_carve() as dims:
+            _, cert = construct_faithful_nilpotent(build(), EngineConfig(method="induction"))
+        assert dims and dims == [s["compressed_dim"] for s in cert.steps_of_kind("kernel_submodule")]
+
+
+@settings(deadline=None, max_examples=16)
+@given(ungraded_quotients())
+def test_generated_quotients_verify_replay_and_match_the_carve(algebra):
+    # every flag step separates its central element by a kernel search,
+    # and a proper quotient has at least one flag step
+    with checked_against_the_carve() as dims:
+        (first, replayed), _, cert = output_bytes(algebra, EngineConfig(method="induction"))
+    assert first == replayed
+    assert cert.steps[-1] == {"kind": "verified", "homomorphism": True, "faithful": True, "nilpotent": True}
+    assert len(dims) >= len(cert.steps_of_kind("flag_step")) >= 1
+
+
+class TestCensus7:
+    """census7 has no grading and no nonsingular derivation, so ``auto``
+    takes the induction route on it."""
+
+    def test_facts(self):
+        algebra = census7()
+        assert validate(algebra).ok
+        assert algebra.grading is None
+        assert liealg.nilpotency_class(algebra) == 5
+        assert [s.dim for s in liealg.lower_central_series(algebra)] == [7, 5, 4, 2, 1, 0]
+        assert liealg.center(algebra).dim == 1
+
+    def test_construct_verifies_and_replays_byte_exact(self):
+        (first, replayed), rep, cert = output_bytes(census7(), EngineConfig())
+        assert first == replayed
+        assert cert.steps[0]["kind"] == "presented"
+        assert rep.space_dim == 34
+        assert verify_output(census7(), rep).ok
 
 
 class TestBudgetBeforeBuilding:

@@ -7,7 +7,7 @@ from adoforge.errors import BudgetExceeded, NotNilpotent
 from adoforge.freenilp import free_nilpotent, hall_basis, present, witt_dimension
 from adoforge.catalog import heisenberg5
 from adoforge.liealg import LieHom, is_ideal, validate, verify_grading
-from adoforge.linalg import RationalMatrix, rank
+from adoforge.linalg import RationalMatrix, kernel_basis, rank
 from test_golden import rebased
 
 from conftest import reference_is_hom
@@ -120,7 +120,7 @@ class TestFreeNilpotent:
         # e0 -> g2, e1 -> g1, e2 -> [g2,g1] is an isomorphism
         iso = LieHom(h3, f, RationalMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
         assert reference_is_hom(h3, f, iso.matrix)
-        assert iso.is_injective()
+        assert kernel_basis(iso.matrix).dim == 0
 
     def test_rank1_is_abelian(self):
         for c in (1, 2, 3):
@@ -158,7 +158,7 @@ class TestPresent:
         pres = present(heisenberg3())
         assert pres.F.dim == 3
         assert pres.I.dim == 0
-        assert pres.pi.is_injective()
+        assert kernel_basis(pres.pi.matrix).dim == 0
         assert_presentation(pres)
 
     def test_rebased_h5(self):
@@ -174,8 +174,6 @@ class TestPresent:
         pres = present(filiform4())
         assert pres.F.dim == 5
         assert pres.I.dim == 1
-        from adoforge.linalg import kernel_basis
-
         assert kernel_basis(pres.pi.matrix) == pres.I
         assert_presentation(pres)
 

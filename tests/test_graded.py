@@ -84,7 +84,7 @@ class TestGradedEmbedding:
     def test_h3(self, h3):
         emb = graded_embedding(h3)
         assert emb.target.dim == 6  # truncation 3
-        assert emb.is_injective()
+        assert kernel_basis(emb.matrix).dim == 0
         assert reference_is_hom(h3, emb.target, emb.matrix)
         c = current_algebra(h3, 3)
         assert emb.matrix.column(0) == unit_vector(6, c.flat_index(1, 0))

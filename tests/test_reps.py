@@ -32,7 +32,17 @@ from adoforge.reps import (
     tensor_product,
 )
 
-from conftest import FractionSpanBasis, corpus_algebras, reference_add, reference_kronecker, single_entry, sparse_fractions, sparse_vectors
+from conftest import (
+    FractionSpanBasis,
+    corpus_algebras,
+    nonzero_fractions,
+    reference_add,
+    reference_carve,
+    reference_kronecker,
+    single_entry,
+    sparse_fractions,
+    sparse_vectors,
+)
 
 
 # e, f and e+h of sl2: three nilpotent matrices whose span is not
@@ -207,67 +217,73 @@ class TestIsNilpotentRep:
         assert not is_nilpotent_rep(rep)
 
 
-def carve(rep, z):
-    """Ker rho(z) and the representation of L/<z> that ``kernel_submodule``
-    induces on it, with the quotient built the way the engine builds it."""
+def carve(rep, z, row):
+    """The kernel row ``row`` of Ker rho(z) and the representation of L/<z>
+    that ``kernel_submodule`` takes on its cyclic submodule, with the
+    quotient built the way the engine builds it."""
     n = rep.algebra.dim
     quo, _ = quotient(rep.algebra, Subspace.from_vectors(n, [z]))
-    carrier = kernel_basis(element_action(rep, z))
-    return carrier, kernel_submodule(rep, z, quo, carrier)
+    v = kernel_basis(element_action(rep, z)).basis_vectors()[row]
+    return v, kernel_submodule(rep, z, quo, v)
 
 
 class TestKernelSubmodule:
-    def test_central_zero_action_keeps_space(self, h3):
-        ad = adjoint(h3)  # rho(e2) = 0
-        carrier, induced = carve(ad, unit_vector(3, 2))
-        assert carrier == Subspace.full(3)
+    def test_central_zero_action_takes_the_cyclic_submodule(self, h3):
+        ad = adjoint(h3)  # rho(e2) = 0, so Ker rho(e2) is all of Q^3
+        v, induced = carve(ad, unit_vector(3, 2), 0)
+        assert v == unit_vector(3, 0)  # [e1, e0] = -e2, so the closure is <e0, e2>
+        assert induced.space_dim == 2
         assert induced.algebra.dim == 2
         assert is_homomorphism(induced)
 
     def test_standard_rep_center_carve(self, std_h3_rep):
-        carrier, induced = carve(std_h3_rep, unit_vector(3, 2))
-        # Ker E13 = span{e0, e1}
-        assert carrier == Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
+        # Ker E13 = span{e0, e1}; E12 sends its second row e1 to e0
+        v, induced = carve(std_h3_rep, unit_vector(3, 2), 1)
+        assert v == unit_vector(3, 1)
         assert induced.space_dim == 2
         assert induced.algebra.dim == 2 and not induced.algebra.brackets
         assert is_homomorphism(induced)
         assert is_nilpotent_rep(induced)
+        _, killed = carve(std_h3_rep, unit_vector(3, 2), 0)
+        assert killed.space_dim == 1
 
     def test_non_central_rejected(self, std_h3_rep):
         z = unit_vector(3, 0)  # its line is no ideal, so abelian(2) stands in for L/<z>
-        with pytest.raises(NotCentral):
-            kernel_submodule(std_h3_rep, z, abelian(2), kernel_basis(element_action(std_h3_rep, z)))
+        v = kernel_basis(element_action(std_h3_rep, z)).basis_vectors()[0]
+        with pytest.raises(NotCentral, match="not central in the algebra"):
+            kernel_submodule(std_h3_rep, z, abelian(2), v)
 
-    def test_given_carrier_used_as_is(self, std_h3_rep):
-        # the induced action is the compressed action on the given carrier of
-        # every basis element but e2, the pivot that the quotient drops
-        carrier, induced = carve(std_h3_rep, unit_vector(3, 2))
-        assert induced.space_dim == carrier.dim
-        assert induced.matrices == tuple(carrier.restricted_action(m) for m in std_h3_rep.matrices[:2])
+    def test_cyclic_submodule_without_the_lead_action(self, std_h3_rep):
+        # the cyclic submodule of v with the action of e2, the pivot that
+        # the quotient drops, left out; the same as the two-step carve
+        z = unit_vector(3, 2)
+        v, induced = carve(std_h3_rep, z, 1)
+        assert induced.matrices == cyclic_submodule(std_h3_rep, v).matrices[:2]
+        assert induced.matrices == reference_carve(std_h3_rep, z, induced.algebra, v).matrices
 
     def test_induced_onto_the_given_quotient(self, h5):
         rep = graded_faithful_rep(h5)
         z = center(h5).basis_vectors()[0]
         quo, _ = quotient(h5, Subspace.from_vectors(5, [z]))
-        induced = kernel_submodule(rep, z, quo, kernel_basis(element_action(rep, z)))
-        assert induced.algebra is quo
-        assert is_homomorphism(induced)
+        for v in kernel_basis(element_action(rep, z)).basis_vectors():
+            induced = kernel_submodule(rep, z, quo, v)
+            assert induced.algebra is quo
+            assert is_homomorphism(induced)
 
     def test_quotient_of_wrong_dim_rejected(self, std_h3_rep):
-        z = unit_vector(3, 2)
-        carrier = kernel_basis(element_action(std_h3_rep, z))
+        z, v = unit_vector(3, 2), unit_vector(3, 1)
         for quo in (abelian(1), abelian(3), std_h3_rep.algebra):
             with pytest.raises(DimensionMismatch, match="dimension dim L - 1"):
-                kernel_submodule(std_h3_rep, z, quo, carrier)
+                kernel_submodule(std_h3_rep, z, quo, v)
         # a zero z spans no line, so it has no quotient of dim L - 1
         with pytest.raises(DimensionMismatch, match="nonzero z"):
-            kernel_submodule(std_h3_rep, zero_vector(3), abelian(2), Subspace.full(3))
+            kernel_submodule(std_h3_rep, zero_vector(3), abelian(2), v)
 
-    def test_non_invariant_carrier_rejected(self, std_h3_rep):
-        # rho(e0) = E12 sends the second basis vector to the first
-        line = Subspace.from_vectors(3, [unit_vector(3, 1)])
-        with pytest.raises(NotCentral, match="does not stabilize"):
-            kernel_submodule(std_h3_rep, unit_vector(3, 2), abelian(2), line)
+    def test_witness_outside_the_kernel_rejected(self, std_h3_rep):
+        # e2 is not in Ker E13: its cyclic submodule is all of Q^3, on
+        # which rho(e2) = E13 does not vanish
+        with pytest.raises(NotCentral, match="does not vanish"):
+            kernel_submodule(std_h3_rep, unit_vector(3, 2), abelian(2), unit_vector(3, 2))
 
 
 class TestCyclicSubmodule:
@@ -740,18 +756,55 @@ def test_kernel_submodule_centrality_matches_dense_check(algebra, data):
     cent = center(algebra).basis_vectors()
     z = data.draw(st.one_of(sparse_vectors(n), st.sampled_from(cent or [zero_vector(n)])))
     rep = adjoint(algebra)
-    carrier = kernel_basis(element_action(rep, z))
+    v = data.draw(sparse_vectors(n))
     if not any(z):  # no line, so no quotient of dim L - 1
         with pytest.raises(DimensionMismatch, match="nonzero z"):
-            kernel_submodule(rep, z, abelian(n - 1), carrier)
+            kernel_submodule(rep, z, abelian(n - 1), v)
     elif reference_is_central(algebra, z):
         quo, _ = quotient(algebra, Subspace.from_vectors(n, [z]))
-        induced = kernel_submodule(rep, z, quo, carrier)  # ad(z) = 0: nothing to reject
-        assert carrier.dim == induced.space_dim == rep.space_dim
+        induced = kernel_submodule(rep, z, quo, v)  # ad(z) = 0: nothing to reject
+        assert induced.matrices == reference_carve(rep, z, quo, v).matrices
     else:
         # the line of a non-central z is no ideal: abelian(n - 1) stands in for L/<z>
         with pytest.raises(NotCentral, match="not central in the algebra"):
-            kernel_submodule(rep, z, abelian(n - 1), carrier)
+            kernel_submodule(rep, z, abelian(n - 1), v)
+
+
+@st.composite
+def kernel_submodule_inputs(draw):
+    """A homomorphism (the adjoint, its tensor square or the derivation
+    representation) of a corpus algebra, a nonzero central z and a vector
+    of Ker rho(z): a combination of its echelon rows, or one of them."""
+    algebra = draw(corpus_algebras())
+    kind = draw(st.sampled_from(["adjoint", "square", "derivation"]))
+    if kind == "square" and algebra.dim <= 5:
+        rep = tensor_product(adjoint(algebra), adjoint(algebra))
+    elif kind == "derivation" and algebra.grading is not None:
+        rep = graded_faithful_rep(algebra)
+    else:
+        rep = adjoint(algebra)
+    cent = center(algebra).basis_vectors()
+    coeffs = draw(st.lists(sparse_fractions, min_size=len(cent), max_size=len(cent)))
+    coeffs[draw(st.integers(0, len(cent) - 1))] = draw(nonzero_fractions)  # the basis is independent
+    z = [sum((c * u[i] for c, u in zip(coeffs, cent)), Fraction(0)) for i in range(algebra.dim)]
+    rows = kernel_basis(element_action(rep, z)).basis_vectors()
+    if draw(st.booleans()):
+        return rep, tuple(z), draw(st.sampled_from(rows))
+    coeffs = draw(st.lists(sparse_fractions, min_size=len(rows), max_size=len(rows)))
+    v = tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), Fraction(0)) for i in range(rep.space_dim))
+    return rep, tuple(z), v
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_submodule_inputs())
+def test_kernel_submodule_matches_the_two_step_carve(inputs):
+    rep, z, v = inputs
+    n = rep.algebra.dim
+    quo, _ = quotient(rep.algebra, Subspace.from_vectors(n, [z]))
+    induced = kernel_submodule(rep, z, quo, v)
+    reference = reference_carve(rep, z, quo, v)
+    assert induced.algebra is quo and induced.space_dim == reference.space_dim
+    assert induced.matrices == reference.matrices
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "filiform4", "free2_3"])
@@ -765,4 +818,4 @@ def test_kernel_submodule_rejects_each_non_central_basis_vector(name):
             continue
         assert not reference_is_central(algebra, z)
         with pytest.raises(NotCentral, match="not central in the algebra"):
-            kernel_submodule(rep, z, abelian(algebra.dim - 1), kernel_basis(element_action(rep, z)))
+            kernel_submodule(rep, z, abelian(algebra.dim - 1), kernel_basis(element_action(rep, z)).basis_vectors()[0])
