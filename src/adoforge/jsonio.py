@@ -2,13 +2,19 @@
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1); matrix
 entries are sorted row-major with no zeros, so serialization is canonical and
-byte-identical across runs.
+byte-identical across runs.  A literal is read by one grammar on every
+Python version, ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator (a
+JSON integer is read as itself), and anything else is a ``ParseError``.
+Reading runs on the strings themselves: a representation document parses
+each distinct literal once, and its matrices are built as row maps in one
+pass over the entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -22,12 +28,21 @@ def fraction_str(value: Fraction) -> str:
     return str(value)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
+    """A JSON integer, or a string ``"p/q"`` or ``"p"`` in ASCII digits with
+    an optional leading minus; ``Fraction``'s own string grammar (decimals,
+    exponents, spaces, underscores, non-ASCII digits) differs between
+    Python versions, so only strings of this form reach it."""
     if isinstance(value, bool):
         raise ParseError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL.fullmatch(value) is None:
+            raise ParseError(f"bad rational literal {value!r}: expected p/q or p in ASCII digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -62,6 +77,14 @@ def matrix_to_json(m: RationalMatrix) -> dict:
 
 
 def matrix_from_json(obj) -> RationalMatrix:
+    return _matrix_from_json(obj, {})
+
+
+def _matrix_from_json(obj, literals: dict[str, Fraction]) -> RationalMatrix:
+    """The matrix of a JSON matrix object, reading each string literal not
+    yet in ``literals`` (the document's literal -> value map) and adding it
+    there.  The map is keyed on strings alone, so a bool or a number never
+    takes the value of a string."""
     if not isinstance(obj, dict):
         raise ParseError("matrix must be an object")
     try:
@@ -71,20 +94,38 @@ def matrix_from_json(obj) -> RationalMatrix:
     rows, cols = parse_int(rows, "matrix rows"), parse_int(cols, "matrix cols")
     if rows < 0 or cols < 0 or not isinstance(raw, list):
         raise ParseError("malformed matrix object")
-    seen = set()
-    entries = []
+    data: dict[int, dict[int, Fraction]] = {}
+    zeros = False
     for item in raw:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"matrix entry must be [row, col, value], got {item!r}")
-        r, c = parse_int(item[0], "matrix entry row"), parse_int(item[1], "matrix entry col")
-        v = item[2]
+        r, c, v = item
+        if type(r) is not int:
+            r = parse_int(r, "matrix entry row")
+        if type(c) is not int:
+            c = parse_int(c, "matrix entry col")
         if not (0 <= r < rows and 0 <= c < cols):
             raise ParseError(f"matrix entry ({r},{c}) outside {rows}x{cols}")
-        if (r, c) in seen:
+        row = data.get(r)
+        if row is None:
+            row = data[r] = {}
+        elif c in row:
             raise ParseError(f"duplicate matrix entry at ({r},{c})")
-        seen.add((r, c))
-        entries.append((r, c, parse_rational(v)))
-    return RationalMatrix.from_entries(rows, cols, entries)
+        if type(v) is str:
+            x = literals.get(v)
+            if x is None:
+                x = literals[v] = parse_rational(v)
+        else:
+            x = parse_rational(v)
+        # a zero is stored until the end, so that a later entry at its
+        # position is still a duplicate
+        row[c] = x
+        if not x:
+            zeros = True
+    if zeros:
+        data = {r: {c: x for c, x in row.items() if x} for r, row in data.items()}
+        data = {r: row for r, row in data.items() if row}
+    return RationalMatrix(rows, cols, data)
 
 
 # --- algebras ---------------------------------------------------------------
@@ -185,7 +226,8 @@ def representation_from_json(obj) -> tuple[list[RationalMatrix], int, object]:
     raw = obj.get("matrices")
     if not isinstance(raw, list):
         raise ParseError("matrices must be a list")
-    matrices = [matrix_from_json(m) for m in raw]
+    literals: dict[str, Fraction] = {}
+    matrices = [_matrix_from_json(m, literals) for m in raw]
     for m in matrices:
         if m.rows != space_dim or m.cols != space_dim:
             raise ParseError("every representation matrix must be space_dim x space_dim")

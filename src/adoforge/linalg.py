@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored as sparse row maps of ``fractions.Fraction`` entries and
-treated as immutable after construction.  Row reduction copies only the
-nonzero rows and keeps a column -> rows index, so each elimination visits
-just the rows that hold the pivot column; it returns the pivot rows alone.
+treated as immutable after construction.  Row reduction runs on integers:
+it copies only the nonzero rows, each scaled to integers by the lcm of its
+denominators, eliminates fraction-free by cross-multiplying, and keeps a
+column -> rows index, so each elimination visits just the rows that hold
+the pivot column; it returns the pivot rows alone, as Fractions.
 Every reduction pivots on the leftmost column, so all outputs are canonical
 RREF and two runs on equal inputs are bit-identical; ``kernel_basis`` hands
 it the columns in reverse, so that its null vectors come out canonical with
@@ -322,22 +324,33 @@ def kronecker(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 # --- row reduction -------------------------------------------------------
 
-def _rref_rowdicts(rowdicts: Sequence[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+def _rref_rowdicts(rowdicts: Sequence[dict], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Pivot rows and pivot columns of the reduced row echelon form.
 
-    Works on copies of the nonzero input rows, which are left untouched.  A
-    ``{col: row ids}`` index follows the nonzeros: the pivot for column c is
-    the lowest-numbered unused row holding c, and only the rows holding c are
-    eliminated.  Fill-in and cancellation only touch columns right of c, so
-    c's index entry is dropped once c is done.  Pivoting is leftmost column;
-    the rows returned (one per pivot, in pivot order, normalized to 1 at the
-    pivot) are the canonical RREF of the row space.
+    The input rows hold ints or Fractions and are left untouched.  Each
+    nonzero row is copied as integers, scaled by the lcm of its
+    denominators, and the elimination is fraction-free: a row holding the
+    pivot column c is replaced by (a/g) row - (f/g) pivot_row, where a is
+    the pivot, f the row's entry at c and g = gcd(a, f), and a row so scaled
+    is divided by the gcd of its entries, so entries do not grow from step
+    to step.  A ``{col: row ids}`` index follows the nonzeros: the pivot for
+    column c is the lowest-numbered unused row holding c, and only the rows
+    holding c are eliminated.  Fill-in and cancellation only touch columns
+    right of c, so c's index entry is dropped once c is done.  Pivoting is
+    leftmost column, and each integer row is a nonzero multiple of the
+    Fraction row that the same steps would give, so the rows returned (one
+    per pivot, in pivot order, divided by their pivot into Fractions) are
+    the canonical RREF of the row space.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     index: dict[int, set[int]] = {}
     for i, r in enumerate(rowdicts):
         if r:
-            rows[i] = dict(r)
+            d = lcm(*[v.denominator for v in r.values()])
+            if d == 1:
+                rows[i] = {k: v.numerator for k, v in r.items()}
+            else:
+                rows[i] = {k: v.numerator * (d // v.denominator) for k, v in r.items()}
             for c in r:
                 index.setdefault(c, set()).add(i)
     used: set[int] = set()
@@ -350,14 +363,19 @@ def _rref_rowdicts(rowdicts: Sequence[dict[int, Fraction]], cols: int) -> tuple[
             continue
         prow = rows[p]
         pv = prow[c]
-        if pv != 1:
-            inv = F1 / pv
-            prow = rows[p] = {k: v * inv for k, v in prow.items()}
         for i in holders:
             if i == p:
                 continue
             row = rows[i]
             f = row[c]
+            a = pv
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in prow.items():
                 old = row.get(k)
                 if old is None:
@@ -371,10 +389,20 @@ def _rref_rowdicts(rowdicts: Sequence[dict[int, Fraction]], cols: int) -> tuple[
                     del row[k]
                     if k != c:
                         index[k].discard(i)
+            if a != 1 and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
         used.add(p)
         pivot_ids.append(p)
         pivots.append(c)
-    return [rows[p] for p in pivot_ids], pivots
+    out = []
+    for p, c in zip(pivot_ids, pivots):
+        row = rows[p]
+        pv = row[c]
+        out.append({k: Fraction(v, pv) for k, v in row.items()})
+    return out, pivots
 
 
 def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
@@ -417,7 +445,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-            rowdicts.append({i: frac(x) for i, x in enumerate(v) if x})
+            rowdicts.append({i: x if type(x) is int else frac(x) for i, x in enumerate(v) if x})
         return cls(ambient_dim, *_rref_rowdicts(rowdicts, ambient_dim))
 
     @classmethod

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import adoforge.cli as cli
 import adoforge.engine as engine
@@ -17,9 +18,15 @@ from adoforge.jsonio import (
     load_json,
     matrix_from_json,
     matrix_to_json,
+    parse_rational,
+    representation_from_json,
     representation_to_json,
 )
-from adoforge.linalg import RationalMatrix
+from adoforge.catalog import example
+from adoforge.linalg import RationalMatrix, solve_multi
+from adoforge.reps import Representation
+
+from conftest import changes_of_basis
 
 
 # the Jacobi identity fails on the basis triple (0, 1, 2)
@@ -483,6 +490,101 @@ class TestStrictIntegers:
         algebra, _ = algebra_from_json(doc)
         assert algebra.brackets == {(0, 10): {0: 1, 10: Fraction(-1, 2)}}
         assert matrix_from_json({"rows": 0, "cols": 0, "entries": []}) == RationalMatrix.zero(0, 0)
+
+# Fraction's own string grammar accepts each of the first six on some or all
+# supported Python versions ("1_0" from 3.11, "2 / 3" from 3.12)
+BAD_LITERALS = ["1.5", "1e3", " 3 ", "\u0663", "1_0", "2 / 3", "1/0", "+3", "3/", "/3", "", "1/-2", "3\n", "0x10"]
+
+
+class TestRationalLiterals:
+    """A rational literal is ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
+    denominator, or a JSON integer; anything else is a parse error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("-3/4", Fraction(-3, 4)), ("7", Fraction(7)), ("-0", Fraction(0)), ("6/4", Fraction(3, 2)), ("007", Fraction(7)), (-5, Fraction(-5))],
+    )
+    def test_good_literals(self, value, expected):
+        assert parse_rational(value) == expected
+        assert type(parse_rational(value)) is Fraction
+
+    @pytest.mark.parametrize("literal", BAD_LITERALS)
+    def test_bad_literal_is_a_parse_error(self, literal):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_rational(literal)
+        with pytest.raises(ParseError, match="bad rational literal"):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, literal]]})
+        with pytest.raises(ParseError, match="bad rational literal"):
+            algebra_from_json({"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"2": literal}}]})
+
+    @pytest.mark.parametrize("literal", BAD_LITERALS)
+    def test_bad_literal_exits_2(self, tmp_path, capsys, literal):
+        alg_path = tmp_path / "alg.json"
+        alg_path.write_text(json.dumps({"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"2": literal}}]}))
+        code, _, report = run_cli(["validate", str(alg_path)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+        alg_path = write_example(tmp_path, "abelian1", capsys)
+        rep_path = tmp_path / "rep.json"
+        doc = {"algebra": "abelian1", "space_dim": 2, "matrices": [{"rows": 2, "cols": 2, "entries": [[0, 1, literal]]}]}
+        rep_path.write_text(json.dumps(doc))
+        code, _, report = run_cli(["verify", str(alg_path), str(rep_path)], capsys)
+        assert code == 2
+        assert report["outcome"]["error"] == "parse_error"
+
+
+def rep_doc(*entry_lists):
+    return {"algebra": "a", "space_dim": 2, "matrices": [{"rows": 2, "cols": 2, "entries": e} for e in entry_lists]}
+
+
+class TestRepresentationReader:
+    """One literal map per document, and row maps built in one pass: the
+    checks of the entry-by-entry reader all still hold."""
+
+    @pytest.mark.parametrize("literal, flag", [("1", True), ("0", False), ("1", False), ("0", True)])
+    def test_bool_value_after_string_literal(self, literal, flag):
+        for doc in (rep_doc([[0, 0, literal], [0, 1, flag]]), rep_doc([[0, 0, literal]], [[1, 1, flag]])):
+            with pytest.raises(ParseError, match="expected a rational"):
+                representation_from_json(doc)
+
+    @pytest.mark.parametrize("second", ["1", "0", 2])
+    def test_duplicate_after_zero(self, second):
+        entries = [[0, 0, "0"], [0, 0, second]]
+        with pytest.raises(ParseError, match="duplicate matrix entry at \\(0,0\\)"):
+            matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+        with pytest.raises(ParseError, match="duplicate matrix entry"):
+            representation_from_json(rep_doc([[1, 1, "0"]], entries))
+
+    def test_zeros_dropped(self):
+        m = matrix_from_json({"rows": 3, "cols": 3, "entries": [[0, 0, "0"], [1, 1, "2/4"], [1, 0, 0], [2, 2, "-0"]]})
+        assert m._data == {1: {1: Fraction(1, 2)}}
+        assert m == RationalMatrix.from_entries(3, 3, [(1, 1, Fraction(1, 2))])
+        assert matrix_to_json(m)["entries"] == [[1, 1, "1/2"]]
+
+    def test_literals_shared_across_matrices(self):
+        matrices, space_dim, ref = representation_from_json(rep_doc([[0, 0, "1/3"], [0, 1, 3]], [[1, 0, "1/3"]]))
+        assert (space_dim, ref) == (2, "a")
+        assert matrices[0]._data == {0: {0: Fraction(1, 3), 1: Fraction(3)}}
+        assert matrices[1]._data == {1: {0: Fraction(1, 3)}}
+        assert all(type(v) is Fraction for m in matrices for _, _, v in m.entries())
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from(["heisenberg3", "filiform4", "free2_2", "abelian3"]), st.data())
+    def test_representation_round_trip(self, name, data):
+        from adoforge.engine import construct_faithful_nilpotent
+
+        rep, _ = construct_faithful_nilpotent(example(name))
+        n = rep.space_dim
+        p = data.draw(changes_of_basis(n))
+        q = solve_multi(p, RationalMatrix.identity(n))
+        conjugated = Representation(rep.algebra, n, [q @ m @ p for m in rep.matrices])
+        assume(any(v.denominator != 1 for m in conjugated.matrices for _, _, v in m.entries()))
+        text = dumps_canonical(representation_to_json(conjugated, name))
+        matrices, space_dim, ref = representation_from_json(load_json(text))
+        assert list(matrices) == list(conjugated.matrices)
+        assert (space_dim, ref) == (n, name)
+        assert all(type(v) is Fraction for m in matrices for _, _, v in m.entries())
+
 
 class TestDeterminism:
     def test_construct_twice_byte_identical(self, tmp_path, capsys):

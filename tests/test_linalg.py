@@ -640,6 +640,142 @@ def test_matrix_rowdicts_skips_zero_rows():
     assert linalg._matrix_rowdicts(m) == [{0: Fraction(1)}, {1: Fraction(3)}]
 
 
+# --- fraction-free elimination against the Fraction one -----------------
+
+def fraction_rref_rowdicts(rowdicts, cols):
+    """``_rref_rowdicts`` as it was before it ran on integers, kept as the
+    reference: the same column index and pivot rule, with each pivot row
+    normalized to 1 and every elimination step in Fractions."""
+    rows = {}
+    index = {}
+    for i, r in enumerate(rowdicts):
+        if r:
+            rows[i] = {k: Fraction(v) for k, v in r.items()}
+            for c in r:
+                index.setdefault(c, set()).add(i)
+    used = set()
+    pivot_ids = []
+    pivots = []
+    for c in range(cols):
+        holders = index.pop(c, ())
+        p = min((i for i in holders if i not in used), default=None)
+        if p is None:
+            continue
+        prow = rows[p]
+        pv = prow[c]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            prow = rows[p] = {k: v * inv for k, v in prow.items()}
+        for i in holders:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c]
+            for k, v in prow.items():
+                old = row.get(k)
+                if old is None:
+                    row[k] = -f * v
+                    index.setdefault(k, set()).add(i)
+                    continue
+                nv = old - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+                    if k != c:
+                        index[k].discard(i)
+        used.add(p)
+        pivot_ids.append(p)
+        pivots.append(c)
+    return [rows[p] for p in pivot_ids], pivots
+
+
+# small values, and numerators and denominators far past a machine word
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+sparse_wide = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), wide_fractions)
+
+
+@st.composite
+def rational_systems(draw):
+    """Dense rows over wide fractions: fresh rows, repeats of earlier rows,
+    and combinations of earlier rows, which cancel to zero in elimination;
+    0 rows and 0 columns included."""
+    cols = draw(st.integers(0, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "combination"])) if rows else "fresh"
+        if kind == "fresh":
+            rows.append([draw(sparse_wide) for _ in range(cols)])
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            coeffs = [draw(wide_fractions) for _ in picked]
+            rows.append([sum((a * r[j] for a, r in zip(coeffs, picked)), Fraction(0)) for j in range(cols)])
+    return rows, cols
+
+
+def spelled(x, form):
+    """x as an int (where it is integral), a Fraction, or a "p/q" string;
+    a zero stays as it is, since ``from_vectors`` drops entries by truth."""
+    if form == "int" and x.denominator == 1:
+        return int(x)
+    return str(x) if form == "str" and x else x
+
+
+def with_fraction_elimination(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_rowdicts", fraction_rref_rowdicts)
+        return fn(*args)
+
+
+def all_fractions(rowdicts):
+    return all(type(v) is Fraction for row in rowdicts for v in row.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_systems(), st.integers(0, 3), st.data())
+def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
+    dense, cols = system
+    m = RationalMatrix.from_entries(len(dense), cols, ((r, c, x) for r, row in enumerate(dense) for c, x in enumerate(row)))
+    b = data.draw(scattered_matrices(m.rows, rhs_cols, 6))
+
+    r, pivots, rk = rref(m)
+    assert (r, pivots, rk) == with_fraction_elimination(rref, m)
+    assert all_fractions(r._data.values())
+
+    kernel = kernel_basis(m)
+    ref = with_fraction_elimination(kernel_basis, m)
+    assert (kernel._rows, kernel._pivots) == (ref._rows, ref._pivots)
+    assert all_fractions(kernel._rows)
+
+    solution = solve_multi(m, b)
+    assert solution == with_fraction_elimination(solve_multi, m, b)
+    assert solution is None or all_fractions(solution._data.values())
+
+    forms = data.draw(st.lists(st.sampled_from(["int", "fraction", "str"]), min_size=cols, max_size=cols))
+    vectors = [tuple(spelled(x, form) for x, form in zip(row, forms)) for row in dense]
+    span = Subspace.from_vectors(cols, vectors)
+    ref = with_fraction_elimination(Subspace.from_vectors, cols, [tuple(Fraction(x) for x in v) for v in vectors])
+    assert (span._rows, span._pivots) == (ref._rows, ref._pivots)
+    assert all_fractions(span._rows)
+
+
+def test_integer_elimination_returns_fractions_for_integer_input():
+    # every pivot is 1 and every entry an int; the rows still hold
+    # Fractions, since callers divide them with /
+    rows, pivots = linalg._rref_rowdicts([{0: 1, 1: 2}, {1: 1, 2: -3}, {0: 1, 1: 3, 2: -3}], 3)
+    assert pivots == [0, 1]
+    assert rows == [{0: 1, 2: 6}, {1: 1, 2: -3}]
+    assert all_fractions(rows)
+    sub = Subspace.from_vectors(2, [(2, 4)])
+    assert sub._rows == [{0: 1, 1: 2}] and all_fractions(sub._rows)
+    assert sub.basis_vectors()[0][1] / 4 == Fraction(1, 2)
+
+
 # --- no arithmetic that cannot change a value: the old kernels as references
 
 
