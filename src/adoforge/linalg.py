@@ -1,21 +1,23 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored as sparse row maps of ``fractions.Fraction`` entries and
-treated as immutable after construction.  Row reduction runs on integers:
-it copies only the nonzero rows, each scaled to integers by the lcm of its
-denominators, eliminates fraction-free by cross-multiplying, and keeps a
-column -> rows index, so each elimination visits just the rows that hold
-the pivot column; it returns the pivot rows alone, as Fractions.
-Every reduction pivots on the leftmost column, so all outputs are canonical
-RREF and two runs on equal inputs are bit-identical; ``kernel_basis`` hands
-it the columns in reverse, so that its null vectors come out canonical with
-no second elimination.  No floating point anywhere.
-``integer_form`` writes a matrix as integer numerators over one common
-denominator, and ``mul_rowmaps``, the one sparse product, runs on those as
-well, so exact checks can multiply without building a Fraction per entry.
-``SpanBasis``, the incremental span used by those checks and by orbit
-closures, takes integer vectors only and eliminates fraction-free: its rows
-stay primitive and reduction cross-multiplies.
+treated as immutable after construction.  Every row reduction runs on
+integers through one fraction-free step, ``_eliminate``: a row is
+cross-multiplied with a pivot row, row <- (a/g) row - (f/g) pivot_row, and
+divided by the gcd of its entries once scaled.  ``SpanBasis``, the
+incremental span used by the exact checks and by orbit closures, keeps an
+echelon map {lead: primitive integer row} built by that step.  ``rref``,
+``kernel_basis``, the solves and ``Subspace`` scale each nonzero row to
+integers by the lcm of its denominators, insert it into the same kind of
+echelon map, run one back-substitution pass from the highest lead down, and
+divide each row by its pivot into Fractions.  The RREF of a row space is
+unique, so all outputs are canonical and two runs on equal inputs are
+bit-identical; ``kernel_basis`` hands it the columns in reverse, so that
+its null vectors come out canonical with no second elimination.  No
+floating point anywhere.  ``integer_form`` writes a matrix as integer
+numerators over one common denominator, and ``mul_rowmaps``, the one
+sparse product, runs on those as well, so exact checks can multiply
+without building a Fraction per entry.
 """
 
 from __future__ import annotations
@@ -324,84 +326,102 @@ def kronecker(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 # --- row reduction -------------------------------------------------------
 
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
+    """Clear column c of ``row``, in place, with the pivot row ``prow``.
+
+    row <- (a/g) row - (f/g) prow, where a is prow's entry at c, f the
+    row's and g = gcd(a, f): no division.  A row so scaled (a/g != 1) is
+    then divided by the gcd of its entries, so entries do not grow from
+    step to step.  The entries must be ints; a Fraction raises
+    ``TypeError`` at the first gcd.
+    """
+    a = prow[c]
+    f = row[c]
+    g = gcd(a, f)
+    if g != 1:
+        a //= g
+        f //= g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in prow.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -(f * v)
+            continue
+        nv = old - f * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    if a != 1 and row:
+        g = gcd(*row.values())
+        if g != 1:
+            for k in row:
+                row[k] //= g
+
+
+def _reduce(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+    """Reduce ``row`` in place while its leading column leads an echelon
+    row; the residual is the input up to a nonzero integer factor, minus a
+    combination of echelon rows."""
+    while row:
+        lead = min(row)
+        prow = echelon.get(lead)
+        if prow is None:
+            break
+        _eliminate(row, prow, lead)
+    return row
+
+
+def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Reduce ``row`` in place and store the residual, made primitive with a
+    positive lead, under its lead; True if it enlarged the span."""
+    _reduce(echelon, row)
+    if not row:
+        return False
+    lead = min(row)
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    echelon[lead] = row
+    return True
+
+
 def _rref_rowdicts(rowdicts: Sequence[dict], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Pivot rows and pivot columns of the reduced row echelon form.
 
     The input rows hold ints or Fractions and are left untouched.  Each
     nonzero row is copied as integers, scaled by the lcm of its
-    denominators, and the elimination is fraction-free: a row holding the
-    pivot column c is replaced by (a/g) row - (f/g) pivot_row, where a is
-    the pivot, f the row's entry at c and g = gcd(a, f), and a row so scaled
-    is divided by the gcd of its entries, so entries do not grow from step
-    to step.  A ``{col: row ids}`` index follows the nonzeros: the pivot for
-    column c is the lowest-numbered unused row holding c, and only the rows
-    holding c are eliminated.  Fill-in and cancellation only touch columns
-    right of c, so c's index entry is dropped once c is done.  Pivoting is
-    leftmost column, and each integer row is a nonzero multiple of the
-    Fraction row that the same steps would give, so the rows returned (one
-    per pivot, in pivot order, divided by their pivot into Fractions) are
-    the canonical RREF of the row space.
+    denominators, and inserted into an echelon map as ``SpanBasis`` does.
+    One back-substitution pass, from the highest lead down, then clears
+    each row at the leads above its own with the same step; those rows are
+    already zero at every other lead, so no step brings an entry back.
+    The RREF of a row space is unique, so the rows returned (one per
+    pivot, in pivot order, divided by their pivot into Fractions) are the
+    canonical RREF whatever order the rows came in.  ``cols`` bounds the
+    column indices and is not read.
     """
-    rows: dict[int, dict[int, int]] = {}
-    index: dict[int, set[int]] = {}
-    for i, r in enumerate(rowdicts):
+    echelon: dict[int, dict[int, int]] = {}
+    for r in rowdicts:
         if r:
             d = lcm(*[v.denominator for v in r.values()])
             if d == 1:
-                rows[i] = {k: v.numerator for k, v in r.items()}
+                _insert(echelon, {k: v.numerator for k, v in r.items()})
             else:
-                rows[i] = {k: v.numerator * (d // v.denominator) for k, v in r.items()}
-            for c in r:
-                index.setdefault(c, set()).add(i)
-    used: set[int] = set()
-    pivot_ids: list[int] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        holders = index.pop(c, ())
-        p = min((i for i in holders if i not in used), default=None)
-        if p is None:
-            continue
-        prow = rows[p]
-        pv = prow[c]
-        for i in holders:
-            if i == p:
-                continue
-            row = rows[i]
-            f = row[c]
-            a = pv
-            g = gcd(a, f)
-            if g != 1:
-                a //= g
-                f //= g
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in prow.items():
-                old = row.get(k)
-                if old is None:
-                    row[k] = -f * v
-                    index.setdefault(k, set()).add(i)
-                    continue
-                nv = old - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
-                    if k != c:
-                        index[k].discard(i)
-            if a != 1 and row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for k in row:
-                        row[k] //= g
-        used.add(p)
-        pivot_ids.append(p)
-        pivots.append(c)
+                _insert(echelon, {k: v.numerator * (d // v.denominator) for k, v in r.items()})
+    pivots = sorted(echelon)
     out = []
-    for p, c in zip(pivot_ids, pivots):
-        row = rows[p]
-        pv = row[c]
+    for p in reversed(pivots):
+        row = echelon[p]
+        for q in [k for k in row if k != p and k in echelon]:
+            _eliminate(row, echelon[q], q)
+        pv = row[p]
         out.append({k: Fraction(v, pv) for k, v in row.items()})
+    out.reverse()
     return out, pivots
 
 
@@ -445,7 +465,9 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-            rowdicts.append({i: x if type(x) is int else frac(x) for i, x in enumerate(v) if x})
+            # an entry is converted before its zero test, so "0/5" is dropped
+            # too; the truth test first skips 0 and F0 without a call
+            rowdicts.append({i: y for i, x in enumerate(v) if x and (y := x if type(x) is int else frac(x))})
         return cls(ambient_dim, *_rref_rowdicts(rowdicts, ambient_dim))
 
     @classmethod
@@ -671,12 +693,11 @@ def nilpotency_index(m: RationalMatrix) -> int:
 class SpanBasis:
     """Incremental echelon basis of sparse integer vectors, for span closures.
 
-    Fraction-free: every stored row is primitive (its entries have gcd 1)
-    with a positive lead, and reduction cross-multiplies, replacing v by
-    (a/g) v - (b/g) w where a > 0 leads the stored row w, b leads v and
-    g = gcd(a, b).  No Fraction is built; the entries must be ints, and a
-    Fraction that reaches a gcd step raises ``TypeError``.  A residual is
-    the input reduced up to a nonzero integer factor, which changes no span.
+    Every stored row is primitive (its entries have gcd 1) with a positive
+    lead, and reduction runs ``_eliminate``, which cross-multiplies: no
+    Fraction is built, and a Fraction that reaches a gcd step raises
+    ``TypeError``.  A residual is the input reduced up to a nonzero integer
+    factor, which changes no span.  The inputs are copied, never mutated.
     """
 
     __slots__ = ("_rows",)
@@ -685,46 +706,11 @@ class SpanBasis:
         self._rows: dict[int, dict[int, int]] = {}  # lead -> primitive row
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            row = self._rows.get(lead)
-            if row is None:
-                return vec
-            a = row[lead]
-            b = vec[lead]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                for k in vec:
-                    vec[k] *= a
-            for k, v in row.items():
-                old = vec.get(k)
-                if old is None:
-                    vec[k] = -(b * v)
-                    continue
-                nv = old - b * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    del vec[k]
-        return vec
+        return _reduce(self._rows, dict(vec))
 
     def add(self, vec: dict[int, int]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        residual = self.reduce(vec)
-        if not residual:
-            return False
-        lead = min(residual)
-        g = gcd(*residual.values())
-        if residual[lead] < 0:
-            g = -g
-        if g != 1:
-            residual = {k: v // g for k, v in residual.items()}
-        self._rows[lead] = residual
-        return True
+        return _insert(self._rows, dict(vec))
 
     def rows(self) -> list[dict[int, int]]:
         """The stored primitive rows, a basis of the span."""

@@ -427,12 +427,12 @@ def test_mul_rowmaps_matches_fraction_loop(rows, inner, cols, data):
     assert RationalMatrix(rows, cols, mul_rowmaps(na, nb)) == (a @ b).scale(da * db)
 
 
-# --- column-indexed elimination against the row-scan reference ----------
+# --- the elimination against the row-scan reference ---------------------
 
 def reference_rref_rowdicts(rowdicts, cols):
-    """``_rref_rowdicts`` as it was before the column index, kept as the
-    reference: it scans every remaining row for each column's pivot and
-    every row for each elimination, and returns all rows, zero rows last."""
+    """A Gauss-Jordan elimination in Fractions, kept as the reference: it
+    scans every remaining row for each column's pivot and every row for
+    each elimination, and returns all rows, zero rows last."""
     rows = [dict(r) for r in rowdicts]
     nrows = len(rows)
     pivots = []
@@ -643,9 +643,10 @@ def test_matrix_rowdicts_skips_zero_rows():
 # --- fraction-free elimination against the Fraction one -----------------
 
 def fraction_rref_rowdicts(rowdicts, cols):
-    """``_rref_rowdicts`` as it was before it ran on integers, kept as the
-    reference: the same column index and pivot rule, with each pivot row
-    normalized to 1 and every elimination step in Fractions."""
+    """A Gauss-Jordan elimination in Fractions, kept as the reference: a
+    {col: row ids} index picks the lowest unused row holding each column
+    as its pivot, each pivot row is normalized to 1 and every elimination
+    step runs in Fractions."""
     rows = {}
     index = {}
     for i, r in enumerate(rowdicts):
@@ -720,10 +721,10 @@ def rational_systems(draw):
 
 def spelled(x, form):
     """x as an int (where it is integral), a Fraction, or a "p/q" string;
-    a zero stays as it is, since ``from_vectors`` drops entries by truth."""
+    a zero is spelled "0" as a string, which is truthy."""
     if form == "int" and x.denominator == 1:
         return int(x)
-    return str(x) if form == "str" and x else x
+    return str(x) if form == "str" else x
 
 
 def with_fraction_elimination(fn, *args):
@@ -774,6 +775,30 @@ def test_integer_elimination_returns_fractions_for_integer_input():
     sub = Subspace.from_vectors(2, [(2, 4)])
     assert sub._rows == [{0: 1, 1: 2}] and all_fractions(sub._rows)
     assert sub.basis_vectors()[0][1] / 4 == Fraction(1, 2)
+
+
+def test_from_vectors_converts_string_entries_before_dropping_zeros():
+    # "0", "0/5" and "-0" are truthy strings that read as zero
+    assert Subspace.from_vectors(2, [("0", "1")]) == Subspace.from_vectors(2, [(0, 1)])
+    sub = Subspace.from_vectors(3, [("0/5", "2", "-0"), ("-0", "1/2", "3")])
+    assert sub._pivots == [1, 2] and sub._rows == [{1: 1}, {2: 1}]
+    assert all_fractions(sub._rows)
+
+
+def test_row_reduction_never_calls_span_basis_add(monkeypatch):
+    # the benchmark times SpanBasis.add as a layer of its own, so the row
+    # reduction reaches the shared echelon map through the private helpers
+    m = fraction_matrix([[1, Fraction(1, 2), 0, 3], [2, 1, Fraction(-1, 3), 0], [0, 0, 1, 2]])
+    b = fraction_matrix([[1, 0], [0, 1], [1, 1]])
+    vectors = [(1, Fraction(1, 2), 0, 3), (2, 1, "-1/3", 0), (3, Fraction(3, 2), "-1/3", 3)]
+    expected = (rref(m), kernel_basis(m), solve_multi(m, b), Subspace.from_vectors(4, vectors))
+
+    def refuse(self, vec):
+        raise RuntimeError("SpanBasis.add reached from a row reduction")
+
+    monkeypatch.setattr(linalg.SpanBasis, "add", refuse)
+    assert (rref(m), kernel_basis(m), solve_multi(m, b), Subspace.from_vectors(4, vectors)) == expected
+    assert expected[1].dim == 1 and expected[3].dim == 2
 
 
 # --- no arithmetic that cannot change a value: the old kernels as references
@@ -1039,7 +1064,8 @@ def test_integer_span_basis_cross_multiplies():
     span = linalg.SpanBasis()
     assert span.add({0: 4, 1: 6})
     assert span.rows() == [{0: 2, 1: 3}]
-    # 2 (3, 1) - 3 (2, 3) = (0, -7): no division, then the primitive (0, 1)
-    assert span.reduce({0: 3, 1: 1}) == {1: -7}
+    # 2 (3, 1) - 3 (2, 3) = (0, -7): no division; the row was scaled by 2,
+    # so it is divided by the gcd of its entries, 7
+    assert span.reduce({0: 3, 1: 1}) == {1: -1}
     assert span.add({0: 3, 1: 1}) and span.rows() == [{0: 2, 1: 3}, {1: 1}]
     assert not span.add({0: -6, 1: 5}) and span.dim == 2
