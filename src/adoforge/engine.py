@@ -53,6 +53,7 @@ from .linalg import (
     frac,
     kernel_basis,
     rank,
+    solve,
     solve_multi,
     vec_is_zero,
 )
@@ -379,7 +380,6 @@ def _induction_pipeline(
         cert.add("flag_step", index=k, z=_coords_json(z))
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)
-        dropped = z_line._pivots[0]  # the coordinate quotient drops
         adj = adjoint(quo)
         dim_v = sum(part.space_dim for part in parts)
         ladder: Ladder = []
@@ -388,10 +388,9 @@ def _induction_pipeline(
         def separator(x):
             if not element_action(adj, x).is_zero():
                 return adj
-            # x with a 0 put back at the dropped coordinate is a lift of x;
-            # any lift gives the same witness, since rho(x + cz) = rho(x)
-            # on Ker rho(z)
-            lift = (*x[:dropped], Fraction(0), *x[dropped:])
+            lift = solve(p.matrix, x)
+            if lift is None:
+                raise NotSurjective("quotient projection must be surjective")
             power, index, witness = _distinguish(parts, z, lift, config, ladder)
             cert.add(
                 "kernel_search",

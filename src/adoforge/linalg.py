@@ -4,7 +4,9 @@ Matrices are stored as sparse row maps of ``fractions.Fraction`` entries and
 treated as immutable after construction.  Every row reduction runs on
 integers through one fraction-free step, ``_eliminate``: a row is
 cross-multiplied with a pivot row, row <- (a/g) row - (f/g) pivot_row, and
-divided by the gcd of its entries once scaled.  ``SpanBasis``, the
+a scaled row with entries past ``_WIDE_BITS`` bits is divided by the gcd of
+its entries; a narrower one carries that factor until it is stored
+primitive.  ``SpanBasis``, the
 incremental span used by the exact checks and by orbit closures, keeps an
 echelon map {lead: primitive integer row} built by that step.  ``rref``,
 ``kernel_basis``, the solves and ``Subspace`` scale each nonzero row to
@@ -326,18 +328,29 @@ def kronecker(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 # --- row reduction -------------------------------------------------------
 
+# Below this many bits an int costs about what a machine word does.  Dense
+# rational systems grow far past it and need the common factor divided out
+# at each step; the span rows of conjugated representations stay below it
+# and run faster carrying theirs.
+_WIDE_BITS = 512
+
+
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
     """Clear column c of ``row``, in place, with the pivot row ``prow``.
 
     row <- (a/g) row - (f/g) prow, where a is prow's entry at c, f the
-    row's and g = gcd(a, f): no division.  A row so scaled (a/g != 1) is
-    then divided by the gcd of its entries, so entries do not grow from
-    step to step.  The entries must be ints; a Fraction raises
-    ``TypeError`` at the first gcd.
+    row's and g = gcd(a, f): no division.  Scaling leaves a common factor
+    in the row.  A row so scaled (a/g != 1) whose f has more than
+    ``_WIDE_BITS`` bits is divided by the gcd of its entries, so wide
+    entries do not compound from step to step.  A narrower row keeps its
+    factor: its arithmetic costs about what the gcd pass would, and
+    ``_insert`` divides the factor out once, when it stores the row.  The
+    entries must be ints; a Fraction raises ``TypeError`` at the first gcd.
     """
     a = prow[c]
     f = row[c]
     g = gcd(a, f)
+    wide = f.bit_length() > _WIDE_BITS
     if g != 1:
         a //= g
         f //= g
@@ -354,7 +367,7 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
             row[k] = nv
         else:
             del row[k]
-    if a != 1 and row:
+    if a != 1 and wide and row:
         g = gcd(*row.values())
         if g != 1:
             for k in row:
@@ -375,8 +388,9 @@ def _reduce(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int
 
 
 def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
-    """Reduce ``row`` in place and store the residual, made primitive with a
-    positive lead, under its lead; True if it enlarged the span."""
+    """Reduce ``row`` in place and store a fresh copy of the residual, made
+    primitive with a positive lead, under its lead (a dict that has lost
+    entries iterates slower); True if it enlarged the span."""
     _reduce(echelon, row)
     if not row:
         return False
@@ -384,10 +398,7 @@ def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     g = gcd(*row.values())
     if row[lead] < 0:
         g = -g
-    if g != 1:
-        for k in row:
-            row[k] //= g
-    echelon[lead] = row
+    echelon[lead] = {k: v // g for k, v in row.items()} if g != 1 else dict(row)
     return True
 
 

@@ -667,6 +667,11 @@ class TestTypedInteriorErrors:
         with pytest.raises(DegenerateFlag):
             engine._flag_generator(line, line)
 
+    def test_separator_lift(self, f4, monkeypatch):
+        monkeypatch.setattr(engine, "solve", lambda a, b: None)
+        with pytest.raises(NotSurjective, match="quotient projection"):
+            construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
+
     def test_transport_lift(self, h3, monkeypatch):
         # h3 presents with I = 0: no flag step, so the section of pi is the first solve
         monkeypatch.setattr(engine, "solve_multi", lambda a, b: None)

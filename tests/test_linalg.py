@@ -1064,8 +1064,20 @@ def test_integer_span_basis_cross_multiplies():
     span = linalg.SpanBasis()
     assert span.add({0: 4, 1: 6})
     assert span.rows() == [{0: 2, 1: 3}]
-    # 2 (3, 1) - 3 (2, 3) = (0, -7): no division; the row was scaled by 2,
-    # so it is divided by the gcd of its entries, 7
-    assert span.reduce({0: 3, 1: 1}) == {1: -1}
+    # 2 (3, 1) - 3 (2, 3) = (0, -7): no division, then the primitive (0, 1)
+    assert span.reduce({0: 3, 1: 1}) == {1: -7}
     assert span.add({0: 3, 1: 1}) and span.rows() == [{0: 2, 1: 3}, {1: 1}]
     assert not span.add({0: -6, 1: 5}) and span.dim == 2
+
+
+def test_integer_span_basis_divides_wide_rows_at_each_step():
+    span = linalg.SpanBasis()
+    assert span.add({0: 3, 1: 1})
+    # 3 (2, 4) - 2 (3, 1) = (0, 10): narrow, so the factor 10 stays
+    assert span.reduce({0: 2, 1: 4}) == {1: 10}
+    # 3 (w, 2w) - w (3, 1) = (0, 5w) with w = 2^600: a scaled row that wide
+    # is divided by the gcd of its entries, 5w
+    w = 2**600
+    assert w.bit_length() > linalg._WIDE_BITS
+    assert span.reduce({0: w, 1: 2 * w}) == {1: 1}
+    assert span.add({0: w, 1: 2 * w}) and span.rows() == [{0: 3, 1: 1}, {1: 1}]
