@@ -17,9 +17,11 @@ unique, so all outputs are canonical and two runs on equal inputs are
 bit-identical; ``kernel_basis`` hands it the columns in reverse, so that
 its null vectors come out canonical with no second elimination.  No
 floating point anywhere.  ``integer_form`` writes a matrix as integer
-numerators over one common denominator, and ``mul_rowmaps``, the one
-sparse product, runs on those as well, so exact checks can multiply
-without building a Fraction per entry.
+numerators over one common denominator, and ``mul_rowmaps``, the sparse
+product, runs on those as well, so exact checks can multiply without
+building a Fraction per entry.  The commutator check
+(``reps.is_homomorphism``) packs its own integer rows into big integers
+and does not call it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,16 @@ A Representation is one square matrix per basis element of its algebra.
 Nothing here assumes the homomorphism identity; ``is_homomorphism`` checks
 it.  The combinators trust their inputs, and the engine checks its final
 output once, exactly, at its boundary.  Those checks run on the integer
-numerators of the matrices, and the two that need spans keep them small:
-``is_faithful`` is a rank of n flattened matrices, and ``is_nilpotent_rep``
-follows a chain of subspaces of V, not of End(V).  ``kernel_submodule``
+numerators of the matrices.  ``is_homomorphism`` packs each integer row
+into one big integer per block of 64 columns that holds an entry, at one
+width w per call chosen from a bound on the entries of the commutator
+difference, so that a packed block is zero exactly when its entries are;
+each stored entry then costs one big-integer multiply-add per block
+instead of one per product term, and a row with entries far apart stays
+as many small ints as it has blocks.  The two checks that need spans keep
+them small: ``is_faithful`` is a rank of n flattened matrices, and
+``is_nilpotent_rep`` follows a chain of subspaces of V, not of End(V).
+``kernel_submodule``
 builds no quotient and restricts no action to all of Ker rho(z): it takes
 the cyclic submodule of one vector of that kernel, and lets it represent the
 quotient L/<z> that its caller built once for the flag step.
@@ -132,42 +139,143 @@ def rep_kernel(rep: Representation) -> Subspace:
     return kernel_basis(stacked)
 
 
+# Columns per packed int in ``is_homomorphism``: a block of a row holds at
+# most this many entries, so it costs at most 64 * w bits whatever
+# space_dim is.  On the six seed-1 ``verify`` inputs (in process, minimum of
+# nine alternating runs, summed, 2 cores, Python 3.11.7) blocks of
+# 32 / 64 / 128 columns took 18.3 / 16.1 / 15.2 ms, against 28.1 ms for one
+# sparse product per term; a single block per row took 15.1 ms but packs a
+# row with an entry in column space_dim - 1 into space_dim * w bits.
+_PACK_COLUMNS = 64
+
+
 def is_homomorphism(rep: Representation) -> bool:
     """Commutator identity rho([e_i,e_j]) = [rho(e_i), rho(e_j)], exactly.
 
-    With rho(e_i) = N_i / d_i (``integer_form``) the identity reads
-    d_i d_j rho([e_i,e_j]) = N_i N_j - N_j N_i; the commutator runs on the
-    integer numerators and is compared by value with the left side, whose
-    bracket coefficients are scaled by d_i d_j before ``element_action``.
+    Integer form.  With rho(e_i) = N_i / d_i (``integer_form``) and
+    [e_i,e_j] = sum_l c_l e_l, let D = lcm(d_l den c_l) over the terms and
+    s_l = num c_l * D / (d_l den c_l) * d_i d_j (``_scaled_brackets``).
+    Multiplying the identity by D d_i d_j turns it into
+    E = D (N_i N_j - N_j N_i) - sum_l s_l N_l = 0, all in integers.
+
+    Width.  Let maxabs_i be the largest |entry| of N_i and rowabs_i its
+    largest row sum of |entries|.  An entry of N_i N_j is a sum over k of
+    N_i[r,k] N_j[k,c], so it is at most rowabs_i maxabs_j in size, and every
+    entry e of E has |e| <= K = D (rowabs_i maxabs_j + rowabs_j maxabs_i)
+    + sum_l |s_l| maxabs_l.  ``_packing_width`` takes w = K.bit_length() + 1
+    with K the largest over the pairs, so |e| < 2^(w-1) < 2^w.
+
+    Zero test.  A block of row r packs the entries of E in its columns
+    q*64 <= c < (q+1)*64 as B = sum_c e_c 2^(w (c - 64q)).  If some e_c is
+    nonzero, take the lowest such c: B = 2^(w (c - 64q)) (e_c + 2^w M) for
+    an integer M, and e_c + 2^w M = 0 would need 2^w <= |e_c|.  So B = 0
+    exactly when every e_c in the block is 0, and E = 0 exactly when every
+    block of every row is 0.
+
+    Blocks.  Packing is linear, so B is sum_k N_i[r,k] P_j[k][q] for the
+    packed rows P_j = ``_pack_rows(N_j, w)``, minus the same with i and j
+    swapped, scaled by D, minus sum_l s_l P_l[r][q]: one big-integer
+    multiply-add per stored entry and block instead of one per product
+    term.  Each row of each N_j is packed once per call, into no more
+    blocks than it has entries; whole rows packed into one int would cost
+    space_dim * w bits for a row with an entry in the last column.
     """
-    n = rep.algebra.dim
     forms = [m.integer_form() for m in rep.matrices]
-    for i in range(n):
-        ni, di = forms[i]
-        for j in range(i + 1, n):
-            nj, dj = forms[j]
-            d = di * dj
-            coeffs = {k: v * d for k, v in rep.algebra.bracket_basis(i, j).items()}
-            lhs = element_action(rep, dense_vector(coeffs, n))
-            if lhs._data != _commutator(ni, nj):
+    pairs = _scaled_brackets(rep.algebra, forms)
+    width = _packing_width(forms, pairs)
+    packed = [_pack_rows(n, width) for n, _ in forms]
+    for i, j, scale, terms in pairs:
+        ni, nj = forms[i][0], forms[j][0]
+        pi, pj = packed[i], packed[j]
+        rest = [(packed[l], s) for l, s in terms]
+        rows = ni.keys() | nj.keys()
+        for pl, _ in rest:
+            rows |= pl.keys()
+        for r in rows:
+            acc: dict[int, int] = {}
+            get = acc.get
+            row = ni.get(r)
+            if row:
+                for k, x in row.items():
+                    blocks = pj.get(k)
+                    if blocks:
+                        x *= scale
+                        for q, p in blocks.items():
+                            acc[q] = get(q, 0) + x * p
+            row = nj.get(r)
+            if row:
+                for k, x in row.items():
+                    blocks = pi.get(k)
+                    if blocks:
+                        x *= scale
+                        for q, p in blocks.items():
+                            acc[q] = get(q, 0) - x * p
+            for pl, s in rest:
+                blocks = pl.get(r)
+                if blocks:
+                    for q, p in blocks.items():
+                        acc[q] = get(q, 0) - s * p
+            if any(acc.values()):
                 return False
     return True
 
 
-def _commutator(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """a b - b a on row maps."""
-    out = mul_rowmaps(a, b)
-    for r, row in mul_rowmaps(b, a).items():
-        target = out.setdefault(r, {})
+def _scaled_brackets(
+    algebra: LieAlgebra, forms: Sequence[tuple[dict[int, dict[int, int]], int]]
+) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+    """(i, j, D, [(l, s_l)]) for each pair i < j, so that the identity for
+    the pair reads D (N_i N_j - N_j N_i) = sum_l s_l N_l on the integer
+    forms (N_l, d_l) (see ``is_homomorphism``)."""
+    n = algebra.dim
+    pairs = []
+    for i in range(n):
+        di = forms[i][1]
+        for j in range(i + 1, n):
+            d = di * forms[j][1]
+            coeffs = algebra.bracket_basis(i, j)
+            scale = lcm(*(forms[l][1] * c.denominator for l, c in coeffs.items()))
+            terms = [(l, c.numerator * (scale // (forms[l][1] * c.denominator)) * d) for l, c in coeffs.items()]
+            pairs.append((i, j, scale, terms))
+    return pairs
+
+
+def _packing_width(
+    forms: Sequence[tuple[dict[int, dict[int, int]], int]], pairs: Sequence[tuple[int, int, int, list[tuple[int, int]]]]
+) -> int:
+    """w = K.bit_length() + 1 for K the largest bound on an entry of
+    D (N_i N_j - N_j N_i) - sum_l s_l N_l over the pairs (see
+    ``is_homomorphism``)."""
+    maxabs = []
+    rowabs = []
+    for n, _ in forms:
+        m = s = 0
+        for row in n.values():
+            sizes = [abs(v) for v in row.values()]
+            m = max(m, *sizes)
+            s = max(s, sum(sizes))
+        maxabs.append(m)
+        rowabs.append(s)
+    bound = 0
+    for i, j, scale, terms in pairs:
+        k = scale * (rowabs[i] * maxabs[j] + rowabs[j] * maxabs[i])
+        for l, s in terms:
+            k += abs(s) * maxabs[l]
+        if k > bound:
+            bound = k
+    return bound.bit_length() + 1
+
+
+def _pack_rows(rows: dict[int, dict[int, int]], width: int) -> dict[int, dict[int, int]]:
+    """{r: {q: sum_c N[r,c] << width (c - 64q)}} over the blocks q of
+    ``_PACK_COLUMNS`` columns that hold an entry of row r."""
+    packed = {}
+    for r, row in rows.items():
+        blocks: dict[int, int] = {}
         for c, v in row.items():
-            nv = target.get(c, 0) - v
-            if nv:
-                target[c] = nv
-            else:
-                del target[c]
-        if not target:
-            del out[r]
-    return out
+            q, offset = divmod(c, _PACK_COLUMNS)
+            blocks[q] = blocks.get(q, 0) + (v << width * offset)
+        packed[r] = blocks
+    return packed
 
 
 def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:

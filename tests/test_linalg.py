@@ -339,7 +339,7 @@ def test_kernel_basis_matches_dense_construction(rows, cols, data):
     assert list(kernel.basis.entries()) == list(reference.basis.entries())
 
 
-# --- integer numerators and the one sparse product -----------------------
+# --- integer numerators and the sparse product ---------------------------
 
 def fraction_matmul_rowmaps(a, b):
     """The product loop RationalMatrix.__matmul__ ran on Fractions before it

@@ -12,6 +12,7 @@ from adoforge.linalg import (
     Subspace,
     block_diag,
     kernel_basis,
+    mul_rowmaps,
     nilpotency_index,
     solve_multi,
     unit_vector,
@@ -31,6 +32,7 @@ from adoforge.reps import (
     restrict_along,
     tensor_product,
 )
+from adoforge.reps import _PACK_COLUMNS, _pack_rows, _packing_width, _scaled_brackets
 
 from conftest import (
     FractionSpanBasis,
@@ -465,6 +467,213 @@ def test_integer_checks_agree_on_random_matrices(name, sd, strictly_upper, data)
         for _ in range(algebra.dim)
     ]
     assert_checks_agree(Representation(algebra, sd, matrices))
+
+
+# --- the packed commutator identity against the Fraction reference ---
+
+
+def assert_homomorphism_agrees(rep):
+    verdict = is_homomorphism(rep)
+    assert verdict == fraction_is_homomorphism(rep)
+    return verdict
+
+
+def packing_width(rep):
+    """The width w that ``is_homomorphism`` packs rep's rows at."""
+    forms = [m.integer_form() for m in rep.matrices]
+    return _packing_width(forms, _scaled_brackets(rep.algebra, forms))
+
+
+def integer_differences(rep):
+    """D (N_i N_j - N_j N_i) - sum_l s_l N_l for each pair, by the sparse
+    product, unpacked: the rows whose packed blocks the check tests."""
+    forms = [m.integer_form() for m in rep.matrices]
+    out = []
+    for i, j, scale, terms in _scaled_brackets(rep.algebra, forms):
+        diff = {}
+        for sign, a, b in ((scale, i, j), (-scale, j, i)):
+            for r, row in mul_rowmaps(forms[a][0], forms[b][0]).items():
+                for c, v in row.items():
+                    diff[(r, c)] = diff.get((r, c), 0) + sign * v
+        for l, s in terms:
+            for r, row in forms[l][0].items():
+                for c, v in row.items():
+                    diff[(r, c)] = diff.get((r, c), 0) - s * v
+        out.append({rc: v for rc, v in diff.items() if v})
+    return out
+
+
+def with_entry_added(rep, i, r, c, v):
+    matrices = list(rep.matrices)
+    matrices[i] = matrices[i] + RationalMatrix.from_entries(rep.space_dim, rep.space_dim, [(r, c, v)])
+    return Representation(rep.algebra, rep.space_dim, matrices)
+
+
+def bracket_target(algebra):
+    """(k, i, j) with e_k a term of [e_i, e_j] and k not i or j: an entry
+    added to rho(e_k) changes the left side of that pair's identity alone."""
+    return next((k, i, j) for (i, j), coeffs in algebra.brackets.items() for k in coeffs if k not in (i, j))
+
+
+def stretched(rep, t):
+    """x acts as T rho(x) T^-1 for T = diag(t^-r): entry (r, c) is scaled by
+    t^(c - r), so the numerators of an upper triangular rho(x), or the
+    denominators of a lower one, grow like powers of t."""
+    return Representation(
+        rep.algebra,
+        rep.space_dim,
+        [
+            RationalMatrix.from_entries(rep.space_dim, rep.space_dim, [(r, c, v * Fraction(t) ** (c - r)) for r, c, v in m.entries()])
+            for m in rep.matrices
+        ],
+    )
+
+
+@pytest.mark.parametrize("bits", [65, 601])
+@pytest.mark.parametrize("rep", CORPUS_REPS, ids=repr)
+def test_homomorphism_agrees_on_wide_integers(rep, bits):
+    t = (1 << bits) + 3
+    wides = [stretched(rep, t), stretched(rep, Fraction(1, t))]
+    for wide in wides:
+        assert assert_homomorphism_agrees(wide)
+        if rep.algebra.brackets:
+            k, _, _ = bracket_target(rep.algebra)
+            assert not assert_homomorphism_agrees(with_entry_added(wide, k, 0, rep.space_dim - 1, t))
+    if any(r != c for m in rep.matrices for r, c, _ in m.entries()):
+        numerators = [abs(v.numerator) for wide in wides for m in wide.matrices for _, _, v in m.entries()]
+        assert max(numerators).bit_length() > bits
+
+
+@settings(deadline=None, max_examples=40)
+@given(conjugated_corpus_reps(), st.data())
+def test_homomorphism_agrees_after_a_wide_entry_moves(rep, data):
+    i = data.draw(st.integers(min_value=0, max_value=rep.algebra.dim - 1))
+    r = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    c = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    num = data.draw(st.integers(min_value=-(1 << 700), max_value=1 << 700).filter(bool))
+    den = data.draw(st.integers(min_value=1, max_value=1 << 40))
+    assert_homomorphism_agrees(with_entry_added(rep, i, r, c, Fraction(num, den)))
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.sampled_from(["heisenberg3", "heisenberg5", "filiform4", "free2_3"]), st.data())
+def test_homomorphism_agrees_across_blocks(name, data):
+    """A direct sum of conjugated corpus representations on more than two
+    blocks of columns, with one entry added in a later block."""
+    pool = [rep for rep in CORPUS_REPS if rep.algebra.structurally_equal(example(name))]
+    total = data.draw(conjugated_corpus_reps(pool))
+    while total.space_dim <= 2 * _PACK_COLUMNS:
+        total = direct_sum(total, data.draw(conjugated_corpus_reps(pool)))
+    assert assert_homomorphism_agrees(total)
+    k, _, _ = bracket_target(total.algebra)
+    sd = total.space_dim
+    for r, c in [(sd - 1, sd - 1), (_PACK_COLUMNS + 1, sd - 2), (sd - 3, _PACK_COLUMNS), (0, sd - 1)]:
+        assert c // _PACK_COLUMNS >= 1
+        assert not assert_homomorphism_agrees(with_entry_added(total, k, r, c, Fraction(1, 3)))
+
+
+CENSUS7_ADJOINT = adjoint(example("census7"))
+
+
+@settings(deadline=None, max_examples=30)
+@given(conjugated_corpus_reps([CENSUS7_ADJOINT]), st.data())
+def test_homomorphism_agrees_on_half_brackets(rep, data):
+    # census7 brackets with coefficients +-1/2, and conjugation gives every
+    # rho(e_i) its own denominator
+    assert assert_homomorphism_agrees(rep)
+    i = data.draw(st.integers(min_value=0, max_value=rep.algebra.dim - 1))
+    r = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    c = data.draw(st.integers(min_value=0, max_value=rep.space_dim - 1))
+    assert_homomorphism_agrees(with_entry_added(rep, i, r, c, Fraction(1, 2)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(corpus_algebras(), st.data())
+def test_homomorphism_agrees_on_rebased_algebras(algebra, data):
+    # rebased structure constants are dense rationals
+    rep = adjoint(algebra)
+    assert assert_homomorphism_agrees(rep)
+    i = data.draw(st.integers(min_value=0, max_value=algebra.dim - 1))
+    r = data.draw(st.integers(min_value=0, max_value=algebra.dim - 1))
+    c = data.draw(st.integers(min_value=0, max_value=algebra.dim - 1))
+    q = data.draw(nonzero_fractions)
+    assert_homomorphism_agrees(with_entry_added(rep, i, r, c, q))
+
+
+@pytest.mark.parametrize("space_dim", [0, 1, 3])
+@pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3", "heisenberg3"])
+def test_homomorphism_on_zero_matrices(name, space_dim):
+    assert assert_homomorphism_agrees(zero_rep(example(name), space_dim))
+
+
+@pytest.mark.parametrize("space_dim", [0, 2])
+def test_homomorphism_on_zero_dimensional_algebra(space_dim):
+    assert assert_homomorphism_agrees(Representation(LieAlgebra(0, {}), space_dim, []))
+
+
+def test_homomorphism_on_one_matrix():
+    # n = 1 has no pair, so any square matrix is a homomorphism
+    rep = Representation(abelian(1), 2, [RationalMatrix.from_rows([[1, 2], [3, 4]])])
+    assert assert_homomorphism_agrees(rep)
+
+
+def test_homomorphism_on_abelian_algebra_without_brackets():
+    # no bracket terms: the identity is that the matrices commute
+    algebra = abelian(3)
+    j = jordan_block(4)
+    commuting = Representation(algebra, 4, [j, j @ j, j.scale(Fraction(-5, 7))])
+    assert assert_homomorphism_agrees(commuting)
+    swapped = Representation(algebra, 4, [j, j.transpose(), j @ j])
+    assert not assert_homomorphism_agrees(swapped)
+
+
+def ones_row_and_column(sd):
+    """abelian2 acting by the all-ones first row and first column: an entry
+    of their commutator sums sd products, which only the row sums bound."""
+    row = RationalMatrix.from_entries(sd, sd, [(0, c, 1) for c in range(sd)])
+    return Representation(abelian(2), sd, [row, row.transpose()])
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [with_entry_added(CENSUS7_ADJOINT, bracket_target(CENSUS7_ADJOINT.algebra)[0], 0, 6, Fraction(2, 3)), ones_row_and_column(100)],
+    ids=["census7", "ones"],
+)
+def test_packing_width_is_pinned(rep):
+    """Every entry of the difference lies below 2^(w - 1), and w is the
+    narrowest width at which every row with entries below 2^w packs to a
+    nonzero int: the row (-2^(w-1), 1) packs to 0 at w - 1 but not at w."""
+    w = packing_width(rep)
+    diffs = integer_differences(rep)
+    assert any(diffs) and not is_homomorphism(rep)
+    assert all(abs(v) < 1 << (w - 1) for diff in diffs for v in diff.values())
+    row = {0: {0: -(1 << (w - 1)), 1: 1}}
+    assert _pack_rows(row, w - 1) == {0: {0: 0}}
+    assert _pack_rows(row, w) == {0: {0: 1 << (w - 1)}}
+
+
+def test_wide_sparse_rows_stay_sparse():
+    """abelian2 on Q^(10^9) with entries in columns 1 and 10^9 - 1: the check
+    packs each row into no more blocks than it has entries."""
+    sd = 10**9
+    algebra = abelian(2)
+    e01 = RationalMatrix.from_entries(sd, sd, [(0, 1, 1)])
+    for far, verdict in (((1, sd - 1, 1), False), ((0, sd - 1, 3), True)):
+        rep = Representation(algebra, sd, [e01, RationalMatrix.from_entries(sd, sd, [far])])
+        assert assert_homomorphism_agrees(rep) is verdict
+        w = packing_width(rep)
+        for m in rep.matrices:
+            rows = m.integer_form()[0]
+            for r, blocks in _pack_rows(rows, w).items():
+                assert len(blocks) <= len(rows[r])
+                assert all(b.bit_length() <= _PACK_COLUMNS * w for b in blocks.values())
+
+
+def test_jordan_block_agrees():
+    j = jordan_block(2000)
+    rep = Representation(abelian(2), 2000, [j, j @ j])
+    assert assert_homomorphism_agrees(rep)
+    assert not assert_homomorphism_agrees(with_entry_added(rep, 1, 1000, 1000, 1))
 
 
 # --- the boundary check in V: faithfulness by rank, nilpotency by images ---
