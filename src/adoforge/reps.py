@@ -22,6 +22,7 @@ quotient L/<z> that its caller built once for the flag step.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -248,13 +249,9 @@ def _packing_width(
     maxabs = []
     rowabs = []
     for n, _ in forms:
-        m = s = 0
-        for row in n.values():
-            sizes = [abs(v) for v in row.values()]
-            m = max(m, *sizes)
-            s = max(s, sum(sizes))
-        maxabs.append(m)
-        rowabs.append(s)
+        rows = n.values()
+        maxabs.append(max(map(abs, chain.from_iterable(row.values() for row in rows)), default=0))
+        rowabs.append(max([sum(map(abs, row.values())) for row in rows], default=0))
     bound = 0
     for i, j, scale, terms in pairs:
         k = scale * (rowabs[i] * maxabs[j] + rowabs[j] * maxabs[i])
@@ -273,7 +270,10 @@ def _pack_rows(rows: dict[int, dict[int, int]], width: int) -> dict[int, dict[in
         blocks: dict[int, int] = {}
         for c, v in row.items():
             q, offset = divmod(c, _PACK_COLUMNS)
-            blocks[q] = blocks.get(q, 0) + (v << width * offset)
+            if q in blocks:
+                blocks[q] += v << width * offset
+            else:
+                blocks[q] = v << width * offset
         packed[r] = blocks
     return packed
 
