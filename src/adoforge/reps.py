@@ -144,8 +144,8 @@ def rep_kernel(rep: Representation) -> Subspace:
 # most this many entries, so it costs at most 64 * w bits whatever
 # space_dim is.  On the six seed-1 ``verify`` inputs (in process, minimum of
 # nine alternating runs, summed, 2 cores, Python 3.11.7) blocks of
-# 32 / 64 / 128 columns took 18.3 / 16.1 / 15.2 ms, against 28.1 ms for one
-# sparse product per term; a single block per row took 15.1 ms but packs a
+# 32 / 64 / 128 columns took 25.8 / 22.9 / 21.8 ms, against 38.5 ms for one
+# sparse product per term; a single block per row took 21.4 ms but packs a
 # row with an entry in column space_dim - 1 into space_dim * w bits.
 _PACK_COLUMNS = 64
 
