@@ -13,6 +13,7 @@ recorded as ``internal_error`` in the run report and then re-raised.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -296,10 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built at the first main call, then kept
+
+
 def main(argv=None) -> int:
     run = _Run(None)  # the command is known once the command line parses
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         run.report["command"] = args.command
         code = args.func(args, run)
     except AdoForgeError as exc:

@@ -5,21 +5,23 @@ The pipeline builds a faithful nilpotent representation for any validated
 nilpotent algebra over Q.  Under ``auto``, algebras with a grading take the
 direct graded route: the dim L + 1 representation of their scaling
 derivation, whose size is checked against the budget before ``validate``
-(which rejects a grading the brackets do not respect).  Everything else is
-presented as a quotient F/I of a free nilpotent algebra and handled by
-walking a codimension-one ideal flag inside I.  At each flag step the
-previous algebra is a one-dimensional central extension of the next one;
-non-central directions are separated by the adjoint representation, central
-ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the previous
-faithful representation for a kernel non-inclusion witness: a vector of
-Ker rho(z) that rho(x) does not kill, whose cyclic submodule, on which z acts
-as zero, represents the step's one quotient L/<z>.  That representation is
-the direct sum of the previous step's glue summands (the seed at the first
-step), so each tensor power is searched block by block: the products of one
-summand per factor, on disjoint coordinates, give the same witness and the
-same cyclic submodule as the whole power.  The representation of the last
-quotient F/I is transported back to L along proj after a section of pi,
-which is well defined because Ker pi = I = Ker proj.
+(which rejects a grading the brackets do not respect); a valid positive
+grading makes L nilpotent, so no lower central series is walked there.
+Everything else is presented as a quotient F/I of a free nilpotent algebra
+and handled by walking a codimension-one ideal flag inside I.  At each flag
+step the previous algebra is a one-dimensional central extension of the next
+one; non-central directions are separated by the adjoint representation,
+central ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the
+previous faithful representation for a kernel non-inclusion witness: a
+vector of Ker rho(z) that rho(x) does not kill, whose cyclic submodule, on
+which z acts as zero, represents the step's one quotient L/<z>.  That
+representation is the direct sum of the previous step's glue summands (the
+seed at the first step), so each tensor power is searched block by block:
+the products of one summand per factor, on disjoint coordinates, give the
+same witness and the same cyclic submodule as the whole power.  Only the
+last quotient F/I gets its direct sum built; it is transported back to L
+along proj after a section of pi, which is well defined because
+Ker pi = I = Ker proj.
 The interior steps do not re-prove what the construction guarantees: that
 each flag image is central, nor that pi, the projections and the transport
 are homomorphisms.  ``construct_faithful_nilpotent`` verifies its output
@@ -62,7 +64,6 @@ from .liealg import (
     LieHom,
     central_flag,
     codim1_refinement,
-    nilpotency_class,
     quotient,
     validate,
 )
@@ -289,39 +290,34 @@ def distinguish_by_kernels(
     return ladder[power - 1][index].rep
 
 
-def _glue_traced(
-    algebra: LieAlgebra, separator: Separator
-) -> tuple[Representation, list[Representation], dict]:
-    """The glued representation, its summands in order, and the trace."""
-    rho = Representation(algebra, 0, [RationalMatrix.zero(0, 0)] * algebra.dim)
+def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[list[Representation], dict]:
+    """The glue summands in order, and the trace.  The kernel of their sum
+    is the intersection of theirs, so no sum is built."""
     kernel = Subspace.full(algebra.dim)
     parts: list[Representation] = []
-    summands: list[int] = []
     kernels: list[int] = []
     while kernel.dim > 0:
         x = kernel.basis_vectors()[0]
         rho_x = separator(x)
         if element_action(rho_x, x).is_zero():
             raise SeparatorFailed("separator returned a representation vanishing on its element")
-        rho = direct_sum(rho, rho_x)
-        kernel = rep_kernel(rho)
+        kernel = kernel.intersect(rep_kernel(rho_x))
         parts.append(rho_x)
-        summands.append(rho_x.space_dim)
         kernels.append(kernel.dim)
-    return rho, parts, {"algebra_dim": algebra.dim, "summand_dims": summands, "kernel_dims": kernels}
+    return parts, {"algebra_dim": algebra.dim, "summand_dims": [rho.space_dim for rho in parts], "kernel_dims": kernels}
 
 
 def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
     """Assemble a faithful nilpotent representation from a separator that
     maps any nonzero x to a nilpotent representation with rho_x(x) != 0.
 
-    Starts from the zero representation, whose kernel is all of L, and keeps
-    direct-summing away the first canonical kernel vector (the first is
-    e_0); the kernel dimension drops strictly every iteration, so at most
-    dim L summands appear.
+    Starts from the kernel L and keeps direct-summing away the first
+    canonical kernel vector (the first is e_0); the kernel dimension drops
+    strictly every iteration, so at most dim L summands appear (none, and
+    Q^0, for a zero algebra).
     """
-    rep, _, _ = _glue_traced(algebra, separator)
-    return rep
+    parts, _ = _glue_traced(algebra, separator)
+    return direct_sum(*parts) if parts else Representation(algebra, 0, [])
 
 
 def _current_algebra_cert_fields(algebra: LieAlgebra, rep: Representation) -> dict:
@@ -364,12 +360,12 @@ def _induction_pipeline(
     )
     # the current algebra has dim F * class, and Z^1 holds the Euler cocycle
     _check_budget(pres.F.dim * pres.F.grading.max_degree + 1, config)
-    rho = current_algebra_faithful_rep(pres.F)
-    _check_budget(rho.space_dim, config)
-    cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, rho))
+    seed = current_algebra_faithful_rep(pres.F)
+    _check_budget(seed.space_dim, config)
+    cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, seed))
 
     flag = _ideal_flag(pres.F, pres.I)
-    parts = [rho]  # rho is their direct sum
+    parts = [seed]  # the current representation is their direct sum
     current = pres.F
     proj = RationalMatrix.identity(pres.F.dim)  # F -> current
     for k in range(len(flag) - 1):
@@ -412,7 +408,7 @@ def _induction_pipeline(
             )
             return compressed
 
-        rho, parts, trace = _glue_traced(quo, separator)
+        parts, trace = _glue_traced(quo, separator)
         cert.add("glue", **trace)
         current = quo
         proj = p.matrix @ proj
@@ -423,7 +419,7 @@ def _induction_pipeline(
     if section is None:
         raise NotSurjective("presentation map onto the input must be surjective")
     iso = LieHom(algebra, current, proj @ section)
-    return restrict_along(rho, iso)
+    return restrict_along(direct_sum(*parts), iso)
 
 
 def construct_faithful_nilpotent(
@@ -433,8 +429,9 @@ def construct_faithful_nilpotent(
 
     The output is verified exactly before it is returned; the certificate's
     last step, ``verified``, records that report.  Raises
-    ``VerificationFailed`` when any of the three properties fails, and
-    ``BudgetExceeded`` before ``validate`` for an input over its route's cap.
+    ``VerificationFailed`` when any of the three properties fails,
+    ``BudgetExceeded`` before ``validate`` for an input over its route's cap,
+    and ``NotNilpotent`` from ``present`` on the induction route.
     """
     config = config or EngineConfig()
     graded = config.method == "auto" and algebra.grading is not None
@@ -447,7 +444,6 @@ def construct_faithful_nilpotent(
         )
     if not validate(algebra).ok:
         raise ValidationFailed("input algebra fails validation; run validate() for details")
-    nilpotency_class(algebra)  # raises NotNilpotent otherwise
     cert = Certificate(config=config.as_dict())
     if algebra.dim == 0:
         rep = Representation(algebra, 0, [])

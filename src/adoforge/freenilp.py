@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotNilpotent
+from .errors import BudgetExceeded
 from .linalg import F1, RationalMatrix, Subspace, kernel_basis, unit_vector
-from .liealg import Grading, LieAlgebra, LieHom, lower_central_series
+from .liealg import Grading, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
 
 DEFAULT_DIMENSION_BUDGET = 200
 
@@ -199,9 +199,9 @@ class Presentation:
 def present(algebra: LieAlgebra) -> Presentation:
     """Present a nilpotent algebra as F/I with F free nilpotent of minimal
     generator rank r = dim L - dim [L,L] and class = nilpotency class of L,
-    both read off one walk of L's lower central series (``NotNilpotent``
-    when it stops above zero); F is capped at ``DEFAULT_DIMENSION_BUDGET``
-    (``BudgetExceeded``).
+    the one walk of L's lower central series (``NotNilpotent``, before F is
+    built, when it stops above zero); F is capped at
+    ``DEFAULT_DIMENSION_BUDGET`` (``BudgetExceeded``).
 
     The generators map to the standard basis vectors at the complement
     coordinates of [L,L]; the map extends to Hall words by bracket
@@ -209,11 +209,8 @@ def present(algebra: LieAlgebra) -> Presentation:
     """
     if algebra.dim == 0:
         raise ValueError("present requires a nonzero algebra")
-    series = lower_central_series(algebra)  # L, [L,L], [L,[L,L]], ...
-    if series[-1].dim != 0:
-        raise NotNilpotent("lower central series stabilizes at a nonzero term")
-    c = len(series) - 1
-    derived = series[1]
+    c = nilpotency_class(algebra)
+    derived = derived_subalgebra(algebra)
     complement = [i for i in range(algebra.dim) if i not in set(derived._pivots)]
     r = len(complement)
     F = free_nilpotent(r, c)

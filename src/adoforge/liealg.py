@@ -249,7 +249,9 @@ def nilpotency_class(algebra: LieAlgebra) -> int:
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    return _bracket_span(algebra, Subspace.full(algebra.dim))
+    """[L, L], the span of the brackets [e_i, e_j] in the table."""
+    n = algebra.dim
+    return Subspace.from_vectors(n, [dense_vector(v, n) for v in algebra.brackets.values()])
 
 
 def minimal_generator_count(algebra: LieAlgebra) -> int:

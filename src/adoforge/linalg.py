@@ -63,10 +63,6 @@ def zero_vector(n: int) -> Vector:
     return (F0,) * n
 
 
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -404,7 +400,7 @@ def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     return True
 
 
-def _rref_rowdicts(rowdicts: Sequence[dict], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+def _rref_rowdicts(rowdicts: Sequence[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Pivot rows and pivot columns of the reduced row echelon form.
 
     The input rows hold ints or Fractions and are left untouched.  Each
@@ -415,8 +411,7 @@ def _rref_rowdicts(rowdicts: Sequence[dict], cols: int) -> tuple[list[dict[int, 
     already zero at every other lead, so no step brings an entry back.
     The RREF of a row space is unique, so the rows returned (one per
     pivot, in pivot order, divided by their pivot into Fractions) are the
-    canonical RREF whatever order the rows came in.  ``cols`` bounds the
-    column indices and is not read.
+    canonical RREF whatever order the rows came in.
     """
     echelon: dict[int, dict[int, int]] = {}
     for r in rowdicts:
@@ -445,7 +440,7 @@ def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int], int]:
     """Reduced row echelon form, pivot columns, and rank."""
-    rows, pivots = _rref_rowdicts(_matrix_rowdicts(m), m.cols)
+    rows, pivots = _rref_rowdicts(_matrix_rowdicts(m))
     return RationalMatrix(m.rows, m.cols, dict(enumerate(rows))), pivots, len(pivots)
 
 
@@ -481,7 +476,7 @@ class Subspace:
             # an entry is converted before its zero test, so "0/5" is dropped
             # too; the truth test first skips 0 and F0 without a call
             rowdicts.append({i: y for i, x in enumerate(v) if x and (y := x if type(x) is int else frac(x))})
-        return cls(ambient_dim, *_rref_rowdicts(rowdicts, ambient_dim))
+        return cls(ambient_dim, *_rref_rowdicts(rowdicts))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -615,7 +610,7 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     """
     last = m.cols - 1
     flipped = [{last - c: v for c, v in row.items()} for row in _matrix_rowdicts(m)]
-    rows, flipped_pivots = _rref_rowdicts(flipped, m.cols)
+    rows, flipped_pivots = _rref_rowdicts(flipped)
     pivot_set = {last - q for q in flipped_pivots}
     null = {free: {free: F1} for free in range(m.cols) if free not in pivot_set}
     for row, q in zip(rows, flipped_pivots):
@@ -639,7 +634,7 @@ def solve_multi(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
     aug = hstack([a, b])
-    rows, pivots = _rref_rowdicts(_matrix_rowdicts(aug), aug.cols)
+    rows, pivots = _rref_rowdicts(_matrix_rowdicts(aug))
     n = a.cols
     data: dict[int, dict[int, Fraction]] = {}
     for j, p in enumerate(pivots):
@@ -717,9 +712,6 @@ class SpanBasis:
 
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}  # lead -> primitive row
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        return _reduce(self._rows, dict(vec))
 
     def add(self, vec: dict[int, int]) -> bool:
         """Add a vector; True if it enlarged the span."""

@@ -99,11 +99,12 @@ def adjoint(algebra: LieAlgebra) -> Representation:
     return Representation(algebra, n, mats)
 
 
-def direct_sum(rho: Representation, tau: Representation) -> Representation:
-    if not rho.algebra.structurally_equal(tau.algebra):
+def direct_sum(rho: Representation, *more: Representation) -> Representation:
+    """rho + more[0] + ..., each on its own block of coordinates, in order."""
+    if not all(rho.algebra.structurally_equal(tau.algebra) for tau in more):
         raise AlgebraMismatch("direct_sum requires representations of the same algebra")
-    mats = [block_diag([a, b]) for a, b in zip(rho.matrices, tau.matrices)]
-    return Representation(rho.algebra, rho.space_dim + tau.space_dim, mats)
+    mats = [block_diag(blocks) for blocks in zip(rho.matrices, *(tau.matrices for tau in more))]
+    return Representation(rho.algebra, rho.space_dim + sum(tau.space_dim for tau in more), mats)
 
 
 def tensor_product(rho: Representation, tau: Representation) -> Representation:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import adoforge.cli as cli
 import adoforge.engine as engine
+import adoforge.freenilp as freenilp
 from adoforge.catalog import heisenberg3
 from adoforge.cli import main
 from adoforge.errors import ParseError
@@ -232,8 +233,9 @@ class TestConstructCommand:
     def test_graded_budget_exits_4_before_validating(self, tmp_path, capsys, monkeypatch):
         """dim + 1 = 20001 is over the default budget: the graded route
         raises before the O(n^3) Jacobi check, counted through the module
-        bindings.  A call is counted and then refused, since the real check
-        would not finish on this input."""
+        bindings (the series walk is ``present``'s, through ``freenilp``).
+        A call is counted and then refused, since the real check would not
+        finish on this input."""
         calls = {"validate": 0, "nilpotency_class": 0}
 
         def refusing(name):
@@ -242,9 +244,9 @@ class TestConstructCommand:
                 raise RuntimeError(f"{name} called before the budget check")
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(engine, name, refusing(name))
+        monkeypatch.setattr(engine, "validate", refusing("validate"))
         monkeypatch.setattr(cli, "validate", refusing("validate"))
+        monkeypatch.setattr(freenilp, "nilpotency_class", refusing("nilpotency_class"))
         path = write_example(tmp_path, "abelian20000", capsys)
         code, _, report = run_cli(["construct", str(path)], capsys)
         assert code == 4

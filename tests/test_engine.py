@@ -19,6 +19,7 @@ import adoforge.linalg as linalg
 import adoforge.reps as reps
 from adoforge.catalog import abelian, census7, example, filiform4, heisenberg3, heisenberg5
 from adoforge.errors import (
+    AlgebraMismatch,
     BudgetExceeded,
     DegenerateFlag,
     NotLinearlyIndependent,
@@ -43,7 +44,7 @@ from adoforge.freenilp import present
 from adoforge.graded import graded_faithful_rep
 from adoforge.jsonio import certificate_from_json, certificate_to_json, dumps_canonical, representation_to_json
 from adoforge.liealg import Grading, LieAlgebra, validate
-from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector, vec_scale
+from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
 from test_reps import CORPUS_REPS, conjugated_corpus_reps
@@ -77,7 +78,7 @@ class TestDistinguishByKernels:
     def test_dependent_elements_rejected(self, std_h3_rep):
         z = unit_vector(3, 2)
         with pytest.raises(NotLinearlyIndependent):
-            distinguish_by_kernels(std_h3_rep, z, vec_scale(2, z))
+            distinguish_by_kernels(std_h3_rep, z, tuple(2 * v for v in z))
 
     def test_budget_failure_reported(self, h3, std_h3_rep):
         # kernels of dependent directions cannot be distinguished, but the
@@ -338,23 +339,94 @@ class TestGlueLocal:
         def separator(x):
             return ad if not element_action(ad, x).is_zero() else std_h3_rep
 
-        rep, summands, trace = engine._glue_traced(h3, separator)
+        summands, trace = engine._glue_traced(h3, separator)
         assert summands == [ad, std_h3_rep]
         assert trace["summand_dims"] == [s.space_dim for s in summands]
-        assert rep.matrices == reps.direct_sum(ad, std_h3_rep).matrices
+        rep = glue_local(h3, separator)
+        assert rep.matrices == reps.direct_sum(*summands).matrices == reps.direct_sum(ad, std_h3_rep).matrices
 
     def test_zero_dim_algebra_needs_no_separator(self):
         calls = []
-        rep, summands, trace = engine._glue_traced(abelian(0), lambda x: calls.append(x))
+        summands, trace = engine._glue_traced(abelian(0), lambda x: calls.append(x))
+        rep = glue_local(abelian(0), lambda x: calls.append(x))
         assert (rep.space_dim, rep.matrices, summands) == (0, (), [])
         assert trace == {"algebra_dim": 0, "summand_dims": [], "kernel_dims": []}
-        assert glue_local(abelian(0), lambda x: calls.append(x)).space_dim == 0
         assert calls == []
 
     def test_zero_separator_fails(self, h3):
         zero = Representation(h3, 2, [RationalMatrix.zero(2, 2)] * 3)
         with pytest.raises(SeparatorFailed):
             glue_local(h3, lambda x: zero)
+
+
+def corpus_separator(pool, calls):
+    """A separator that answers each x with the first representation of the
+    pool that does not kill it; the pool holds a faithful one.  Each x is
+    appended to ``calls``, and the call after dim L fails: the kernel drops
+    at every summand, so a glue needs at most dim L of them."""
+
+    def separator(x):
+        calls.append(x)
+        assert len(calls) <= len(x), "more glue summands than dim L"
+        return next(rep for rep in pool if not element_action(rep, x).is_zero())
+
+    return separator
+
+
+@st.composite
+def characters(draw, algebra):
+    """x -> f(x) E_01 on Q^2 for a drawn functional f that vanishes on
+    [L, L]: a representation, since its matrices commute, whose kernel is
+    the hyperplane Ker f (all of L when f = 0)."""
+    annihilator = kernel_basis(liealg.derived_subalgebra(algebra).basis.transpose()).basis_vectors()
+    coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=len(annihilator), max_size=len(annihilator)))
+    f = [sum(c * v[i] for c, v in zip(coeffs, annihilator)) for i in range(algebra.dim)]
+    return Representation(algebra, 2, [RationalMatrix.from_entries(2, 2, [(0, 1, fi)] if fi else []) for fi in f])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(list(ALGEBRA_POOLS.values())), st.data())
+def test_glue_kernel_dims_match_the_running_direct_sum(pool, data):
+    # the separator's pool mixes corpus representations of one algebra, some
+    # conjugated, with characters, whose kernels are hyperplanes that need
+    # not nest; a faithful one comes last
+    algebra = pool[0].algebra
+    drawn = st.one_of(st.sampled_from(pool), conjugated_corpus_reps(pool), characters(algebra))
+    faithful = next(rep for rep in pool if rep_kernel(rep).dim == 0)
+    calls = []
+    separator = corpus_separator(data.draw(st.lists(drawn, max_size=4)) + [faithful], calls)
+    summands, trace = engine._glue_traced(algebra, separator)
+    # the old definition: the kernel of the direct sum built so far, whose
+    # first canonical vector is the next one handed to the separator
+    running = []
+    kernel = Subspace.full(algebra.dim)
+    for x, part, dim in zip(calls, summands, trace["kernel_dims"], strict=True):
+        assert x == kernel.basis_vectors()[0]
+        running.append(part)
+        kernel = rep_kernel(reps.direct_sum(*running))
+        assert kernel.dim == dim
+    assert kernel.dim == 0 and trace["summand_dims"] == [part.space_dim for part in summands]
+
+
+class TestDirectSum:
+    def test_n_ary_equals_nested_binary_sums(self, h3, std_h3_rep):
+        ad = adjoint(h3)
+        dual = Representation(h3, 3, [-m.transpose() for m in std_h3_rep.matrices])
+        one = reps.direct_sum(ad)
+        assert (one.space_dim, one.matrices) == (ad.space_dim, ad.matrices)
+        two = reps.direct_sum(ad, std_h3_rep)
+        assert (two.space_dim, two.matrices) == (6, reps.direct_sum(one, std_h3_rep).matrices)
+        three = reps.direct_sum(ad, std_h3_rep, dual)
+        nested = reps.direct_sum(reps.direct_sum(ad, std_h3_rep), dual)
+        assert (three.space_dim, three.matrices) == (nested.space_dim, nested.matrices)
+        assert three.matrices == reps.direct_sum(ad, reps.direct_sum(std_h3_rep, dual)).matrices
+        assert three.algebra is h3
+
+    def test_any_later_part_of_another_algebra_is_refused(self, h3, std_h3_rep):
+        other = adjoint(abelian(3))
+        for parts in ([std_h3_rep, other], [std_h3_rep, std_h3_rep, other], [std_h3_rep, other, std_h3_rep]):
+            with pytest.raises(AlgebraMismatch):
+                reps.direct_sum(*parts)
 
 
 class TestConstruct:
@@ -438,6 +510,68 @@ class TestConstruct:
         slow, _ = construct_faithful_nilpotent(f4, EngineConfig(method="induction"))
         assert fast_cert.steps_of_kind("graded_pipeline")[0]["derivation"] == [1, 1, 2, 3]
         assert verify_output(f4, fast).ok and verify_output(f4, slow).ok
+
+
+def count_through_bindings(monkeypatch, fn, record):
+    """Wrap fn in every ``adoforge`` module namespace that binds it; each
+    call appends its first argument to ``record``."""
+
+    def counted(*args):
+        record.append(args[0])
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "adoforge" or name.startswith("adoforge."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+class TestOneSeriesWalk:
+    """A graded construct walks no lower central series: a valid positive
+    grading already makes L nilpotent.  An induction construct walks L's
+    once, in ``present``; F's walk in ``central_flag`` is separate."""
+
+    def test_engine_binds_no_series_walk(self):
+        assert not hasattr(engine, "nilpotency_class")
+        assert not hasattr(engine, "lower_central_series")
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_graded_construct_walks_no_series(self, name, monkeypatch):
+        walked = []
+        count_through_bindings(monkeypatch, liealg.lower_central_series, walked)
+        count_through_bindings(monkeypatch, liealg.nilpotency_class, walked)
+        _, cert = construct_faithful_nilpotent(example(name))
+        assert cert.steps[0]["kind"] == "graded_pipeline"
+        assert walked == []
+
+    @pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "census7"])
+    def test_induction_construct_walks_the_input_series_once(self, name, monkeypatch):
+        series, classes = [], []
+        count_through_bindings(monkeypatch, liealg.lower_central_series, series)
+        count_through_bindings(monkeypatch, liealg.nilpotency_class, classes)
+        algebra = example(name)
+        construct_faithful_nilpotent(algebra, EngineConfig(method="induction"))
+        assert classes == [algebra]
+        assert [a for a in series if a is algebra] == [algebra]
+        # the other walk is the free algebra's, for its central flag
+        assert len(series) == 2 and series[1].grading is not None
+
+    @pytest.mark.parametrize("method", ["auto", "induction"])
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            LieAlgebra(2, {(0, 1): {1: 1}}),
+            # heisenberg3 + the solvable algebra: the series stops at <e4>
+            LieAlgebra(5, {(0, 1): {2: 1}, (3, 4): {4: 1}}),
+        ],
+    )
+    def test_not_nilpotent_before_the_free_algebra(self, algebra, method, monkeypatch):
+        built = []
+        monkeypatch.setattr(freenilp, "free_nilpotent", lambda *args: built.append(args))
+        with pytest.raises(NotNilpotent):
+            construct_faithful_nilpotent(algebra, EngineConfig(method=method))
+        assert built == []
 
 
 def filiform_ungraded(n: int) -> LieAlgebra:

@@ -199,7 +199,7 @@ class TestPresent:
     @pytest.mark.parametrize("build", [heisenberg3, filiform4, lambda: rebased(heisenberg5())])
     def test_walks_lower_central_series_once(self, build, monkeypatch):
         # one walk of class c takes c bracket spans: L -> [L,L] -> ... -> 0;
-        # the class and [L,L] are both read off it
+        # the class is read off it, [L,L] off the bracket table
         import adoforge.liealg as liealg
 
         algebra = build()

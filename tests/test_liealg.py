@@ -17,6 +17,7 @@ from adoforge.liealg import (
     center,
     central_flag,
     codim1_refinement,
+    derived_subalgebra,
     is_ideal,
     lower_central_series,
     minimal_generator_count,
@@ -36,6 +37,7 @@ from conftest import (
     reference_is_hom,
     sparse_fractions,
     sparse_vectors,
+    ungraded_quotients,
 )
 
 
@@ -284,6 +286,32 @@ def test_minimal_generator_count(h3, f4, abelian2):
     assert minimal_generator_count(h3) == 2
     assert minimal_generator_count(f4) == 2
     assert minimal_generator_count(abelian2) == 2
+
+
+# --- [L, L] from the bracket table against the bracket span of L ---
+
+def bracket_span_of_l(algebra):
+    return liealg._bracket_span(algebra, Subspace.full(algebra.dim))
+
+
+@pytest.mark.parametrize("name", CORPUS + ("cn7a", "cn7b", "census7", "solvable2", None))
+def test_derived_subalgebra_on_the_corpus(name):
+    algebra = example(name) if name else abelian(0)
+    derived = derived_subalgebra(algebra)
+    assert derived == bracket_span_of_l(algebra)
+    assert derived.ambient_dim == algebra.dim
+
+
+@settings(deadline=None, max_examples=60)
+@given(corpus_algebras())
+def test_derived_subalgebra_on_rebased_corpus(algebra):
+    assert derived_subalgebra(algebra) == bracket_span_of_l(algebra)
+
+
+@settings(deadline=None, max_examples=30)
+@given(ungraded_quotients())
+def test_derived_subalgebra_on_random_quotients(algebra):
+    assert derived_subalgebra(algebra) == bracket_span_of_l(algebra)
 
 
 # --- the sparse bracket against the table sweep, builders against the dense check ---

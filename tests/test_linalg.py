@@ -429,6 +429,12 @@ def test_mul_rowmaps_matches_fraction_loop(rows, inner, cols, data):
 
 # --- the elimination against the row-scan reference ---------------------
 
+def width(rowdicts):
+    """One more than the highest column holding an entry: the columns a
+    reference elimination scans for ``_rref_rowdicts``, which takes none."""
+    return 1 + max((c for row in rowdicts for c in row), default=-1)
+
+
 def reference_rref_rowdicts(rowdicts, cols):
     """A Gauss-Jordan elimination in Fractions, kept as the reference: it
     scans every remaining row for each column's pivot and every row for
@@ -516,8 +522,8 @@ def with_reference_elimination(fn, *args):
     """fn(*args) with the reference elimination (trimmed to its pivot rows)
     and the reference one-dict-per-row input in place of the new ones."""
 
-    def trimmed(rowdicts, cols):
-        rows, pivots = reference_rref_rowdicts(rowdicts, cols)
+    def trimmed(rowdicts):
+        rows, pivots = reference_rref_rowdicts(rowdicts, width(rowdicts))
         return rows[: len(pivots)], pivots
 
     with pytest.MonkeyPatch.context() as mp:
@@ -531,13 +537,13 @@ def with_reference_elimination(fn, *args):
 def test_elimination_matches_reference(m):
     rowdicts = reference_matrix_rowdicts(m)
     snapshot = copy.deepcopy(rowdicts)
-    rows, pivots = linalg._rref_rowdicts(rowdicts, m.cols)
+    rows, pivots = linalg._rref_rowdicts(rowdicts)
     assert rowdicts == snapshot
     ref_rows, ref_pivots = reference_rref_rowdicts(rowdicts, m.cols)
     assert pivots == ref_pivots
     assert rows == ref_rows[: len(ref_pivots)]
     assert not any(ref_rows[len(ref_pivots):])
-    assert linalg._rref_rowdicts(linalg._matrix_rowdicts(m), m.cols) == (rows, pivots)
+    assert linalg._rref_rowdicts(linalg._matrix_rowdicts(m)) == (rows, pivots)
 
 
 @settings(deadline=None, max_examples=200)
@@ -565,7 +571,7 @@ def test_zero_matrices(rows, cols):
     assert rref(m) == (m, [], 0)
     assert kernel_basis(m) == Subspace.full(cols)
     assert solve_multi(m, RationalMatrix.zero(rows, 2)) == RationalMatrix.zero(cols, 2)
-    assert linalg._rref_rowdicts([{}] * rows, cols) == ([], [])
+    assert linalg._rref_rowdicts([{}] * rows) == ([], [])
 
 
 # --- kernel_basis in one elimination against the two-pass reference ------
@@ -574,7 +580,7 @@ def reference_kernel_basis(m):
     """``kernel_basis`` as it was before its single elimination, kept as the
     reference: left-to-right elimination, then a second ``_rref_rowdicts``
     pass that puts the null vectors in canonical form."""
-    rows, pivots = linalg._rref_rowdicts(linalg._matrix_rowdicts(m), m.cols)
+    rows, pivots = linalg._rref_rowdicts(linalg._matrix_rowdicts(m))
     pivot_set = set(pivots)
     # One null vector per free column: 1 there, minus that column of each
     # RREF row at the row's pivot.  RREF rows are zero at the other pivots.
@@ -583,7 +589,7 @@ def reference_kernel_basis(m):
         for c, v in row.items():
             if c != p:
                 null[c][p] = -v
-    return Subspace(m.cols, *linalg._rref_rowdicts(list(null.values()), m.cols))
+    return Subspace(m.cols, *linalg._rref_rowdicts(list(null.values())))
 
 
 def assert_canonical_rref(rows, pivots, cols):
@@ -617,9 +623,9 @@ def test_kernel_basis_takes_one_elimination(monkeypatch):
     calls = []
     real = linalg._rref_rowdicts
 
-    def counted(rowdicts, cols):
-        calls.append(cols)
-        return real(rowdicts, cols)
+    def counted(rowdicts):
+        calls.append(width(rowdicts))
+        return real(rowdicts)
 
     monkeypatch.setattr(linalg, "_rref_rowdicts", counted)
     m = fraction_matrix([[1, 2, 0, 3], [0, 0, 1, -1], [2, 4, 1, 5]])
@@ -729,7 +735,7 @@ def spelled(x, form):
 
 def with_fraction_elimination(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_rref_rowdicts", fraction_rref_rowdicts)
+        mp.setattr(linalg, "_rref_rowdicts", lambda rowdicts: fraction_rref_rowdicts(rowdicts, width(rowdicts)))
         return fn(*args)
 
 
@@ -768,7 +774,7 @@ def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
 def test_integer_elimination_returns_fractions_for_integer_input():
     # every pivot is 1 and every entry an int; the rows still hold
     # Fractions, since callers divide them with /
-    rows, pivots = linalg._rref_rowdicts([{0: 1, 1: 2}, {1: 1, 2: -3}, {0: 1, 1: 3, 2: -3}], 3)
+    rows, pivots = linalg._rref_rowdicts([{0: 1, 1: 2}, {1: 1, 2: -3}, {0: 1, 1: 3, 2: -3}])
     assert pivots == [0, 1]
     assert rows == [{0: 1, 2: 6}, {1: 1, 2: -3}]
     assert all_fractions(rows)
@@ -1012,6 +1018,12 @@ def test_reduce_and_coordinates_match_zero_subtracting_reference(n, data):
 int_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-6, max_value=6))
 
 
+def residual_of(span, vec):
+    """vec reduced against the span's rows, as ``SpanBasis.add`` reduces it
+    before storing the residual; vec itself is left as it is."""
+    return linalg._reduce(span._rows, dict(vec))
+
+
 def is_multiple(a, b):
     """a = c b for a nonzero rational c (both sparse, possibly empty)."""
     if a.keys() != b.keys():
@@ -1042,7 +1054,7 @@ def test_integer_span_basis_spans_as_fraction_reference(n, data):
     for _ in range(3):
         v = data.draw(st.lists(int_entries, min_size=n, max_size=n))
         sparse = {i: x for i, x in enumerate(v) if x}
-        residual = span.reduce(sparse)
+        residual = residual_of(span, sparse)
         assert all(type(x) is int for x in residual.values())
         assert is_multiple(residual, reference.reduce({i: Fraction(x) for i, x in sparse.items()}))
         assert (not residual) == Subspace.from_vectors(n, vectors).contains_vector(v)
@@ -1065,7 +1077,7 @@ def test_integer_span_basis_cross_multiplies():
     assert span.add({0: 4, 1: 6})
     assert span.rows() == [{0: 2, 1: 3}]
     # 2 (3, 1) - 3 (2, 3) = (0, -7): no division, then the primitive (0, 1)
-    assert span.reduce({0: 3, 1: 1}) == {1: -7}
+    assert residual_of(span, {0: 3, 1: 1}) == {1: -7}
     assert span.add({0: 3, 1: 1}) and span.rows() == [{0: 2, 1: 3}, {1: 1}]
     assert not span.add({0: -6, 1: 5}) and span.dim == 2
 
@@ -1074,10 +1086,10 @@ def test_integer_span_basis_divides_wide_rows_at_each_step():
     span = linalg.SpanBasis()
     assert span.add({0: 3, 1: 1})
     # 3 (2, 4) - 2 (3, 1) = (0, 10): narrow, so the factor 10 stays
-    assert span.reduce({0: 2, 1: 4}) == {1: 10}
+    assert residual_of(span, {0: 2, 1: 4}) == {1: 10}
     # 3 (w, 2w) - w (3, 1) = (0, 5w) with w = 2^600: a scaled row that wide
     # is divided by the gcd of its entries, 5w
     w = 2**600
     assert w.bit_length() > linalg._WIDE_BITS
-    assert span.reduce({0: w, 1: 2 * w}) == {1: 1}
+    assert residual_of(span, {0: w, 1: 2 * w}) == {1: 1}
     assert span.add({0: w, 1: 2 * w}) and span.rows() == [{0: 3, 1: 1}, {1: 1}]
