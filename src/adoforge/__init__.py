@@ -68,7 +68,6 @@ from .reps import (
 )
 from .graded import (
     Cocycle,
-    CocycleSpace,
     CurrentAlgebra,
     cocycle_extension,
     cocycle_extension_rep,

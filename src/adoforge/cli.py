@@ -13,6 +13,7 @@ recorded as ``internal_error`` in the run report and then re-raised.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -77,29 +78,21 @@ class _Run:
         self.report = {"command": command, "outcome": "ok", "timings": {}}
         self._t0 = time.perf_counter()
 
+    @contextlib.contextmanager
     def phase(self, name: str):
-        return _Phase(self.report["timings"], name)
+        """Time the block as timings[name], also when it raises."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.report["timings"][name] = round(time.perf_counter() - start, 6)
 
     def fail(self, kind: str, message: str) -> None:
         self.report["outcome"] = {"error": kind, "message": message}
 
-    def emit(self, stream=None) -> None:
+    def emit(self) -> None:
         self.report["timings"]["total"] = round(time.perf_counter() - self._t0, 6)
-        print(json.dumps(self.report, sort_keys=True), file=stream or sys.stderr)
-
-
-class _Phase:
-    def __init__(self, timings: dict, name: str):
-        self.timings = timings
-        self.name = name
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.timings[self.name] = round(time.perf_counter() - self._start, 6)
-        return False
+        print(json.dumps(self.report, sort_keys=True), file=sys.stderr)
 
 
 def _read_json(path: str, run: _Run, digest_key: str):
@@ -167,7 +160,7 @@ def cmd_info(args, run: _Run) -> int:
             nclass = None
         center_dim = center(algebra).dim
         generators = minimal_generator_count(algebra)
-        graded = algebra.grading is not None and verify_grading(algebra)
+        graded = verify_grading(algebra)
     info = {
         "name": name,
         "dim": algebra.dim,

@@ -130,25 +130,13 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.homomorphism and self.faithful and self.nilpotent
+        return all(vars(self).values())
 
     def failing(self) -> list[str]:
-        return [
-            name
-            for name, good in (
-                ("homomorphism", self.homomorphism),
-                ("faithful", self.faithful),
-                ("nilpotent", self.nilpotent),
-            )
-            if not good
-        ]
+        return [name for name, good in vars(self).items() if not good]
 
     def as_dict(self) -> dict:
-        return {
-            "homomorphism": self.homomorphism,
-            "faithful": self.faithful,
-            "nilpotent": self.nilpotent,
-        }
+        return dict(vars(self))
 
 
 def verify_output(algebra: LieAlgebra, rep: Representation) -> VerificationReport:
@@ -320,16 +308,6 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
     return direct_sum(*parts) if parts else Representation(algebra, 0, [])
 
 
-def _current_algebra_cert_fields(algebra: LieAlgebra, rep: Representation) -> dict:
-    levels = algebra.grading.max_degree
-    current_dim = algebra.dim * levels
-    return {
-        "current_dim": current_dim,
-        "cocycle_dim": rep.space_dim - current_dim,
-        "rep_dim": rep.space_dim,
-    }
-
-
 def _flag_generator(upper: Subspace, lower: Subspace) -> Sequence[Fraction]:
     for v in upper.basis_vectors():
         if not lower.contains_vector(v):
@@ -359,10 +337,16 @@ def _induction_pipeline(
         nil_class=pres.F.grading.max_degree,
     )
     # the current algebra has dim F * class, and Z^1 holds the Euler cocycle
-    _check_budget(pres.F.dim * pres.F.grading.max_degree + 1, config)
+    current_dim = pres.F.dim * pres.F.grading.max_degree
+    _check_budget(current_dim + 1, config)
     seed = current_algebra_faithful_rep(pres.F)
     _check_budget(seed.space_dim, config)
-    cert.add("graded_pipeline", **_current_algebra_cert_fields(pres.F, seed))
+    cert.add(
+        "graded_pipeline",
+        current_dim=current_dim,
+        cocycle_dim=seed.space_dim - current_dim,
+        rep_dim=seed.space_dim,
+    )
 
     flag = _ideal_flag(pres.F, pres.I)
     parts = [seed]  # the current representation is their direct sum

@@ -160,14 +160,14 @@ class _HallRewriter:
         return result
 
 
-def free_nilpotent(rank_: int, nil_class: int, dimension_budget: int = DEFAULT_DIMENSION_BUDGET) -> LieAlgebra:
+def free_nilpotent(rank_: int, nil_class: int) -> LieAlgebra:
     """The free nilpotent Lie algebra F(rank, class) on its Hall basis,
     graded by word degree.  Raises BudgetExceeded when the dimension (a sum
-    of Witt numbers) is above the budget."""
+    of Witt numbers) is above ``DEFAULT_DIMENSION_BUDGET``."""
     total = sum(witt_dimension(rank_, d) for d in range(1, nil_class + 1))
-    if total > dimension_budget:
+    if total > DEFAULT_DIMENSION_BUDGET:
         raise BudgetExceeded(
-            f"free nilpotent algebra of rank {rank_} and class {nil_class} has dimension {total} > budget {dimension_budget}"
+            f"free nilpotent algebra of rank {rank_} and class {nil_class} has dimension {total} > budget {DEFAULT_DIMENSION_BUDGET}"
         )
     words = hall_basis(rank_, nil_class)
     rewriter = _HallRewriter(words, nil_class)

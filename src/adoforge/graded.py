@@ -54,9 +54,6 @@ class CurrentAlgebra:
             raise DimensionMismatch("current algebra coordinate out of range")
         return (a - 1) * self.base.dim + i
 
-    def t_degree(self, flat: int) -> int:
-        return flat // self.base.dim + 1
-
 
 def current_algebra(base: LieAlgebra, truncation: int) -> CurrentAlgebra:
     """[x(x)t^a, y(x)t^b] = [x,y](x)t^{a+b}, truncated to zero at t^n."""
@@ -91,7 +88,7 @@ def current_algebra(base: LieAlgebra, truncation: int) -> CurrentAlgebra:
 def graded_embedding(algebra: LieAlgebra, current: CurrentAlgebra | None = None) -> LieHom:
     """The injective homomorphism x -> x(x)t^deg(x) into the current algebra
     truncated at 1 + max degree, one by construction for a checked grading."""
-    if algebra.grading is None or not verify_grading(algebra):
+    if not verify_grading(algebra):
         raise InvalidGrading("graded_embedding requires a valid positive grading")
     n = 1 + algebra.grading.max_degree
     if current is None:
@@ -144,28 +141,17 @@ class Cocycle:
         return True
 
 
-@dataclass
-class CocycleSpace:
-    """Canonical echelon basis of all 1-cocycles for a representation."""
-
-    rep: Representation
-    basis: list[Cocycle]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
-    """Solve the cocycle identity over all basis pairs as one linear system.
+def cocycle_space(rep: Representation) -> list[Cocycle]:
+    """Canonical echelon basis of Z^1(L, V), for L = rep.algebra and V its
+    module, solved from the cocycle identity over all basis pairs as one
+    linear system.
 
     Unknowns are the entries of the map, flattened column-major (column i =
     phi(e_i)); the kernel's canonical echelon basis makes downstream
     constructions deterministic.  The caller promises that rep is a
     homomorphism; that is not re-proved here.
     """
-    if not algebra.structurally_equal(rep.algebra):
-        raise DimensionMismatch("representation must belong to the given algebra")
+    algebra = rep.algebra
     n = algebra.dim
     vd = rep.space_dim
     unknown = lambda i, r: i * vd + r
@@ -195,17 +181,22 @@ def cocycle_space(algebra: LieAlgebra, rep: Representation) -> CocycleSpace:
             i, r = divmod(idx, vd)
             data.setdefault(r, {})[i] = v
         basis.append(Cocycle(rep, RationalMatrix(vd, n, data)))
-    return CocycleSpace(rep, basis)
+    return basis
+
+
+def _scaling_derivation(algebra: LieAlgebra) -> RationalMatrix:
+    """diag(degrees): D(x) = deg(x) * x on the basis of a graded algebra."""
+    return RationalMatrix.from_entries(
+        algebra.dim, algebra.dim, [(i, i, d) for i, d in enumerate(algebra.grading.degrees)]
+    )
 
 
 def euler_derivation(current: CurrentAlgebra) -> Cocycle:
     """The scaling cocycle phi(x(x)t^a) = a * x(x)t^a valued in the adjoint
-    module; its kernel is zero because every eigenvalue is a positive
-    integer."""
+    module: the scaling derivation of the current algebra's t-grading.  Its
+    kernel is zero because every eigenvalue is a positive integer."""
     product = current.product
-    ad = adjoint(product)
-    entries = [(i, i, Fraction(current.t_degree(i))) for i in range(product.dim)]
-    return Cocycle(ad, RationalMatrix.from_entries(product.dim, product.dim, entries))
+    return Cocycle(adjoint(product), _scaling_derivation(product))
 
 
 def cocycle_extension(rep: Representation, maps: list[RationalMatrix]) -> Representation:
@@ -236,8 +227,7 @@ def cocycle_extension_rep(phi: Cocycle) -> Representation:
         raise NotACocycle("map does not satisfy the cocycle identity")
     if kernel_basis(phi.map).dim != 0:
         raise DegenerateCocycle("cocycle has a nonzero kernel")
-    space = cocycle_space(phi.rep.algebra, phi.rep)
-    return cocycle_extension(phi.rep, [psi.map for psi in space.basis])
+    return cocycle_extension(phi.rep, [psi.map for psi in cocycle_space(phi.rep)])
 
 
 def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
@@ -254,19 +244,15 @@ def derivation_rep(algebra: LieAlgebra, D: RationalMatrix) -> Representation:
 def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
     """Faithful nilpotent representation of dimension dim L + 1 of a validly
     graded algebra, from its scaling derivation diag(degrees)."""
-    if algebra.grading is None or not verify_grading(algebra):
+    if not verify_grading(algebra):
         raise InvalidGrading("graded_faithful_rep requires a valid grading")
-    degrees = algebra.grading.degrees
-    scaling = RationalMatrix.from_entries(
-        algebra.dim, algebra.dim, [(i, i, d) for i, d in enumerate(degrees)]
-    )
-    return derivation_rep(algebra, scaling)
+    return derivation_rep(algebra, _scaling_derivation(algebra))
 
 
 def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
     """Faithful nilpotent representation of a validly graded algebra via the
     paper's embedding + scaling-cocycle extension + restriction pipeline."""
-    if algebra.grading is None or not verify_grading(algebra):
+    if not verify_grading(algebra):
         raise InvalidGrading("current_algebra_faithful_rep requires a valid grading")
     if algebra.dim == 0:
         return Representation(algebra, 0, [])

@@ -24,10 +24,6 @@ from .liealg import Grading, LieAlgebra
 from .reps import Representation
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -72,7 +68,7 @@ def matrix_to_json(m: RationalMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[r, c, fraction_str(v)] for r, c, v in m.entries()],
+        "entries": [[r, c, str(v)] for r, c, v in m.entries()],
     }
 
 
@@ -139,7 +135,7 @@ def algebra_to_json(algebra: LieAlgebra, name: str) -> dict:
             {
                 "left": i,
                 "right": j,
-                "result": {str(k): fraction_str(v) for k, v in sorted(coeffs.items())},
+                "result": {str(k): str(v) for k, v in sorted(coeffs.items())},
             }
             for (i, j), coeffs in sorted(algebra.brackets.items())
         ],

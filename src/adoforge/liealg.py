@@ -28,6 +28,7 @@ from .linalg import (
     Vector,
     dense_vector,
     frac,
+    kernel_basis,
 )
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -184,12 +185,12 @@ def _jacobi_residual(algebra: LieAlgebra, i: int, j: int, k: int) -> Vector | No
     return dense_vector(residual, algebra.dim) if residual else None
 
 
-def verify_grading(algebra: LieAlgebra, grading: Grading | None = None) -> bool:
-    """True iff every bracket is degree-additive for the grading."""
-    g = grading if grading is not None else algebra.grading
-    if g is None or len(g.degrees) != algebra.dim:
+def verify_grading(algebra: LieAlgebra) -> bool:
+    """True iff the algebra carries a grading and every bracket is
+    degree-additive for it."""
+    if algebra.grading is None:
         return False
-    deg = g.degrees
+    deg = algebra.grading.degrees
     for (i, j), coeffs in algebra.brackets.items():
         target = deg[i] + deg[j]
         if any(deg[k] != target for k in coeffs):
@@ -205,10 +206,7 @@ def center(algebra: LieAlgebra) -> Subspace:
         for k, v in coeffs.items():
             entries.append((j * n + k, i, v))   # x_i * [e_i, e_j]
             entries.append((i * n + k, j, -v))  # x_j * [e_j, e_i]
-    m = RationalMatrix.from_entries(n * n, n, entries)
-    from .linalg import kernel_basis
-
-    return kernel_basis(m)
+    return kernel_basis(RationalMatrix.from_entries(n * n, n, entries))
 
 
 def _bracket_span(algebra: LieAlgebra, space: Subspace) -> Subspace:

@@ -43,10 +43,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vector(values: Iterable) -> Vector:
-    return tuple(frac(v) for v in values)
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(F1 if j == i else F0 for j in range(n))
 
@@ -149,9 +145,6 @@ class RationalMatrix:
 
     def column(self, j: int) -> Vector:
         return tuple(self._data.get(r, {}).get(j, F0) for r in range(self.rows))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "RationalMatrix":
         data: dict[int, dict[int, Fraction]] = {}
@@ -573,9 +566,14 @@ class Subspace:
             raise DimensionMismatch("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
+        if self.dim == self.ambient_dim:
+            return other
+        if other.dim == other.ambient_dim:
+            return self
+        # (u, w) in Ker [A | B] gives Au = -Bw, a vector of both spans, and
+        # every such vector arises this way, so B need not be negated
         a, b = self.basis, other.basis
-        combined = hstack([a, -b])
-        null = kernel_basis(combined)
+        null = kernel_basis(hstack([a, b]))
         vectors = []
         for w in null.basis_vectors():
             vectors.append(a.apply(w[: a.cols]))
@@ -619,11 +617,6 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
             if k != q:
                 null[last - k][p] = -v
     return Subspace(m.cols, list(null.values()), list(null))
-
-
-def image_basis(m: RationalMatrix) -> Subspace:
-    """Column space of m as a canonical Subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, m.columns())
 
 
 def solve_multi(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:
@@ -672,7 +665,7 @@ def factor_through(f: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
         if not vec_is_zero(g.apply(v)):
             raise KernelNotContained("Ker f is not contained in Ker g")
     _, pivot_cols, _ = rref(f)
-    image = image_basis(f)
+    image = Subspace.from_vectors(n, [f.column(j) for j in range(n)])
     complement = [i for i in range(n) if i not in set(image._pivots)]
     lhs_cols = [f.column(p) for p in pivot_cols] + [unit_vector(n, i) for i in complement]
     rhs_cols = [g.column(p) for p in pivot_cols] + [zero_vector(n) for _ in complement]

@@ -124,7 +124,7 @@ def test_criterion_4_euler_kernel_zero(capsys):
         phi = euler_derivation(current)
         assert kernel_basis(phi.map).dim == 0, name
         for i in range(current.product.dim):
-            assert phi.map.entry(i, i) == current.t_degree(i) > 0
+            assert phi.map.entry(i, i) == i // algebra.dim + 1  # the t-degree of basis element i
     print("ACCEPTANCE 4 PASS: scaling-derivation kernels are zero on all corpus current algebras")
 
 
@@ -292,9 +292,9 @@ def test_criterion_9_oracle_cross_checks(capsys):
                 assert sum(1 for w in words if w.degree == d) == witt_dimension(r, d)
     h3, f4 = heisenberg3(), filiform4()
     assert _derivation_space_dim(h3) == 6
-    assert cocycle_space(h3, adjoint(h3)).dim == 6
+    assert len(cocycle_space(adjoint(h3))) == 6
     assert _derivation_space_dim(f4) == 7
-    assert cocycle_space(f4, adjoint(f4)).dim == 7
+    assert len(cocycle_space(adjoint(f4))) == 7
     fixtures = corpus_algebras() + [("solvable2", solvable2())]
     for name, algebra in fixtures:
         assert center(algebra) == rep_kernel(adjoint(algebra)), name

@@ -24,6 +24,7 @@ from adoforge.jsonio import (
     representation_to_json,
 )
 from adoforge.catalog import example
+from adoforge.liealg import LieAlgebra
 from adoforge.linalg import RationalMatrix, solve_multi
 from adoforge.reps import Representation
 
@@ -136,6 +137,18 @@ class TestValidateCommand:
         code, _, report = run_cli(["validate", str(path)], capsys)
         assert code == 2
         assert report["outcome"]["error"] == "parse_error"
+
+    def test_phase_timings_recorded(self, tmp_path, capsys):
+        """Each phase entered is timed, the parse phase also when it raises
+        ``ParseError``, and so is the whole run."""
+        good = write_example(tmp_path, "heisenberg3", capsys)
+        bad = tmp_path / "broken.json"
+        bad.write_text("{not json")
+        for path, expected, phases in ((good, 0, {"parse", "validate", "total"}), (bad, 2, {"parse", "total"})):
+            code, _, report = run_cli(["validate", str(path)], capsys)
+            assert code == expected
+            assert set(report["timings"]) == phases
+            assert all(seconds >= 0 for seconds in report["timings"].values())
 
     def test_jacobi_violation_listed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -367,6 +380,33 @@ class TestConstructCommand:
         assert code == 2
         assert report["outcome"]["error"] == "parse_error"
         assert "'graded'" in report["outcome"]["message"]
+
+    @pytest.mark.parametrize("name", ["cn7a", "cn7b"])
+    def test_characteristically_nilpotent_by_induction(self, tmp_path, capsys, name):
+        """No grading and no nonsingular derivation: the induction route
+        builds and verifies a representation of dimension 54."""
+        path = write_example(tmp_path, name, capsys)
+        rep_path = tmp_path / "rep.json"
+        code, _, report = run_cli(["construct", str(path), "--method", "induction", "--out", str(rep_path)], capsys)
+        assert code == 0
+        assert report["output_dims"] == {"algebra_dim": 7, "space_dim": 54}
+        assert report["verification"] == {"homomorphism": True, "faithful": True, "nilpotent": True}
+        code, _, report = run_cli(["verify", str(path), str(rep_path)], capsys)
+        assert code == 0 and report["outcome"] == "ok"
+
+    def test_cn7a_plus_heisenberg5_exits_4(self, tmp_path, capsys):
+        """cn7a + heisenberg5 needs 2 + 4 generators and class 6, and F(6, 6)
+        has dimension 9695, over the free nilpotent cap of 200."""
+        a, b = example("cn7a"), example("heisenberg5")
+        brackets = dict(a.brackets)
+        for (i, j), coeffs in b.brackets.items():
+            brackets[(a.dim + i, a.dim + j)] = {a.dim + k: v for k, v in coeffs.items()}
+        path = tmp_path / "sum.json"
+        path.write_text(dumps_canonical(algebra_to_json(LieAlgebra(a.dim + b.dim, brackets), "cn7a+heisenberg5")))
+        code, _, report = run_cli(["construct", str(path)], capsys)
+        assert code == 4
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert "rank 6 and class 6 has dimension 9695 > budget 200" in report["outcome"]["message"]
 
 
 class TestVerifyCommand:

@@ -34,6 +34,7 @@ from adoforge.errors import (
 from adoforge.engine import (
     Certificate,
     EngineConfig,
+    VerificationReport,
     construct_faithful_nilpotent,
     distinguish_by_kernels,
     glue_local,
@@ -840,6 +841,16 @@ class TestVerifyOutput:
         a1 = abelian(1)
         report = verify_output(a1, Representation(a1, 1, [RationalMatrix.identity(1)]))
         assert not report.nilpotent
+
+    @pytest.mark.parametrize("flags", [(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)])
+    def test_report_keys_in_field_order(self, flags):
+        # the run report and the certificate's verified step list the
+        # properties in this order
+        names = ["homomorphism", "faithful", "nilpotent"]
+        report = VerificationReport(*flags)
+        assert list(report.as_dict().items()) == list(zip(names, flags))
+        assert report.failing() == [name for name, good in zip(names, flags) if not good]
+        assert report.ok is all(flags)
 
 
 class TestReplay:

@@ -142,8 +142,6 @@ class TestFreeNilpotent:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             free_nilpotent(5, 4)  # dimension 205 over the default 200
-        with pytest.raises(BudgetExceeded):
-            free_nilpotent(2, 3, dimension_budget=4)
 
 
 def assert_presentation(pres):

@@ -252,15 +252,22 @@ class TestCodim1Refinement:
             codim1_refinement(h3, Subspace.full(3), truncated)
 
 
+def regraded(algebra, degrees):
+    return LieAlgebra(algebra.dim, algebra.brackets, grading=Grading(degrees))
+
+
 class TestVerifyGrading:
     def test_h3_standard(self, h3):
-        assert verify_grading(h3, Grading((1, 1, 2)))
+        assert verify_grading(regraded(h3, (1, 1, 2)))
 
     def test_h3_flat_degrees_fail(self, h3):
-        assert not verify_grading(h3, Grading((1, 1, 1)))
+        assert not verify_grading(regraded(h3, (1, 1, 1)))
 
     def test_abelian_any_degrees(self, abelian2):
-        assert verify_grading(abelian2, Grading((3, 1)))
+        assert verify_grading(regraded(abelian2, (3, 1)))
+
+    def test_no_grading_fails(self, h3):
+        assert not verify_grading(LieAlgebra(3, h3.brackets))
 
 
 class TestLieHom:

@@ -12,6 +12,7 @@ from adoforge.linalg import (
     RationalMatrix,
     Subspace,
     factor_through,
+    hstack,
     kernel_basis,
     kronecker,
     mul_rowmaps,
@@ -153,6 +154,29 @@ class TestSubspace:
         xy = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
         yz = Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
         assert xy.intersect(yz) == Subspace.from_vectors(3, [(0, 1, 0)])
+
+
+def reference_intersect(s, t):
+    """The intersection as ``Subspace.intersect`` took it before it returned
+    the other operand when one is the whole space and before it stopped
+    negating B: A applied to the first block of every vector of Ker [A | -B]."""
+    if s.dim == 0 or t.dim == 0:
+        return Subspace.zero(s.ambient_dim)
+    a, b = s.basis, t.basis
+    null = kernel_basis(hstack([a, -b]))
+    return Subspace.from_vectors(s.ambient_dim, [a.apply(w[: a.cols]) for w in null.basis_vectors()])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_intersect_matches_negated_stack(data):
+    n = data.draw(st.integers(1, 5))
+    spans = st.lists(st.lists(sparse_fractions, min_size=n, max_size=n), max_size=n + 1)
+    s = Subspace.from_vectors(n, data.draw(spans))
+    t = Subspace.from_vectors(n, data.draw(spans))
+    full = Subspace.full(n)
+    for x, y in ((s, t), (t, s), (full, s), (t, full), (full, full)):
+        assert x.intersect(y) == reference_intersect(x, y)
 
 
 def matrices(rows, cols):
