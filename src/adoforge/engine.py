@@ -18,10 +18,13 @@ which z acts as zero, represents the step's one quotient L/<z>.  That
 representation is the direct sum of the previous step's glue summands (the
 seed at the first step), so each tensor power is searched block by block:
 the products of one summand per factor, on disjoint coordinates, give the
-same witness and the same cyclic submodule as the whole power.  Only the
-last quotient F/I gets its direct sum built; it is transported back to L
-along proj after a section of pi, which is well defined because
-Ker pi = I = Ker proj.
+same witness and the same cyclic submodule as the whole power.  A block
+holds rho(z) alone, built from rho(z) on the block below and on its last
+factor; each search builds rho(x) on the blocks the same way, and a block's
+full representation is built only when it is read, on the block a search
+lands on.  Only the last quotient F/I gets its direct sum built; it is
+transported back to L along proj after a section of pi, which is well
+defined because Ker pi = I = Ker proj.
 The interior steps do not re-prove what the construction guarantees: that
 each flag image is central, nor that pi, the projections and the transport
 are homomorphisms.  ``construct_faithful_nilpotent`` verifies its output
@@ -54,6 +57,7 @@ from .linalg import (
     dense_vector,
     frac,
     kernel_basis,
+    kronecker,
     rank,
     solve,
     solve_multi,
@@ -161,22 +165,45 @@ def _check_budget(space_dim: int, config: EngineConfig) -> None:
         )
 
 
-def _kernel_witness(rep: Representation, kernel: Subspace, x: Sequence[Fraction]) -> int | None:
-    """Index of the first canonical basis vector of ``kernel`` (Ker rho(z))
-    that rho(x) does not kill, or None when Ker rho(z) <= Ker rho(x)."""
-    image = element_action(rep, x) @ kernel.basis
-    return min((c for _, c, _ in image.entries()), default=None)
+def _tensor_level(below: Sequence[RationalMatrix], on_parts: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+    """An element's action on each block of the next tensor power, in block
+    order, from its actions on the blocks of the power below and on the
+    parts: a (x) I + I (x) b on (block below) (x) part, as in
+    ``tensor_product``."""
+    return [
+        kronecker(a, RationalMatrix.identity(b.rows)) + kronecker(RationalMatrix.identity(a.rows), b)
+        for a in below
+        for b in on_parts
+    ]
 
 
-@dataclass
 class _Block:
     """One block P_(i1) (x) ... (x) P_(ip) of the tensor power V^(x)p of
-    V = P_0 + ... + P_(k-1), with Ker rho(z) on it and the increasing map
-    ``coords`` from its coordinates to those of V^(x)p."""
+    V = P_0 + ... + P_(k-1), built as ``below`` (x) ``part`` from the block
+    P_(i1) (x) ... (x) P_(i(p-1)) of the power below (None at p = 1).
 
-    rep: Representation
-    kernel: Subspace
-    coords: list[int]
+    It holds rho(z) on the block (``z_action``), its kernel and the
+    increasing map ``coords`` from its coordinates to those of V^(x)p.  The
+    block's full representation ``rep`` is built from the factors on the
+    first read and kept: the search reads rho(z) and rho(x) alone, so only
+    the blocks it lands on, and the blocks below those, ever get one.
+    """
+
+    __slots__ = ("z_action", "kernel", "coords", "below", "part", "_rep")
+
+    def __init__(self, z_action: RationalMatrix, coords: list[int], below: "_Block | None", part: Representation):
+        self.z_action = z_action
+        self.kernel = kernel_basis(z_action)
+        self.coords = coords
+        self.below = below
+        self.part = part
+        self._rep = None
+
+    @property
+    def rep(self) -> Representation:
+        if self._rep is None:
+            self._rep = self.part if self.below is None else tensor_product(self.below.rep, self.part)
+        return self._rep
 
 
 # One flag step's tensor ladder: for each power p, the blocks of V^(x)p in
@@ -188,32 +215,33 @@ def _next_level(
     parts: Sequence[Representation], z: Sequence[Fraction], ladder: Ladder, config: EngineConfig
 ) -> list[_Block]:
     """The blocks of the next tensor power of V = + parts, each built once as
-    (block of the power below) (x) part.
+    (block of the power below) (x) part, with rho(z) on it.
 
     V^(x)p = V^(x)(p-1) (x) V puts coordinate b of part k after coordinate g
     of V^(x)(p-1) at g * dim V + offset(k) + b, so each block's coordinate
-    map stays increasing.  The dimension budget is checked on (dim V)^p
-    before the first block is built.
+    map stays increasing.  At p >= 2 rho(z) on the blocks comes from
+    ``_tensor_level``, on rho(z) on the blocks below and on the parts, which
+    the ladder already holds.  The dimension budget is checked on
+    (dim V)^p before the first block of that power is built.
     """
     offsets = list(accumulate((part.space_dim for part in parts), initial=0))
     dim_v = offsets[-1]
     power = len(ladder) + 1
     if not ladder:
-        built = [(part, list(range(off, off + part.space_dim))) for part, off in zip(parts, offsets)]
-    else:
-        if dim_v**power > config.dimension_budget:
-            raise TensorBudgetExceeded(
-                f"tensor power {power} needs dimension {dim_v**power} > budget {config.dimension_budget}"
-            )
-        built = [
-            (
-                tensor_product(block.rep, part),
-                [g * dim_v + off + b for g in block.coords for b in range(part.space_dim)],
-            )
-            for block in ladder[-1]
+        return [
+            _Block(element_action(part, z), list(range(off, off + part.space_dim)), None, part)
             for part, off in zip(parts, offsets)
         ]
-    return [_Block(rep, kernel_basis(element_action(rep, z)), coords) for rep, coords in built]
+    if dim_v**power > config.dimension_budget:
+        raise TensorBudgetExceeded(
+            f"tensor power {power} needs dimension {dim_v**power} > budget {config.dimension_budget}"
+        )
+    z_actions = _tensor_level([block.z_action for block in ladder[-1]], [first.z_action for first in ladder[0]])
+    pairs = [(block, part, off) for block in ladder[-1] for part, off in zip(parts, offsets)]
+    return [
+        _Block(z_action, [g * dim_v + off + b for g in block.coords for b in range(part.space_dim)], block, part)
+        for z_action, (block, part, off) in zip(z_actions, pairs)
+    ]
 
 
 def _distinguish(
@@ -242,17 +270,26 @@ def _distinguish(
     such vectors, the one with the smallest pivot in V^(x)p.  ``ladder``
     holds the powers built so far (``[]`` for a fresh search) and is
     extended in place; searches that share the parts and z pass the same
-    one, so each block and its z-kernel is built at most once.
+    one, so each block and its z-kernel is built at most once.  rho(x) is
+    built per search, on the parts by ``element_action`` and on each block
+    of a higher power from the block below and the part (``_tensor_level``),
+    so every block of a power costs one pair of Kronecker products.
     """
     pair = RationalMatrix.from_columns(len(z), [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
+    on_parts = [element_action(part, x) for part in parts]
+    actions = on_parts  # rho(x) on the blocks of the power searched
     for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
             ladder.append(_next_level(parts, z, ladder, config))
+        if power > 1:
+            actions = _tensor_level(actions, on_parts)
         found = None  # (pivot in V^(x)p, block index, witness)
-        for index, block in enumerate(ladder[power - 1]):
-            witness = _kernel_witness(block.rep, block.kernel, x)
+        for index, (block, action) in enumerate(zip(ladder[power - 1], actions)):
+            # the first canonical vector of Ker rho(z) that rho(x) does not kill
+            image = action @ block.kernel.basis
+            witness = min((c for _, c, _ in image.entries()), default=None)
             if witness is not None:
                 pivot = block.coords[block.kernel._pivots[witness]]
                 if found is None or pivot < found[0]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -158,31 +159,38 @@ class ValidationReport:
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:
-    """Check the Jacobi identity on all basis triples (and grading if present)."""
-    violations = []
+    """Check the Jacobi identity on the basis triples (and grading if present).
+
+    The sum for i < j < k, [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
+    is zero when none of its three inner brackets is stored, so only the
+    triples that hold a stored pair are visited, in (i, j, k) order.  Each
+    sum runs on integers: with D the lcm of the denominators of the
+    structure constants, the table scaled by D has integer entries N = D c,
+    the sum over N is D^2 times the rational one, and a nonzero residual is
+    reported as Fraction(v, D^2), the same values the rational sum gives.
+    """
     n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                residual = _jacobi_residual(algebra, i, j, k)
-                if residual is not None:
-                    violations.append((i, j, k, residual))
+    table = algebra.brackets
+    scale = lcm(*(v.denominator for coeffs in table.values() for v in coeffs.values()))
+    scaled: dict[tuple[int, int], dict[int, int]] = {}  # both orders of each stored pair
+    for (i, j), coeffs in table.items():
+        row = {k: v.numerator * (scale // v.denominator) for k, v in coeffs.items()}
+        scaled[(i, j)] = row
+        scaled[(j, i)] = {k: -v for k, v in row.items()}
+    square = scale * scale
+    violations = []
+    for i, j, k in sorted({tuple(sorted((a, b, c))) for a, b in table for c in range(n) if c != a and c != b}):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ab, c in (((i, j), k), ((j, k), i), ((k, i), j)):
+            for m, coeff in scaled.get(ab, {}).items():
+                for t, oc in scaled.get((m, c), {}).items():
+                    acc[t] = get(t, 0) + coeff * oc
+        residual = {t: Fraction(v, square) for t, v in acc.items() if v}
+        if residual:
+            violations.append((i, j, k, dense_vector(residual, n)))
     grading_ok = verify_grading(algebra) if algebra.grading is not None else None
     return ValidationReport(n, violations, grading_ok)
-
-
-def _jacobi_residual(algebra: LieAlgebra, i: int, j: int, k: int) -> Vector | None:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] as a dense vector,
-    or None when it is zero; the sum runs on a sparse dict."""
-    acc: dict[int, Fraction] = {}
-    get = acc.get
-    for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
-        for m, coeff in algebra.bracket_basis(a, b).items():
-            for t, oc in algebra.bracket_basis(m, c).items():
-                old = get(t)
-                acc[t] = coeff * oc if old is None else old + coeff * oc
-    residual = {t: v for t, v in acc.items() if v}
-    return dense_vector(residual, algebra.dim) if residual else None
 
 
 def verify_grading(algebra: LieAlgebra) -> bool:

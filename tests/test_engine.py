@@ -109,29 +109,42 @@ class TestTensorLadder:
     """Counts calls through the ``engine`` and ``reps`` module bindings."""
 
     def test_each_power_built_once_per_flag_step(self, h5, monkeypatch):
-        built = []  # per flag step, the (block, part) of each tensor_product call
+        blocks = []  # per flag step, the (block below, part) of each block of power >= 2
+        represented = []  # per flag step, the (factor, part) of each tensor_product call
         landed = []  # per flag step, the (power, block index) of every kernel search
+        landed_blocks = []  # per flag step, the blocks of power >= 2 searches land on, first landing first
         kernel_calls = []  # one entry per reps.kernel_basis call
         in_submodule = []  # kernel_basis calls made inside each kernel_submodule
-        names = ("quotient", "tensor_product", "kernel_submodule", "_distinguish")
+        names = ("quotient", "tensor_product", "kernel_submodule", "_distinguish", "_Block")
         real = {name: getattr(engine, name) for name in names}
         real_kernel_basis = reps.kernel_basis
 
         quotients = []  # each flag step's quotient
 
         def quotient(*args):  # the engine takes one quotient per flag step
-            built.append([])
-            landed.append(set())
+            for per_step in (blocks, represented, landed, landed_blocks):
+                per_step.append([])
             quotients.append(real["quotient"](*args))
             return quotients[-1]
 
-        def tensor_product(block, part):
-            built[-1].append((id(block), id(part)))
-            return real["tensor_product"](block, part)
+        class _Block(real["_Block"]):
+            __slots__ = ()
+
+            def __init__(self, z_action, coords, below, part):
+                if below is not None:
+                    blocks[-1].append((id(below), id(part)))
+                super().__init__(z_action, coords, below, part)
+
+        def tensor_product(rho, tau):
+            represented[-1].append((id(rho), id(tau)))
+            return real["tensor_product"](rho, tau)
 
         def _distinguish(parts, z, x, config, ladder):
             found = real["_distinguish"](parts, z, x, config, ladder)
-            landed[-1].add(found[:2])
+            landed[-1].append(found[:2])
+            block = ladder[found[0] - 1][found[1]]
+            if found[0] >= 2 and block not in landed_blocks[-1]:
+                landed_blocks[-1].append(block)
             return found
 
         def kernel_basis(*args):
@@ -145,7 +158,7 @@ class TestTensorLadder:
             in_submodule.append(len(kernel_calls) - before)
             return out
 
-        for name, fn in (("quotient", quotient), ("tensor_product", tensor_product),
+        for name, fn in (("quotient", quotient), ("tensor_product", tensor_product), ("_Block", _Block),
                          ("kernel_submodule", kernel_submodule), ("_distinguish", _distinguish)):
             monkeypatch.setattr(engine, name, fn)
         monkeypatch.setattr(reps, "kernel_basis", kernel_basis)
@@ -161,17 +174,21 @@ class TestTensorLadder:
         # are the previous step's glue summands
         parts = [1] + [len(g["summand_dims"]) for g in cert.steps_of_kind("glue")][:-1]
         assert parts == [1, 3, 3, 3, 2]
-        # power p of k parts has k^p blocks, and each power >= 2 is built
-        # once per flag step, one tensor_product per (power, block)
+        # power p of k parts has k^p blocks, and each block of a power >= 2
+        # gets its rho(z) once per flag step, from the block below and a part
         expected = [sum(k**p for p in range(2, top + 1)) for k, top in zip(parts, top_power)]
-        assert [len(b) for b in built] == expected == [0, 9, 9, 0, 4]
-        assert all(len(set(b)) == len(b) for b in built)
+        assert [len(b) for b in blocks] == expected == [0, 9, 9, 0, 4]
+        assert all(len(set(b)) == len(b) for b in blocks)
         # eight searches, two in each of flag steps 0-2: in step 0 both land
         # on the one block of power 1, in steps 1 and 2 on two blocks of the
         # square; each takes its submodule with no kernel computation
         assert len(cert.steps_of_kind("kernel_search")) == 8
-        assert [len(s) for s in landed] == [1, 2, 2, 1, 1]
+        assert [len(set(s)) for s in landed] == [1, 2, 2, 1, 1]
         assert in_submodule == [0] * 8
+        # a full representation is built only for the blocks a search lands
+        # on, once each, as (the part below, which is its own rep) (x) part
+        assert represented == [[(id(b.below.rep), id(b.part)) for b in step] for step in landed_blocks]
+        assert [len(r) for r in represented] == [0, 2, 2, 0, 1]
 
     def test_one_quotient_per_flag_step(self, h5, monkeypatch):
         # counted through every adoforge module that binds liealg.quotient,
@@ -194,6 +211,7 @@ class TestTensorLadder:
     def test_budget_checked_before_building(self, std_h3_rep, monkeypatch):
         built = []
         monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
+        monkeypatch.setattr(engine, "kronecker", lambda *a: built.append(a))
         # e1 needs the tensor square, of dimension 9
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 9 > budget 8"):
             distinguish_by_kernels(
@@ -277,6 +295,7 @@ class TestBlockLadder:
         # two parts of dim 3: the square has dim 36, not the 9 of a block
         built = []
         monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
+        monkeypatch.setattr(engine, "kronecker", lambda *a: built.append(a))
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 36 > budget 35"):
             engine._distinguish(
                 [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35), []
@@ -314,6 +333,67 @@ def test_blocks_match_the_assembled_sum(search):
     # the budget keeps the whole-power side small; both sides must then
     # stop at the same power with the same message
     assert_blocks_match_sum(parts, z, x, EngineConfig(dimension_budget=400))
+
+
+@st.composite
+def ladder_searches(draw):
+    """1-3 corpus adjoint or graded representations of one algebra, some
+    conjugated, on at most 9 dimensions in all (729 at the cube), with a
+    nonzero central z and an x independent of it."""
+    count = draw(st.integers(1, 3))
+    pool = [rep for rep in draw(st.sampled_from(list(ALGEBRA_POOLS.values()))) if rep.space_dim <= 9 // count]
+    assume(pool)
+    algebra = pool[0].algebra
+    parts = [draw(st.one_of(st.sampled_from(pool), conjugated_corpus_reps(pool))) for _ in range(count)]
+    z = draw(st.sampled_from(liealg.center(algebra).basis_vectors()))
+    x = tuple(Fraction(v) for v in draw(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]), min_size=algebra.dim, max_size=algebra.dim)))
+    assume(linalg.rank(RationalMatrix.from_columns(algebra.dim, [z, x])) == 2)
+    return parts, z, x
+
+
+@settings(deadline=None, max_examples=60)
+@given(ladder_searches())
+def test_lazy_ladder_matches_the_eager_one(search):
+    # each block's rho(z), rho(x) and full representation, built from its
+    # factors, equal element_action and the tensor_product chain of an
+    # eager ladder at powers 1-3
+    parts, z, x = search
+    ladder = []
+    eager = [list(parts)]
+    on_parts = [element_action(part, x) for part in parts]
+    actions = on_parts
+    for power in range(1, 4):
+        ladder.append(engine._next_level(parts, z, ladder, EngineConfig()))
+        if power > 1:
+            eager.append([reps.tensor_product(rep, part) for rep in eager[-1] for part in parts])
+            actions = engine._tensor_level(actions, on_parts)
+        assert len(ladder[-1]) == len(eager[-1]) == len(actions) == len(parts) ** power
+        for block, rep, action in zip(ladder[-1], eager[-1], actions):
+            assert block.z_action == element_action(rep, z)
+            assert block.kernel == kernel_basis(element_action(rep, z))
+            assert action == element_action(rep, x)
+            assert block.rep.matrices == rep.matrices
+    # and the search lands where the eager one does
+    try:
+        found = engine._distinguish(parts, z, x, EngineConfig(), [])
+    except TensorBudgetExceeded:
+        found = None
+    reference = None
+    for power, (level, built) in enumerate(zip(eager, ladder), start=1):
+        candidates = []
+        for index, (rep, block) in enumerate(zip(level, built)):
+            kernel = kernel_basis(element_action(rep, z))
+            image = element_action(rep, x) @ kernel.basis
+            witness = min((c for _, c, _ in image.entries()), default=None)
+            if witness is not None:
+                candidates.append((block.coords[kernel._pivots[witness]], index, witness))
+        if candidates:
+            reference = (power, *min(candidates)[1:])
+            break
+    if reference is not None:
+        assert found == reference
+    elif found is not None:
+        assert found[0] > 3
 
 
 class TestGlueLocal:

@@ -48,6 +48,9 @@ CASES = {
     "filiform4": filiform4,
     "heisenberg5": heisenberg5,
     "heisenberg5_rebased": lambda: rebased(heisenberg5()),
+    # [e0, ei] = e(i+1) without a grading: 14 kernel searches, 8 of them in
+    # blocks of the tensor square of two or three glue summands
+    "filiform6": lambda: LieAlgebra(6, {(0, i): {i + 1: 1} for i in range(1, 5)}),
 }
 
 GRADED_CASES = ("filiform4", "free2_3", "heisenberg3")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -397,6 +398,19 @@ def reference_jacobi_residual(algebra, i, j, k):
     return tuple(acc) if any(acc) else None
 
 
+def reference_violations(algebra):
+    """Every basis triple i < j < k with its nonzero residual, in order."""
+    n = algebra.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                residual = reference_jacobi_residual(algebra, i, j, k)
+                if residual is not None:
+                    out.append((i, j, k, residual))
+    return out
+
+
 def recorded_from_vectors(fn, *args):
     """fn(*args) and the (ambient, vectors) of every Subspace.from_vectors
     call it made: what the benchmark's rref cells are counted from."""
@@ -461,15 +475,51 @@ def test_jacobi_residual_matches_dense(n, data):
     brackets = {p: {k: data.draw(sparse_fractions) for k in range(n)} for p in data.draw(st.lists(st.sampled_from(pairs), unique=True))}
     algebra = LieAlgebra(n, brackets)
     report = validate(algebra)
-    expected = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                residual = reference_jacobi_residual(algebra, i, j, k)
-                if residual is not None:
-                    expected.append((i, j, k, residual))
-    assert report.jacobi_violations == expected
+    assert report.jacobi_violations == reference_violations(algebra)
     assert all(type(x) is Fraction for *_, r in report.jacobi_violations for x in r)
+
+
+mixed_fractions = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2), Fraction(1), Fraction(-1)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(4, 9), st.data())
+def test_sparse_tables_with_mixed_denominators_match_dense(n, data):
+    # few stored pairs among many, so most triples hold none of them
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    brackets = {
+        p: {k: data.draw(mixed_fractions) for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))}
+        for p in chosen
+    }
+    algebra = LieAlgebra(n, brackets)
+    report = validate(algebra)
+    assert report.jacobi_violations == reference_violations(algebra)
+    assert all(type(x) is Fraction for *_, r in report.jacobi_violations for x in r)
+
+
+def test_halves_and_thirds_give_the_exact_residual():
+    # [e0, e1] = e0 / 2 and [e0, e2] = e1 / 3: [[e0, e1], e2] = e1 / 6, and
+    # the other two terms vanish; the table is scaled by D = 6, so the
+    # integer sum is 6 = 36 / 6
+    algebra = LieAlgebra(3, {(0, 1): {0: "1/2"}, (0, 2): {1: "1/3"}})
+    assert validate(algebra).jacobi_violations == [(0, 1, 2, (Fraction(0), Fraction(1, 6), Fraction(0)))]
+    assert validate(algebra).jacobi_violations == reference_violations(algebra)
+
+
+def test_one_violation_in_abelian300():
+    # the same two brackets on e7, e150, e299 of Q^300: the one triple that
+    # fails is (7, 150, 299), and the 4.5 million triples that hold no
+    # stored pair are not visited (the full loop took seconds)
+    brackets = {(7, 150): {7: "1/2"}, (7, 299): {150: "1/3"}}
+    algebra = LieAlgebra(300, brackets)
+    start = time.process_time()
+    report = validate(algebra)
+    assert time.process_time() - start < 1.0
+    expected = [Fraction(0)] * 300
+    expected[150] = Fraction(1, 6)
+    assert report.jacobi_violations == [(7, 150, 299, tuple(expected))]
+    assert validate(abelian(300)).ok
 
 
 @settings(deadline=None, max_examples=30)
