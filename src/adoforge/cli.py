@@ -185,6 +185,10 @@ def cmd_info(args, run: _Run) -> int:
 def _engine_config(args) -> EngineConfig:
     budget = os.environ.get("ADO_FORGE_BUDGET") or "20000"
     try:
+        # int() also reads "1_000", " 20000 ", "+50" and non-ASCII digits;
+        # the budget, like a rational literal, is ASCII [0-9]+ only
+        if not (budget.isascii() and budget.isdigit()):
+            raise ValueError("must be written in the digits 0-9 alone")
         return EngineConfig(method=args.method, dimension_budget=int(budget))
     except ValueError as exc:
         raise ParseError(f"bad engine setting (ADO_FORGE_BUDGET={budget!r}): {exc}") from exc

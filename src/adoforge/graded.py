@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
 from .linalg import (
@@ -148,32 +149,45 @@ def cocycle_space(rep: Representation) -> list[Cocycle]:
 
     Unknowns are the entries of the map, flattened column-major (column i =
     phi(e_i)); the kernel's canonical echelon basis makes downstream
-    constructions deterministic.  The caller promises that rep is a
+    constructions deterministic.  The rows of each pair i < j are built on
+    integers: from the structure constants N / D (``LieAlgebra.integer_form``)
+    and rho(e_i) = N_i / d_i (``RationalMatrix.integer_form``), scaled by
+    lcm(D, d_i, d_j).  Scaling a row changes no kernel, so the basis is the
+    one the rational rows give.  The caller promises that rep is a
     homomorphism; that is not re-proved here.
     """
     algebra = rep.algebra
     n = algebra.dim
     vd = rep.space_dim
-    unknown = lambda i, r: i * vd + r
-    entries = []
-    row_index = 0
+    table, scale = algebra.integer_form()
+    forms = [m.integer_form() for m in rep.matrices]
+    system: dict[int, dict[int, int]] = {}
+    base = 0
     for i in range(n):
-        mi = rep.matrices[i]
+        ni, di = forms[i]
         for j in range(i + 1, n):
-            mj = rep.matrices[j]
-            base = row_index
-            for k, v in algebra.bracket_basis(i, j).items():
+            nj, dj = forms[j]
+            common = lcm(scale, di, dj)
+            # row r of common * (phi([e_i, e_j]) - rho(e_i) phi(e_j) + rho(e_j) phi(e_i))
+            rows: dict[int, dict[int, int]] = {}
+            f = common // scale
+            for k, v in table.get((i, j), {}).items():
+                v *= f
                 for r in range(vd):
-                    entries.append((base + r, unknown(k, r), v))
-            for r, row in mi._data.items():
-                for s, v in row.items():
-                    entries.append((base + r, unknown(j, s), -v))
-            for r, row in mj._data.items():
-                for s, v in row.items():
-                    entries.append((base + r, unknown(i, s), v))
-            row_index += vd
-    system = RationalMatrix.from_entries(row_index, n * vd, entries)
-    solutions = kernel_basis(system)
+                    rows.setdefault(r, {})[k * vd + r] = v
+            for m, offset, f in ((ni, j * vd, -(common // di)), (nj, i * vd, common // dj)):
+                for r, row in m.items():
+                    target = rows.setdefault(r, {})
+                    get = target.get
+                    for c, v in row.items():
+                        target[offset + c] = get(offset + c, 0) + f * v
+            for r, row in rows.items():
+                if not all(row.values()):
+                    row = {c: v for c, v in row.items() if v}
+                if row:
+                    system[base + r] = row
+            base += vd
+    solutions = kernel_basis(RationalMatrix(base, n * vd, system))
     basis = []
     for w in solutions._rows:
         data: dict[int, dict[int, Fraction]] = {}

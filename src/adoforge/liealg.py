@@ -3,9 +3,13 @@
 A LieAlgebra stores brackets sparsely for index pairs i < j only, so
 antisymmetry holds by construction; the Jacobi identity is checked by
 ``validate``.  Quotients, the center, central series, and the codimension-one
-ideal refinement used by the construction engine all live here.  ``LieHom``
-is a typed value; the engine proves the homomorphism identity once, on its
-output.
+ideal refinement used by the construction engine all live here.  Every walk
+over the structure constants (``validate``, the bracket spans behind the
+central series, ``is_ideal``, ``is_central``, ``center`` and ``quotient``'s
+new table) runs on one integer form of the table, ``LieAlgebra.integer_form``,
+built once per algebra and shared; only the values they hand on are Fractions.
+``LieHom`` is a typed value; the engine proves the homomorphism identity
+once, on its output.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
+    _reduce,
     dense_vector,
     frac,
     kernel_basis,
@@ -51,9 +56,14 @@ class Grading:
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra presented by structure constants."""
+    """Finite-dimensional Lie algebra presented by structure constants.
 
-    __slots__ = ("dim", "labels", "brackets", "grading")
+    ``brackets`` maps each pair i < j with a nonzero bracket to [e_i, e_j]
+    as ``{k: Fraction}`` without zeros.  It is immutable after construction:
+    ``integer_form`` is built from it once and shared by every later walk.
+    """
+
+    __slots__ = ("dim", "labels", "brackets", "grading", "_integer_form")
 
     def __init__(
         self,
@@ -86,6 +96,27 @@ class LieAlgebra:
         if grading is not None and len(grading.degrees) != dim:
             raise ValueError("grading length must equal dim")
         self.grading = grading
+        self._integer_form = None
+
+    def integer_form(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+        """(N, D) with brackets == N / D: D is the lcm of the denominators of
+        the structure constants and N[(i, j)] the ``{k: int}`` numerators of
+        [e_i, e_j] over D, for every stored pair in both orders ((j, i)
+        negated), so a bracket with e_i is one lookup whatever the order.
+
+        Built on the first call and returned as the same object after that,
+        like ``RationalMatrix.integer_form``; callers must not mutate it.
+        """
+        if self._integer_form is None:
+            table = self.brackets
+            d = lcm(*(v.denominator for coeffs in table.values() for v in coeffs.values()))
+            numerators: dict[tuple[int, int], dict[int, int]] = {}
+            for (i, j), coeffs in table.items():
+                row = {k: v.numerator * (d // v.denominator) for k, v in coeffs.items()}
+                numerators[(i, j)] = row
+                numerators[(j, i)] = {k: -v for k, v in row.items()}
+            self._integer_form = numerators, d
+        return self._integer_form
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i}"
@@ -164,19 +195,13 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     The sum for i < j < k, [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
     is zero when none of its three inner brackets is stored, so only the
     triples that hold a stored pair are visited, in (i, j, k) order.  Each
-    sum runs on integers: with D the lcm of the denominators of the
-    structure constants, the table scaled by D has integer entries N = D c,
-    the sum over N is D^2 times the rational one, and a nonzero residual is
+    sum runs on the integer table N = D c (``LieAlgebra.integer_form``): the
+    sum over N is D^2 times the rational one, and a nonzero residual is
     reported as Fraction(v, D^2), the same values the rational sum gives.
     """
     n = algebra.dim
     table = algebra.brackets
-    scale = lcm(*(v.denominator for coeffs in table.values() for v in coeffs.values()))
-    scaled: dict[tuple[int, int], dict[int, int]] = {}  # both orders of each stored pair
-    for (i, j), coeffs in table.items():
-        row = {k: v.numerator * (scale // v.denominator) for k, v in coeffs.items()}
-        scaled[(i, j)] = row
-        scaled[(j, i)] = {k: -v for k, v in row.items()}
+    scaled, scale = algebra.integer_form()
     square = scale * scale
     violations = []
     for i, j, k in sorted({tuple(sorted((a, b, c))) for a, b in table for c in range(n) if c != a and c != b}):
@@ -207,30 +232,66 @@ def verify_grading(algebra: LieAlgebra) -> bool:
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """{x : [x, L] = 0}, solved as the kernel of the stacked adjoint system."""
+    """{x : [x, L] = 0}, solved as the kernel of the stacked adjoint system.
+
+    Row j n + k holds the k-th coordinate of [x, e_j] = sum_i x_i [e_i, e_j],
+    read off the integer table: scaling the system by D changes no kernel,
+    and ``kernel_basis`` eliminates integer rows as they are.
+    """
     n = algebra.dim
-    entries = []
-    for (i, j), coeffs in algebra.brackets.items():
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), coeffs in algebra.integer_form()[0].items():
         for k, v in coeffs.items():
-            entries.append((j * n + k, i, v))   # x_i * [e_i, e_j]
-            entries.append((i * n + k, j, -v))  # x_j * [e_j, e_i]
-    return kernel_basis(RationalMatrix.from_entries(n * n, n, entries))
+            rows.setdefault(j * n + k, {})[i] = v
+    return kernel_basis(RationalMatrix(n * n, n, rows))
+
+
+def _integer_vector(row: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """(R, d) with row == R / d, d the lcm of the denominators of row."""
+    d = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}, d
+
+
+def _basis_brackets(algebra: LieAlgebra, row: Mapping[int, Fraction]) -> tuple[list[dict[int, int]], int]:
+    """([B_i for each i with [e_i, row] != 0, in order of i], s) with
+    [e_i, row] = B_i / s: row is scaled to its integer numerators R over d,
+    each B_i = sum_j R_j N[(i, j)] is summed on the integer table (N, D),
+    and s = d D."""
+    table, scale = algebra.integer_form()
+    ints, d = _integer_vector(row)
+    out = []
+    for i in range(algebra.dim):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for j, x in ints.items():
+            coeffs = table.get((i, j))
+            if coeffs:
+                for k, c in coeffs.items():
+                    acc[k] = get(k, 0) + x * c
+        if any(acc.values()):
+            out.append({k: v for k, v in acc.items() if v})
+    return out, d * scale
+
+
+def is_central(algebra: LieAlgebra, x: Mapping[int, Fraction]) -> bool:
+    """[e_i, x] = 0 for every i, for x as a sparse ``{index: coefficient}``."""
+    return not _basis_brackets(algebra, x)[0]
 
 
 def _bracket_span(algebra: LieAlgebra, space: Subspace) -> Subspace:
     """[L, space] as a subspace.
 
-    Each echelon row of ``space`` is bracketed sparsely with every basis
-    vector e_i; only the nonzero brackets are made dense, for
-    ``Subspace.from_vectors``.
+    Each echelon row of ``space`` is bracketed with every basis vector e_i
+    on the integer table (``_basis_brackets``); each nonzero bracket is
+    divided back, once per entry, into the dense Fraction vector that
+    ``Subspace.from_vectors`` is handed.
     """
     n = algebra.dim
     vectors = []
     for row in space._rows:
-        for i in range(n):
-            v = algebra.sparse_bracket({i: F1}, row)
-            if v:
-                vectors.append(dense_vector(v, n))
+        brackets, scale = _basis_brackets(algebra, row)
+        for b in brackets:
+            vectors.append(dense_vector({k: Fraction(v, scale) for k, v in b.items()}, n))
     return Subspace.from_vectors(n, vectors)
 
 
@@ -265,16 +326,17 @@ def minimal_generator_count(algebra: LieAlgebra) -> int:
 
 
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
-    """[L, space] contained in space, checked basis vs basis: each echelon
-    row is bracketed sparsely with every e_i, and only nonzero brackets are
-    made dense for the membership test."""
-    n = algebra.dim
-    if space.ambient_dim != n:
+    """[L, space] contained in space, checked basis vs basis, on integers:
+    each echelon row is bracketed with every e_i (``_basis_brackets``), and
+    each nonzero bracket is reduced by the echelon rows scaled to integers.
+    A nonzero vector of the span leads at a pivot, so a bracket lies in the
+    span exactly when its reduction leaves nothing."""
+    if space.ambient_dim != algebra.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
+    echelon = {p: _integer_vector(row)[0] for p, row in zip(space._pivots, space._rows)}
     for row in space._rows:
-        for i in range(n):
-            v = algebra.sparse_bracket({i: F1}, row)
-            if v and not space.contains_vector(dense_vector(v, n)):
+        for b in _basis_brackets(algebra, row)[0]:
+            if _reduce(echelon, b):
                 return False
     return True
 
@@ -310,7 +372,12 @@ class IdealChain:
 
 def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     """Quotient algebra on the complement coordinates of the ideal's echelon
-    basis, together with the surjective projection."""
+    basis, together with the surjective projection.
+
+    The new table is the projection of each stored bracket between
+    complement coordinates, summed on integers: with P = M / d
+    (``integer_form``) and the table N / D, the image of N[(c_a, c_b)] under
+    M over d D gives one Fraction per stored entry."""
     if not is_ideal(algebra, ideal):
         raise NotAnIdeal("quotient requires an ideal")
     n = algebra.dim
@@ -330,14 +397,23 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     for p, row in zip(ideal._pivots, ideal._rows):
         entries.extend((position[c], p, -v) for c, v in row.items() if c != p)
     proj_matrix = RationalMatrix.from_entries(q, n, sorted(entries))
+    numerators, d = proj_matrix.integer_form()
+    columns: dict[int, dict[int, int]] = {}
+    for j, row in numerators.items():
+        for c, v in row.items():
+            columns.setdefault(c, {})[j] = v
+    integer_table, scale = algebra.integer_form()
+    denominator = d * scale
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            v = algebra.bracket_basis(complement[a], complement[b])
-            img = proj_matrix.apply(dense_vector(v, n))
-            coeffs = {k: val for k, val in enumerate(img) if val}
-            if coeffs:
-                table[(a, b)] = coeffs
+    for i, j in sorted(pair for pair in algebra.brackets if pair[0] in position and pair[1] in position):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, x in integer_table[(i, j)].items():
+            for r, y in columns.get(k, {}).items():
+                acc[r] = get(r, 0) + x * y
+        coeffs = {r: Fraction(v, denominator) for r, v in sorted(acc.items()) if v}
+        if coeffs:
+            table[(position[i], position[j])] = coeffs
     labels = tuple(algebra.label(i) for i in complement) if q else None
     quo = LieAlgebra(q, table, labels=labels)
     return quo, LieHom(algebra, quo, proj_matrix)

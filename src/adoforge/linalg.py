@@ -604,7 +604,9 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     minus that column of each reduced row at the row's pivot: its entries
     other than f sit at pivots right of f, and it is zero at every other
     free column.  These vectors are therefore already the canonical echelon
-    basis of the null space, with the free columns as pivots.
+    basis of the null space, with the free columns as pivots.  The rows of m
+    go to ``_rref_rowdicts`` as they are, so a system built on integers
+    (``liealg.center``, ``graded.cocycle_space``) may hold ints.
     """
     last = m.cols - 1
     flipped = [{last - c: v for c, v in row.items()} for row in _matrix_rowdicts(m)]

@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from .linalg import (
-    F1,
     RationalMatrix,
     SpanBasis,
     Subspace,
@@ -38,7 +37,7 @@ from .linalg import (
     kronecker,
     mul_rowmaps,
 )
-from .liealg import LieAlgebra, LieHom
+from .liealg import LieAlgebra, LieHom, is_central
 
 
 class Representation:
@@ -61,22 +60,26 @@ class Representation:
 
 
 def element_action(rep: Representation, x: Sequence[Fraction]) -> RationalMatrix:
-    """sum_i x_i * rho(e_i), added into one row map in a single pass."""
+    """sum_i x_i * rho(e_i), added into one row map in a single pass; a row
+    whose coefficient is exactly 1 is copied, not multiplied."""
     if len(x) != rep.algebra.dim:
         raise DimensionMismatch("element coefficient vector has wrong length")
     data: dict[int, dict[int, Fraction]] = {}
     for xi, m in zip(x, rep.matrices):
         if not xi:
             continue
+        one = xi == 1
         for r, row in m._data.items():
             target = data.get(r)
             if target is None:
-                data[r] = {c: xi * v for c, v in row.items()}
+                data[r] = dict(row) if one else {c: xi * v for c, v in row.items()}
                 continue
             get = target.get
             for c, v in row.items():
+                if not one:
+                    v = xi * v
                 old = get(c)
-                target[c] = xi * v if old is None else old + xi * v
+                target[c] = v if old is None else old + v
     for r in list(data):
         row = data[r]
         if not all(row.values()):
@@ -87,16 +90,16 @@ def element_action(rep: Representation, x: Sequence[Fraction]) -> RationalMatrix
 
 
 def adjoint(algebra: LieAlgebra) -> Representation:
-    """ad(e_i) = matrix of [e_i, .] on the algebra itself."""
+    """ad(e_i) = matrix of [e_i, .] on the algebra itself: each stored
+    bracket c = [e_i, e_j]_k is entry (k, j) of ad(e_i) and -c entry (k, i)
+    of ad(e_j), written into the row maps straight from the table."""
     n = algebra.dim
-    mats = []
-    for i in range(n):
-        entries = []
-        for j in range(n):
-            for k, v in algebra.bracket_basis(i, j).items():
-                entries.append((k, j, v))
-        mats.append(RationalMatrix.from_entries(n, n, entries))
-    return Representation(algebra, n, mats)
+    data: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
+    for (i, j), coeffs in algebra.brackets.items():
+        for k, v in coeffs.items():
+            data[i].setdefault(k, {})[j] = v
+            data[j].setdefault(k, {})[i] = -v
+    return Representation(algebra, n, [RationalMatrix(n, n, rows) for rows in data])
 
 
 def direct_sum(rho: Representation, *more: Representation) -> Representation:
@@ -371,7 +374,7 @@ def kernel_submodule(
     sz = {i: x for i, x in enumerate(z) if x}
     if not sz or quo.dim != n - 1:
         raise DimensionMismatch("quo must be L/<z> for a nonzero z, of dimension dim L - 1")
-    if any(rep.algebra.sparse_bracket(sz, {i: F1}) for i in range(n)):
+    if not is_central(rep.algebra, sz):
         raise NotCentral("z is not central in the algebra")
     sub = cyclic_submodule(rep, v)
     if not element_action(sub, z).is_zero():

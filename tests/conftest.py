@@ -62,6 +62,7 @@ CORPUS = ("abelian1", "abelian3", "heisenberg3", "heisenberg5", "filiform4", "fr
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
 nonzero_fractions = st.sampled_from([Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3)])
+mixed_fractions = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2), Fraction(1), Fraction(-1)])
 
 
 def sparse_vectors(n):

@@ -294,13 +294,17 @@ class TestConstructCommand:
         [
             ("abc", []),
             ("0", []),
+            ("1_000", []),
+            (" 20000 ", []),
+            ("+50", []),
+            ("\u0665\u0660\u0660", []),
             (None, ["--max-tensor-power", "0"]),
             (None, ["--max-tensor-power", "abc"]),
             (None, ["--bogus"]),
             (None, ["--no-compress"]),
             (None, ["--method", "graded"]),
         ],
-        ids=["budget-abc", "budget-0", "tensor-power-0", "tensor-power-abc", "bogus", "no-compress", "method-graded"],
+        ids=["budget-abc", "budget-0", "budget-underscore", "budget-spaces", "budget-plus", "budget-arabic-indic", "tensor-power-0", "tensor-power-abc", "bogus", "no-compress", "method-graded"],
     )
     def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, budget, extra):
         path = write_example(tmp_path, "heisenberg3", capsys)

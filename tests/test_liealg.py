@@ -33,6 +33,7 @@ from conftest import (
     CORPUS,
     changes_of_basis,
     corpus_algebras,
+    mixed_fractions,
     rebase,
     reference_bracket,
     reference_is_hom,
@@ -477,9 +478,6 @@ def test_jacobi_residual_matches_dense(n, data):
     report = validate(algebra)
     assert report.jacobi_violations == reference_violations(algebra)
     assert all(type(x) is Fraction for *_, r in report.jacobi_violations for x in r)
-
-
-mixed_fractions = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2), Fraction(1), Fraction(-1)])
 
 
 @settings(deadline=None, max_examples=80)

@@ -1028,3 +1028,19 @@ def test_kernel_submodule_rejects_each_non_central_basis_vector(name):
         assert not reference_is_central(algebra, z)
         with pytest.raises(NotCentral, match="not central in the algebra"):
             kernel_submodule(rep, z, abelian(algebra.dim - 1), kernel_basis(element_action(rep, z)).basis_vectors()[0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(conjugated_corpus_reps(), st.data())
+def test_element_action_copies_rows_against_a_coefficient_of_one(rep, data):
+    """Coefficients drawn mostly from 0 and 1: the sum equals the scaled
+    matrices added one by one, and the input rows are copied, never
+    modified."""
+    n = rep.algebra.dim
+    x = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2)]), min_size=n, max_size=n))
+    before = [{r: dict(row) for r, row in m._data.items()} for m in rep.matrices]
+    expected = RationalMatrix.zero(rep.space_dim, rep.space_dim)
+    for xi, m in zip(x, rep.matrices):
+        expected = expected + m.scale(xi)
+    assert element_action(rep, x) == expected
+    assert [m._data for m in rep.matrices] == before
