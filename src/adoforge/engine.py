@@ -18,11 +18,15 @@ which z acts as zero, represents the step's one quotient L/<z>.  That
 representation is the direct sum of the previous step's glue summands (the
 seed at the first step), so each tensor power is searched block by block:
 the products of one summand per factor, on disjoint coordinates, give the
-same witness and the same cyclic submodule as the whole power.  A block
-holds rho(z) alone, built from rho(z) on the block below and on its last
-factor; each search builds rho(x) on the blocks the same way, and a block's
-full representation is built only when it is read, on the block a search
-lands on.  Only the last quotient F/I gets its direct sum built; it is
+same witness and the same cyclic submodule as the whole power.  The search
+runs on integer row maps end to end.  A block holds rho(z) alone, as an
+integer form N / d built from the forms on the block below and on its last
+factor, and its kernel as primitive integer null rows; each search builds
+the transpose of rho(x) on the blocks the same way and tests the null rows
+with ``mul_rowmaps``.  A block's full representation is built only when it
+is read, on the block a search lands on, and the cyclic submodule of the
+witness row is taken on integers too (``reps.cyclic_submodule``).  Only
+the last quotient F/I gets its direct sum built; it is
 transported back to L along proj after a section of pi, which is well
 defined because Ker pi = I = Ker proj.
 The interior steps do not re-prove what the construction guarantees: that
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import Callable, Sequence
 
 from .errors import (
@@ -54,10 +59,10 @@ from .errors import (
 from .linalg import (
     RationalMatrix,
     Subspace,
+    _null_rows,
     dense_vector,
     frac,
-    kernel_basis,
-    kronecker,
+    mul_rowmaps,
     rank,
     solve,
     solve_multi,
@@ -165,16 +170,60 @@ def _check_budget(space_dim: int, config: EngineConfig) -> None:
         )
 
 
-def _tensor_level(below: Sequence[RationalMatrix], on_parts: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+# An element's action on a block as an integer form (N, d, dim): the
+# matrix N / d on Q^dim, N a ``{row: {col: int}}`` map.
+Action = tuple[dict[int, dict[int, int]], int, int]
+
+
+def _kron_sum(a: Action, b: Action) -> Action:
+    """a (x) I + I (x) b on integer forms, as in ``tensor_product``.
+
+    With a = A / d_a on Q^m, b = B / d_b on Q^n and g = gcd(d_a, d_b), it
+    is (A (d_b / g) (x) I + I (x) B (d_a / g)) / (d_a d_b / g).  Row
+    i n + k holds row i of A at columns j n + k and row k of B at columns
+    i n + l; the two meet only on the diagonal, where they are summed.
+    """
+    na, da, m = a
+    nb, db, n = b
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    if fa != 1:
+        na = {r: {c: v * fa for c, v in row.items()} for r, row in na.items()}
+    if fb != 1:
+        nb = {r: {c: v * fb for c, v in row.items()} for r, row in nb.items()}
+    brows = [(k, nb.get(k)) for k in range(n)]
+    data: dict[int, dict[int, int]] = {}
+    for i in range(m):
+        arow = na.get(i)
+        base = i * n
+        for k, brow in brows:
+            if arow:
+                row = {j * n + k: v for j, v in arow.items()}
+                if brow:
+                    for l, v in brow.items():
+                        c = base + l
+                        total = row.get(c, 0) + v
+                        if total:
+                            row[c] = total
+                        else:
+                            del row[c]
+                    if not row:
+                        continue
+            elif brow:
+                row = {base + l: v for l, v in brow.items()}
+            else:
+                continue
+            data[base + k] = row
+    return data, da * fa, m * n
+
+
+def _tensor_level(below: Sequence[Action], on_parts: Sequence[Action]) -> list[Action]:
     """An element's action on each block of the next tensor power, in block
     order, from its actions on the blocks of the power below and on the
-    parts: a (x) I + I (x) b on (block below) (x) part, as in
-    ``tensor_product``."""
-    return [
-        kronecker(a, RationalMatrix.identity(b.rows)) + kronecker(RationalMatrix.identity(a.rows), b)
-        for a in below
-        for b in on_parts
-    ]
+    parts: a (x) I + I (x) b on (block below) (x) part (``_kron_sum``).
+    The transpose of a (x) I + I (x) b is a^T (x) I + I (x) b^T, so actions
+    held as transposes stay transposes."""
+    return [_kron_sum(a, b) for a in below for b in on_parts]
 
 
 class _Block:
@@ -182,18 +231,22 @@ class _Block:
     V = P_0 + ... + P_(k-1), built as ``below`` (x) ``part`` from the block
     P_(i1) (x) ... (x) P_(i(p-1)) of the power below (None at p = 1).
 
-    It holds rho(z) on the block (``z_action``), its kernel and the
-    increasing map ``coords`` from its coordinates to those of V^(x)p.  The
-    block's full representation ``rep`` is built from the factors on the
-    first read and kept: the search reads rho(z) and rho(x) alone, so only
-    the blocks it lands on, and the blocks below those, ever get one.
+    It holds rho(z) on the block as an integer form (``z_action``), its
+    kernel as the primitive integer null rows of that form (``null``, in
+    canonical order; ``free`` holds their free columns, which are their
+    pivots, and divided by its entry there a null row is the vector of
+    ``kernel_basis``), and the increasing map ``coords`` from its
+    coordinates to those of V^(x)p.  The block's full representation
+    ``rep`` is built from the factors on the first read and kept: the search
+    reads rho(z) and rho(x) alone, so only the blocks it lands on, and the
+    blocks below those, ever get one.
     """
 
-    __slots__ = ("z_action", "kernel", "coords", "below", "part", "_rep")
+    __slots__ = ("z_action", "null", "free", "coords", "below", "part", "_rep")
 
-    def __init__(self, z_action: RationalMatrix, coords: list[int], below: "_Block | None", part: Representation):
+    def __init__(self, z_action: Action, coords: list[int], below: "_Block | None", part: Representation):
         self.z_action = z_action
-        self.kernel = kernel_basis(z_action)
+        self.null, self.free = _null_rows(z_action[0], z_action[2])
         self.coords = coords
         self.below = below
         self.part = part
@@ -229,7 +282,12 @@ def _next_level(
     power = len(ladder) + 1
     if not ladder:
         return [
-            _Block(element_action(part, z), list(range(off, off + part.space_dim)), None, part)
+            _Block(
+                (*element_action(part, z).integer_form(), part.space_dim),
+                list(range(off, off + part.space_dim)),
+                None,
+                part,
+            )
             for part, off in zip(parts, offsets)
         ]
     if dim_v**power > config.dimension_budget:
@@ -255,12 +313,11 @@ def _distinguish(
     where V is the direct sum of ``parts``.
 
     Returns (tensor power p, index of the witness block in ``ladder[p - 1]``,
-    witness index into that block's canonical basis of Ker rho(z)).  The
-    family of tensor powers of a faithful nilpotent representation is closed
-    under tensoring and contains a faithful member, which is exactly what
-    makes some finite power succeed; ``MAX_TENSOR_POWER`` and the dimension
-    budget turn "finite" into an explicit failure mode instead of an
-    unbounded run.
+    witness index into that block's null rows).  The family of tensor
+    powers of a faithful nilpotent representation is closed under tensoring
+    and contains a faithful member, which is exactly what makes some finite
+    power succeed; ``MAX_TENSOR_POWER`` and the dimension budget turn
+    "finite" into an explicit failure mode instead of an unbounded run.
 
     V^(x)p is the direct sum of its blocks, which sit on disjoint
     coordinates and are each invariant, so Ker rho(z) on V^(x)p is the sum
@@ -270,28 +327,31 @@ def _distinguish(
     such vectors, the one with the smallest pivot in V^(x)p.  ``ladder``
     holds the powers built so far (``[]`` for a fresh search) and is
     extended in place; searches that share the parts and z pass the same
-    one, so each block and its z-kernel is built at most once.  rho(x) is
-    built per search, on the parts by ``element_action`` and on each block
-    of a higher power from the block below and the part (``_tensor_level``),
-    so every block of a power costs one pair of Kronecker products.
+    one, so each block and its null rows are built at most once.  rho(x) is
+    built per search, as the transposes of the integer forms of
+    ``element_action`` on the parts and on each block of a higher power
+    from the block below and the part (``_tensor_level``), so that
+    ``mul_rowmaps`` of a null row with it is rho(x) applied to that row;
+    the rows are tried in order, and a block's first row with a nonzero
+    image is its witness.  Past ``element_action`` on the parts, the search
+    builds no Fraction.
     """
     pair = RationalMatrix.from_columns(len(z), [tuple(z), tuple(x)])
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
-    on_parts = [element_action(part, x) for part in parts]
-    actions = on_parts  # rho(x) on the blocks of the power searched
+    on_parts = [(*element_action(part, x).integer_transpose(), part.space_dim) for part in parts]
+    actions = on_parts  # rho(x)^T on the blocks of the power searched
     for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
             ladder.append(_next_level(parts, z, ladder, config))
         if power > 1:
             actions = _tensor_level(actions, on_parts)
         found = None  # (pivot in V^(x)p, block index, witness)
-        for index, (block, action) in enumerate(zip(ladder[power - 1], actions)):
+        for index, (block, (action, _, _)) in enumerate(zip(ladder[power - 1], actions)):
             # the first canonical vector of Ker rho(z) that rho(x) does not kill
-            image = action @ block.kernel.basis
-            witness = min((c for _, c, _ in image.entries()), default=None)
+            witness = next((w for w, row in enumerate(block.null) if mul_rowmaps({0: row}, action)), None)
             if witness is not None:
-                pivot = block.coords[block.kernel._pivots[witness]]
+                pivot = block.coords[block.free[witness]]
                 if found is None or pivot < found[0]:
                     found = (pivot, index, witness)
         if found is not None:
@@ -419,12 +479,14 @@ def _induction_pipeline(
             block = level[index]
             # the witness's cyclic submodule lies in its block, and the
             # block's coordinates embed in order, so this is the same
-            # submodule as inside the whole kernel of V^(x)power
-            v = dense_vector(block.kernel._rows[witness], block.rep.space_dim)
+            # submodule as inside the whole kernel of V^(x)power; a
+            # positive multiple of the canonical kernel vector spans the
+            # same one
+            v = dense_vector(block.null[witness], block.rep.space_dim)
             compressed = kernel_submodule(block.rep, z, quo, v)
             cert.add(
                 "kernel_submodule",
-                carrier_dim=sum(b.kernel.dim for b in level),
+                carrier_dim=sum(len(b.null) for b in level),
                 compressed_dim=compressed.space_dim,
             )
             return compressed

@@ -117,27 +117,46 @@ class Cocycle:
     def satisfies_identity(self) -> bool:
         """phi([x,y]) - rho(x)phi(y) + rho(y)phi(x) = 0 on all basis pairs.
 
-        Runs on sparse columns: acts[i][j] = rho(e_i)phi(e_j) is column j of
-        the product rho(e_i) phi, and phi([e_i, e_j]) combines phi's columns
-        by the sparse structure constants; each pair compares
-        phi([e_i, e_j]) + rho(e_j)phi(e_i) with rho(e_i)phi(e_j).
+        Runs on integer forms: the structure constants N / D
+        (``LieAlgebra.integer_form``), rho(e_i) = N_i / d_i and phi = M / m
+        (``RationalMatrix.integer_transpose``).  Times c m, with c = lcm(D,
+        d_i, d_j), the identity for the pair i < j reads
+        (c / D) sum_k N[(i, j)]_k M e_k - (c / d_i) N_i M e_j
+        + (c / d_j) N_j M e_i = 0, all in integers.  The columns M e_k are
+        the rows of M^T, and acts[i][j] = N_i M e_j is one sparse product of
+        them with N_i^T; pairs with no bracket and no action term are
+        skipped.
         """
         alg = self.rep.algebra
         n = alg.dim
-        cols = self.map.transpose()._data
-        acts = [
-            RationalMatrix(self.map.rows, n, mul_rowmaps(m._data, self.map._data)).transpose()._data
-            for m in self.rep.matrices
-        ]
-        empty: dict[int, Fraction] = {}
+        table, scale = alg.integer_form()
+        cols, _ = self.map.integer_transpose()
+        # the row forms are the ones cocycle_space reads next; each
+        # transpose is then read off them
+        forms = [m.integer_form() for m in self.rep.matrices]
+        acts = [mul_rowmaps(cols, m.integer_transpose()[0]) for m in self.rep.matrices]
+        empty: dict[int, int] = {}
         for i in range(n):
+            di = forms[i][1]
             for j in range(i + 1, n):
-                coeffs = alg.brackets.get((i, j))
-                lhs = mul_rowmaps({0: coeffs}, cols).get(0, empty) if coeffs else empty
-                total = dict(lhs)
-                for r, v in acts[j].get(i, empty).items():
-                    total[r] = total.get(r, 0) + v
-                if {r: v for r, v in total.items() if v} != acts[i].get(j, empty):
+                coeffs = table.get((i, j), empty)
+                left = acts[i].get(j, empty)
+                right = acts[j].get(i, empty)
+                if not (coeffs or left or right):
+                    continue
+                dj = forms[j][1]
+                common = lcm(scale, di, dj)
+                total: dict[int, int] = {}
+                get = total.get
+                f = common // scale
+                for k, c in coeffs.items():
+                    c *= f
+                    for r, v in cols.get(k, empty).items():
+                        total[r] = get(r, 0) + c * v
+                for column, f in ((left, -(common // di)), (right, common // dj)):
+                    for r, v in column.items():
+                        total[r] = get(r, 0) + f * v
+                if any(total.values()):
                     return False
         return True
 

@@ -282,17 +282,14 @@ def _bracket_span(algebra: LieAlgebra, space: Subspace) -> Subspace:
     """[L, space] as a subspace.
 
     Each echelon row of ``space`` is bracketed with every basis vector e_i
-    on the integer table (``_basis_brackets``); each nonzero bracket is
-    divided back, once per entry, into the dense Fraction vector that
-    ``Subspace.from_vectors`` is handed.
+    on the integer table (``_basis_brackets``), and the nonzero integer
+    brackets go to ``Subspace.from_rows`` as they are: a bracket over its
+    scale spans the same line.
     """
-    n = algebra.dim
-    vectors = []
+    rows = []
     for row in space._rows:
-        brackets, scale = _basis_brackets(algebra, row)
-        for b in brackets:
-            vectors.append(dense_vector({k: Fraction(v, scale) for k, v in b.items()}, n))
-    return Subspace.from_vectors(n, vectors)
+        rows.extend(_basis_brackets(algebra, row)[0])
+    return Subspace.from_rows(algebra.dim, rows)
 
 
 def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:

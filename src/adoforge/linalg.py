@@ -8,20 +8,24 @@ a scaled row with entries past ``_WIDE_BITS`` bits is divided by the gcd of
 its entries; a narrower one carries that factor until it is stored
 primitive.  ``SpanBasis``, the
 incremental span used by the exact checks and by orbit closures, keeps an
-echelon map {lead: primitive integer row} built by that step.  ``rref``,
-``kernel_basis``, the solves and ``Subspace`` scale each nonzero row to
-integers by the lcm of its denominators, insert it into the same kind of
-echelon map, run one back-substitution pass from the highest lead down, and
-divide each row by its pivot into Fractions.  The RREF of a row space is
-unique, so all outputs are canonical and two runs on equal inputs are
-bit-identical; ``kernel_basis`` hands it the columns in reverse, so that
-its null vectors come out canonical with no second elimination.  No
-floating point anywhere.  ``integer_form`` writes a matrix as integer
-numerators over one common denominator, and ``mul_rowmaps``, the sparse
-product, runs on those as well, so exact checks can multiply without
-building a Fraction per entry.  The commutator check
-(``reps.is_homomorphism``) packs its own integer rows into big integers
-and does not call it.
+echelon map {lead: primitive integer row} built by that step.  There is
+one elimination path, ``_integer_rref``: it scales each nonzero row to
+integers by the lcm of its denominators, inserts it into the same kind of
+echelon map and runs one back-substitution pass from the highest lead
+down, giving the RREF as integer rows, each a positive multiple of its
+canonical row.  ``rref``, the solves and ``Subspace`` divide each row by
+its pivot into Fractions.  ``_null_rows`` hands it the columns in reverse
+and reads the null space off as primitive integer rows, canonical with no
+second elimination; ``kernel_basis`` divides each by its entry at its free
+column.  The RREF of a row space is unique, so all outputs are canonical
+and two runs on equal inputs are bit-identical.  No floating point
+anywhere.  ``integer_form`` writes a matrix as integer numerators over one
+common denominator, and ``mul_rowmaps``, the sparse product, runs on those
+as well, so exact checks can multiply without building a Fraction per
+entry; ``restricted_actions`` reads a matrix's action on a span off its
+integer RREF that way, with one Fraction per entry of the result.  The
+commutator check (``reps.is_homomorphism``) packs its own integer rows
+into big integers and does not call it.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class RationalMatrix:
     empty rows, so equality of the maps is equality of matrices.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_integer_form")
+    __slots__ = ("rows", "cols", "_data", "_integer_form", "_integer_transpose")
 
     def __init__(self, rows: int, cols: int, data: dict[int, dict[int, Fraction]]):
         # Takes ownership of `data`; callers go through the classmethods.
@@ -78,6 +82,7 @@ class RationalMatrix:
         self.cols = cols
         self._data = data
         self._integer_form = None
+        self._integer_transpose = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -206,11 +211,35 @@ class RationalMatrix:
         """
         if self._integer_form is None:
             d = lcm(*{v.denominator for row in self._data.values() for v in row.values()})
-            numerators = {
-                r: {c: v.numerator * (d // v.denominator) for c, v in row.items()} for r, row in self._data.items()
-            }
+            if d == 1:
+                numerators = {r: {c: v.numerator for c, v in row.items()} for r, row in self._data.items()}
+            else:
+                numerators = {
+                    r: {c: v.numerator * (d // v.denominator) for c, v in row.items()} for r, row in self._data.items()
+                }
             self._integer_form = numerators, d
         return self._integer_form
+
+    def integer_transpose(self) -> tuple[dict[int, dict[int, int]], int]:
+        """(N^T, d) for the integer form (N, d): N^T[c][r] = N[r][c], so
+        that ``mul_rowmaps({0: w}, N^T)`` is N w as a row and visits only
+        the columns of N that w holds.  Built on the first call and kept,
+        like ``integer_form``; callers must not mutate it."""
+        if self._integer_transpose is None:
+            flipped: dict[int, dict[int, int]] = {}
+            if self._integer_form is not None:
+                numerators, d = self._integer_form
+                for r, row in numerators.items():
+                    for c, v in row.items():
+                        flipped.setdefault(c, {})[r] = v
+            else:
+                # read the Fractions directly; the row form is not built
+                d = lcm(*{v.denominator for row in self._data.values() for v in row.values()})
+                for r, row in self._data.items():
+                    for c, v in row.items():
+                        flipped.setdefault(c, {})[r] = v.numerator if d == 1 else v.numerator * (d // v.denominator)
+            self._integer_transpose = flipped, d
+        return self._integer_transpose
 
     def apply(self, vec: Sequence[Fraction]) -> Vector:
         """Matrix-vector product as a dense tuple."""
@@ -393,8 +422,9 @@ def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     return True
 
 
-def _rref_rowdicts(rowdicts: Sequence[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Pivot rows and pivot columns of the reduced row echelon form.
+def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[int]]:
+    """The reduced row echelon form on integers: one row per pivot, in pivot
+    order, and the pivot columns.
 
     The input rows hold ints or Fractions and are left untouched.  Each
     nonzero row is copied as integers, scaled by the lcm of its
@@ -402,9 +432,11 @@ def _rref_rowdicts(rowdicts: Sequence[dict]) -> tuple[list[dict[int, Fraction]],
     One back-substitution pass, from the highest lead down, then clears
     each row at the leads above its own with the same step; those rows are
     already zero at every other lead, so no step brings an entry back.
-    The RREF of a row space is unique, so the rows returned (one per
-    pivot, in pivot order, divided by their pivot into Fractions) are the
-    canonical RREF whatever order the rows came in.
+    Every step scales a row by a positive factor, so each row returned is
+    positive at its own pivot and zero at every other pivot, and divided by
+    its pivot entry it is the row of the canonical RREF, unique whatever
+    order the rows came in.  The integer rows themselves are canonical only
+    up to that positive factor.
     """
     echelon: dict[int, dict[int, int]] = {}
     for r in rowdicts:
@@ -415,15 +447,19 @@ def _rref_rowdicts(rowdicts: Sequence[dict]) -> tuple[list[dict[int, Fraction]],
             else:
                 _insert(echelon, {k: v.numerator * (d // v.denominator) for k, v in r.items()})
     pivots = sorted(echelon)
-    out = []
     for p in reversed(pivots):
         row = echelon[p]
         for q in [k for k in row if k != p and k in echelon]:
             _eliminate(row, echelon[q], q)
-        pv = row[p]
-        out.append({k: Fraction(v, pv) for k, v in row.items()})
-    out.reverse()
-    return out, pivots
+    return [echelon[p] for p in pivots], pivots
+
+
+def _rref_rowdicts(rowdicts: Iterable[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Pivot rows and pivot columns of the canonical reduced row echelon
+    form: the rows of ``_integer_rref``, each divided by its pivot entry
+    into Fractions."""
+    rows, pivots = _integer_rref(rowdicts)
+    return [{k: Fraction(v, row[p]) for k, v in row.items()} for row, p in zip(rows, pivots)], pivots
 
 
 def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
@@ -451,14 +487,21 @@ class Subspace:
     first use and then kept.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis", "_off_pivot")
+    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis")
 
     def __init__(self, ambient_dim: int, rows: list[dict[int, Fraction]], pivots: list[int]):
         self.ambient_dim = ambient_dim
         self._rows = rows
         self._pivots = pivots
         self._basis: RationalMatrix | None = None
-        self._off_pivot: RationalMatrix | None = None
+
+    @classmethod
+    def from_rows(cls, ambient_dim: int, rows: Iterable[Mapping[int, object]]) -> "Subspace":
+        """The span of sparse ``{index: value}`` rows of ints or Fractions,
+        without zero values; a nonzero scalar on a row changes no span, so
+        integer rows need not be divided first.  The rows are left
+        untouched."""
+        return cls(ambient_dim, *_rref_rowdicts(rows))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -469,7 +512,7 @@ class Subspace:
             # an entry is converted before its zero test, so "0/5" is dropped
             # too; the truth test first skips 0 and F0 without a call
             rowdicts.append({i: y for i, x in enumerate(v) if x and (y := x if type(x) is int else frac(x))})
-        return cls(ambient_dim, *_rref_rowdicts(rowdicts))
+        return cls.from_rows(ambient_dim, rowdicts)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -487,9 +530,8 @@ class Subspace:
     def basis(self) -> RationalMatrix:
         """Basis matrix; column j is the j-th canonical basis vector.
 
-        Built once per Subspace and shared by every later read (as by the
-        ``restricted_action`` calls that read one representation's actions
-        on a submodule); like every RationalMatrix it must not be mutated.
+        Built once per Subspace and shared by every later read; like every
+        RationalMatrix it must not be mutated.
         """
         if self._basis is None:
             data: dict[int, dict[int, Fraction]] = {}
@@ -525,28 +567,6 @@ class Subspace:
         if residual:
             return None
         return tuple(coords)
-
-    def restricted_action(self, m: RationalMatrix) -> RationalMatrix | None:
-        """The X with m @ basis == basis @ X, or None when m does not map
-        the subspace into itself.
-
-        The basis columns are the RREF rows, so basis row p_j is the j-th
-        unit row and X is read off at the pivot rows of m @ basis; there
-        basis @ X equals m @ basis by construction.  One exact product of
-        the basis rows off the pivots with X confirms the other rows.
-        """
-        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
-            raise DimensionMismatch("restricted_action expects a square matrix on the ambient space")
-        basis = self.basis
-        image = m @ basis
-        data = {j: image._data[p] for j, p in enumerate(self._pivots) if p in image._data}
-        x = RationalMatrix(self.dim, self.dim, data)
-        pivot_set = set(self._pivots)
-        if self._off_pivot is None:
-            rest = {r: row for r, row in basis._data.items() if r not in pivot_set}
-            self._off_pivot = RationalMatrix(self.ambient_dim, self.dim, rest)
-        off_image = {r: row for r, row in image._data.items() if r not in pivot_set}
-        return x if self._off_pivot @ x == RationalMatrix(self.ambient_dim, self.dim, off_image) else None
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None
@@ -594,31 +614,99 @@ class Subspace:
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols, in one elimination.
+def _null_rows(rows: Mapping[int, Mapping[int, object]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """The null space of the matrix with the given ``{row: {col: value}}``
+    rows (ints or Fractions) on Q^cols, on integers, in one elimination:
+    one primitive integer row per free column, in the canonical order, and
+    the free columns, which are its pivots.
 
     The columns are eliminated right to left (column c is handed to
-    ``_rref_rowdicts`` as column cols - 1 - c), so every reduced row is 1 at
-    its pivot p, zero at the other pivots, and nonzero elsewhere only at
-    free columns left of p.  The null vector of a free column f is 1 at f
-    minus that column of each reduced row at the row's pivot: its entries
+    ``_integer_rref`` as column cols - 1 - c), so every reduced row R is
+    c_R > 0 at its pivot p, zero at the other pivots, and nonzero elsewhere
+    only at free columns left of p.  The null vector of a free column f is
+    1 at f and -R[f] / c_R at the pivot of each reduced row R: its entries
     other than f sit at pivots right of f, and it is zero at every other
-    free column.  These vectors are therefore already the canonical echelon
-    basis of the null space, with the free columns as pivots.  The rows of m
-    go to ``_rref_rowdicts`` as they are, so a system built on integers
-    (``liealg.center``, ``graded.cocycle_space``) may hold ints.
+    free column.  It is scaled here by the lcm of those c_R and then made
+    primitive, so its entry at f is positive, and divided by that entry it
+    is the vector of the canonical echelon basis of the null space.
     """
-    last = m.cols - 1
-    flipped = [{last - c: v for c, v in row.items()} for row in _matrix_rowdicts(m)]
-    rows, flipped_pivots = _rref_rowdicts(flipped)
+    last = cols - 1
+    flipped = [{last - c: v for c, v in rows[r].items()} for r in sorted(rows)]
+    reduced, flipped_pivots = _integer_rref(flipped)
     pivot_set = {last - q for q in flipped_pivots}
-    null = {free: {free: F1} for free in range(m.cols) if free not in pivot_set}
-    for row, q in zip(rows, flipped_pivots):
-        p = last - q
+    # free column -> (pivot, entry at the free column, pivot entry) per
+    # reduced row that holds the free column
+    terms: dict[int, list[tuple[int, int, int]]] = {}
+    for row, q in zip(reduced, flipped_pivots):
+        p, head = last - q, row[q]
         for k, v in row.items():
             if k != q:
-                null[last - k][p] = -v
-    return Subspace(m.cols, list(null.values()), list(null))
+                terms.setdefault(last - k, []).append((p, v, head))
+    null = []
+    free_columns = [f for f in range(cols) if f not in pivot_set]
+    for free in free_columns:
+        column = terms.get(free)
+        if column is None:
+            null.append({free: 1})
+            continue
+        scale = lcm(*[head for _, _, head in column])
+        vec = {free: scale}
+        for p, v, head in column:
+            vec[p] = -v * (scale // head)
+        g = gcd(*vec.values())
+        null.append({k: x // g for k, x in vec.items()} if g != 1 else vec)
+    return null, free_columns
+
+
+def kernel_basis(m: RationalMatrix) -> Subspace:
+    """Null space of m as a canonical Subspace of Q^cols: the primitive
+    integer rows of ``_null_rows``, each divided by its entry at its free
+    column, one division per entry.  The rows of m go to the eliminator as
+    they are, so a system built on integers (``liealg.center``,
+    ``graded.cocycle_space``) may hold ints."""
+    null, free = _null_rows(m._data, m.cols)
+    return Subspace(m.cols, [{k: Fraction(x, row[f]) for k, x in row.items()} for row, f in zip(null, free)], free)
+
+
+def restricted_actions(
+    matrices: Sequence[RationalMatrix], rows: Sequence[dict[int, int]], pivots: Sequence[int]
+) -> list[RationalMatrix] | None:
+    """For each square m, the X with m @ B == B @ X, where column j of B is
+    rows[j] divided by its entry c_j at pivots[j]; None when some m does
+    not map the span of the rows into itself.
+
+    The rows are an integer reduced echelon form as ``_integer_rref``
+    returns it, so row p_k of B is the k-th unit row.  With m = N / d, the
+    image w_j = N rows[j] is one sparse product with N^T
+    (``integer_transpose``), which visits only the columns rows[j] holds,
+    and X[k, j] = w_j[p_k] / (d c_j): one Fraction per entry of X.  w_j
+    lies in the span exactly when it is the combination of the rows that
+    its pivot entries name; with C the lcm of the c_k, that is
+    C w_j = sum_k w_j[p_k] (C / c_k) rows[k], a comparison of integer row
+    maps (at the pivots it holds by construction).
+    """
+    heads = [row[p] for row, p in zip(rows, pivots)]
+    common = lcm(*heads)
+    scaled = {k: {r: v * (common // heads[k]) for r, v in row.items()} for k, row in enumerate(rows)}
+    basis = dict(enumerate(rows))
+    index = {p: k for k, p in enumerate(pivots)}
+    dim = len(rows)
+    out = []
+    for m in matrices:
+        if m.rows != m.cols:
+            raise DimensionMismatch("restricted_actions expects square matrices")
+        transpose, d = m.integer_transpose()
+        images = mul_rowmaps(basis, transpose)
+        coords = {j: {index[r]: v for r, v in w.items() if r in index} for j, w in images.items()}
+        if mul_rowmaps(coords, scaled) != {j: {r: common * v for r, v in w.items()} for j, w in images.items()}:
+            return None
+        data: dict[int, dict[int, Fraction]] = {}
+        for j, column in coords.items():
+            scale = d * heads[j]
+            for k, v in column.items():
+                data.setdefault(k, {})[j] = Fraction(v, scale)
+        out.append(RationalMatrix(dim, dim, data))
+    return out
 
 
 def solve_multi(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:

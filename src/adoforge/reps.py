@@ -31,11 +31,12 @@ from .linalg import (
     RationalMatrix,
     SpanBasis,
     Subspace,
+    _integer_rref,
     block_diag,
-    dense_vector,
     kernel_basis,
     kronecker,
     mul_rowmaps,
+    restricted_actions,
 )
 from .liealg import LieAlgebra, LieHom, is_central
 
@@ -292,19 +293,10 @@ def _flatten(rows: dict[int, dict[int, int]], sd: int) -> dict[int, int]:
 
 
 def _transposed_numerators(rep: Representation) -> list[dict[int, dict[int, int]]]:
-    """N_i^T for the integer forms N_i of the nonzero rho(e_i), so that
-    ``mul_rowmaps({0: w}, t)`` is N_i w as a row: it visits only the columns
-    of N_i that w holds.  The shared integer forms are read, not copied."""
-    transposes = []
-    for m in rep.matrices:
-        if m.is_zero():
-            continue
-        t: dict[int, dict[int, int]] = {}
-        for r, row in m.integer_form()[0].items():
-            for c, v in row.items():
-                t.setdefault(c, {})[r] = v
-        transposes.append(t)
-    return transposes
+    """N_i^T for the integer forms N_i of the nonzero rho(e_i)
+    (``integer_transpose``), so that ``mul_rowmaps({0: w}, t)`` is N_i w as
+    a row: it visits only the columns of N_i that w holds."""
+    return [m.integer_transpose()[0] for m in rep.matrices if not m.is_zero()]
 
 
 def is_faithful(rep: Representation) -> bool:
@@ -386,11 +378,18 @@ def kernel_submodule(
 def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representation:
     """Sub-representation on the smallest invariant subspace containing v.
 
-    The orbit closure runs on sparse integer vectors: v is scaled to its
-    integer numerators and each rho(e_i) to its integer form N_i, whose
-    transpose is built once per call.  A nonzero scalar on v or on a matrix
-    changes no closure, and ``Subspace.from_vectors`` puts the closure's
-    spanning vectors in canonical form.
+    Everything runs on sparse integer rows until the submodule's matrices:
+    v is scaled to its integer numerators and each rho(e_i) to its integer
+    form N_i, whose transpose is kept with the matrix
+    (``integer_transpose``), and the orbit closure
+    keeps an echelon basis of the images it spans (``SpanBasis``).  A
+    nonzero scalar on v or on a matrix changes no closure.  Those echelon
+    rows, whose leads differ, are reduced to the integer RREF of the span
+    by back-substitution alone (``_integer_rref``), with no dense vector,
+    and ``restricted_actions`` reads each action off the pivots of N_i
+    times the basis, confirming on integers that the image stays in the
+    span (``NotInvariant`` otherwise).  A Fraction is built only for the
+    entries of the submodule's matrices.
     """
     sd = rep.space_dim
     if len(v) != sd:
@@ -400,7 +399,6 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
     transposes = _transposed_numerators(rep)
     span = SpanBasis()
     frontier = [vd] if vd and span.add(vd) else []
-    closure = list(frontier)
     while frontier:
         new_frontier = []
         for w in frontier:
@@ -408,13 +406,9 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
                 image = mul_rowmaps({0: w}, t)
                 if image and span.add(image[0]):
                     new_frontier.append(image[0])
-                    closure.append(image[0])
         frontier = new_frontier
-    sub = Subspace.from_vectors(sd, [dense_vector(w, sd) for w in closure])
-    mats = []
-    for m in rep.matrices:
-        x = sub.restricted_action(m)
-        if x is None:
-            raise NotInvariant("cyclic closure is not invariant")
-        mats.append(x)
-    return Representation(rep.algebra, sub.dim, mats)
+    rows, pivots = _integer_rref(span.rows())
+    mats = restricted_actions(rep.matrices, rows, pivots)
+    if mats is None:
+        raise NotInvariant("cyclic closure is not invariant")
+    return Representation(rep.algebra, len(pivots), mats)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -148,7 +149,58 @@ def ungraded_quotients():
     )
 
 
-# --- the two-step carve that reps.kernel_submodule replaced, as a reference ---
+# --- what the bracket spans hand to the eliminator ---
+
+
+def recorded_rows(fn, *args):
+    """fn(*args) and the (ambient, rows) of every Subspace.from_rows call it
+    made."""
+    calls = []
+    original = Subspace.from_rows.__func__
+
+    def recording(cls, ambient, rows):
+        rows = list(rows)
+        calls.append((ambient, rows))
+        return original(cls, ambient, rows)
+
+    with mock.patch.object(Subspace, "from_rows", classmethod(recording)):
+        out = fn(*args)
+    return out, calls
+
+
+def positive_multiple(row, vector):
+    """True when the sparse row is t * vector for a rational t > 0."""
+    support = {k: x for k, x in enumerate(vector) if x}
+    if set(row) != set(support):
+        return False
+    t = {Fraction(v) / support[k] for k, v in row.items()}
+    return len(t) == 1 and t.pop() > 0
+
+
+def integer_multiples(calls, ambient, vectors):
+    """One recorded call on Q^ambient whose rows are int rows, each a
+    positive multiple of the vector at its place."""
+    ((dim, rows),) = calls
+    return (
+        dim == ambient
+        and len(rows) == len(vectors)
+        and all(positive_multiple(row, v) for row, v in zip(rows, vectors))
+        and all(type(x) is int for row in rows for x in row.values())
+    )
+
+
+# --- the Fraction restricted action and the two-step carve, as references ---
+
+
+def reference_restricted_action(sub, m):
+    """``Subspace.restricted_action`` as it ran on Fractions, with its
+    confirmation by the full product basis @ X: X read off the pivot rows
+    of m @ basis, or None when m does not map sub into itself."""
+    basis = sub.basis
+    image = m @ basis
+    x = RationalMatrix(sub.dim, sub.dim, {j: image._data[p] for j, p in enumerate(sub._pivots) if p in image._data})
+    return x if basis @ x == image else None
+
 
 
 def reference_carve(rep, z, quo, v):
@@ -157,7 +209,7 @@ def reference_carve(rep, z, quo, v):
     vector when v is a row of the kernel's echelon basis)."""
     carrier = kernel_basis(element_action(rep, z))
     lead = min(i for i, x in enumerate(z) if x)
-    induced = [carrier.restricted_action(m) for i, m in enumerate(rep.matrices) if i != lead]
+    induced = [reference_restricted_action(carrier, m) for i, m in enumerate(rep.matrices) if i != lead]
     return cyclic_submodule(Representation(quo, carrier.dim, induced), carrier.coordinates_of(v))
 
 

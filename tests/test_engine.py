@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,7 @@ class TestTensorLadder:
     def test_budget_checked_before_building(self, std_h3_rep, monkeypatch):
         built = []
         monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
-        monkeypatch.setattr(engine, "kronecker", lambda *a: built.append(a))
+        monkeypatch.setattr(engine, "_kron_sum", lambda *a: built.append(a))
         # e1 needs the tensor square, of dimension 9
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 9 > budget 8"):
             distinguish_by_kernels(
@@ -223,12 +224,43 @@ class TestTensorLadder:
 # --- the block ladder against the assembled direct sum -------------------
 
 
+def fraction_action(action):
+    """An integer form (N, d, dim) of the ladder back as the RationalMatrix
+    N / d."""
+    numerators, d, dim = action
+    return RationalMatrix(dim, dim, {r: {c: Fraction(v, d) for c, v in row.items()} for r, row in numerators.items()})
+
+
+def assert_primitive_null_rows(rows, free):
+    """Integer rows, each leading at its free column with a positive entry,
+    with entries of gcd 1."""
+    for row, f in zip(rows, free):
+        assert all(type(v) is int for v in row.values())
+        assert min(row) == f and row[f] > 0 and gcd(*row.values()) == 1
+
+
+def block_kernel(block, z):
+    """The block's null rows, each divided by its entry at its free column,
+    as a Subspace; that must be ``kernel_basis`` of rho(z) on the block,
+    and the block's rho(z) must be ``element_action`` on its
+    representation."""
+    assert fraction_action(block.z_action) == element_action(block.rep, z)
+    assert_primitive_null_rows(block.null, block.free)
+    rows = [{k: Fraction(v, row[f]) for k, v in row.items()} for row, f in zip(block.null, block.free)]
+    kernel = Subspace(len(block.coords), rows, list(block.free))
+    assert kernel == kernel_basis(element_action(block.rep, z))
+    return kernel
+
+
 def separator_output(block, z, quo, witness):
     """The engine's separator output for a search that landed on block,
-    checked against the two-step carve."""
-    v = linalg.dense_vector(block.kernel._rows[witness], block.rep.space_dim)
+    checked against the two-step carve and against the output on the
+    canonical kernel vector the null row is a multiple of."""
+    v = linalg.dense_vector(block.null[witness], block.rep.space_dim)
     out = reps.kernel_submodule(block.rep, z, quo, v)
     assert out.matrices == reference_carve(block.rep, z, quo, v).matrices
+    canonical = block_kernel(block, z).basis_vectors()[witness]
+    assert reps.kernel_submodule(block.rep, z, quo, canonical).matrices == out.matrices
     return out
 
 
@@ -260,14 +292,16 @@ def assert_blocks_match_sum(parts, z, x, config=EngineConfig()):
     assert sorted(c for b in level for c in b.coords) == block_sum.coords == list(range(whole.space_dim**power))
     # the canonical kernel of the whole power is the union of the blocks'
     # canonical kernels, each embedded in order
-    embedded = sorted(({b.coords[k]: v for k, v in row.items()} for b in level for row in b.kernel._rows), key=min)
-    assert embedded == block_sum.kernel._rows
-    assert [min(row) for row in embedded] == block_sum.kernel._pivots
+    kernels = [block_kernel(b, z) for b in level]
+    kernel_sum = block_kernel(block_sum, z)
+    embedded = sorted(({b.coords[k]: v for k, v in row.items()} for b, kernel in zip(level, kernels) for row in kernel._rows), key=min)
+    assert embedded == kernel_sum._rows
+    assert [min(row) for row in embedded] == kernel_sum._pivots
     # the same witness at the same position, and the same carrier dim
     block = level[index]
-    pivot = block.coords[block.kernel._pivots[witness]]
-    assert block_sum.kernel._pivots[witness_sum] == pivot
-    assert sum(b.kernel.dim for b in level) == block_sum.kernel.dim
+    pivot = block.coords[kernels[index]._pivots[witness]]
+    assert kernel_sum._pivots[witness_sum] == pivot
+    assert sum(kernel.dim for kernel in kernels) == kernel_sum.dim
     compressed = separator_output(block, z, quo, witness)
     compressed_sum = separator_output(block_sum, z, quo, witness_sum)
     assert compressed.space_dim == compressed_sum.space_dim
@@ -295,7 +329,7 @@ class TestBlockLadder:
         # two parts of dim 3: the square has dim 36, not the 9 of a block
         built = []
         monkeypatch.setattr(engine, "tensor_product", lambda *a: built.append(a))
-        monkeypatch.setattr(engine, "kronecker", lambda *a: built.append(a))
+        monkeypatch.setattr(engine, "_kron_sum", lambda *a: built.append(a))
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 36 > budget 35"):
             engine._distinguish(
                 [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35), []
@@ -354,13 +388,13 @@ def ladder_searches(draw):
 @settings(deadline=None, max_examples=60)
 @given(ladder_searches())
 def test_lazy_ladder_matches_the_eager_one(search):
-    # each block's rho(z), rho(x) and full representation, built from its
-    # factors, equal element_action and the tensor_product chain of an
-    # eager ladder at powers 1-3
+    # each block's rho(z), rho(x)^T and full representation, built from its
+    # factors on integer forms, equal element_action and the tensor_product
+    # chain of an eager ladder at powers 1-3, and so does its kernel
     parts, z, x = search
     ladder = []
     eager = [list(parts)]
-    on_parts = [element_action(part, x) for part in parts]
+    on_parts = [(*element_action(part, x).integer_transpose(), part.space_dim) for part in parts]
     actions = on_parts
     for power in range(1, 4):
         ladder.append(engine._next_level(parts, z, ladder, EngineConfig()))
@@ -369,9 +403,9 @@ def test_lazy_ladder_matches_the_eager_one(search):
             actions = engine._tensor_level(actions, on_parts)
         assert len(ladder[-1]) == len(eager[-1]) == len(actions) == len(parts) ** power
         for block, rep, action in zip(ladder[-1], eager[-1], actions):
-            assert block.z_action == element_action(rep, z)
-            assert block.kernel == kernel_basis(element_action(rep, z))
-            assert action == element_action(rep, x)
+            assert fraction_action(block.z_action) == element_action(rep, z)
+            assert block_kernel(block, z) == kernel_basis(element_action(rep, z))
+            assert fraction_action(action) == element_action(rep, x).transpose()
             assert block.rep.matrices == rep.matrices
     # and the search lands where the eager one does
     try:
@@ -723,7 +757,12 @@ def checked_against_the_carve():
     dims = []
 
     def checked(rep, z, quo, v):
-        assert v in kernel_basis(element_action(rep, z)).basis_vectors()
+        # a primitive integer multiple of a canonical kernel vector, positive
+        # at its leading index
+        sparse = {i: x for i, x in enumerate(v) if x}
+        assert_primitive_null_rows([sparse], [min(sparse)])
+        lead = sparse[min(sparse)]
+        assert tuple(Fraction(x, lead) for x in v) in kernel_basis(element_action(rep, z)).basis_vectors()
         out = real(rep, z, quo, v)
         assert out.matrices == reference_carve(rep, z, quo, v).matrices
         dims.append(out.space_dim)
@@ -769,6 +808,76 @@ def test_generated_quotients_verify_replay_and_match_the_carve(algebra):
     assert first == replayed
     assert cert.steps[-1] == {"kind": "verified", "homomorphism": True, "faithful": True, "nilpotent": True}
     assert len(dims) >= len(cert.steps_of_kind("flag_step")) >= 1
+
+
+def reference_search(parts, z, x, config):
+    """``_distinguish`` as it ran on Fractions: rho(z) and rho(x) on every
+    block of each power as RationalMatrix sums a (x) I + I (x) b built by
+    ``kronecker``, ``kernel_basis`` of rho(z) per block, and the witness the
+    first column of rho(x) @ kernel.basis holding an entry; among the
+    blocks, the witness with the smallest pivot in the whole power."""
+    z_parts = [element_action(part, z) for part in parts]
+    x_parts = [element_action(part, x) for part in parts]
+    offsets = [sum(part.space_dim for part in parts[:k]) for k in range(len(parts) + 1)]
+    dim_v = offsets[-1]
+    zs, xs = z_parts, x_parts
+    coords = [list(range(offsets[k], offsets[k + 1])) for k in range(len(parts))]
+
+    def level(below, on_parts):
+        return [
+            linalg.kronecker(a, RationalMatrix.identity(b.rows)) + linalg.kronecker(RationalMatrix.identity(a.rows), b)
+            for a in below
+            for b in on_parts
+        ]
+
+    for power in range(1, engine.MAX_TENSOR_POWER + 1):
+        if power > 1:
+            if dim_v**power > config.dimension_budget:
+                return None
+            zs, xs = level(zs, z_parts), level(xs, x_parts)
+            coords = [[g * dim_v + offsets[k] + b for g in cs for b in range(parts[k].space_dim)] for cs in coords for k in range(len(parts))]
+        found = None
+        for index, (mz, mx, cs) in enumerate(zip(zs, xs, coords)):
+            kernel = kernel_basis(mz)
+            witness = min((c for _, c, _ in (mx @ kernel.basis).entries()), default=None)
+            if witness is not None and (found is None or cs[kernel._pivots[witness]] < found[0]):
+                found = (cs[kernel._pivots[witness]], index, witness)
+        if found is not None:
+            return power, found[1], found[2]
+    return None
+
+
+def assert_searches_match_the_reference(algebra):
+    """Every kernel search of a forced-induction construct lands on the
+    (power, block, witness) of the Fraction search."""
+    real = engine._distinguish
+    searches = []
+
+    def recorded(parts, z, x, config, ladder):
+        found = real(parts, z, x, config, ladder)
+        searches.append(found == reference_search(parts, z, x, config))
+        return found
+
+    engine._distinguish = recorded
+    try:
+        _, cert = construct_faithful_nilpotent(algebra, EngineConfig(method="induction"))
+    finally:
+        engine._distinguish = real
+    assert searches and all(searches)
+    assert len(searches) == len(cert.steps_of_kind("kernel_search"))
+
+
+@settings(deadline=None, max_examples=12)
+@given(ungraded_quotients())
+def test_search_matches_the_fraction_reference(algebra):
+    assert_searches_match_the_reference(algebra)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: rebased(heisenberg5()), census7], ids=["heisenberg5-rebased", "census7"]
+)
+def test_search_matches_the_fraction_reference_on_fixed_inputs(build):
+    assert_searches_match_the_reference(build())
 
 
 class TestCensus7:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from adoforge.catalog import census7, example, filiform4, heisenberg5
+from adoforge.catalog import census7, cn7a, example, filiform4, heisenberg5
 from adoforge.cli import main
 from adoforge.jsonio import algebra_to_json, dumps_canonical
 from adoforge.liealg import LieAlgebra
@@ -45,6 +45,8 @@ CASES = {
     # the corpus input with 1/2 structure constants, so its rows are
     # scaled by the lcm of their denominators before elimination
     "census7": census7,
+    # the deepest ladder in the catalog: class 6, output space_dim 54
+    "cn7a": cn7a,
     "filiform4": filiform4,
     "heisenberg5": heisenberg5,
     "heisenberg5_rebased": lambda: rebased(heisenberg5()),

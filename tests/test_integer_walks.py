@@ -9,7 +9,6 @@ equal subspaces, tables and matrices, with every value a Fraction.
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import adoforge.liealg as liealg
 from adoforge.catalog import example
 from adoforge.errors import NotAnIdeal
-from adoforge.graded import cocycle_space
+from adoforge.graded import Cocycle, cocycle_space, current_algebra, euler_derivation
 from adoforge.liealg import (
     LieAlgebra,
     center,
@@ -30,13 +29,15 @@ from adoforge.liealg import (
     quotient,
     validate,
 )
-from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, kernel_basis, solve_multi, unit_vector
+from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, kernel_basis, mul_rowmaps, solve_multi, unit_vector
 from adoforge.reps import Representation, adjoint, kernel_submodule
 
 from conftest import (
     corpus_algebras,
+    integer_multiples,
     mixed_fractions,
     rebase,
+    recorded_rows,
     reference_bracket,
     small_fractions,
     sparse_vectors,
@@ -152,6 +153,31 @@ def reference_cocycle_maps(rep):
     ]
 
 
+def reference_satisfies_identity(cocycle):
+    """``Cocycle.satisfies_identity`` on Fraction row maps: acts[i][j] =
+    rho(e_i)phi(e_j) is column j of the Fraction product rho(e_i) phi, and
+    each pair compares phi([e_i, e_j]) + rho(e_j)phi(e_i) with
+    rho(e_i)phi(e_j)."""
+    alg = cocycle.rep.algebra
+    n = alg.dim
+    cols = cocycle.map.transpose()._data
+    acts = [
+        RationalMatrix(cocycle.map.rows, n, mul_rowmaps(m._data, cocycle.map._data)).transpose()._data
+        for m in cocycle.rep.matrices
+    ]
+    empty = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = alg.brackets.get((i, j))
+            lhs = mul_rowmaps({0: coeffs}, cols).get(0, empty) if coeffs else empty
+            total = dict(lhs)
+            for r, v in acts[j].get(i, empty).items():
+                total[r] = total.get(r, 0) + v
+            if {r: v for r, v in total.items() if v} != acts[i].get(j, empty):
+                return False
+    return True
+
+
 # --- the algebras they run on
 
 
@@ -228,21 +254,6 @@ def all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
 
-def recorded_vectors(fn, *args):
-    """fn(*args) and the vectors of every Subspace.from_vectors call it made."""
-    calls = []
-    original = Subspace.from_vectors.__func__
-
-    def recording(cls, ambient, vectors):
-        vectors = list(vectors)
-        calls.extend(vectors)
-        return original(cls, ambient, vectors)
-
-    with mock.patch.object(Subspace, "from_vectors", classmethod(recording)):
-        out = fn(*args)
-    return out, calls
-
-
 # --- the differential checks, on hypothesis draws and on fixed tables
 
 
@@ -250,9 +261,10 @@ def check_series_center_adjoint(algebra):
     series = lower_central_series(algebra)
     assert series == reference_lower_central_series(algebra)
     for term in series:
-        _, vectors = recorded_vectors(liealg._bracket_span, algebra, term)
-        assert vectors == reference_span_vectors(algebra, term)
-        assert all(all_fractions(v) for v in vectors)
+        # the integer brackets, handed over undivided: one row per nonzero
+        # reference vector, in its order, an int multiple of it
+        _, calls = recorded_rows(liealg._bracket_span, algebra, term)
+        assert integer_multiples(calls, algebra.dim, reference_span_vectors(algebra, term))
     assert derived_subalgebra(algebra) == reference_derived(algebra)
     assert center(algebra) == reference_center(algebra)
     mats = adjoint(algebra).matrices
@@ -332,6 +344,50 @@ def test_centrality_matches(algebra, data):
     if cent:
         choices.append(st.sampled_from(cent))
     check_central(algebra, data.draw(st.one_of(choices)))
+
+
+def check_identity(cocycle, data):
+    """The integer and the Fraction identity give one verdict on the
+    cocycle and on a copy with one entry, maybe zero, moved by 1/q."""
+    assert cocycle.satisfies_identity() == reference_satisfies_identity(cocycle)
+    m = cocycle.map
+    r = data.draw(st.integers(0, m.rows - 1))
+    i = data.draw(st.integers(0, m.cols - 1))
+    q = data.draw(st.sampled_from([1, 2, 3, 7, 2**65 + 1]))
+    moved = m + RationalMatrix.from_entries(m.rows, m.cols, [(r, i, Fraction(data.draw(st.sampled_from([1, -1])), q))])
+    copy = Cocycle(cocycle.rep, moved)
+    assert copy.satisfies_identity() == reference_satisfies_identity(copy)
+    return copy.satisfies_identity()
+
+
+@settings(deadline=None, max_examples=60)
+@given(tables, st.data())
+def test_cocycle_identity_matches(algebra, data):
+    """On the Z^1 basis of the adjoint module, plain or conjugated by a unit
+    upper triangular P, and on the Euler cocycle of a graded corpus
+    algebra's current algebra; each a cocycle, and each moved copy judged
+    alike by both."""
+    rep = adjoint(algebra)
+    n = algebra.dim
+    if data.draw(st.booleans()):
+        entries = [(r, r, 1) for r in range(n)]
+        entries += [(r, c, data.draw(st.one_of(st.just(0), small_fractions))) for r in range(n) for c in range(r + 1, n)]
+        rep = conjugated(rep, RationalMatrix.from_entries(n, n, entries))
+    cocycles = cocycle_space(rep)
+    if cocycles:
+        cocycle = data.draw(st.sampled_from(cocycles))
+        assert cocycle.satisfies_identity()
+        check_identity(cocycle, data)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "free2_3", "free3_2"])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_euler_cocycle_identity_matches(name, data):
+    algebra = example(name)
+    phi = euler_derivation(current_algebra(algebra, 1 + algebra.grading.max_degree))
+    assert phi.satisfies_identity() and reference_satisfies_identity(phi)
+    check_identity(phi, data)
 
 
 # [e0, e1] = e2 / 2 and [e2, e3] = e0 / 3: D = 6, while ad(e0) and ad(e1)

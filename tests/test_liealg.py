@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +32,10 @@ from conftest import (
     CORPUS,
     changes_of_basis,
     corpus_algebras,
+    integer_multiples,
     mixed_fractions,
     rebase,
+    recorded_rows,
     reference_bracket,
     reference_is_hom,
     sparse_fractions,
@@ -412,22 +413,6 @@ def reference_violations(algebra):
     return out
 
 
-def recorded_from_vectors(fn, *args):
-    """fn(*args) and the (ambient, vectors) of every Subspace.from_vectors
-    call it made: what the benchmark's rref cells are counted from."""
-    calls = []
-    original = Subspace.from_vectors.__func__
-
-    def recording(cls, ambient, vectors):
-        vectors = list(vectors)
-        calls.append((ambient, vectors))
-        return original(cls, ambient, vectors)
-
-    with mock.patch.object(Subspace, "from_vectors", classmethod(recording)):
-        out = fn(*args)
-    return out, calls
-
-
 @st.composite
 def algebras_with_subspaces(draw):
     """A corpus or rebased algebra with a lower central series term, its
@@ -448,9 +433,11 @@ def algebras_with_subspaces(draw):
 @given(algebras_with_subspaces())
 def test_bracket_span_matches_dense_and_hands_over_the_same_vectors(pair):
     algebra, space = pair
+    # the same vectors up to a positive factor each, handed over as the
+    # integer rows the bracket walk summed, in one call
     reference = reference_bracket_span_vectors(algebra, space)
-    span, calls = recorded_from_vectors(liealg._bracket_span, algebra, space)
-    assert calls == [(algebra.dim, reference)]
+    span, calls = recorded_rows(liealg._bracket_span, algebra, space)
+    assert integer_multiples(calls, algebra.dim, reference)
     assert span == Subspace.from_vectors(algebra.dim, reference)
     assert is_ideal(algebra, space) == reference_is_ideal(algebra, space)
 
@@ -459,9 +446,10 @@ def test_bracket_span_matches_dense_and_hands_over_the_same_vectors(pair):
 def test_series_and_ideals_match_dense_on_corpus(name):
     algebra = example(name)
     for term in lower_central_series(algebra):
-        assert recorded_from_vectors(liealg._bracket_span, algebra, term)[1] == [
-            (algebra.dim, reference_bracket_span_vectors(algebra, term))
-        ]
+        span, calls = recorded_rows(liealg._bracket_span, algebra, term)
+        reference = reference_bracket_span_vectors(algebra, term)
+        assert integer_multiples(calls, algebra.dim, reference)
+        assert span == Subspace.from_vectors(algebra.dim, reference)
         assert is_ideal(algebra, term) and reference_is_ideal(algebra, term)
     for i in range(algebra.dim):
         line = Subspace.from_vectors(algebra.dim, [unit_vector(algebra.dim, i)])

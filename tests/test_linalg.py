@@ -18,12 +18,21 @@ from adoforge.linalg import (
     mul_rowmaps,
     nilpotency_index,
     rank,
+    restricted_actions,
     rref,
     solve,
     solve_multi,
 )
 
-from conftest import FractionSpanBasis, fraction_matrix, reference_add, reference_kronecker, small_fractions, sparse_fractions
+from conftest import (
+    FractionSpanBasis,
+    fraction_matrix,
+    reference_add,
+    reference_kronecker,
+    reference_restricted_action,
+    small_fractions,
+    sparse_fractions,
+)
 
 
 class TestRref:
@@ -294,6 +303,20 @@ def dense_kernel_basis(m):
     return Subspace.from_vectors(m.cols, vectors)
 
 
+def sparse_rows(vectors):
+    return [{i: Fraction(x) for i, x in enumerate(v) if x} for v in vectors]
+
+
+def restricted_action(sub, m, spanning=None):
+    """``restricted_actions`` of m alone on the integer RREF of rows that
+    span sub: the given sparse rows, else sub's canonical rows."""
+    rows, pivots = linalg._integer_rref(sub._rows if spanning is None else spanning)
+    assert pivots == sub._pivots
+    assert all(type(v) is int for row in rows for v in row.values())
+    out = restricted_actions([m], rows, pivots)
+    return None if out is None else out[0]
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
 def test_restricted_action_matches_solve(n, invariant, data):
@@ -302,7 +325,7 @@ def test_restricted_action_matches_solve(n, invariant, data):
     vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
     sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
     basis = sub.basis
-    x = sub.restricted_action(m)
+    x = restricted_action(sub, m, None if invariant else sparse_rows(vectors))
     assert x == solve_multi(basis, m @ basis)
     if invariant:
         assert x is not None and basis @ x == m @ basis
@@ -312,7 +335,7 @@ def test_restricted_action_not_invariant():
     # span{e0} is not invariant under the matrix sending e0 to e1
     sub = Subspace.from_vectors(2, [(1, 0)])
     m = fraction_matrix([[0, 0], [1, 0]])
-    assert sub.restricted_action(m) is None
+    assert restricted_action(sub, m) is None
     assert solve_multi(sub.basis, m @ sub.basis) is None
 
 
@@ -334,23 +357,27 @@ def test_basis_built_once_and_equal_to_a_fresh_build(n, data):
         first = sub.basis
         assert sub.basis is first
         assert first == reference_basis(sub)
-        x = sub.restricted_action(m)
+        x = restricted_action(sub, m)
         assert sub.basis is first and first == reference_basis(sub)
         assert x == solve_multi(first, m @ first)
 
 
 def test_restricted_action_not_invariant_with_kept_basis():
-    # the kept basis does not skip the confirmation product
-    sub = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
-    basis = sub.basis
-    assert sub.restricted_action(fraction_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is not None
-    assert sub.restricted_action(fraction_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])) is None
-    assert sub.basis is basis
+    # one echelon serves every matrix, and the confirmation runs for each:
+    # an invariant matrix first does not let a later one through
+    rows, pivots = linalg._integer_rref([{0: 1}, {1: 1}])
+    keeps = fraction_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    leaves = fraction_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    assert restricted_actions([keeps], rows, pivots) == [RationalMatrix.from_entries(2, 2, [(0, 1, 1)])]
+    assert restricted_actions([leaves], rows, pivots) is None
+    assert restricted_actions([keeps, leaves], rows, pivots) is None
+    assert rows == [{0: 1}, {1: 1}]
 
 
 def test_restricted_action_shape_check():
+    rows, pivots = linalg._integer_rref([{0: 1}, {1: 1}])
     with pytest.raises(DimensionMismatch):
-        Subspace.full(2).restricted_action(RationalMatrix.identity(3))
+        restricted_actions([RationalMatrix.zero(2, 3)], rows, pivots)
 
 
 @settings(deadline=None)
@@ -644,14 +671,16 @@ def test_kernel_basis_matches_two_pass_reference(m):
 
 
 def test_kernel_basis_takes_one_elimination(monkeypatch):
+    # the one eliminator that kernel_basis, rref, the solves and Subspace
+    # all run, counted where kernel_basis reaches it
     calls = []
-    real = linalg._rref_rowdicts
+    real = linalg._integer_rref
 
     def counted(rowdicts):
         calls.append(width(rowdicts))
         return real(rowdicts)
 
-    monkeypatch.setattr(linalg, "_rref_rowdicts", counted)
+    monkeypatch.setattr(linalg, "_integer_rref", counted)
     m = fraction_matrix([[1, 2, 0, 3], [0, 0, 1, -1], [2, 4, 1, 5]])
     kernel = kernel_basis(m)
     assert calls == [4]
@@ -852,14 +881,6 @@ def reference_from_entries(rows, cols, entries):
     return RationalMatrix(rows, cols, data)
 
 
-def reference_restricted_action(sub, m):
-    """restricted_action confirmed by the full product basis @ X."""
-    basis = sub.basis
-    image = m @ basis
-    x = RationalMatrix(sub.dim, sub.dim, {j: image._data[p] for j, p in enumerate(sub._pivots) if p in image._data})
-    return x if basis @ x == image else None
-
-
 def reference_reduce(rows, vec):
     """SpanBasis.reduce as it computed F0 - f*w at a new position."""
     vec = dict(vec)
@@ -980,9 +1001,12 @@ def test_restricted_action_matches_full_product_reference(n, invariant, data):
     count = data.draw(st.integers(min_value=0, max_value=n))
     vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
     sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
-    x = sub.restricted_action(m)
+    x = restricted_action(sub, m)
     assert x == reference_restricted_action(sub, m)
-    assert sub.restricted_action(m) == x  # the kept off-pivot rows give the same verdict
+    if not invariant:
+        # the same verdict from an echelon of the spanning rows, which
+        # carries other positive factors than the canonical rows
+        assert restricted_action(sub, m, sparse_rows(vectors)) == x
     if invariant:
         assert x is not None
 
@@ -993,11 +1017,11 @@ def test_restricted_action_rejects_image_leaving_through_one_off_pivot_row():
     sub = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
     assert sub._pivots == [0, 1]
     m = RationalMatrix.from_entries(3, 3, [(2, 1, 1)])
-    assert sub.restricted_action(m) is None
+    assert restricted_action(sub, m) is None
     assert reference_restricted_action(sub, m) is None
     # the same image plus a matching pivot row stays inside: X is read there
     fixed = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
-    assert sub.restricted_action(fixed) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
+    assert restricted_action(sub, fixed) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
 
 
 @settings(deadline=None, max_examples=100)
@@ -1015,8 +1039,8 @@ def test_restricted_action_none_after_one_off_pivot_row_moves(n, data):
     w = data.draw(st.lists(sparse_fractions, min_size=n, max_size=n))
     moved = m + RationalMatrix.from_entries(n, n, [(r, c, v) for c, v in enumerate(w)])
     leaves = any(sum(w[i] * x for i, x in enumerate(col)) for col in sub.basis_vectors())
-    assert (sub.restricted_action(moved) is None) == leaves
-    assert reference_restricted_action(sub, moved) == sub.restricted_action(moved)
+    assert (restricted_action(sub, moved) is None) == leaves
+    assert reference_restricted_action(sub, moved) == restricted_action(sub, moved)
 
 
 @settings(deadline=None, max_examples=100)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from adoforge.catalog import abelian, example
 from adoforge.errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
 from adoforge.graded import graded_faithful_rep
+import adoforge.reps as reps
 from adoforge.liealg import LieAlgebra, LieHom, center, quotient
 from adoforge.linalg import (
     RationalMatrix,
@@ -41,6 +42,7 @@ from conftest import (
     reference_add,
     reference_carve,
     reference_kronecker,
+    reference_restricted_action,
     single_entry,
     sparse_fractions,
     sparse_vectors,
@@ -303,7 +305,16 @@ class TestCyclicSubmodule:
         assert sub.space_dim == 3
 
     def test_non_invariant_closure_is_a_typed_error(self, std_h3_rep, monkeypatch):
-        monkeypatch.setattr(Subspace, "restricted_action", lambda self, m: None)
+        # the closure of e2 is Q^3; with the echelon row at pivot 0 dropped
+        # the basis spans <e1, e2>, which rho(e0) = E01 leaves through e0,
+        # and the integer invariance check must catch it
+        real = reps._integer_rref
+
+        def dropped(rows):
+            reduced, pivots = real(rows)
+            return reduced[1:], pivots[1:]
+
+        monkeypatch.setattr(reps, "_integer_rref", dropped)
         with pytest.raises(NotInvariant):
             cyclic_submodule(std_h3_rep, unit_vector(3, 2))
 
@@ -847,7 +858,7 @@ def dense_cyclic_submodule(rep, v):
                     vectors.append(img)
         frontier = new_frontier
     sub = Subspace.from_vectors(rep.space_dim, vectors)
-    return Representation(rep.algebra, sub.dim, [sub.restricted_action(m) for m in rep.matrices])
+    return Representation(rep.algebra, sub.dim, [reference_restricted_action(sub, m) for m in rep.matrices])
 
 
 def assert_cyclic_matches_dense(rep, v):
