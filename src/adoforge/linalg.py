@@ -8,21 +8,27 @@ a scaled row with entries past ``_WIDE_BITS`` bits is divided by the gcd of
 its entries; a narrower one carries that factor until it is stored
 primitive.  ``SpanBasis``, the
 incremental span used by the exact checks and by orbit closures, keeps an
-echelon map {lead: primitive integer row} built by that step.  There is
-one elimination path, ``_integer_rref``: it scales each nonzero row to
-integers by the lcm of its denominators, inserts it into the same kind of
-echelon map and runs one back-substitution pass from the highest lead
-down, giving the RREF as integer rows, each a positive multiple of its
-canonical row.  ``rref``, the solves and ``Subspace`` divide each row by
-its pivot into Fractions.  ``_null_rows`` hands it the columns in reverse
-and reads the null space off as primitive integer rows, canonical with no
-second elimination; ``kernel_basis`` divides each by its entry at its free
-column.  The RREF of a row space is unique, so all outputs are canonical
-and two runs on equal inputs are bit-identical.  No floating point
-anywhere.  ``integer_form`` writes a matrix as integer numerators over one
-common denominator, and ``mul_rowmaps``, the sparse product, runs on those
-as well, so exact checks can multiply without building a Fraction per
-entry; ``restricted_actions`` reads a matrix's action on a span off its
+echelon map {lead: primitive integer row} built by that step; it does not
+peel.  There is one elimination path, ``_integer_rref``.  It first peels
+the single-entry rows (``_peel``): a row whose one nonzero entry sits at
+column c puts e_c in the row space, so c is a pivot with the unit row
+{c: 1}, and c is deleted from every other row, which may leave a new
+single-entry row.  A stored zero never counts as that one entry; no
+caller stores one.  It scales each row left to integers by the lcm of its
+denominators, inserts it into the same kind of echelon map and runs one
+back-substitution pass from the highest lead down, giving the RREF as
+integer rows, each a positive multiple of its canonical row.  ``rref``,
+the solves and ``Subspace`` divide each row by its pivot into Fractions.
+``_null_rows`` peels before it hands the eliminator the rows left with
+their columns in reverse, and reads the null space off as primitive
+integer rows, canonical with no second elimination; ``kernel_basis``
+divides each by its entry at its free column.  The RREF of a row space is
+unique and holds the peeled unit rows, so peeling changes no output, all
+outputs are canonical and two runs on equal inputs are bit-identical.  No
+floating point anywhere.  ``integer_form`` writes a matrix as integer
+numerators over one common denominator, and ``mul_rowmaps``, the sparse
+product, runs on those as well, so exact checks can multiply without
+building a Fraction per entry; ``restricted_actions`` reads a matrix's action on a span off its
 integer RREF that way, with one Fraction per entry of the result.  The
 commutator check (``reps.is_homomorphism``) packs its own integer rows
 into big integers and does not call it.
@@ -422,30 +428,90 @@ def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     return True
 
 
+def _peel(rowdicts: Iterable[dict]) -> tuple[set[int], list[dict]]:
+    """The columns that single-entry rows make pivots, and the nonzero rows
+    left once those columns are deleted.
+
+    A row with one nonzero entry, at column c, puts e_c in the row space,
+    so c is a pivot of the RREF with the unit row {c: 1}, and every other
+    row of the RREF is zero at c.  The row is dropped and column c deleted
+    from every other row, which may leave a new single-entry row; this
+    repeats until none is left.  The row space is then the span of those
+    unit rows plus that of the rows left, which hold no peeled column, so
+    its RREF is the unit rows plus the RREF of the rows left.  A stored
+    zero is not a nonzero entry: ``{c: 0}`` peels nothing.  A peeled
+    column is deleted from just the rows that hold it, found through a
+    {column: row ids} index of the other rows, so a chain of peels costs
+    no more than one pass.  A row is copied on its first loss, so the
+    inputs are left untouched; the other rows left are the input dicts
+    themselves.
+    """
+    rows = []
+    work = []
+    for r in rowdicts:
+        if len(r) != 1:
+            if r:
+                rows.append(r)
+            continue
+        (c, v), = r.items()
+        if v:
+            work.append(c)
+        else:
+            rows.append(r)
+    if not work:
+        return set(), rows
+    holders: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
+        for k in r:
+            holders.setdefault(k, []).append(i)
+    units: set[int] = set()
+    copied = set()
+    while work:
+        c = work.pop()
+        if c in units:
+            continue
+        units.add(c)
+        for j in holders.get(c, ()):
+            row = rows[j]
+            if j in copied:
+                del row[c]
+            else:
+                row = rows[j] = {k: x for k, x in row.items() if k != c}
+                copied.add(j)
+            if len(row) == 1:
+                (k, x), = row.items()
+                if x:
+                    work.append(k)
+    return units, [r for r in rows if r]
+
+
 def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[int]]:
     """The reduced row echelon form on integers: one row per pivot, in pivot
     order, and the pivot columns.
 
-    The input rows hold ints or Fractions and are left untouched.  Each
-    nonzero row is copied as integers, scaled by the lcm of its
-    denominators, and inserted into an echelon map as ``SpanBasis`` does.
-    One back-substitution pass, from the highest lead down, then clears
-    each row at the leads above its own with the same step; those rows are
-    already zero at every other lead, so no step brings an entry back.
+    The input rows hold ints or Fractions and are left untouched.  The
+    single-entry rows are peeled first (``_peel``): each peeled column is a
+    pivot with the unit row {c: 1}, and no other row holds it.  Each row
+    left is copied as integers, scaled by the lcm of its denominators, and
+    inserted into an echelon map as ``SpanBasis`` does (which peels
+    nothing).  One back-substitution pass, from the highest lead down,
+    then clears each row at the leads above its own with the same step;
+    those rows are already zero at every other lead, so no step brings an
+    entry back.
     Every step scales a row by a positive factor, so each row returned is
     positive at its own pivot and zero at every other pivot, and divided by
     its pivot entry it is the row of the canonical RREF, unique whatever
-    order the rows came in.  The integer rows themselves are canonical only
-    up to that positive factor.
+    order the rows came in and whatever was peeled.  The integer rows
+    themselves are canonical only up to that positive factor.
     """
-    echelon: dict[int, dict[int, int]] = {}
-    for r in rowdicts:
-        if r:
-            d = lcm(*[v.denominator for v in r.values()])
-            if d == 1:
-                _insert(echelon, {k: v.numerator for k, v in r.items()})
-            else:
-                _insert(echelon, {k: v.numerator * (d // v.denominator) for k, v in r.items()})
+    units, rest = _peel(rowdicts)
+    echelon: dict[int, dict[int, int]] = {c: {c: 1} for c in units}
+    for r in rest:
+        d = lcm(*[v.denominator for v in r.values()])
+        if d == 1:
+            _insert(echelon, {k: v.numerator for k, v in r.items()})
+        else:
+            _insert(echelon, {k: v.numerator * (d // v.denominator) for k, v in r.items()})
     pivots = sorted(echelon)
     for p in reversed(pivots):
         row = echelon[p]
@@ -579,7 +645,7 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.basis_vectors() + other.basis_vectors())
+        return Subspace.from_rows(self.ambient_dim, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -620,7 +686,10 @@ def _null_rows(rows: Mapping[int, Mapping[int, object]], cols: int) -> tuple[lis
     one primitive integer row per free column, in the canonical order, and
     the free columns, which are its pivots.
 
-    The columns are eliminated right to left (column c is handed to
+    Single-entry rows are peeled first (``_peel``): a peeled column is a
+    pivot whose unit row holds no free column, so no null vector touches
+    it, and only the rows left are copied into the flipped order below.
+    Those are eliminated right to left (column c is handed to
     ``_integer_rref`` as column cols - 1 - c), so every reduced row R is
     c_R > 0 at its pivot p, zero at the other pivots, and nonzero elsewhere
     only at free columns left of p.  The null vector of a free column f is
@@ -631,9 +700,11 @@ def _null_rows(rows: Mapping[int, Mapping[int, object]], cols: int) -> tuple[lis
     is the vector of the canonical echelon basis of the null space.
     """
     last = cols - 1
-    flipped = [{last - c: v for c, v in rows[r].items()} for r in sorted(rows)]
+    units, rest = _peel(rows[r] for r in sorted(rows))
+    flipped = [{last - c: v for c, v in row.items()} for row in rest]
     reduced, flipped_pivots = _integer_rref(flipped)
     pivot_set = {last - q for q in flipped_pivots}
+    pivot_set.update(units)
     # free column -> (pivot, entry at the free column, pivot entry) per
     # reduced row that holds the free column
     terms: dict[int, list[tuple[int, int, int]]] = {}

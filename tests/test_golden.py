@@ -50,6 +50,10 @@ CASES = {
     "filiform4": filiform4,
     "heisenberg5": heisenberg5,
     "heisenberg5_rebased": lambda: rebased(heisenberg5()),
+    # the one pinned input presented with I = 0 (kernel_dim 0): its output
+    # is the seed, F(2,3)'s current algebra extended by its 97 cocycles,
+    # whose Z^1 system holds mostly single-entry rows
+    "free2_3_rebased": lambda: rebased(example("free2_3")),
     # [e0, ei] = e(i+1) without a grading: 14 kernel searches, 8 of them in
     # blocks of the tensor square of two or three glue summands
     "filiform6": lambda: LieAlgebra(6, {(0, i): {i + 1: 1} for i in range(1, 5)}),

@@ -27,6 +27,7 @@ from adoforge.linalg import (
 from conftest import (
     FractionSpanBasis,
     fraction_matrix,
+    nonzero_fractions,
     reference_add,
     reference_kronecker,
     reference_restricted_action,
@@ -558,6 +559,46 @@ def dependent_matrices(draw):
     return RationalMatrix.from_rows(rows)
 
 
+@st.composite
+def single_entry_rows(draw):
+    """Sparse rows, most of them with one entry, as ints and Fractions:
+    single entries, repeats of earlier rows, single entries on columns that
+    other rows share, chains in which each peeled column leaves a new
+    single-entry row, and rows whose every column gets peeled; in shuffled
+    order, with the number of columns."""
+    cols = draw(st.integers(2, 9))
+    column = st.integers(0, cols - 1)
+    value = st.one_of(st.integers(-3, 3).filter(bool), nonzero_fractions)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["single", "repeat", "shared", "chain", "emptied"]))
+        if kind == "single" or not rows:
+            rows.append({draw(column): draw(value)})
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "shared":
+            # a wider row, and a single entry on one of its columns
+            wide = {c: draw(value) for c in draw(st.lists(column, min_size=2, max_size=4, unique=True))}
+            rows += [wide, {draw(st.sampled_from(sorted(wide))): draw(value)}]
+        elif kind == "chain":
+            # {c0}, {c0, c1}, {c1, c2}, ...: peeling c0 leaves {c1}, and so on
+            chain = draw(st.lists(column, min_size=2, max_size=cols, unique=True))
+            rows.append({chain[0]: draw(value)})
+            rows += [{a: draw(value), b: draw(value)} for a, b in zip(chain, chain[1:])]
+        else:
+            # a row on columns that single entries already hold
+            held = sorted({c for row in rows if len(row) == 1 for c in row})
+            if held:
+                rows.append({c: draw(value) for c in draw(st.lists(st.sampled_from(held), min_size=1, max_size=3, unique=True))})
+    return draw(st.permutations(rows)), cols
+
+
+def single_entry_matrices():
+    """``single_entry_rows`` as a matrix whose rows keep their ints, as the
+    integer systems of ``liealg.center`` and ``graded.cocycle_space`` do."""
+    return single_entry_rows().map(lambda s: RationalMatrix(len(s[0]), s[1], dict(enumerate(s[0]))))
+
+
 elimination_inputs = st.one_of(
     # any shape, 0 x n and n x 0 included
     st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(lambda s: scattered_matrices(s[0], s[1], 20)),
@@ -566,6 +607,8 @@ elimination_inputs = st.one_of(
     # wide
     st.tuples(st.integers(1, 4), st.integers(6, 14)).flatmap(lambda s: scattered_matrices(s[0], s[1], 25)),
     dependent_matrices(),
+    # mostly single-entry rows, which the eliminator peels first
+    single_entry_matrices(),
 )
 
 
@@ -699,6 +742,41 @@ def test_matrix_rowdicts_skips_zero_rows():
     assert linalg._matrix_rowdicts(m) == [{0: Fraction(1)}, {1: Fraction(3)}]
 
 
+# --- single-entry rows peeled before the elimination ---------------------
+
+CASCADE = [{0: 2}, {0: 1, 1: 3}, {1: -1, 2: 5}, {2: 1, 3: 1, 4: 1}]
+
+
+def test_cascade_peels_three_columns_and_keeps_its_inputs(monkeypatch):
+    # {0: 2} makes 0 a pivot; deleting 0 leaves {1: 3}, then {2: 5}, and
+    # {3: 1, 4: 1} is all that reaches the elimination
+    rows = copy.deepcopy(CASCADE)
+    units, rest = linalg._peel(rows)
+    assert units == {0, 1, 2} and rest == [{3: 1, 4: 1}]
+    assert rest[0] is not rows[3]
+    assert linalg._integer_rref(rows) == ([{0: 1}, {1: 1}, {2: 1}, {3: 1, 4: 1}], [0, 1, 2, 3])
+    m = RationalMatrix(4, 5, dict(enumerate(rows)))
+    assert rref(m) == (RationalMatrix(4, 5, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1, 4: 1}}), [0, 1, 2, 3], 4)
+    # the flip copies only the row left, as columns 1 and 0
+    seen = []
+    real = linalg._integer_rref
+    monkeypatch.setattr(linalg, "_integer_rref", lambda flipped: seen.append(copy.deepcopy(flipped)) or real(flipped))
+    kernel = kernel_basis(m)
+    assert seen == [[{1: 1, 0: 1}]]
+    # right to left, column 4 takes the pivot and 3 is free: e3 - e4
+    assert kernel._pivots == [3] and kernel.basis_vectors() == [(0, 0, 0, 1, -1)]
+    assert kernel == reference_kernel_basis(m)
+    assert rows == CASCADE and all(type(v) is int for row in rows for v in row.values())
+
+
+def test_stored_zero_is_never_a_single_entry():
+    # no caller stores a zero; if one did, {c: 0} would make c no pivot,
+    # whether it came in that way or was left by the peel
+    units, rest = linalg._peel([{2: 0}, {1: Fraction(1, 2)}, {1: 1, 3: 0}])
+    assert units == {1} and rest == [{2: 0}, {3: 0}]
+    assert linalg._peel([{0: 0}, {0: 5}]) == ({0}, [])
+
+
 # --- fraction-free elimination against the Fraction one -----------------
 
 def fraction_rref_rowdicts(rowdicts, cols):
@@ -796,8 +874,13 @@ def all_fractions(rowdicts):
     return all(type(v) is Fraction for row in rowdicts for v in row.values())
 
 
+def dense_rows(system):
+    rows, cols = system
+    return [[Fraction(row.get(c, 0)) for c in range(cols)] for row in rows], cols
+
+
 @settings(deadline=None, max_examples=300)
-@given(rational_systems(), st.integers(0, 3), st.data())
+@given(st.one_of(rational_systems(), single_entry_rows().map(dense_rows)), st.integers(0, 3), st.data())
 def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
     dense, cols = system
     m = RationalMatrix.from_entries(len(dense), cols, ((r, c, x) for r, row in enumerate(dense) for c, x in enumerate(row)))
