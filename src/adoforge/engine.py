@@ -8,7 +8,8 @@ derivation, whose size is checked against the budget before ``validate``
 (which rejects a grading the brackets do not respect); a valid positive
 grading makes L nilpotent, so no lower central series is walked there.
 Everything else is presented as a quotient F/I of a free nilpotent algebra
-and handled by walking a codimension-one ideal flag inside I.  At each flag
+and handled by walking a codimension-one ideal flag inside I, refined
+against F's central flag as read off its Hall grading.  At each flag
 step the previous algebra is a one-dimensional central extension of the next
 one; non-central directions are separated by the adjoint representation,
 central ones by searching tensor powers (up to ``MAX_TENSOR_POWER``) of the
@@ -23,9 +24,11 @@ runs on integer row maps end to end.  A block holds rho(z) alone, as an
 integer form N / d built from the forms on the block below and on its last
 factor, and its kernel as primitive integer null rows; each search builds
 the transpose of rho(x) on the blocks the same way and tests the null rows
-with ``mul_rowmaps``.  A block's full representation is built only when it
-is read, on the block a search lands on, and the cyclic submodule of the
-witness row is taken on integers too (``reps.cyclic_submodule``).  Only
+against it (a unit row by one lookup, any other with ``mul_rowmaps``),
+stopping at the first block that starts past the best pivot found.  A
+block's full representation is built only when it is read, on the block a
+search lands on, and the cyclic submodule of the witness row is taken on
+integers too (``reps.cyclic_submodule``).  Only
 the last quotient F/I gets its direct sum built; it is
 transported back to L along proj after a section of pi, which is well
 defined because Ker pi = I = Ker proj.
@@ -71,12 +74,11 @@ from .linalg import (
 from .liealg import (
     LieAlgebra,
     LieHom,
-    central_flag,
     codim1_refinement,
     quotient,
     validate,
 )
-from .freenilp import DEFAULT_DIMENSION_BUDGET, present
+from .freenilp import DEFAULT_DIMENSION_BUDGET, free_central_flag, present
 from .graded import current_algebra_faithful_rep, graded_faithful_rep
 from .reps import (
     Representation,
@@ -302,6 +304,16 @@ def _next_level(
     ]
 
 
+def _moved(row: dict[int, int], action: dict[int, dict[int, int]]) -> bool:
+    """rho(x) does not kill the null row, for ``action`` the integer
+    transpose of rho(x): a unit row {f: c} is moved exactly when column f
+    of rho(x) holds an entry, and any other row when ``mul_rowmaps`` of it
+    with ``action`` leaves one."""
+    if len(row) == 1:
+        return bool(action.get(next(iter(row))))
+    return bool(mul_rowmaps({0: row}, action))
+
+
 def _distinguish(
     parts: Sequence[Representation],
     z: Sequence[Fraction],
@@ -331,10 +343,14 @@ def _distinguish(
     built per search, as the transposes of the integer forms of
     ``element_action`` on the parts and on each block of a higher power
     from the block below and the part (``_tensor_level``), so that
-    ``mul_rowmaps`` of a null row with it is rho(x) applied to that row;
-    the rows are tried in order, and a block's first row with a nonzero
-    image is its witness.  Past ``element_action`` on the parts, the search
-    builds no Fraction.
+    ``mul_rowmaps`` of a null row with it is rho(x) applied to that row
+    (``_moved``; a unit row {f: c} is moved exactly when column f of
+    rho(x) holds an entry, one lookup); the rows are tried in order, and a
+    block's first row with a nonzero image is its witness.  The blocks of
+    a power come in increasing ``coords[0]``, and a block's witness pivot
+    is at least its ``coords[0]``, so the scan of a power stops at the
+    first block whose ``coords[0]`` exceeds the best pivot found.  Past
+    ``element_action`` on the parts, the search builds no Fraction.
     """
     pair = RationalMatrix.from_columns(len(z), [tuple(z), tuple(x)])
     if rank(pair) != 2:
@@ -348,8 +364,10 @@ def _distinguish(
             actions = _tensor_level(actions, on_parts)
         found = None  # (pivot in V^(x)p, block index, witness)
         for index, (block, (action, _, _)) in enumerate(zip(ladder[power - 1], actions)):
+            if found is not None and block.coords[0] > found[0]:
+                break  # this block's pivots, and those after it, are all larger
             # the first canonical vector of Ker rho(z) that rho(x) does not kill
-            witness = next((w for w, row in enumerate(block.null) if mul_rowmaps({0: row}, action)), None)
+            witness = next((w for w, row in enumerate(block.null) if _moved(row, action)), None)
             if witness is not None:
                 pivot = block.coords[block.free[witness]]
                 if found is None or pivot < found[0]:
@@ -406,16 +424,23 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
 
 
 def _flag_generator(upper: Subspace, lower: Subspace) -> Sequence[Fraction]:
-    for v in upper.basis_vectors():
-        if not lower.contains_vector(v):
-            return v
+    """The first canonical basis vector of ``upper`` outside ``lower``,
+    found by the sparse residual of each echelon row."""
+    for row, res in zip(upper._rows, lower.residuals(upper._rows)):
+        if res:
+            return dense_vector(row, upper.ambient_dim)
     raise DegenerateFlag("strictly larger ideal must contain a new basis vector")
 
 
 def _ideal_flag(free: LieAlgebra, ideal: Subspace) -> list[Subspace]:
     """0 = J_0 < ... < J_m = ideal with codimension-one steps and
-    [free, J_(k+1)] <= J_k: each J_(k+1) is central modulo J_k."""
-    central = central_flag(free)
+    [free, J_(k+1)] <= J_k: each J_(k+1) is central modulo J_k.
+
+    ``free`` is the free nilpotent algebra of the presentation, so its
+    central flag is read off its Hall grading (``free_central_flag``)
+    without a series walk, and each refinement is one cut of the ideal's
+    echelon rows against one flag member (``codim1_refinement``)."""
+    central = free_central_flag(free)
     descending = [ideal]
     while descending[-1].dim > 0:
         descending.append(codim1_refinement(free, descending[-1], central))

@@ -6,7 +6,9 @@ u = [a, b], additionally b <= v.  Structure constants come from the classical
 collection rewriting: a non-Hall bracket [u, v] with u = [a, b] and b > v is
 replaced via the Jacobi identity by [[a, v], b] + [a, [b, v]] and the parts
 are reduced recursively, memoizing on index pairs.  Brackets of total degree
-above the nilpotency class truncate to zero during rewriting.
+above the nilpotency class truncate to zero during rewriting.  F's central
+flag is read off the Hall grading (``free_central_flag``), with no walk of
+its lower central series.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded
 from .linalg import F1, RationalMatrix, Subspace, kernel_basis, unit_vector
-from .liealg import Grading, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
+from .liealg import Grading, IdealChain, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
 
 DEFAULT_DIMENSION_BUDGET = 200
 
@@ -184,6 +186,31 @@ def free_nilpotent(rank_: int, nil_class: int) -> LieAlgebra:
         labels=tuple(w.label() for w in words),
         grading=Grading(tuple(w.degree for w in words)),
     )
+
+
+def free_central_flag(free: LieAlgebra) -> IdealChain:
+    """``central_flag(free)`` for free = ``free_nilpotent(r, c)``, read off
+    the Hall grading without walking the lower central series.
+
+    Member j is spanned by the first j Hall words in the order (-degree,
+    index): the deepest degree first, ascending index within a degree.
+    It is a full flag of ideals with [F, I_j] <= I_(j-1) for F alone,
+    because F's brackets add positive degrees: the bracket of F with a
+    word of degree d lies in the words of degree above d, which all come
+    before it.  It is the flag ``central_flag`` builds, because on a Hall
+    basis the k-th term of F's lower central series is spanned by the
+    words of degree >= k (M. Hall, Proc. AMS 1, 1950), and pivot-completing
+    those coordinate terms from the deepest up adds their unit vectors in
+    exactly this order.
+    """
+    degrees = free.grading.degrees
+    order = sorted(range(free.dim), key=lambda i: (-degrees[i], i))
+    units = [{i: F1} for i in range(free.dim)]  # shared: Subspace rows are never mutated
+    chain = [Subspace.zero(free.dim)]
+    for j in range(1, free.dim + 1):
+        pivots = sorted(order[:j])
+        chain.append(Subspace(free.dim, [units[i] for i in pivots], pivots))
+    return IdealChain(free, chain)
 
 
 @dataclass

@@ -435,14 +435,28 @@ def central_flag(algebra: LieAlgebra) -> IdealChain:
     return IdealChain(algebra, chain)
 
 
+_NOT_A_FULL_FLAG = "flag is not a full flag 0 = I_0 < ... < I_n = L of the algebra"
+
+
 def codim1_refinement(
     algebra: LieAlgebra, ideal: Subspace, flag: IdealChain | None = None
 ) -> Subspace:
-    """An ideal J < I with dim I - dim J = 1 and [L, I] <= J, obtained by
-    intersecting I with the central flag just below the first flag member
-    containing I.  ``flag`` is ``central_flag(algebra)``, computed here when
-    the caller does not pass it; a flag that is not a full flag of
-    ``algebra`` raises ``AlgebraMismatch``."""
+    """An ideal J < I with dim I - dim J = 1 and [L, I] <= J: J = I meet
+    I_(k-1), for I_k the first flag member containing I.  ``flag`` is a
+    full flag 0 = I_0 < ... < I_n = L with [L, I_k] <= I_(k-1), such as
+    ``central_flag(algebra)``, which is computed here when the caller does
+    not pass one.
+
+    J is cut out of I's echelon rows without a linear system: I_(k-1) has
+    codimension 1 in I_k, which holds I, so the residuals of I's rows
+    modulo I_(k-1) (``Subspace.residuals``) are all multiples of one
+    nonzero vector, the residual of the first row f that leaves one.  Each
+    other row r, with residual t times f's, gives r - t f, which lies in
+    I_(k-1); those dim I - 1 independent rows span J.  A flag of another
+    algebra, one with no member containing I, or one whose step at k is
+    not of codimension 1 or leaves residuals that are not proportional,
+    is not a full flag and raises ``AlgebraMismatch``.
+    """
     if ideal.dim == 0:
         raise ZeroIdeal("refinement requires a nonzero ideal")
     if not is_ideal(algebra, ideal):
@@ -451,7 +465,28 @@ def codim1_refinement(
         flag = central_flag(algebra)
     elif not flag.algebra.structurally_equal(algebra):
         raise AlgebraMismatch("flag belongs to a different algebra")
-    k = next((idx for idx, member in enumerate(flag.ideals) if member.contains(ideal)), None)
-    if k is None or k == 0:
-        raise AlgebraMismatch("flag is not a full flag 0 = I_0 < ... < I_n = L of the algebra")
-    return ideal.intersect(flag.ideals[k - 1])
+    members = flag.ideals
+    k = next((idx for idx, member in enumerate(members) if member.contains(ideal)), None)
+    if k is None or k == 0 or members[k].dim - members[k - 1].dim != 1:
+        raise AlgebraMismatch(_NOT_A_FULL_FLAG)
+    residuals = list(members[k - 1].residuals(ideal._rows))
+    f = next(i for i, res in enumerate(residuals) if res)
+    base, head = ideal._rows[f], residuals[f]
+    lead = min(head)
+    rows = []
+    for i, (row, res) in enumerate(zip(ideal._rows, residuals)):
+        if i == f:
+            continue
+        t = res.get(lead, 0) / head[lead]
+        if res != ({j: t * v for j, v in head.items()} if t else {}):
+            raise AlgebraMismatch(_NOT_A_FULL_FLAG)
+        if t:
+            row = dict(row)
+            for j, v in base.items():
+                nv = row.get(j, 0) - t * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+        rows.append(row)
+    return Subspace.from_rows(algebra.dim, rows)

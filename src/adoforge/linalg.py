@@ -637,10 +637,48 @@ class Subspace:
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None
 
+    def residuals(self, rows: Iterable[Mapping[int, Fraction]]) -> Iterator[dict[int, Fraction]]:
+        """Each sparse ``{index: Fraction}`` row minus its combination of the
+        echelon rows, in order, as a new dict without zeros: empty exactly
+        when the row lies in the span.
+
+        Each echelon row is zero at every other pivot, so the coefficient
+        of the echelon row at pivot p is the input's entry at p, and only
+        the pivots the input holds are visited.  A unit echelon row {p: 1}
+        just deletes p, so against a coordinate subspace this is a support
+        check.
+        """
+        by_pivot = dict(zip(self._pivots, self._rows))
+        for row in rows:
+            out = dict(row)
+            for p, c in row.items():
+                prow = by_pivot.get(p)
+                if prow is None:
+                    continue
+                if len(prow) == 1:
+                    del out[p]
+                    continue
+                for k, w in prow.items():
+                    old = out.get(k)
+                    if old is None:
+                        out[k] = -(c * w)
+                        continue
+                    nv = old - c * w
+                    if nv:
+                        out[k] = nv
+                    else:
+                        del out[k]
+            yield out
+
     def contains(self, other: "Subspace") -> bool:
+        """Every echelon row of ``other`` reduces to nothing against this
+        subspace's echelon rows (``residuals``); a larger subspace is never
+        inside."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.basis_vectors())
+        if other.dim > self.dim:
+            return False
+        return not any(self.residuals(other._rows))
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:

@@ -645,11 +645,13 @@ def count_through_bindings(monkeypatch, fn, record):
 class TestOneSeriesWalk:
     """A graded construct walks no lower central series: a valid positive
     grading already makes L nilpotent.  An induction construct walks L's
-    once, in ``present``; F's walk in ``central_flag`` is separate."""
+    once, in ``present``, and F's not at all: F's central flag is read off
+    its Hall grading (``freenilp.free_central_flag``)."""
 
     def test_engine_binds_no_series_walk(self):
         assert not hasattr(engine, "nilpotency_class")
         assert not hasattr(engine, "lower_central_series")
+        assert not hasattr(engine, "central_flag")
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_graded_construct_walks_no_series(self, name, monkeypatch):
@@ -668,9 +670,7 @@ class TestOneSeriesWalk:
         algebra = example(name)
         construct_faithful_nilpotent(algebra, EngineConfig(method="induction"))
         assert classes == [algebra]
-        assert [a for a in series if a is algebra] == [algebra]
-        # the other walk is the free algebra's, for its central flag
-        assert len(series) == 2 and series[1].grading is not None
+        assert series == [algebra]
 
     @pytest.mark.parametrize("method", ["auto", "induction"])
     @pytest.mark.parametrize(
@@ -878,6 +878,94 @@ def test_search_matches_the_fraction_reference(algebra):
 )
 def test_search_matches_the_fraction_reference_on_fixed_inputs(build):
     assert_searches_match_the_reference(build())
+
+
+def exhaustive_search(parts, x, ladder):
+    """``_distinguish`` on a built ladder as it ran before it tested unit
+    null rows by membership and stopped at the best pivot: every null row
+    of every block of each power goes through ``mul_rowmaps``.  Returns the
+    (power, block index, witness) and whether a block past the witness's
+    pivot was scanned, which the bounded search skips."""
+    on_parts = [(*element_action(part, x).integer_transpose(), part.space_dim) for part in parts]
+    actions = on_parts
+    for power, level in enumerate(ladder, start=1):
+        if power > 1:
+            actions = engine._tensor_level(actions, on_parts)
+        found = None
+        for index, (block, (action, _, _)) in enumerate(zip(level, actions)):
+            witness = next((w for w, row in enumerate(block.null) if linalg.mul_rowmaps({0: row}, action)), None)
+            if witness is not None:
+                pivot = block.coords[block.free[witness]]
+                if found is None or pivot < found[0]:
+                    found = (pivot, index, witness)
+        if found is not None:
+            skippable = any(block.coords[0] > found[0] for block in level)
+            return (power, found[1], found[2]), skippable
+    return None, False
+
+
+def assert_bounded_search_matches_the_exhaustive_loop(algebra):
+    """Every kernel search of a forced-induction construct lands on the
+    (power, block, witness) of the exhaustive loop, run on the same ladder;
+    returns how many searches could skip blocks."""
+    real = engine._distinguish
+    outcomes = []
+
+    def recorded(parts, z, x, config, ladder):
+        found = real(parts, z, x, config, ladder)
+        outcomes.append((found,) + exhaustive_search(parts, x, ladder))
+        return found
+
+    engine._distinguish = recorded
+    try:
+        _, cert = construct_faithful_nilpotent(algebra, EngineConfig(method="induction"))
+    finally:
+        engine._distinguish = real
+    assert len(outcomes) == len(cert.steps_of_kind("kernel_search")) > 0
+    assert all(found == reference for found, reference, _ in outcomes)
+    return sum(skippable for _, _, skippable in outcomes)
+
+
+@pytest.mark.parametrize("name", ["census7", "cn7a", "cn7b"])
+def test_bounded_search_matches_the_exhaustive_loop_on_the_corpus(name):
+    assert assert_bounded_search_matches_the_exhaustive_loop(example(name)) > 0
+
+
+@settings(deadline=None, max_examples=12)
+@given(ungraded_quotients())
+def test_bounded_search_matches_the_exhaustive_loop_on_draws(algebra):
+    assert_bounded_search_matches_the_exhaustive_loop(algebra)
+
+
+def test_bounded_search_scans_past_a_later_first_witness():
+    """On a hand-built ladder, the first block holding a witness is not the
+    one with the smallest pivot, so the scan must go on past it and stop
+    only at a block that starts past the best pivot.
+
+    Two parts of abelian2 on Q^2 with rho(e1) = E_01.  Power 1: rho(z) is
+    invertible on both blocks, so no witness.  Power 2: V^(x)2 has
+    dim_v = 4, so block (0, 0) sits on {0, 1, 4, 5} and block (0, 1) on
+    {2, 3, 6, 7}; block (0, 0) keeps null rows only at its local
+    coordinates 2, 3 (pivots 4, 5), and its first witness has pivot 4,
+    while block (0, 1) keeps every unit row and moves the one at local
+    coordinate 1, pivot 3."""
+    a2 = abelian(2)
+    e01 = RationalMatrix.from_rows([[0, 1], [0, 0]])
+    parts = [Representation(a2, 2, [RationalMatrix.zero(2, 2), e01]) for _ in range(2)]
+    identity = ({0: {0: 1}, 1: {1: 1}}, 1, 2)
+    ladder = [[engine._Block(identity, [0, 1], None, parts[0]), engine._Block(identity, [2, 3], None, parts[1])]]
+    level = []
+    for below in ladder[0]:
+        for off, part in zip((0, 2), parts):
+            coords = [g * 4 + off + b for g in below.coords for b in range(2)]
+            z_action = ({0: {0: 1}, 1: {1: 1}}, 1, 4) if not level else ({}, 1, 4)
+            level.append(engine._Block(z_action, coords, below, part))
+    ladder.append(level)
+    assert [b.free for b in level[:2]] == [[2, 3], [0, 1, 2, 3]]
+    z, x = unit_vector(2, 0), unit_vector(2, 1)
+    found = engine._distinguish(parts, z, x, EngineConfig(), ladder)
+    assert found == (2, 1, 1)
+    assert exhaustive_search(parts, x, ladder) == ((2, 1, 1), True)
 
 
 class TestCensus7:

@@ -4,9 +4,9 @@ import pytest
 
 from adoforge.catalog import abelian, filiform4, heisenberg3
 from adoforge.errors import BudgetExceeded, NotNilpotent
-from adoforge.freenilp import free_nilpotent, hall_basis, present, witt_dimension
+from adoforge.freenilp import free_central_flag, free_nilpotent, hall_basis, present, witt_dimension
 from adoforge.catalog import heisenberg5
-from adoforge.liealg import LieHom, is_ideal, validate, verify_grading
+from adoforge.liealg import LieHom, central_flag, is_ideal, validate, verify_grading
 from adoforge.linalg import RationalMatrix, kernel_basis, rank
 from test_golden import rebased
 
@@ -142,6 +142,30 @@ class TestFreeNilpotent:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             free_nilpotent(5, 4)  # dimension 205 over the default 200
+
+
+# (rank, class) with dim F(rank, class) <= 32
+FLAG_GRID = [(1, 1), (1, 3)] + [(2, c) for c in range(1, 7)] + [(3, c) for c in range(1, 5)] + [(4, 1), (4, 2), (5, 2)]
+
+
+class TestFreeCentralFlag:
+    """The flag read off the Hall grading is the one ``central_flag`` builds
+    by walking F's lower central series and pivot-completing its terms."""
+
+    @pytest.mark.parametrize("r,c", FLAG_GRID)
+    def test_equals_the_walked_central_flag(self, r, c):
+        f = free_nilpotent(r, c)
+        flag = free_central_flag(f)
+        assert flag.algebra is f
+        assert flag.ideals == central_flag(f).ideals
+        for member in flag.ideals:
+            assert all(type(v) is Fraction for row in member._rows for v in row.values())
+
+    def test_deepest_degree_first(self):
+        # F(2, 3) has degrees (1, 1, 2, 3, 3): the words of degree 3 come
+        # first in ascending index, then [g2, g1], then the generators
+        flag = free_central_flag(free_nilpotent(2, 3)).ideals
+        assert [member._pivots for member in flag] == [[], [3], [3, 4], [2, 3, 4], [0, 2, 3, 4], [0, 1, 2, 3, 4]]
 
 
 def assert_presentation(pres):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import adoforge.liealg as liealg
 import adoforge.linalg as linalg
 from adoforge.catalog import abelian, example
-from adoforge.freenilp import present
+from adoforge.freenilp import free_central_flag, present
 from adoforge.errors import AlgebraMismatch, DimensionMismatch, NotAnIdeal, NotNilpotent, ZeroIdeal
 from adoforge.liealg import (
     Grading,
@@ -253,6 +253,74 @@ class TestCodim1Refinement:
         truncated = IdealChain(h3, central_flag(h3).ideals[:-1])
         with pytest.raises(AlgebraMismatch, match="not a full flag"):
             codim1_refinement(h3, Subspace.full(3), truncated)
+
+    def test_codimension_two_step_rejected(self, h3):
+        # the first member containing L sits two dimensions above the one below
+        skipping = IdealChain(h3, [Subspace.zero(3), span(3, unit_vector(3, 2)), Subspace.full(3)])
+        with pytest.raises(AlgebraMismatch, match="not a full flag"):
+            codim1_refinement(h3, Subspace.full(3), skipping)
+        with pytest.raises(AlgebraMismatch, match="not a full flag"):
+            codim1_refinement(h3, span(3, unit_vector(3, 2)), IdealChain(h3, [Subspace.zero(3), Subspace.full(3)]))
+
+    def test_chain_that_is_not_nested_rejected(self):
+        # steps of codimension 1, but <e1, e2> does not contain <e0>: the
+        # residuals of e1 and e2 modulo <e0> are not proportional
+        a3 = abelian(3)
+        e = [unit_vector(3, i) for i in range(3)]
+        chain = IdealChain(a3, [Subspace.zero(3), span(3, e[0]), span(3, e[1], e[2]), Subspace.full(3)])
+        with pytest.raises(AlgebraMismatch, match="not a full flag"):
+            codim1_refinement(a3, span(3, e[1], e[2]), chain)
+
+
+def reference_refinement(algebra, ideal, flag):
+    """The refinement as ``codim1_refinement`` took it before it became one
+    cut: I intersected with the member below the first one containing I,
+    with containment tested on dense basis vectors."""
+    members = flag.ideals
+    k = next(idx for idx, member in enumerate(members) if all(member.contains_vector(v) for v in ideal.basis_vectors()))
+    return ideal.intersect(members[k - 1])
+
+
+def assert_cuts_match(algebra, ideal, flag):
+    """Every refinement from ``ideal`` down to 0 against ``flag`` equals the
+    intersection; returns the number of steps."""
+    steps = 0
+    while ideal.dim:
+        cut = codim1_refinement(algebra, ideal, flag)
+        assert cut == reference_refinement(algebra, ideal, flag)
+        assert cut.dim == ideal.dim - 1 and ideal.contains(cut)
+        ideal = cut
+        steps += 1
+    return steps
+
+
+class TestRefinementCut:
+    """``codim1_refinement`` cuts I's echelon rows against one flag member;
+    it must give the intersection the refinement took before, on the
+    coordinate flags of free nilpotent algebras and on general flags."""
+
+    @pytest.mark.parametrize("name", ["census7", "cn7a", "cn7b"])
+    def test_corpus_flags(self, name):
+        pres = present(example(name))
+        assert assert_cuts_match(pres.F, pres.I, free_central_flag(pres.F)) == pres.I.dim > 0
+
+    @settings(deadline=None, max_examples=25)
+    @given(ungraded_quotients())
+    def test_ungraded_quotient_flags(self, algebra):
+        pres = present(algebra)
+        assert assert_cuts_match(pres.F, pres.I, free_central_flag(pres.F)) == pres.I.dim
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_rebased_catalog_flags(self, data):
+        # rebased, the central flag's members are no longer coordinate
+        # subspaces, so the residuals are general rows
+        base = example(data.draw(st.sampled_from(["heisenberg3", "heisenberg5", "filiform4", "free2_3", "free3_2"])))
+        algebra = rebase(base, data.draw(changes_of_basis(base.dim)))
+        flag = central_flag(algebra)
+        ideals = lower_central_series(algebra) + [center(algebra)] + flag.ideals
+        for ideal in ideals:
+            assert_cuts_match(algebra, ideal, flag)
 
 
 def regraded(algebra, degrees):

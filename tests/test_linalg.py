@@ -189,6 +189,36 @@ def test_intersect_matches_negated_stack(data):
         assert x.intersect(y) == reference_intersect(x, y)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_sparse_containment_matches_dense_membership(data):
+    """``contains`` and ``residuals`` on echelon rows agree with the dense
+    ``contains_vector`` of every basis vector, on general subspaces, on
+    coordinate subspaces (where a residual is a support check) and on
+    subspaces of one another; a residual is the row minus its coordinates
+    times the basis."""
+    n = data.draw(st.integers(1, 6))
+    spans = st.lists(st.lists(sparse_fractions, min_size=n, max_size=n), max_size=n + 1)
+    s = Subspace.from_vectors(n, data.draw(spans))
+    t = Subspace.from_vectors(n, data.draw(spans))
+    units = data.draw(st.sets(st.integers(0, n - 1)))
+    coordinate = Subspace.from_rows(n, [{i: 1} for i in units])
+    spaces = [s, t, coordinate, s.add(t), s.intersect(t), Subspace.zero(n), Subspace.full(n)]
+    for x in spaces:
+        for y in spaces:
+            assert x.contains(y) == all(x.contains_vector(v) for v in y.basis_vectors())
+            for row, res in zip(y._rows, x.residuals(y._rows)):
+                assert all(res.values())
+                v = linalg.dense_vector(row, n)
+                coords = x.coordinates_of(v)
+                assert (not res) == (coords is not None)
+                expected = list(v)
+                for p, xrow in zip(x._pivots, x._rows):
+                    for k, w in xrow.items():
+                        expected[k] -= row.get(p, 0) * w
+                assert res == {k: e for k, e in enumerate(expected) if e}
+
+
 def matrices(rows, cols):
     return st.lists(
         st.lists(small_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
