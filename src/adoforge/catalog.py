@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import UnknownExample
+from .engine import EngineConfig
+from .errors import BudgetExceeded, UnknownExample
 from .freenilp import free_nilpotent
 from .liealg import Grading, LieAlgebra
 
@@ -94,10 +95,15 @@ def example(name: str) -> LieAlgebra:
         return _NAMED[name]()
     m = _ABELIAN.match(name)
     if m:
-        n = int(m.group(1))
-        if n < 1:
+        digits = m.group(1).lstrip("0")
+        if not digits:
             raise UnknownExample(f"abelian index must be positive: {name!r}")
-        return abelian(n)
+        # refused before anything is built, at the default representation
+        # budget; lengths first, since int() refuses more than 4300 digits
+        budget = EngineConfig().dimension_budget
+        if len(digits) > len(str(budget)) or int(digits) > budget:
+            raise BudgetExceeded(f"abelian algebra of dimension above the representation budget {budget}")
+        return abelian(int(digits))
     m = _FREE.match(name)
     if m:
         r, c = int(m.group(1)), int(m.group(2))

@@ -183,7 +183,7 @@ def cmd_info(args, run: _Run) -> int:
 
 
 def _engine_config(args) -> EngineConfig:
-    budget = os.environ.get("ADO_FORGE_BUDGET") or "20000"
+    budget = os.environ.get("ADO_FORGE_BUDGET") or str(EngineConfig().dimension_budget)
     try:
         # int() also reads "1_000", " 20000 ", "+50" and non-ASCII digits;
         # the budget, like a rational literal, is ASCII [0-9]+ only

@@ -438,8 +438,8 @@ def _ideal_flag(free: LieAlgebra, ideal: Subspace) -> list[Subspace]:
 
     ``free`` is the free nilpotent algebra of the presentation, so its
     central flag is read off its Hall grading (``free_central_flag``)
-    without a series walk, and each refinement is one cut of the ideal's
-    echelon rows against one flag member (``codim1_refinement``)."""
+    without a series walk, and each refinement is one intersection with
+    one flag member, in one elimination (``codim1_refinement``)."""
     central = free_central_flag(free)
     descending = [ideal]
     while descending[-1].dim > 0:

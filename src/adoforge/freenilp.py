@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .linalg import F1, RationalMatrix, Subspace, kernel_basis, unit_vector
+from .linalg import F1, RationalMatrix, Subspace, kernel_basis
 from .liealg import Grading, IdealChain, LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
 
 DEFAULT_DIMENSION_BUDGET = 200
@@ -232,7 +232,7 @@ def present(algebra: LieAlgebra) -> Presentation:
 
     The generators map to the standard basis vectors at the complement
     coordinates of [L,L]; the map extends to Hall words by bracket
-    evaluation, so pi is a homomorphism by construction.
+    evaluation on sparse vectors, so pi is a homomorphism by construction.
     """
     if algebra.dim == 0:
         raise ValueError("present requires a nonzero algebra")
@@ -245,10 +245,11 @@ def present(algebra: LieAlgebra) -> Presentation:
     images: list = [None] * len(words)
     for w in words:
         if w.is_generator:
-            images[w.index] = unit_vector(algebra.dim, complement[w.gen])
+            images[w.index] = {complement[w.gen]: F1}
         else:
-            images[w.index] = algebra.bracket(images[w.left.index], images[w.right.index])
-    matrix = RationalMatrix.from_columns(algebra.dim, images)
+            images[w.index] = algebra.sparse_bracket(images[w.left.index], images[w.right.index])
+    entries = ((k, j, v) for j, image in enumerate(images) for k, v in image.items())
+    matrix = RationalMatrix.from_entries(algebra.dim, len(words), entries)
     pi = LieHom(F, algebra, matrix)
     ideal = kernel_basis(matrix)
     return Presentation(F=F, L=algebra, pi=pi, I=ideal)

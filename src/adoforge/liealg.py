@@ -31,7 +31,6 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
-    _reduce,
     dense_vector,
     frac,
     kernel_basis,
@@ -75,13 +74,12 @@ class LieAlgebra:
         self.dim = dim
         table: BracketTable = {}
         for (i, j), coeffs in brackets.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
+            if type(i) is not int or type(j) is not int or not (0 <= i < j < dim):
+                raise ValueError(f"bracket pair ({i!r},{j!r}) must be ints with 0 <= i < j < dim")
             row = {}
             for k, v in coeffs.items():
-                k = int(k)
-                if not 0 <= k < dim:
-                    raise ValueError(f"bracket target index {k} out of range")
+                if type(k) is not int or not 0 <= k < dim:
+                    raise ValueError(f"bracket target index {k!r} must be an int in range")
                 fv = frac(v)
                 if fv:
                     row[k] = fv
@@ -246,19 +244,14 @@ def center(algebra: LieAlgebra) -> Subspace:
     return kernel_basis(RationalMatrix(n * n, n, rows))
 
 
-def _integer_vector(row: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """(R, d) with row == R / d, d the lcm of the denominators of row."""
-    d = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}, d
-
-
 def _basis_brackets(algebra: LieAlgebra, row: Mapping[int, Fraction]) -> tuple[list[dict[int, int]], int]:
     """([B_i for each i with [e_i, row] != 0, in order of i], s) with
     [e_i, row] = B_i / s: row is scaled to its integer numerators R over d,
     each B_i = sum_j R_j N[(i, j)] is summed on the integer table (N, D),
     and s = d D."""
     table, scale = algebra.integer_form()
-    ints, d = _integer_vector(row)
+    d = lcm(*(v.denominator for v in row.values()))
+    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
     out = []
     for i in range(algebra.dim):
         acc: dict[int, int] = {}
@@ -313,9 +306,8 @@ def nilpotency_class(algebra: LieAlgebra) -> int:
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    """[L, L], the span of the brackets [e_i, e_j] in the table."""
-    n = algebra.dim
-    return Subspace.from_vectors(n, [dense_vector(v, n) for v in algebra.brackets.values()])
+    """[L, L], the span of the sparse brackets [e_i, e_j] in the table."""
+    return Subspace.from_rows(algebra.dim, algebra.brackets.values())
 
 
 def minimal_generator_count(algebra: LieAlgebra) -> int:
@@ -323,19 +315,14 @@ def minimal_generator_count(algebra: LieAlgebra) -> int:
 
 
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
-    """[L, space] contained in space, checked basis vs basis, on integers:
-    each echelon row is bracketed with every e_i (``_basis_brackets``), and
-    each nonzero bracket is reduced by the echelon rows scaled to integers.
-    A nonzero vector of the span leads at a pivot, so a bracket lies in the
-    span exactly when its reduction leaves nothing."""
+    """[L, space] contained in space, checked basis vs basis: each echelon
+    row is bracketed with every e_i on the integer table
+    (``_basis_brackets``), and each nonzero bracket, an integer multiple of
+    the true one, must leave no residual against the echelon rows
+    (``Subspace.residuals``)."""
     if space.ambient_dim != algebra.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    echelon = {p: _integer_vector(row)[0] for p, row in zip(space._pivots, space._rows)}
-    for row in space._rows:
-        for b in _basis_brackets(algebra, row)[0]:
-            if _reduce(echelon, b):
-                return False
-    return True
+    return not any(any(space.residuals(_basis_brackets(algebra, row)[0])) for row in space._rows)
 
 
 class LieHom:
@@ -418,7 +405,8 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
 
 def central_flag(algebra: LieAlgebra) -> IdealChain:
     """Full flag 0 = I_0 < I_1 < ... < I_n = L with codim-1 steps and
-    [L, I_i] <= I_{i-1}, built by pivot-completing the lower central series."""
+    [L, I_i] <= I_{i-1}, built by pivot-completing the lower central series
+    on its sparse echelon rows (``Subspace.residuals``, ``from_rows``)."""
     series = lower_central_series(algebra)
     if series[-1].dim != 0:
         raise NotNilpotent("algebra is not nilpotent")
@@ -427,11 +415,10 @@ def central_flag(algebra: LieAlgebra) -> IdealChain:
     # intermediate subspace between consecutive terms is an ideal because the
     # layer quotients are central.
     for layer in reversed(series):
-        current = chain[-1]
-        for v in layer.basis_vectors():
-            if not current.contains_vector(v):
-                current = current.add(Subspace.from_vectors(algebra.dim, [v]))
-                chain.append(current)
+        for row in layer._rows:
+            current = chain[-1]
+            if next(current.residuals([row])):
+                chain.append(Subspace.from_rows(algebra.dim, current._rows + [row]))
     return IdealChain(algebra, chain)
 
 
@@ -447,15 +434,12 @@ def codim1_refinement(
     ``central_flag(algebra)``, which is computed here when the caller does
     not pass one.
 
-    J is cut out of I's echelon rows without a linear system: I_(k-1) has
-    codimension 1 in I_k, which holds I, so the residuals of I's rows
-    modulo I_(k-1) (``Subspace.residuals``) are all multiples of one
-    nonzero vector, the residual of the first row f that leaves one.  Each
-    other row r, with residual t times f's, gives r - t f, which lies in
-    I_(k-1); those dim I - 1 independent rows span J.  A flag of another
-    algebra, one with no member containing I, or one whose step at k is
-    not of codimension 1 or leaves residuals that are not proportional,
-    is not a full flag and raises ``AlgebraMismatch``.
+    J is one intersection (``Subspace.intersect``), taken in one
+    elimination.  When I_(k-1) lies in I_k, which holds I, I + I_(k-1) is
+    I_k and J has dimension dim I - 1.  A flag of another algebra, one
+    with no member containing I, or one whose step at k is not of
+    codimension 1 or leaves J smaller, is not a full flag and raises
+    ``AlgebraMismatch``.
     """
     if ideal.dim == 0:
         raise ZeroIdeal("refinement requires a nonzero ideal")
@@ -469,24 +453,7 @@ def codim1_refinement(
     k = next((idx for idx, member in enumerate(members) if member.contains(ideal)), None)
     if k is None or k == 0 or members[k].dim - members[k - 1].dim != 1:
         raise AlgebraMismatch(_NOT_A_FULL_FLAG)
-    residuals = list(members[k - 1].residuals(ideal._rows))
-    f = next(i for i, res in enumerate(residuals) if res)
-    base, head = ideal._rows[f], residuals[f]
-    lead = min(head)
-    rows = []
-    for i, (row, res) in enumerate(zip(ideal._rows, residuals)):
-        if i == f:
-            continue
-        t = res.get(lead, 0) / head[lead]
-        if res != ({j: t * v for j, v in head.items()} if t else {}):
-            raise AlgebraMismatch(_NOT_A_FULL_FLAG)
-        if t:
-            row = dict(row)
-            for j, v in base.items():
-                nv = row.get(j, 0) - t * v
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-        rows.append(row)
-    return Subspace.from_rows(algebra.dim, rows)
+    cut = ideal.intersect(members[k - 1])
+    if cut.dim != ideal.dim - 1:
+        raise AlgebraMismatch(_NOT_A_FULL_FLAG)
+    return cut

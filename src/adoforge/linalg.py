@@ -24,7 +24,10 @@ their columns in reverse, and reads the null space off as primitive
 integer rows, canonical with no second elimination; ``kernel_basis``
 divides each by its entry at its free column.  The RREF of a row space is
 unique and holds the peeled unit rows, so peeling changes no output, all
-outputs are canonical and two runs on equal inputs are bit-identical.  No
+outputs are canonical and two runs on equal inputs are bit-identical.  A
+subspace question is one elimination or one pass of ``Subspace.residuals``,
+the sparse reduction against echelon rows: ``intersect`` by Zassenhaus's
+method, ``factor_through`` as one solve, membership as a residual.  No
 floating point anywhere.  ``integer_form`` writes a matrix as integer
 numerators over one common denominator, and ``mul_rowmaps``, the sparse
 product, runs on those as well, so exact checks can multiply without
@@ -36,11 +39,12 @@ into big integers and does not call it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
+from .errors import DimensionMismatch, KernelNotContained, NotNilpotent
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -400,32 +404,23 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
                 row[k] //= g
 
 
-def _reduce(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     """Reduce ``row`` in place while its leading column leads an echelon
-    row; the residual is the input up to a nonzero integer factor, minus a
-    combination of echelon rows."""
+    row, and store a fresh copy of the residual (the input up to a nonzero
+    integer factor, minus a combination of echelon rows), made primitive
+    with a positive lead, under its lead (a dict that has lost entries
+    iterates slower); True if it enlarged the span."""
     while row:
         lead = min(row)
         prow = echelon.get(lead)
         if prow is None:
-            break
+            g = gcd(*row.values())
+            if row[lead] < 0:
+                g = -g
+            echelon[lead] = {k: v // g for k, v in row.items()} if g != 1 else dict(row)
+            return True
         _eliminate(row, prow, lead)
-    return row
-
-
-def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
-    """Reduce ``row`` in place and store a fresh copy of the residual, made
-    primitive with a positive lead, under its lead (a dict that has lost
-    entries iterates slower); True if it enlarged the span."""
-    _reduce(echelon, row)
-    if not row:
-        return False
-    lead = min(row)
-    g = gcd(*row.values())
-    if row[lead] < 0:
-        g = -g
-    echelon[lead] = {k: v // g for k, v in row.items()} if g != 1 else dict(row)
-    return True
+    return False
 
 
 def _peel(rowdicts: Iterable[dict]) -> tuple[set[int], list[dict]]:
@@ -611,28 +606,16 @@ class Subspace:
         return [tuple(row.get(i, F0) for i in range(self.ambient_dim)) for row in self._rows]
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
+        """Coefficients of v in the canonical basis, or None if v is outside:
+        v is inside when its residual (``residuals``) is empty, and then its
+        coefficient on the echelon row at pivot p is v's entry at p."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        residual = {i: frac(x) for i, x in enumerate(v) if x}
-        coords = []
-        for p, row in zip(self._pivots, self._rows):
-            c = residual.get(p, F0)
-            coords.append(c)
-            if c:
-                for k, w in row.items():
-                    old = residual.get(k)
-                    if old is None:
-                        residual[k] = -(c * w)
-                        continue
-                    nv = old - c * w
-                    if nv:
-                        residual[k] = nv
-                    else:
-                        del residual[k]
-        if residual:
+        # converted before the zero test, as in from_vectors, so "0/5" is dropped
+        row = {i: y for i, x in enumerate(v) if x and (y := frac(x))}
+        if next(self.residuals([row])):
             return None
-        return tuple(coords)
+        return tuple(row.get(p, F0) for p in self._pivots)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None
@@ -686,22 +669,28 @@ class Subspace:
         return Subspace.from_rows(self.ambient_dim, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
+        """A meet B by Zassenhaus's method, in one elimination: in the RREF
+        of the rows (a | a) for the echelon rows a of A and (b | 0) for those
+        of B, the rows with their pivot in the second block are (0 | w), and
+        the w divided by their pivot entries are the canonical echelon basis
+        of A meet B (a + b = 0 puts w = a in both; w = (w | w) - (w | 0))."""
+        n = self.ambient_dim
+        if other.ambient_dim != n:
             raise DimensionMismatch("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        if self.dim == self.ambient_dim:
+            return Subspace.zero(n)
+        if self.dim == n:
             return other
-        if other.dim == other.ambient_dim:
+        if other.dim == n:
             return self
-        # (u, w) in Ker [A | B] gives Au = -Bw, a vector of both spans, and
-        # every such vector arises this way, so B need not be negated
-        a, b = self.basis, other.basis
-        null = kernel_basis(hstack([a, b]))
-        vectors = []
-        for w in null.basis_vectors():
-            vectors.append(a.apply(w[: a.cols]))
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        stacked = [{**row, **{n + k: v for k, v in row.items()}} for row in self._rows] + other._rows
+        rows, pivots = _integer_rref(stacked)
+        first = bisect_left(pivots, n)
+        return Subspace(
+            n,
+            [{k - n: Fraction(v, row[p]) for k, v in row.items()} for row, p in zip(rows[first:], pivots[first:])],
+            [p - n for p in pivots[first:]],
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -850,29 +839,16 @@ def solve(a: RationalMatrix, b: Sequence[Fraction]) -> Vector | None:
 
 
 def factor_through(f: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
-    """The canonical h with h @ f = g, assuming Ker f is contained in Ker g.
-
-    h sends f(e_p) to g(e_p) on the pivot columns p of f and kills a fixed
-    complement of Im f (the standard basis vectors at the non-pivot
-    coordinates of the column space).  Raises KernelNotContained when the
-    kernel inclusion fails.
-    """
+    """The canonical h with h @ f = g, one solve of f^T h^T = g^T: it is
+    consistent exactly when Ker f is contained in Ker g (otherwise
+    ``KernelNotContained``), and its free variables, the non-pivot
+    coordinates of Im f, are set to zero, so h kills the standard basis
+    vectors there, a fixed complement of Im f."""
     if f.rows != f.cols or g.rows != g.cols or f.rows != g.rows:
         raise DimensionMismatch("factor_through expects equal-size square matrices")
-    n = f.rows
-    for v in kernel_basis(f).basis_vectors():
-        if not vec_is_zero(g.apply(v)):
-            raise KernelNotContained("Ker f is not contained in Ker g")
-    _, pivot_cols, _ = rref(f)
-    image = Subspace.from_vectors(n, [f.column(j) for j in range(n)])
-    complement = [i for i in range(n) if i not in set(image._pivots)]
-    lhs_cols = [f.column(p) for p in pivot_cols] + [unit_vector(n, i) for i in complement]
-    rhs_cols = [g.column(p) for p in pivot_cols] + [zero_vector(n) for _ in complement]
-    lhs = RationalMatrix.from_columns(n, lhs_cols)
-    rhs = RationalMatrix.from_columns(n, rhs_cols)
-    ht = solve_multi(lhs.transpose(), rhs.transpose())
+    ht = solve_multi(f.transpose(), g.transpose())
     if ht is None:
-        raise NotLinearlyIndependent("pivot columns of f and the complement of Im f do not form a basis")
+        raise KernelNotContained("Ker f is not contained in Ker g")
     return ht.transpose()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
 from adoforge.freenilp import free_nilpotent
 from adoforge.liealg import LieAlgebra, _bracket_span, quotient
-from adoforge.linalg import RationalMatrix, Subspace, dense_vector, kernel_basis, solve_multi
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, hstack, kernel_basis, solve_multi
 from adoforge.reps import Representation, cyclic_submodule, element_action
 
 
@@ -187,6 +187,21 @@ def integer_multiples(calls, ambient, vectors):
         and all(positive_multiple(row, v) for row, v in zip(rows, vectors))
         and all(type(x) is int for row in rows for x in row.values())
     )
+
+
+# --- the intersection through a kernel, as a reference ---
+
+
+def reference_intersect(s, t):
+    """The intersection as ``Subspace.intersect`` took it before Zassenhaus's
+    one elimination, and before it returned the other operand when one is
+    the whole space or stopped negating B: A applied to the first block of
+    every vector of Ker [A | -B]."""
+    if s.dim == 0 or t.dim == 0:
+        return Subspace.zero(s.ambient_dim)
+    a, b = s.basis, t.basis
+    null = kernel_basis(hstack([a, -b]))
+    return Subspace.from_vectors(s.ambient_dim, [a.apply(w[: a.cols]) for w in null.basis_vectors()])
 
 
 # --- the Fraction restricted action and the two-step carve, as references ---

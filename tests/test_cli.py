@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import adoforge.catalog as catalog
 import adoforge.cli as cli
 import adoforge.engine as engine
 import adoforge.freenilp as freenilp
@@ -123,6 +124,27 @@ class TestExamples:
         code, _, report = run_cli(["examples", "nonsense"], capsys)
         assert code == 2
         assert report["outcome"]["error"] == "unknown_example"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["abelian20001", "abelian100000000", "abelian00020001", "abelian" + "9" * 5000],
+        ids=["budget-plus-one", "hundred-million", "leading-zeros", "5000-digits"],
+    )
+    def test_abelian_above_the_budget_exits_4_before_building(self, capsys, monkeypatch, name):
+        # the default representation budget, 20000, caps n; abelian20000
+        # itself is emitted by the construct budget test below
+        built = []
+        monkeypatch.setattr(catalog, "abelian", built.append)
+        code, out, report = run_cli(["examples", name], capsys)
+        assert code == 4 and out == "" and built == []
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert str(engine.EngineConfig().dimension_budget) in report["outcome"]["message"]
+
+    def test_abelian_index_with_leading_zeros(self, capsys):
+        code, out, _ = run_cli(["examples", "abelian0002"], capsys)
+        assert code == 0 and algebra_from_json(json.loads(out))[0].dim == 2
+        code, _, report = run_cli(["examples", "abelian000"], capsys)
+        assert code == 2 and report["outcome"]["error"] == "unknown_example"
 
 
 class TestValidateCommand:

@@ -6,11 +6,13 @@ from adoforge.catalog import abelian, filiform4, heisenberg3
 from adoforge.errors import BudgetExceeded, NotNilpotent
 from adoforge.freenilp import free_central_flag, free_nilpotent, hall_basis, present, witt_dimension
 from adoforge.catalog import heisenberg5
-from adoforge.liealg import LieHom, central_flag, is_ideal, validate, verify_grading
-from adoforge.linalg import RationalMatrix, kernel_basis, rank
+from adoforge.catalog import example
+from adoforge.liealg import LieHom, central_flag, is_ideal, nilpotency_class, validate, verify_grading
+from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, rank, unit_vector
+from hypothesis import given, settings, strategies as st
 from test_golden import rebased
 
-from conftest import reference_is_hom
+from conftest import CORPUS, corpus_algebras, reference_bracket, reference_is_hom, ungraded_quotients
 
 
 class TestHallBasis:
@@ -231,3 +233,46 @@ class TestPresent:
         monkeypatch.setattr(liealg, "_bracket_span", lambda *args: spans.append(args) or real(*args))
         pres = present(algebra)
         assert len(spans) == c == pres.F.grading.max_degree
+
+
+# --- the sparse Hall evaluation against the dense one ---
+
+
+def reference_present(algebra):
+    """(pi, I) as ``present`` built them with dense vectors: the complement
+    of the span of the dense brackets [e_i, e_j], unit vectors on it for
+    the generators, table-sweep brackets for the other Hall words, and pi
+    from those columns."""
+    n = algebra.dim
+    derived = Subspace.from_vectors(
+        n, [reference_bracket(algebra, unit_vector(n, i), unit_vector(n, j)) for i in range(n) for j in range(i + 1, n)]
+    )
+    complement = [i for i in range(n) if i not in set(derived._pivots)]
+    words = hall_basis(len(complement), nilpotency_class(algebra))
+    images = []
+    for w in words:
+        if w.is_generator:
+            images.append(unit_vector(n, complement[w.gen]))
+        else:
+            images.append(reference_bracket(algebra, images[w.left.index], images[w.right.index]))
+    matrix = RationalMatrix.from_columns(n, images)
+    return matrix, kernel_basis(matrix)
+
+
+def assert_present_matches(algebra):
+    pres = present(algebra)
+    matrix, ideal = reference_present(algebra)
+    assert pres.pi.matrix == matrix and pres.I == ideal
+    assert all(type(v) is Fraction for *_, v in pres.pi.matrix.entries())
+    assert_presentation(pres)
+
+
+@pytest.mark.parametrize("name", CORPUS + ("cn7a", "cn7b", "census7"))
+def test_present_matches_dense_evaluation_on_the_catalog(name):
+    assert_present_matches(example(name))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(corpus_algebras(), ungraded_quotients()))
+def test_present_matches_dense_evaluation_on_rebased_and_ungraded_inputs(algebra):
+    assert_present_matches(algebra)

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from adoforge.liealg import (
     verify_grading,
 )
 from adoforge.linalg import RationalMatrix, Subspace, solve_multi, unit_vector
+from adoforge.reps import adjoint
 
 from conftest import (
     CORPUS,
@@ -37,6 +39,7 @@ from conftest import (
     rebase,
     recorded_rows,
     reference_bracket,
+    reference_intersect,
     reference_is_hom,
     sparse_fractions,
     sparse_vectors,
@@ -61,6 +64,39 @@ class TestValidate:
         report = validate(bad)
         assert not report.ok
         assert (0, 1, 2) in [(i, j, k) for i, j, k, _ in report.jacobi_violations]
+
+
+class TestIntegerIndices:
+    """A pair or target index that is not an int, a bool or a float
+    included, is refused by the constructor, never converted."""
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [
+            {(0, 1): {2.7: 1}},
+            {(0, 1): {2.0: 1}},
+            {(0, 1): {True: 1}},
+            {(0, 1): {"2": 1}},
+            {(0.0, 1): {2: 1}},
+            {(0, 1.0): {2: 1}},
+            {(False, True): {2: 1}},
+            {(0, True): {2: 1}},
+        ],
+        ids=["float-target", "integral-float-target", "bool-target", "string-target", "float-left", "float-right", "bool-pair", "bool-right"],
+    )
+    def test_non_int_index_is_refused(self, brackets):
+        with pytest.raises(ValueError, match="must be (ints|an int)"):
+            LieAlgebra(3, brackets)
+
+    def test_int_indices_are_kept(self):
+        algebra = LieAlgebra(3, {(0, 1): {2: 1}})
+        assert algebra.brackets == {(0, 1): {2: Fraction(1)}}
+        assert adjoint(algebra).matrices[0] == RationalMatrix.from_entries(3, 3, [(2, 1, 1)])
+
+    def test_out_of_range_still_refused(self):
+        for brackets in ({(1, 0): {2: 1}}, {(0, 3): {2: 1}}, {(0, 1): {3: 1}}, {(0, 1): {-1: 1}}):
+            with pytest.raises(ValueError):
+                LieAlgebra(3, brackets)
 
 
 class TestBracket:
@@ -273,17 +309,22 @@ class TestCodim1Refinement:
 
 
 def reference_refinement(algebra, ideal, flag):
-    """The refinement as ``codim1_refinement`` took it before it became one
-    cut: I intersected with the member below the first one containing I,
-    with containment tested on dense basis vectors."""
+    """I intersected with the member below the first one containing I,
+    through a kernel (``reference_intersect``), with containment tested by
+    a span of the member and I's dense basis vectors that is no larger."""
     members = flag.ideals
-    k = next(idx for idx, member in enumerate(members) if all(member.contains_vector(v) for v in ideal.basis_vectors()))
-    return ideal.intersect(members[k - 1])
+    k = next(idx for idx, member in enumerate(members) if spanned(member, ideal.basis_vectors()) == member)
+    return reference_intersect(ideal, members[k - 1])
+
+
+def spanned(space, vectors):
+    """The span of space's dense basis vectors and the given ones."""
+    return Subspace.from_vectors(space.ambient_dim, space.basis_vectors() + list(vectors))
 
 
 def assert_cuts_match(algebra, ideal, flag):
     """Every refinement from ``ideal`` down to 0 against ``flag`` equals the
-    intersection; returns the number of steps."""
+    intersection taken through a kernel; returns the number of steps."""
     steps = 0
     while ideal.dim:
         cut = codim1_refinement(algebra, ideal, flag)
@@ -295,8 +336,8 @@ def assert_cuts_match(algebra, ideal, flag):
 
 
 class TestRefinementCut:
-    """``codim1_refinement`` cuts I's echelon rows against one flag member;
-    it must give the intersection the refinement took before, on the
+    """``codim1_refinement`` intersects I with one flag member in one
+    elimination; it must give the intersection through a kernel, on the
     coordinate flags of free nilpotent algebras and on general flags."""
 
     @pytest.mark.parametrize("name", ["census7", "cn7a", "cn7b"])
@@ -314,7 +355,8 @@ class TestRefinementCut:
     @given(st.data())
     def test_rebased_catalog_flags(self, data):
         # rebased, the central flag's members are no longer coordinate
-        # subspaces, so the residuals are general rows
+        # subspaces, and the intersection eliminates general rows, not unit
+        # rows that it peels
         base = example(data.draw(st.sampled_from(["heisenberg3", "heisenberg5", "filiform4", "free2_3", "free3_2"])))
         algebra = rebase(base, data.draw(changes_of_basis(base.dim)))
         flag = central_flag(algebra)
@@ -580,3 +622,70 @@ def test_one_violation_in_abelian300():
 @given(corpus_algebras())
 def test_corpus_has_no_jacobi_residual(algebra):
     assert validate(algebra).jacobi_violations == []
+
+
+# --- the flag and the ideal check on echelon rows against their old walks ---
+
+CATALOG = CORPUS + ("cn7a", "cn7b", "census7")
+
+
+def reference_central_flag(algebra):
+    """``central_flag`` as it pivot-completed the lower central series on
+    dense basis vectors: a vector that enlarges the span of the last member
+    and itself gives the next member."""
+    chain = [Subspace.zero(algebra.dim)]
+    for layer in reversed(lower_central_series(algebra)):
+        for v in layer.basis_vectors():
+            grown = spanned(chain[-1], [v])
+            if grown.dim > chain[-1].dim:
+                chain.append(grown)
+    return chain
+
+
+def reference_reduced_is_ideal(algebra, space):
+    """``is_ideal`` as it reduced each integer bracket of an echelon row
+    with e_i by the echelon rows scaled to integers, one ``_eliminate`` step
+    per leading pivot, before it took residuals."""
+    echelon = {}
+    for p, row in zip(space._pivots, space._rows):
+        d = lcm(*(v.denominator for v in row.values()))
+        echelon[p] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+    for row in space._rows:
+        for b in liealg._basis_brackets(algebra, row)[0]:
+            while b:
+                lead = min(b)
+                prow = echelon.get(lead)
+                if prow is None:
+                    return False
+                linalg._eliminate(b, prow, lead)
+    return True
+
+
+def check_flag_and_ideal_verdicts(algebra, vectors=()):
+    """The central flag equals the dense pivot completion, and is_ideal gives
+    the reduced walk's verdict on the series, the center, the flag, every
+    coordinate line and plane and the span of the vectors.  A coordinate
+    line is not an ideal of an algebra that is not abelian; a plane can
+    fail on a later bracket of a row whose first one stays inside."""
+    n = algebra.dim
+    flag = central_flag(algebra).ideals
+    assert flag == reference_central_flag(algebra)
+    ideals = lower_central_series(algebra) + [center(algebra)] + flag
+    lines = [Subspace.from_vectors(n, [unit_vector(n, i)]) for i in range(n)]
+    planes = [Subspace.from_vectors(n, [unit_vector(n, i), unit_vector(n, j)]) for i in range(n) for j in range(i + 1, n)]
+    spaces = ideals + lines + planes + [Subspace.from_vectors(n, vectors)]
+    verdicts = [is_ideal(algebra, space) for space in spaces]
+    assert verdicts == [reference_reduced_is_ideal(algebra, space) for space in spaces]
+    assert all(verdicts[: len(ideals)])
+    assert all(verdicts[len(ideals) : len(ideals) + len(lines)]) == (not algebra.brackets)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_flag_and_ideal_verdicts_on_the_catalog(name):
+    check_flag_and_ideal_verdicts(example(name))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(corpus_algebras(), ungraded_quotients()), st.data())
+def test_flag_and_ideal_verdicts_on_rebased_and_ungraded_inputs(algebra, data):
+    check_flag_and_ideal_verdicts(algebra, data.draw(st.lists(sparse_vectors(algebra.dim), max_size=2)))

@@ -6,13 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adoforge.errors import DimensionMismatch, KernelNotContained, NotLinearlyIndependent, NotNilpotent
+from adoforge.errors import DimensionMismatch, KernelNotContained, NotNilpotent
 import adoforge.linalg as linalg
 from adoforge.linalg import (
     RationalMatrix,
     Subspace,
     factor_through,
-    hstack,
     kernel_basis,
     kronecker,
     mul_rowmaps,
@@ -22,17 +21,25 @@ from adoforge.linalg import (
     rref,
     solve,
     solve_multi,
+    unit_vector,
+    zero_vector,
 )
+from adoforge.catalog import example
+from adoforge.reps import adjoint, element_action
 
 from conftest import (
     FractionSpanBasis,
+    corpus_algebras,
     fraction_matrix,
     nonzero_fractions,
     reference_add,
+    reference_intersect,
     reference_kronecker,
     reference_restricted_action,
     small_fractions,
     sparse_fractions,
+    sparse_vectors,
+    ungraded_quotients,
 )
 
 
@@ -125,11 +132,14 @@ class TestFactorThrough:
         with pytest.raises(KernelNotContained):
             factor_through(f, g)
 
-    def test_inconsistent_system_is_a_typed_error(self, monkeypatch):
-        # cannot happen for a correct solver; must not rest on an assert
-        monkeypatch.setattr(linalg, "solve_multi", lambda a, b: None)
-        with pytest.raises(NotLinearlyIndependent):
-            factor_through(RationalMatrix.identity(2), RationalMatrix.identity(2))
+    def test_singular_f_kills_the_complement_of_its_image(self):
+        # Im f = span(e0 + e1) with pivot 0, so h kills e1 and sends
+        # f(e0) = e0 + e1 to g(e0) = 3 e0
+        f = fraction_matrix([[1, 2], [1, 2]])
+        g = fraction_matrix([[3, 6], [0, 0]])
+        h = factor_through(f, g)
+        assert h == fraction_matrix([[3, 0], [0, 0]]) and h @ f == g
+        assert h == reference_factor_through(f, g)
 
 
 class TestNilpotencyIndex:
@@ -159,22 +169,13 @@ class TestSubspace:
         coords = s.coordinates_of(v)
         assert coords == (Fraction(2), Fraction(3))
         assert not s.contains_vector((1, 0, 0))
+        # a zero spelled as a string is a zero, not an entry outside the span
+        assert s.coordinates_of(("0/5", 1, -1)) == (Fraction(0), Fraction(1))
 
     def test_intersection(self):
         xy = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
         yz = Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
         assert xy.intersect(yz) == Subspace.from_vectors(3, [(0, 1, 0)])
-
-
-def reference_intersect(s, t):
-    """The intersection as ``Subspace.intersect`` took it before it returned
-    the other operand when one is the whole space and before it stopped
-    negating B: A applied to the first block of every vector of Ker [A | -B]."""
-    if s.dim == 0 or t.dim == 0:
-        return Subspace.zero(s.ambient_dim)
-    a, b = s.basis, t.basis
-    null = kernel_basis(hstack([a, -b]))
-    return Subspace.from_vectors(s.ambient_dim, [a.apply(w[: a.cols]) for w in null.basis_vectors()])
 
 
 @settings(deadline=None, max_examples=150)
@@ -267,6 +268,62 @@ def test_factor_through_forced_inclusion(data):
     g = m @ f
     h = factor_through(f, g)
     assert h @ f == g
+
+
+def reference_factor_through(f, g):
+    """``factor_through`` as it ran before it became one solve: Ker f tested
+    against g with dense ``apply``, then h solved on the pivot columns of f
+    and the standard basis vectors off the pivots of Im f, a complement
+    assembled by hand."""
+    n = f.rows
+    for v in kernel_basis(f).basis_vectors():
+        if any(g.apply(v)):
+            raise KernelNotContained("Ker f is not contained in Ker g")
+    _, pivot_cols, _ = rref(f)
+    image = Subspace.from_vectors(n, [f.column(j) for j in range(n)])
+    complement = [i for i in range(n) if i not in set(image._pivots)]
+    lhs = RationalMatrix.from_columns(n, [f.column(p) for p in pivot_cols] + [unit_vector(n, i) for i in complement])
+    rhs = RationalMatrix.from_columns(n, [g.column(p) for p in pivot_cols] + [zero_vector(n) for _ in complement])
+    return solve_multi(lhs.transpose(), rhs.transpose()).transpose()
+
+
+def same_factorization(f, g):
+    """factor_through and its reference give the same h, or both raise
+    KernelNotContained; True when h exists."""
+    try:
+        expected = reference_factor_through(f, g)
+    except KernelNotContained:
+        with pytest.raises(KernelNotContained):
+            factor_through(f, g)
+        return False
+    h = factor_through(f, g)
+    assert h == expected and h @ f == g
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_factor_through_matches_reference(n, data):
+    """On sparse f, mostly singular: g = m f always factors, and g = m f + e
+    for a one-entry e factors exactly when e kills Ker f."""
+    f = data.draw(sparse_matrices(n, n))
+    g = data.draw(sparse_matrices(n, n)) @ f
+    assert same_factorization(f, g)
+    e = RationalMatrix.from_entries(n, n, [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), 1)])
+    same_factorization(f, g + e)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(corpus_algebras(), ungraded_quotients(), st.sampled_from(["cn7a", "cn7b", "census7"]).map(example)), st.data())
+def test_factor_through_matches_reference_on_adjoint_actions(algebra, data):
+    """f = ad(x), singular since the algebra is nilpotent, against
+    g = m ad(x), which factors, and g = ad(y), which factors only when
+    Ker ad(x) lies in Ker ad(y)."""
+    n = algebra.dim
+    rep = adjoint(algebra)
+    f = element_action(rep, data.draw(sparse_vectors(n)))
+    assert same_factorization(f, data.draw(sparse_matrices(n, n)) @ f)
+    same_factorization(f, element_action(rep, data.draw(sparse_vectors(n))))
 
 
 @settings(deadline=None)
@@ -1181,8 +1238,11 @@ int_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-6, max_va
 
 def residual_of(span, vec):
     """vec reduced against the span's rows, as ``SpanBasis.add`` reduces it
-    before storing the residual; vec itself is left as it is."""
-    return linalg._reduce(span._rows, dict(vec))
+    before storing the residual (into a copy of the rows); vec and the span
+    are left as they are."""
+    residual = dict(vec)
+    linalg._insert(dict(span._rows), residual)
+    return residual
 
 
 def is_multiple(a, b):
