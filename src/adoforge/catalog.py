@@ -6,7 +6,7 @@ import re
 
 from .engine import EngineConfig
 from .errors import BudgetExceeded, UnknownExample
-from .freenilp import free_nilpotent
+from .freenilp import DEFAULT_DIMENSION_BUDGET, free_nilpotent
 from .liealg import Grading, LieAlgebra
 
 EXAMPLE_NAMES = (
@@ -106,8 +106,18 @@ def example(name: str) -> LieAlgebra:
         return abelian(int(digits))
     m = _FREE.match(name)
     if m:
-        r, c = int(m.group(1)), int(m.group(2))
-        if r < 1 or c < 1:
+        r, c = m.group(1).lstrip("0"), m.group(2).lstrip("0")
+        if not r or not c:
             raise UnknownExample(f"free algebra parameters must be positive: {name!r}")
-        return free_nilpotent(r, c)
+        if r == "1":
+            return free_nilpotent(1, 1)  # F(1, c) is the line F(1, 1)
+        # at rank r >= 2 every degree adds a Hall word, so dim F(r, c) >= r + c - 1;
+        # lengths first, since int() refuses more than 4300 digits
+        width = len(str(DEFAULT_DIMENSION_BUDGET))
+        if len(r) > width or len(c) > width:
+            raise BudgetExceeded(
+                f"free nilpotent algebra of rank >= 2 with a parameter above {10**width - 1}"
+                f" has dimension above the budget {DEFAULT_DIMENSION_BUDGET}"
+            )
+        return free_nilpotent(int(r), int(c))
     raise UnknownExample(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")

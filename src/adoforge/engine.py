@@ -219,15 +219,6 @@ def _kron_sum(a: Action, b: Action) -> Action:
     return data, da * fa, m * n
 
 
-def _tensor_level(below: Sequence[Action], on_parts: Sequence[Action]) -> list[Action]:
-    """An element's action on each block of the next tensor power, in block
-    order, from its actions on the blocks of the power below and on the
-    parts: a (x) I + I (x) b on (block below) (x) part (``_kron_sum``).
-    The transpose of a (x) I + I (x) b is a^T (x) I + I (x) b^T, so actions
-    held as transposes stay transposes."""
-    return [_kron_sum(a, b) for a in below for b in on_parts]
-
-
 class _Block:
     """One block P_(i1) (x) ... (x) P_(ip) of the tensor power V^(x)p of
     V = P_0 + ... + P_(k-1), built as ``below`` (x) ``part`` from the block
@@ -274,10 +265,10 @@ def _next_level(
 
     V^(x)p = V^(x)(p-1) (x) V puts coordinate b of part k after coordinate g
     of V^(x)(p-1) at g * dim V + offset(k) + b, so each block's coordinate
-    map stays increasing.  At p >= 2 rho(z) on the blocks comes from
-    ``_tensor_level``, on rho(z) on the blocks below and on the parts, which
-    the ladder already holds.  The dimension budget is checked on
-    (dim V)^p before the first block of that power is built.
+    map stays increasing.  At p >= 2 rho(z) on a block is ``_kron_sum`` of
+    rho(z) on the block below and on the part, which the ladder already
+    holds.  The dimension budget is checked on (dim V)^p before the first
+    block of that power is built.
     """
     offsets = list(accumulate((part.space_dim for part in parts), initial=0))
     dim_v = offsets[-1]
@@ -296,11 +287,15 @@ def _next_level(
         raise TensorBudgetExceeded(
             f"tensor power {power} needs dimension {dim_v**power} > budget {config.dimension_budget}"
         )
-    z_actions = _tensor_level([block.z_action for block in ladder[-1]], [first.z_action for first in ladder[0]])
-    pairs = [(block, part, off) for block in ladder[-1] for part, off in zip(parts, offsets)]
     return [
-        _Block(z_action, [g * dim_v + off + b for g in block.coords for b in range(part.space_dim)], block, part)
-        for z_action, (block, part, off) in zip(z_actions, pairs)
+        _Block(
+            _kron_sum(block.z_action, first.z_action),
+            [g * dim_v + off + b for g in block.coords for b in range(part.space_dim)],
+            block,
+            part,
+        )
+        for block in ladder[-1]
+        for first, part, off in zip(ladder[0], parts, offsets)
     ]
 
 
@@ -341,9 +336,14 @@ def _distinguish(
     extended in place; searches that share the parts and z pass the same
     one, so each block and its null rows are built at most once.  rho(x) is
     built per search, as the transposes of the integer forms of
-    ``element_action`` on the parts and on each block of a higher power
-    from the block below and the part (``_tensor_level``), so that
-    ``mul_rowmaps`` of a null row with it is rho(x) applied to that row
+    ``element_action`` on the parts, and on a block of a higher power as
+    ``_kron_sum`` of it on the block below and on the part (the transpose
+    of a (x) I + I (x) b is a^T (x) I + I (x) b^T), only when the scan
+    reaches the block: block ``index`` of power p is (block
+    ``index // len(parts)`` of power p - 1) (x) (part ``index % len(parts)``),
+    and a power without a witness is scanned whole, so the actions below
+    are all built whenever the next power needs one.  ``mul_rowmaps`` of a
+    null row with it is rho(x) applied to that row
     (``_moved``; a unit row {f: c} is moved exactly when column f of
     rho(x) holds an entry, one lookup); the rows are tried in order, and a
     block's first row with a nonzero image is its witness.  The blocks of
@@ -356,24 +356,29 @@ def _distinguish(
     if rank(pair) != 2:
         raise NotLinearlyIndependent("z and x must be linearly independent")
     on_parts = [(*element_action(part, x).integer_transpose(), part.space_dim) for part in parts]
-    actions = on_parts  # rho(x)^T on the blocks of the power searched
+    below: list[Action] = []  # rho(x)^T on the blocks of the power below
     for power in range(1, MAX_TENSOR_POWER + 1):
         if len(ladder) < power:
             ladder.append(_next_level(parts, z, ladder, config))
-        if power > 1:
-            actions = _tensor_level(actions, on_parts)
+        actions = []  # rho(x)^T on the blocks of this power scanned so far
         found = None  # (pivot in V^(x)p, block index, witness)
-        for index, (block, (action, _, _)) in enumerate(zip(ladder[power - 1], actions)):
+        for index, block in enumerate(ladder[power - 1]):
             if found is not None and block.coords[0] > found[0]:
                 break  # this block's pivots, and those after it, are all larger
+            if power == 1:
+                action = on_parts[index]
+            else:
+                action = _kron_sum(below[index // len(parts)], on_parts[index % len(parts)])
+            actions.append(action)
             # the first canonical vector of Ker rho(z) that rho(x) does not kill
-            witness = next((w for w, row in enumerate(block.null) if _moved(row, action)), None)
+            witness = next((w for w, row in enumerate(block.null) if _moved(row, action[0])), None)
             if witness is not None:
                 pivot = block.coords[block.free[witness]]
                 if found is None or pivot < found[0]:
                     found = (pivot, index, witness)
         if found is not None:
             return power, found[1], found[2]
+        below = actions
     raise TensorBudgetExceeded(
         f"no kernel witness within tensor power {MAX_TENSOR_POWER}"
     )

@@ -165,12 +165,19 @@ class _HallRewriter:
 def free_nilpotent(rank_: int, nil_class: int) -> LieAlgebra:
     """The free nilpotent Lie algebra F(rank, class) on its Hall basis,
     graded by word degree.  Raises BudgetExceeded when the dimension (a sum
-    of Witt numbers) is above ``DEFAULT_DIMENSION_BUDGET``."""
-    total = sum(witt_dimension(rank_, d) for d in range(1, nil_class + 1))
-    if total > DEFAULT_DIMENSION_BUDGET:
-        raise BudgetExceeded(
-            f"free nilpotent algebra of rank {rank_} and class {nil_class} has dimension {total} > budget {DEFAULT_DIMENSION_BUDGET}"
-        )
+    of Witt numbers) is above ``DEFAULT_DIMENSION_BUDGET``, at the first
+    degree whose running sum passes it.  One generator brackets to nothing,
+    so F(1, c) is the line F(1, 1) for every c >= 1."""
+    if rank_ == 1:
+        nil_class = min(nil_class, 1)
+    total = 0
+    for d in range(1, nil_class + 1):
+        total += witt_dimension(rank_, d)
+        if total > DEFAULT_DIMENSION_BUDGET:
+            raise BudgetExceeded(
+                f"free nilpotent algebra of rank {rank_} and class {nil_class} has dimension at least {total}"
+                f" > budget {DEFAULT_DIMENSION_BUDGET}"
+            )
     words = hall_basis(rank_, nil_class)
     rewriter = _HallRewriter(words, nil_class)
     table = {}

@@ -41,13 +41,15 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
 @dataclass(frozen=True)
 class Grading:
-    """Positive integer degree per basis index."""
+    """Positive integer degree per basis index.  A degree must be an
+    ``int`` itself: a bool, a float, a string or a Fraction is refused, as
+    ``LieAlgebra`` refuses such an index."""
 
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if any(d < 1 for d in self.degrees):
-            raise ValueError("grading degrees must be positive integers")
+        if any(type(d) is not int or d < 1 for d in self.degrees):
+            raise ValueError("grading degrees must be positive ints")
 
     @property
     def max_degree(self) -> int:

@@ -27,7 +27,8 @@ unique and holds the peeled unit rows, so peeling changes no output, all
 outputs are canonical and two runs on equal inputs are bit-identical.  A
 subspace question is one elimination or one pass of ``Subspace.residuals``,
 the sparse reduction against echelon rows: ``intersect`` by Zassenhaus's
-method, ``factor_through`` as one solve, membership as a residual.  No
+method, ``factor_through`` as one solve, membership as a residual.  A
+``Subspace`` holds only its canonical echelon rows and pivots.  No
 floating point anywhere.  ``integer_form`` writes a matrix as integer
 numerators over one common denominator, and ``mul_rowmaps``, the sparse
 product, runs on those as well, so exact checks can multiply without
@@ -57,20 +58,12 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(F1 if j == i else F0 for j in range(n))
-
-
 def dense_vector(coeffs: Mapping[int, Fraction], n: int) -> Vector:
     """The length-n vector with the given sparse {index: coefficient} entries."""
     out = [F0] * n
     for k, v in coeffs.items():
         out[k] = v
     return tuple(out)
-
-
-def zero_vector(n: int) -> Vector:
-    return (F0,) * n
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
@@ -539,22 +532,23 @@ def rank(m: RationalMatrix) -> int:
 
 
 class Subspace:
-    """A subspace of Q^n in canonical column-reduced echelon form.
+    """A subspace of Q^n, held as its canonical echelon rows and pivots.
 
-    The stored basis columns are the nonzero rows of the RREF of any spanning
-    set, so equal subspaces always compare equal.  ``_rows``/``_pivots`` keep
-    the echelon rows for fast membership reduction.  A Subspace is immutable,
-    so its basis matrix, and the basis's rows off the pivots, are built on
-    first use and then kept.
+    ``_rows`` are the nonzero rows of the RREF of any spanning set, as
+    sparse ``{index: Fraction}`` maps, and ``_pivots`` their pivot columns,
+    so equal subspaces always compare equal.  Dense vectors come in through
+    ``from_vectors`` and sparse rows through ``from_rows``; membership,
+    containment and intersection are ``residuals``, ``contains`` and
+    ``intersect`` on those rows, and ``basis_vectors`` writes them out
+    dense.  A Subspace is immutable.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "_rows", "_pivots")
 
     def __init__(self, ambient_dim: int, rows: list[dict[int, Fraction]], pivots: list[int]):
         self.ambient_dim = ambient_dim
         self._rows = rows
         self._pivots = pivots
-        self._basis: RationalMatrix | None = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Mapping[int, object]]) -> "Subspace":
@@ -587,38 +581,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self._pivots)
 
-    @property
-    def basis(self) -> RationalMatrix:
-        """Basis matrix; column j is the j-th canonical basis vector.
-
-        Built once per Subspace and shared by every later read; like every
-        RationalMatrix it must not be mutated.
-        """
-        if self._basis is None:
-            data: dict[int, dict[int, Fraction]] = {}
-            for j, row in enumerate(self._rows):
-                for i, v in row.items():
-                    data.setdefault(i, {})[j] = v
-            self._basis = RationalMatrix(self.ambient_dim, self.dim, data)
-        return self._basis
-
     def basis_vectors(self) -> list[Vector]:
         return [tuple(row.get(i, F0) for i in range(self.ambient_dim)) for row in self._rows]
-
-    def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if v is outside:
-        v is inside when its residual (``residuals``) is empty, and then its
-        coefficient on the echelon row at pivot p is v's entry at p."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        # converted before the zero test, as in from_vectors, so "0/5" is dropped
-        row = {i: y for i, x in enumerate(v) if x and (y := frac(x))}
-        if next(self.residuals([row])):
-            return None
-        return tuple(row.get(p, F0) for p in self._pivots)
-
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return self.coordinates_of(v) is not None
 
     def residuals(self, rows: Iterable[Mapping[int, Fraction]]) -> Iterator[dict[int, Fraction]]:
         """Each sparse ``{index: Fraction}`` row minus its combination of the
@@ -662,11 +626,6 @@ class Subspace:
         if other.dim > self.dim:
             return False
         return not any(self.residuals(other._rows))
-
-    def add(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimension mismatch")
-        return Subspace.from_rows(self.ambient_dim, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """A meet B by Zassenhaus's method, in one elimination: in the RREF

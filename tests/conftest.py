@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
 from adoforge.freenilp import free_nilpotent
 from adoforge.liealg import LieAlgebra, _bracket_span, quotient
-from adoforge.linalg import RationalMatrix, Subspace, dense_vector, hstack, kernel_basis, solve_multi
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, hstack, kernel_basis, solve, solve_multi
 from adoforge.reps import Representation, cyclic_submodule, element_action
 
 
@@ -133,7 +133,7 @@ def random_quotient(rng: random.Random) -> LieAlgebra | None:
     ]
     ideal = Subspace.from_vectors(free.dim, relations)
     while True:
-        closed = ideal.add(_bracket_span(free, ideal))
+        closed = Subspace.from_rows(free.dim, ideal._rows + _bracket_span(free, ideal)._rows)
         if closed == ideal:
             break
         ideal = closed
@@ -199,7 +199,7 @@ def reference_intersect(s, t):
     every vector of Ker [A | -B]."""
     if s.dim == 0 or t.dim == 0:
         return Subspace.zero(s.ambient_dim)
-    a, b = s.basis, t.basis
+    a, b = (RationalMatrix.from_columns(x.ambient_dim, x.basis_vectors()) for x in (s, t))
     null = kernel_basis(hstack([a, -b]))
     return Subspace.from_vectors(s.ambient_dim, [a.apply(w[: a.cols]) for w in null.basis_vectors()])
 
@@ -211,7 +211,7 @@ def reference_restricted_action(sub, m):
     """``Subspace.restricted_action`` as it ran on Fractions, with its
     confirmation by the full product basis @ X: X read off the pivot rows
     of m @ basis, or None when m does not map sub into itself."""
-    basis = sub.basis
+    basis = RationalMatrix.from_columns(sub.ambient_dim, sub.basis_vectors())
     image = m @ basis
     x = RationalMatrix(sub.dim, sub.dim, {j: image._data[p] for j, p in enumerate(sub._pivots) if p in image._data})
     return x if basis @ x == image else None
@@ -225,7 +225,8 @@ def reference_carve(rep, z, quo, v):
     carrier = kernel_basis(element_action(rep, z))
     lead = min(i for i, x in enumerate(z) if x)
     induced = [reference_restricted_action(carrier, m) for i, m in enumerate(rep.matrices) if i != lead]
-    return cyclic_submodule(Representation(quo, carrier.dim, induced), carrier.coordinates_of(v))
+    coords = solve(RationalMatrix.from_columns(carrier.ambient_dim, carrier.basis_vectors()), v)
+    return cyclic_submodule(Representation(quo, carrier.dim, induced), coords)
 
 
 # --- the table-sweep bracket and the dense homomorphism check, as references ---

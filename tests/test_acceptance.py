@@ -25,12 +25,13 @@ from adoforge.graded import (
 )
 from adoforge.liealg import center, codim1_refinement, is_ideal, verify_grading
 from adoforge.linalg import (
+    F1,
     RationalMatrix,
     Subspace,
+    dense_vector,
     factor_through,
     kernel_basis,
     nilpotency_index,
-    unit_vector,
     vec_is_zero,
 )
 from adoforge.reps import (
@@ -99,7 +100,7 @@ def test_criterion_2_graded_embedding(capsys):
             for j in range(algebra.dim):
                 image_bracket = target.bracket(cols[i], cols[j])
                 mapped = emb.matrix.apply(
-                    algebra.bracket(unit_vector(algebra.dim, i), unit_vector(algebra.dim, j))
+                    algebra.bracket(dense_vector({i: F1}, algebra.dim), dense_vector({j: F1}, algebra.dim))
                 )
                 assert image_bracket == mapped, (name, i, j)
                 if algebra.grading.degrees[i] + algebra.grading.degrees[j] >= cutoff:
@@ -154,9 +155,10 @@ def _random_nonzero_ideal(algebra, rng):
         changed = False
         for w in list(space.basis_vectors()):
             for i in range(n):
-                u = algebra.bracket(unit_vector(n, i), w)
-                if not vec_is_zero(u) and not space.contains_vector(u):
-                    space = space.add(Subspace.from_vectors(n, [u]))
+                u = algebra.bracket(dense_vector({i: F1}, n), w)
+                line = Subspace.from_vectors(n, [u])
+                if not vec_is_zero(u) and not space.contains(line):
+                    space = Subspace.from_rows(n, space._rows + line._rows)
                     changed = True
     return space
 
@@ -177,8 +179,8 @@ def test_criterion_6_codim1_refinement(capsys):
         # exhaustive bracket check: [L, I] <= J
         for w in ideal.basis_vectors():
             for b in range(algebra.dim):
-                u = algebra.bracket(unit_vector(algebra.dim, b), w)
-                assert refined.contains_vector(u), name
+                u = algebra.bracket(dense_vector({b: F1}, algebra.dim), w)
+                assert refined.contains(Subspace.from_vectors(algebra.dim, [u])), name
         checked += 1
     print("ACCEPTANCE 6 PASS: 20 random ideals refined with codimension exactly 1")
 
@@ -219,7 +221,7 @@ def test_criterion_7_factor_through(capsys):
 
 def test_criterion_8_tensor_square_nilpotency_index(std_h3_rep, capsys):
     budget = EngineConfig().dimension_budget
-    x = unit_vector(3, 0)
+    x = dense_vector({0: F1}, 3)
     n = nilpotency_index(element_action(std_h3_rep, x))
     squared = tensor_product(std_h3_rep, std_h3_rep)
     assert n == 2
@@ -229,7 +231,7 @@ def test_criterion_8_tensor_square_nilpotency_index(std_h3_rep, capsys):
         rep, _ = construct_faithful_nilpotent(algebra)
         if rep.space_dim**2 > budget:
             continue
-        x = unit_vector(algebra.dim, 0)
+        x = dense_vector({0: F1}, algebra.dim)
         nx = nilpotency_index(element_action(rep, x))
         squared = tensor_product(rep, rep)
         assert nilpotency_index(element_action(squared, x)) == 2 * nx - 1, name

@@ -140,6 +140,35 @@ class TestExamples:
         assert report["outcome"]["error"] == "budget_exceeded"
         assert str(engine.EngineConfig().dimension_budget) in report["outcome"]["message"]
 
+    @pytest.mark.parametrize(
+        "name",
+        ["free2_100000", "free1000_1", "free2_" + "9" * 5000, "free" + "9" * 5000 + "_2"],
+        ids=["class-100000", "rank-1000", "5000-digit-class", "5000-digit-rank"],
+    )
+    def test_free_with_a_long_parameter_exits_4_before_building(self, capsys, monkeypatch, name):
+        # at rank >= 2 every degree adds a Hall word, so a rank or class of
+        # four digits is over the free nilpotent cap of 200 and no int() of
+        # it is taken
+        built = []
+        monkeypatch.setattr(catalog, "free_nilpotent", lambda *a: built.append(a))
+        code, out, report = run_cli(["examples", name], capsys)
+        assert code == 4 and out == "" and built == []
+        assert report["outcome"]["error"] == "budget_exceeded"
+        assert "budget 200" in report["outcome"]["message"]
+
+    @pytest.mark.parametrize(
+        "name", ["free1_2", "free1_100000", "free001_7", "free1_" + "9" * 5000], ids=["2", "100000", "leading-zeros", "5000-digits"]
+    )
+    def test_free_rank_one_is_the_line_for_every_class(self, capsys, name):
+        code, out, _ = run_cli(["examples", "free1_1"], capsys)
+        assert code == 0
+        line = json.loads(out)
+        code, out, _ = run_cli(["examples", name], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("name") == name and line.pop("name") == "free1_1"
+        assert payload == line and payload["dim"] == 1 and payload["brackets"] == []
+
     def test_abelian_index_with_leading_zeros(self, capsys):
         code, out, _ = run_cli(["examples", "abelian0002"], capsys)
         assert code == 0 and algebra_from_json(json.loads(out))[0].dim == 2
@@ -422,7 +451,9 @@ class TestConstructCommand:
 
     def test_cn7a_plus_heisenberg5_exits_4(self, tmp_path, capsys):
         """cn7a + heisenberg5 needs 2 + 4 generators and class 6, and F(6, 6)
-        has dimension 9695, over the free nilpotent cap of 200."""
+        has dimension 9695, over the free nilpotent cap of 200: the Witt
+        numbers 6, 15, 70 and 315 pass it at degree 4, where the sum
+        stops."""
         a, b = example("cn7a"), example("heisenberg5")
         brackets = dict(a.brackets)
         for (i, j), coeffs in b.brackets.items():
@@ -432,7 +463,7 @@ class TestConstructCommand:
         code, _, report = run_cli(["construct", str(path)], capsys)
         assert code == 4
         assert report["outcome"]["error"] == "budget_exceeded"
-        assert "rank 6 and class 6 has dimension 9695 > budget 200" in report["outcome"]["message"]
+        assert "rank 6 and class 6 has dimension at least 406 > budget 200" in report["outcome"]["message"]
 
 
 class TestVerifyCommand:

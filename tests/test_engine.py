@@ -46,7 +46,7 @@ from adoforge.freenilp import present
 from adoforge.graded import graded_faithful_rep
 from adoforge.jsonio import certificate_from_json, certificate_to_json, dumps_canonical, representation_to_json
 from adoforge.liealg import Grading, LieAlgebra, validate
-from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, unit_vector
+from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, kernel_basis
 from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
 from test_reps import CORPUS_REPS, conjugated_corpus_reps
@@ -56,16 +56,16 @@ from conftest import CORPUS, reference_carve, reference_is_hom, ungraded_quotien
 
 class TestDistinguishByKernels:
     def test_standard_h3_center_vs_e0(self, h3, std_h3_rep):
-        rep = distinguish_by_kernels(std_h3_rep, unit_vector(3, 2), unit_vector(3, 0))
-        kz = kernel_basis(element_action(rep, unit_vector(3, 2)))
-        mx = element_action(rep, unit_vector(3, 0))
+        rep = distinguish_by_kernels(std_h3_rep, dense_vector({2: F1}, 3), dense_vector({0: F1}, 3))
+        kz = kernel_basis(element_action(rep, dense_vector({2: F1}, 3)))
+        mx = element_action(rep, dense_vector({0: F1}, 3))
         assert rep.space_dim == 3  # power 1 suffices
         assert any(any(mx.apply(v)) for v in kz.basis_vectors())
 
     def test_standard_h3_center_vs_e1(self, h3, std_h3_rep):
         # Ker E13 = Ker E23 = span{b1, b2}, so the first power cannot work;
         # the tensor square distinguishes (witness b3 (x) b1 - b1 (x) b3).
-        z, x = unit_vector(3, 2), unit_vector(3, 1)
+        z, x = dense_vector({2: F1}, 3), dense_vector({1: F1}, 3)
         kz = kernel_basis(element_action(std_h3_rep, z))
         kx = kernel_basis(element_action(std_h3_rep, x))
         assert kz == kx  # power 1 really is hopeless
@@ -78,7 +78,7 @@ class TestDistinguishByKernels:
         )
 
     def test_dependent_elements_rejected(self, std_h3_rep):
-        z = unit_vector(3, 2)
+        z = dense_vector({2: F1}, 3)
         with pytest.raises(NotLinearlyIndependent):
             distinguish_by_kernels(std_h3_rep, z, tuple(2 * v for v in z))
 
@@ -97,10 +97,10 @@ class TestDistinguishByKernels:
         # MAX_TENSOR_POWER (3^6 = 729 is inside the default budget).
         assert engine.MAX_TENSOR_POWER == 6
         with pytest.raises(TensorBudgetExceeded, match="within tensor power 6"):
-            distinguish_by_kernels(rep, unit_vector(3, 2), unit_vector(3, 0))
+            distinguish_by_kernels(rep, dense_vector({2: F1}, 3), dense_vector({0: F1}, 3))
         ladder = []
         with pytest.raises(TensorBudgetExceeded):
-            engine._distinguish([rep], unit_vector(3, 2), unit_vector(3, 0), EngineConfig(), ladder)
+            engine._distinguish([rep], dense_vector({2: F1}, 3), dense_vector({0: F1}, 3), EngineConfig(), ladder)
         # one part, so one block per power, holding the whole power
         assert [len(level) for level in ladder] == [1] * 6
         assert [sum(b.rep.space_dim for b in level) for level in ladder] == [3, 9, 27, 81, 243, 729]
@@ -216,7 +216,7 @@ class TestTensorLadder:
         # e1 needs the tensor square, of dimension 9
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 9 > budget 8"):
             distinguish_by_kernels(
-                std_h3_rep, unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=8)
+                std_h3_rep, dense_vector({2: F1}, 3), dense_vector({1: F1}, 3), EngineConfig(dimension_budget=8)
             )
         assert built == []
 
@@ -313,7 +313,7 @@ class TestBlockLadder:
     def test_h3_pair_needs_the_square(self, h3, std_h3_rep):
         # Ker rho(e2) <= Ker rho(e1) on the standard rep, so a sum of its
         # copies finds its witness in a block of the tensor square
-        z, x = unit_vector(3, 2), unit_vector(3, 1)
+        z, x = dense_vector({2: F1}, 3), dense_vector({1: F1}, 3)
         assert assert_blocks_match_sum([std_h3_rep, std_h3_rep], z, x) == 2
         assert assert_blocks_match_sum([std_h3_rep, std_h3_rep, std_h3_rep], z, x) == 2
         # ad(e2) = 0 and ad(e1) != 0, and on the dual x -> -rho(x)^T the
@@ -332,7 +332,7 @@ class TestBlockLadder:
         monkeypatch.setattr(engine, "_kron_sum", lambda *a: built.append(a))
         with pytest.raises(TensorBudgetExceeded, match="tensor power 2 needs dimension 36 > budget 35"):
             engine._distinguish(
-                [std_h3_rep, std_h3_rep], unit_vector(3, 2), unit_vector(3, 1), EngineConfig(dimension_budget=35), []
+                [std_h3_rep, std_h3_rep], dense_vector({2: F1}, 3), dense_vector({1: F1}, 3), EngineConfig(dimension_budget=35), []
             )
         assert built == []
 
@@ -400,7 +400,7 @@ def test_lazy_ladder_matches_the_eager_one(search):
         ladder.append(engine._next_level(parts, z, ladder, EngineConfig()))
         if power > 1:
             eager.append([reps.tensor_product(rep, part) for rep in eager[-1] for part in parts])
-            actions = engine._tensor_level(actions, on_parts)
+            actions = [engine._kron_sum(a, b) for a in actions for b in on_parts]
         assert len(ladder[-1]) == len(eager[-1]) == len(actions) == len(parts) ** power
         for block, rep, action in zip(ladder[-1], eager[-1], actions):
             assert fraction_action(block.z_action) == element_action(rep, z)
@@ -417,7 +417,7 @@ def test_lazy_ladder_matches_the_eager_one(search):
         candidates = []
         for index, (rep, block) in enumerate(zip(level, built)):
             kernel = kernel_basis(element_action(rep, z))
-            image = element_action(rep, x) @ kernel.basis
+            image = element_action(rep, x) @ RationalMatrix.from_columns(kernel.ambient_dim, kernel.basis_vectors())
             witness = min((c for _, c, _ in image.entries()), default=None)
             if witness is not None:
                 candidates.append((block.coords[kernel._pivots[witness]], index, witness))
@@ -493,7 +493,8 @@ def characters(draw, algebra):
     """x -> f(x) E_01 on Q^2 for a drawn functional f that vanishes on
     [L, L]: a representation, since its matrices commute, whose kernel is
     the hyperplane Ker f (all of L when f = 0)."""
-    annihilator = kernel_basis(liealg.derived_subalgebra(algebra).basis.transpose()).basis_vectors()
+    derived = liealg.derived_subalgebra(algebra).basis_vectors()
+    annihilator = kernel_basis(RationalMatrix.from_columns(algebra.dim, derived).transpose()).basis_vectors()
     coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=len(annihilator), max_size=len(annihilator)))
     f = [sum(c * v[i] for c, v in zip(coeffs, annihilator)) for i in range(algebra.dim)]
     return Representation(algebra, 2, [RationalMatrix.from_entries(2, 2, [(0, 1, fi)] if fi else []) for fi in f])
@@ -722,7 +723,7 @@ class TestFlagCentrality:
             assert upper.contains(lower)
             for v in upper.basis_vectors():
                 for b in range(free.dim):
-                    assert lower.contains_vector(free.bracket(unit_vector(free.dim, b), v))
+                    assert lower.contains(Subspace.from_vectors(free.dim, [free.bracket(dense_vector({b: F1}, free.dim), v)]))
 
 
 class TestKernelSubmoduleInputs:
@@ -814,8 +815,9 @@ def reference_search(parts, z, x, config):
     """``_distinguish`` as it ran on Fractions: rho(z) and rho(x) on every
     block of each power as RationalMatrix sums a (x) I + I (x) b built by
     ``kronecker``, ``kernel_basis`` of rho(z) per block, and the witness the
-    first column of rho(x) @ kernel.basis holding an entry; among the
-    blocks, the witness with the smallest pivot in the whole power."""
+    first column of rho(x) @ (the kernel's basis columns) holding an entry;
+    among the blocks, the witness with the smallest pivot in the whole
+    power."""
     z_parts = [element_action(part, z) for part in parts]
     x_parts = [element_action(part, x) for part in parts]
     offsets = [sum(part.space_dim for part in parts[:k]) for k in range(len(parts) + 1)]
@@ -839,7 +841,8 @@ def reference_search(parts, z, x, config):
         found = None
         for index, (mz, mx, cs) in enumerate(zip(zs, xs, coords)):
             kernel = kernel_basis(mz)
-            witness = min((c for _, c, _ in (mx @ kernel.basis).entries()), default=None)
+            basis = RationalMatrix.from_columns(mz.cols, kernel.basis_vectors())
+            witness = min((c for _, c, _ in (mx @ basis).entries()), default=None)
             if witness is not None and (found is None or cs[kernel._pivots[witness]] < found[0]):
                 found = (cs[kernel._pivots[witness]], index, witness)
         if found is not None:
@@ -890,7 +893,7 @@ def exhaustive_search(parts, x, ladder):
     actions = on_parts
     for power, level in enumerate(ladder, start=1):
         if power > 1:
-            actions = engine._tensor_level(actions, on_parts)
+            actions = [engine._kron_sum(a, b) for a in actions for b in on_parts]
         found = None
         for index, (block, (action, _, _)) in enumerate(zip(level, actions)):
             witness = next((w for w, row in enumerate(block.null) if linalg.mul_rowmaps({0: row}, action)), None)
@@ -937,7 +940,7 @@ def test_bounded_search_matches_the_exhaustive_loop_on_draws(algebra):
     assert_bounded_search_matches_the_exhaustive_loop(algebra)
 
 
-def test_bounded_search_scans_past_a_later_first_witness():
+def test_bounded_search_scans_past_a_later_first_witness(monkeypatch):
     """On a hand-built ladder, the first block holding a witness is not the
     one with the smallest pivot, so the scan must go on past it and stop
     only at a block that starts past the best pivot.
@@ -962,10 +965,72 @@ def test_bounded_search_scans_past_a_later_first_witness():
             level.append(engine._Block(z_action, coords, below, part))
     ladder.append(level)
     assert [b.free for b in level[:2]] == [[2, 3], [0, 1, 2, 3]]
-    z, x = unit_vector(2, 0), unit_vector(2, 1)
+    z, x = dense_vector({0: F1}, 2), dense_vector({1: F1}, 2)
+    built = []
+    real = engine._kron_sum
+    monkeypatch.setattr(engine, "_kron_sum", lambda a, b: built.append(a) or real(a, b))
     found = engine._distinguish(parts, z, x, EngineConfig(), ladder)
     assert found == (2, 1, 1)
+    # the scan stops at block (1, 0), which starts at 8 > 3: rho(x) is built
+    # on the two blocks before it only
+    assert len(built) == 2
     assert exhaustive_search(parts, x, ladder) == ((2, 1, 1), True)
+
+
+def scanned_blocks(ladder, found):
+    """How many rho(x) block actions a search that returned ``found`` reads
+    past power 1: every block of the powers 2 to p - 1, each scanned whole,
+    and at its power p the blocks that start at or before its witness
+    pivot, the prefix the scan reaches."""
+    power, index, witness = found
+    block = ladder[power - 1][index]
+    pivot = block.coords[block.free[witness]]
+    if power == 1:
+        return 0
+    return sum(len(level) for level in ladder[1 : power - 1]) + sum(b.coords[0] <= pivot for b in ladder[power - 1])
+
+
+def assert_x_actions_stop_with_the_scan(algebra, monkeypatch):
+    """Every kernel search of a forced-induction construct builds rho(x)
+    (``_kron_sum`` outside ``_next_level``, whose calls build rho(z)) on
+    exactly the blocks its scan reaches; returns how many searches left a
+    block of their landing power unbuilt."""
+    real_distinguish, real_kron, real_next = engine._distinguish, engine._kron_sum, engine._next_level
+    built, depth, outcomes = [], [0], []
+
+    def kron(a, b):
+        if not depth[0]:
+            built.append(a)
+        return real_kron(a, b)
+
+    def next_level(*args):
+        depth[0] += 1
+        try:
+            return real_next(*args)
+        finally:
+            depth[0] -= 1
+
+    def recorded(parts, z, x, config, ladder):
+        del built[:]
+        found = real_distinguish(parts, z, x, config, ladder)
+        whole = sum(len(level) for level in ladder[1 : found[0]])
+        outcomes.append((len(built), scanned_blocks(ladder, found), whole))
+        return found
+
+    monkeypatch.setattr(engine, "_kron_sum", kron)
+    monkeypatch.setattr(engine, "_next_level", next_level)
+    monkeypatch.setattr(engine, "_distinguish", recorded)
+    _, cert = construct_faithful_nilpotent(algebra, EngineConfig(method="induction"))
+    assert len(outcomes) == len(cert.steps_of_kind("kernel_search")) > 0
+    assert [count for count, _, _ in outcomes] == [expected for _, expected, _ in outcomes]
+    return sum(expected < whole for _, expected, whole in outcomes)
+
+
+@pytest.mark.parametrize(
+    "build", [census7, lambda: example("cn7a"), lambda: rebased(heisenberg5())], ids=["census7", "cn7a", "heisenberg5-rebased"]
+)
+def test_x_actions_built_only_on_the_blocks_the_scan_reaches(build, monkeypatch):
+    assert assert_x_actions_stop_with_the_scan(build(), monkeypatch) > 0
 
 
 class TestCensus7:
@@ -1075,7 +1140,7 @@ class TestTypedInteriorErrors:
     under ``python -O`` too, when a step returns the impossible."""
 
     def test_flag_generator_needs_new_direction(self):
-        line = Subspace.from_vectors(3, [unit_vector(3, 2)])
+        line = Subspace.from_vectors(3, [dense_vector({2: F1}, 3)])
         with pytest.raises(DegenerateFlag):
             engine._flag_generator(line, line)
 

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import adoforge.freenilp as freenilp
 from adoforge.catalog import abelian, filiform4, heisenberg3
 from adoforge.errors import BudgetExceeded, NotNilpotent
 from adoforge.freenilp import free_central_flag, free_nilpotent, hall_basis, present, witt_dimension
 from adoforge.catalog import heisenberg5
 from adoforge.catalog import example
 from adoforge.liealg import LieHom, central_flag, is_ideal, nilpotency_class, validate, verify_grading
-from adoforge.linalg import RationalMatrix, Subspace, kernel_basis, rank, unit_vector
+from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, kernel_basis, rank
 from hypothesis import given, settings, strategies as st
 from test_golden import rebased
 
@@ -124,10 +125,18 @@ class TestFreeNilpotent:
         assert reference_is_hom(h3, f, iso.matrix)
         assert kernel_basis(iso.matrix).dim == 0
 
-    def test_rank1_is_abelian(self):
-        for c in (1, 2, 3):
+    def test_rank1_is_abelian(self, monkeypatch):
+        # one generator brackets to nothing, so F(1, c) is F(1, 1): no Witt
+        # number past degree 1 and no Hall word past the generator is sought
+        line = free_nilpotent(1, 1)
+        degrees = []
+        real = freenilp.witt_dimension
+        monkeypatch.setattr(freenilp, "witt_dimension", lambda r, d: degrees.append(d) or real(r, d))
+        for c in (1, 2, 3, 10**6):
             f = free_nilpotent(1, c)
             assert f.dim == 1 and not f.brackets
+            assert (f.labels, f.grading) == (line.labels, line.grading)
+        assert degrees == [1] * 4
 
     def test_rank2_class3_shape(self):
         f = free_nilpotent(2, 3)
@@ -144,6 +153,17 @@ class TestFreeNilpotent:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             free_nilpotent(5, 4)  # dimension 205 over the default 200
+
+    @pytest.mark.parametrize("r,c,stop,total", [(2, 10**6, 10, 226), (6, 6, 4, 406), (201, 3, 1, 201)])
+    def test_budget_stops_at_the_first_degree_over(self, monkeypatch, r, c, stop, total):
+        # the Witt numbers are summed degree by degree, and the sum stops at
+        # the first degree where it passes the budget of 200
+        degrees = []
+        real = freenilp.witt_dimension
+        monkeypatch.setattr(freenilp, "witt_dimension", lambda r, d: degrees.append(d) or real(r, d))
+        with pytest.raises(BudgetExceeded, match=f"rank {r} and class {c} has dimension at least {total} > budget 200"):
+            free_nilpotent(r, c)
+        assert degrees == list(range(1, stop + 1))
 
 
 # (rank, class) with dim F(rank, class) <= 32
@@ -213,7 +233,7 @@ class TestPresent:
             if d == 1
         ]
         derived = derived_subalgebra(l)
-        total = Subspace.from_vectors(l.dim, generator_images).add(derived)
+        total = Subspace.from_rows(l.dim, Subspace.from_vectors(l.dim, generator_images)._rows + derived._rows)
         assert total.dim == l.dim
 
     def test_not_nilpotent_rejected(self, solvable):
@@ -245,14 +265,14 @@ def reference_present(algebra):
     from those columns."""
     n = algebra.dim
     derived = Subspace.from_vectors(
-        n, [reference_bracket(algebra, unit_vector(n, i), unit_vector(n, j)) for i in range(n) for j in range(i + 1, n)]
+        n, [reference_bracket(algebra, dense_vector({i: F1}, n), dense_vector({j: F1}, n)) for i in range(n) for j in range(i + 1, n)]
     )
     complement = [i for i in range(n) if i not in set(derived._pivots)]
     words = hall_basis(len(complement), nilpotency_class(algebra))
     images = []
     for w in words:
         if w.is_generator:
-            images.append(unit_vector(n, complement[w.gen]))
+            images.append(dense_vector({complement[w.gen]: F1}, n))
         else:
             images.append(reference_bracket(algebra, images[w.left.index], images[w.right.index]))
     matrix = RationalMatrix.from_columns(n, images)

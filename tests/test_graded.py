@@ -26,7 +26,7 @@ from adoforge.graded import (
     graded_faithful_rep,
 )
 from adoforge.liealg import LieAlgebra, center, lower_central_series, validate
-from adoforge.linalg import RationalMatrix, dense_vector, kernel_basis, unit_vector, vec_is_zero
+from adoforge.linalg import F1, RationalMatrix, dense_vector, kernel_basis, vec_is_zero
 from adoforge.reps import (
     Representation,
     adjoint,
@@ -49,13 +49,13 @@ class TestCurrentAlgebra:
         assert validate(c.product).ok
         # [e0 (x) t, e1 (x) t] = e2 (x) t^2
         lhs = c.product.bracket(
-            unit_vector(6, c.flat_index(1, 0)), unit_vector(6, c.flat_index(1, 1))
+            dense_vector({c.flat_index(1, 0): F1}, 6), dense_vector({c.flat_index(1, 1): F1}, 6)
         )
-        expected = unit_vector(6, c.flat_index(2, 2))
+        expected = dense_vector({c.flat_index(2, 2): F1}, 6)
         assert lhs == expected
         # degree 3 truncates: [e0 (x) t, e1 (x) t^2] = 0
         lhs = c.product.bracket(
-            unit_vector(6, c.flat_index(1, 0)), unit_vector(6, c.flat_index(2, 1))
+            dense_vector({c.flat_index(1, 0): F1}, 6), dense_vector({c.flat_index(2, 1): F1}, 6)
         )
         assert vec_is_zero(lhs)
 
@@ -87,8 +87,8 @@ class TestGradedEmbedding:
         assert kernel_basis(emb.matrix).dim == 0
         assert reference_is_hom(h3, emb.target, emb.matrix)
         c = current_algebra(h3, 3)
-        assert emb.matrix.column(0) == unit_vector(6, c.flat_index(1, 0))
-        assert emb.matrix.column(2) == unit_vector(6, c.flat_index(2, 2))
+        assert emb.matrix.column(0) == dense_vector({c.flat_index(1, 0): F1}, 6)
+        assert emb.matrix.column(2) == dense_vector({c.flat_index(2, 2): F1}, 6)
 
     def test_f4_dimensions(self, f4):
         emb = graded_embedding(f4)
@@ -349,7 +349,7 @@ class TestDerivationRep:
         # ad e0 kills the center e2, and so does rho
         rep = derivation_rep(h3, adjoint(h3).matrices[0])
         assert verify_output(h3, rep).failing() == ["faithful"]
-        assert rep_kernel(rep).basis_vectors() == [unit_vector(3, 2)]
+        assert rep_kernel(rep).basis_vectors() == [dense_vector({2: F1}, 3)]
 
     def test_shape_checked(self, h3):
         with pytest.raises(DimensionMismatch):

@@ -27,7 +27,7 @@ from adoforge.liealg import (
     validate,
     verify_grading,
 )
-from adoforge.linalg import RationalMatrix, Subspace, solve_multi, unit_vector
+from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, solve, solve_multi
 from adoforge.reps import adjoint
 
 from conftest import (
@@ -101,34 +101,34 @@ class TestIntegerIndices:
 
 class TestBracket:
     def test_h3_generators(self, h3):
-        e0, e1 = unit_vector(3, 0), unit_vector(3, 1)
-        assert h3.bracket(e0, e1) == unit_vector(3, 2)
+        e0, e1 = dense_vector({0: F1}, 3), dense_vector({1: F1}, 3)
+        assert h3.bracket(e0, e1) == dense_vector({2: F1}, 3)
 
     def test_alternating(self, h3):
         u = (Fraction(2), Fraction(-1), Fraction(5))
         assert all(c == 0 for c in h3.bracket(u, u))
 
     def test_central_element(self, h3):
-        assert all(c == 0 for c in h3.bracket(unit_vector(3, 2), unit_vector(3, 0)))
+        assert all(c == 0 for c in h3.bracket(dense_vector({2: F1}, 3), dense_vector({0: F1}, 3)))
 
 
 class TestCenter:
     def test_h3(self, h3):
-        assert center(h3) == span(3, unit_vector(3, 2))
+        assert center(h3) == span(3, dense_vector({2: F1}, 3))
 
     def test_abelian(self):
         for n in (1, 2, 4):
             assert center(abelian(n)) == Subspace.full(n)
 
     def test_filiform(self, f4):
-        assert center(f4) == span(4, unit_vector(4, 3))
+        assert center(f4) == span(4, dense_vector({3: F1}, 4))
 
 
 class TestLowerCentralSeries:
     def test_h3(self, h3):
         dims = [s.dim for s in lower_central_series(h3)]
         assert dims == [3, 1, 0]
-        assert lower_central_series(h3)[1] == span(3, unit_vector(3, 2))
+        assert lower_central_series(h3)[1] == span(3, dense_vector({2: F1}, 3))
 
     def test_abelian(self, abelian2):
         assert [s.dim for s in lower_central_series(abelian2)] == [2, 0]
@@ -136,8 +136,8 @@ class TestLowerCentralSeries:
     def test_filiform(self, f4):
         series = lower_central_series(f4)
         assert [s.dim for s in series] == [4, 2, 1, 0]
-        assert series[1] == span(4, unit_vector(4, 2), unit_vector(4, 3))
-        assert series[2] == span(4, unit_vector(4, 3))
+        assert series[1] == span(4, dense_vector({2: F1}, 4), dense_vector({3: F1}, 4))
+        assert series[2] == span(4, dense_vector({3: F1}, 4))
 
 
 class TestNilpotencyClass:
@@ -159,16 +159,16 @@ class TestQuotient:
         assert proj.matrix == RationalMatrix.identity(3)
 
     def test_h3_by_center(self, h3):
-        q, proj = quotient(h3, span(3, unit_vector(3, 2)))
+        q, proj = quotient(h3, span(3, dense_vector({2: F1}, 3)))
         assert q.dim == 2 and not q.brackets  # abelian
         assert proj.matrix.rows == 2
 
     def test_non_ideal_rejected(self, h3):
         with pytest.raises(NotAnIdeal):
-            quotient(h3, span(3, unit_vector(3, 0)))
+            quotient(h3, span(3, dense_vector({0: F1}, 3)))
 
     def test_projection_is_homomorphism(self, f4):
-        ideal = span(4, unit_vector(4, 3))
+        ideal = span(4, dense_vector({3: F1}, 4))
         q, proj = quotient(f4, ideal)
         assert q.dim == 3
         assert reference_is_hom(f4, q, proj.matrix)
@@ -197,7 +197,7 @@ def reference_projection(algebra, ideal):
     [B | E_Q] as ``quotient`` did before it read b off the echelon rows."""
     n = algebra.dim
     complement = [i for i in range(n) if i not in set(ideal._pivots)]
-    lhs = RationalMatrix.from_columns(n, ideal.basis_vectors() + [unit_vector(n, i) for i in complement])
+    lhs = RationalMatrix.from_columns(n, ideal.basis_vectors() + [dense_vector({i: F1}, n) for i in complement])
     inv = solve_multi(lhs, RationalMatrix.identity(n))
     return RationalMatrix.from_entries(
         len(complement), n, ((r - ideal.dim, c, v) for r, c, v in inv.entries() if r >= ideal.dim)
@@ -227,19 +227,19 @@ class TestCentralFlag:
     def test_abelian2(self, abelian2):
         flag = central_flag(abelian2).ideals
         assert [s.dim for s in flag] == [0, 1, 2]
-        assert flag[1] == span(2, unit_vector(2, 0))
+        assert flag[1] == span(2, dense_vector({0: F1}, 2))
 
     def test_h3_chain_properties(self, h3):
         flag = central_flag(h3).ideals
         assert [s.dim for s in flag] == [0, 1, 2, 3]
-        assert flag[1] == span(3, unit_vector(3, 2))
+        assert flag[1] == span(3, dense_vector({2: F1}, 3))
         _assert_chain_properties(h3, flag)
 
     def test_f4_chain(self, f4):
         flag = central_flag(f4).ideals
         assert len(flag) == 5
-        assert flag[1] == span(4, unit_vector(4, 3))
-        assert flag[2] == span(4, unit_vector(4, 2), unit_vector(4, 3))
+        assert flag[1] == span(4, dense_vector({3: F1}, 4))
+        assert flag[2] == span(4, dense_vector({2: F1}, 4), dense_vector({3: F1}, 4))
         _assert_chain_properties(f4, flag)
 
     def test_not_nilpotent(self, solvable):
@@ -256,22 +256,22 @@ def _assert_chain_properties(algebra, flag):
         assert is_ideal(algebra, flag[i])
         for v in flag[i].basis_vectors():
             for b in range(algebra.dim):
-                w = algebra.bracket(unit_vector(algebra.dim, b), v)
-                assert flag[i - 1].contains_vector(w)
+                w = algebra.bracket(dense_vector({b: F1}, algebra.dim), v)
+                assert flag[i - 1].contains(Subspace.from_vectors(algebra.dim, [w]))
 
 
 class TestCodim1Refinement:
     def test_one_dimensional_ideal(self, h3):
-        j = codim1_refinement(h3, span(3, unit_vector(3, 2)))
+        j = codim1_refinement(h3, span(3, dense_vector({2: F1}, 3)))
         assert j.dim == 0
 
     def test_f4_two_dimensional(self, f4):
-        i = span(4, unit_vector(4, 2), unit_vector(4, 3))
+        i = span(4, dense_vector({2: F1}, 4), dense_vector({3: F1}, 4))
         j = codim1_refinement(f4, i)
-        assert j == span(4, unit_vector(4, 3))
+        assert j == span(4, dense_vector({3: F1}, 4))
         for v in i.basis_vectors():
             for b in range(4):
-                assert j.contains_vector(f4.bracket(unit_vector(4, b), v))
+                assert j.contains(Subspace.from_vectors(4, [f4.bracket(dense_vector({b: F1}, 4), v)]))
 
     def test_zero_ideal_rejected(self, h3):
         with pytest.raises(ZeroIdeal):
@@ -279,11 +279,11 @@ class TestCodim1Refinement:
 
     def test_non_ideal_rejected(self, h3):
         with pytest.raises(NotAnIdeal):
-            codim1_refinement(h3, span(3, unit_vector(3, 0)))
+            codim1_refinement(h3, span(3, dense_vector({0: F1}, 3)))
 
     def test_flag_of_another_algebra_rejected(self, h3, f4):
         with pytest.raises(AlgebraMismatch, match="different algebra"):
-            codim1_refinement(h3, span(3, unit_vector(3, 2)), central_flag(f4))
+            codim1_refinement(h3, span(3, dense_vector({2: F1}, 3)), central_flag(f4))
 
     def test_flag_without_the_full_space_rejected(self, h3):
         truncated = IdealChain(h3, central_flag(h3).ideals[:-1])
@@ -292,17 +292,17 @@ class TestCodim1Refinement:
 
     def test_codimension_two_step_rejected(self, h3):
         # the first member containing L sits two dimensions above the one below
-        skipping = IdealChain(h3, [Subspace.zero(3), span(3, unit_vector(3, 2)), Subspace.full(3)])
+        skipping = IdealChain(h3, [Subspace.zero(3), span(3, dense_vector({2: F1}, 3)), Subspace.full(3)])
         with pytest.raises(AlgebraMismatch, match="not a full flag"):
             codim1_refinement(h3, Subspace.full(3), skipping)
         with pytest.raises(AlgebraMismatch, match="not a full flag"):
-            codim1_refinement(h3, span(3, unit_vector(3, 2)), IdealChain(h3, [Subspace.zero(3), Subspace.full(3)]))
+            codim1_refinement(h3, span(3, dense_vector({2: F1}, 3)), IdealChain(h3, [Subspace.zero(3), Subspace.full(3)]))
 
     def test_chain_that_is_not_nested_rejected(self):
         # steps of codimension 1, but <e1, e2> does not contain <e0>: the
         # residuals of e1 and e2 modulo <e0> are not proportional
         a3 = abelian(3)
-        e = [unit_vector(3, i) for i in range(3)]
+        e = [dense_vector({i: F1}, 3) for i in range(3)]
         chain = IdealChain(a3, [Subspace.zero(3), span(3, e[0]), span(3, e[1], e[2]), Subspace.full(3)])
         with pytest.raises(AlgebraMismatch, match="not a full flag"):
             codim1_refinement(a3, span(3, e[1], e[2]), chain)
@@ -383,6 +383,22 @@ class TestVerifyGrading:
         assert not verify_grading(LieAlgebra(3, h3.brackets))
 
 
+class TestGradingDegrees:
+    @pytest.mark.parametrize(
+        "degrees",
+        [(1.0, 1, 2.0), (1, 1, 2.0), (True, 1, 2), ("1",), (Fraction(1), 1, 2), (1, 0, 1), (1, -1, 2)],
+        ids=["floats", "one-float", "bool", "string", "fraction", "zero", "negative"],
+    )
+    def test_refuses_a_degree_that_is_not_a_positive_int(self, degrees):
+        # a float or a bool equals an int, so without the type check it
+        # would reach the certificate's "derivation" as 1.0 or true
+        with pytest.raises(ValueError, match="grading degrees must be positive ints"):
+            Grading(degrees)
+
+    def test_accepts_positive_ints(self):
+        assert Grading((1, 1, 2)).degrees == (1, 1, 2) and Grading(()).max_degree == 0
+
+
 class TestLieHom:
     def test_is_a_value_with_a_shape_check(self, h3, abelian2):
         # the builder promises the identity; only the shape is checked, so
@@ -395,7 +411,7 @@ class TestLieHom:
             LieHom(abelian2, h3, m)
 
     def test_quotient_projection_kernel(self, h3):
-        ideal = span(3, unit_vector(3, 2))
+        ideal = span(3, dense_vector({2: F1}, 3))
         _, proj = quotient(h3, ideal)
         from adoforge.linalg import kernel_basis
 
@@ -486,17 +502,18 @@ def reference_bracket_span_vectors(algebra, space):
     vectors = []
     for col in space.basis_vectors():
         for i in range(algebra.dim):
-            v = algebra.bracket(unit_vector(algebra.dim, i), col)
+            v = algebra.bracket(dense_vector({i: F1}, algebra.dim), col)
             if any(v):
                 vectors.append(v)
     return vectors
 
 
 def reference_is_ideal(algebra, space):
+    basis = RationalMatrix.from_columns(algebra.dim, space.basis_vectors())
     for col in space.basis_vectors():
         for i in range(algebra.dim):
-            v = algebra.bracket(unit_vector(algebra.dim, i), col)
-            if any(v) and not space.contains_vector(v):
+            v = algebra.bracket(dense_vector({i: F1}, algebra.dim), col)
+            if any(v) and solve(basis, v) is None:
                 return False
     return True
 
@@ -562,7 +579,7 @@ def test_series_and_ideals_match_dense_on_corpus(name):
         assert span == Subspace.from_vectors(algebra.dim, reference)
         assert is_ideal(algebra, term) and reference_is_ideal(algebra, term)
     for i in range(algebra.dim):
-        line = Subspace.from_vectors(algebra.dim, [unit_vector(algebra.dim, i)])
+        line = Subspace.from_vectors(algebra.dim, [dense_vector({i: F1}, algebra.dim)])
         assert is_ideal(algebra, line) == reference_is_ideal(algebra, line)
 
 
@@ -671,8 +688,8 @@ def check_flag_and_ideal_verdicts(algebra, vectors=()):
     flag = central_flag(algebra).ideals
     assert flag == reference_central_flag(algebra)
     ideals = lower_central_series(algebra) + [center(algebra)] + flag
-    lines = [Subspace.from_vectors(n, [unit_vector(n, i)]) for i in range(n)]
-    planes = [Subspace.from_vectors(n, [unit_vector(n, i), unit_vector(n, j)]) for i in range(n) for j in range(i + 1, n)]
+    lines = [Subspace.from_vectors(n, [dense_vector({i: F1}, n)]) for i in range(n)]
+    planes = [Subspace.from_vectors(n, [dense_vector({i: F1}, n), dense_vector({j: F1}, n)]) for i in range(n) for j in range(i + 1, n)]
     spaces = ideals + lines + planes + [Subspace.from_vectors(n, vectors)]
     verdicts = [is_ideal(algebra, space) for space in spaces]
     assert verdicts == [reference_reduced_is_ideal(algebra, space) for space in spaces]

@@ -9,15 +9,15 @@ from adoforge.graded import graded_faithful_rep
 import adoforge.reps as reps
 from adoforge.liealg import LieAlgebra, LieHom, center, quotient
 from adoforge.linalg import (
+    F1,
     RationalMatrix,
     Subspace,
     block_diag,
+    dense_vector,
     kernel_basis,
     mul_rowmaps,
     nilpotency_index,
     solve_multi,
-    unit_vector,
-    zero_vector,
 )
 from adoforge.reps import (
     Representation,
@@ -120,7 +120,7 @@ class TestTensorProduct:
         assert tensor_product(std_h3_rep, trivial).matrices == std_h3_rep.matrices
 
     def test_nilpotency_index_doubles(self, std_h3_rep):
-        x = unit_vector(3, 0)
+        x = dense_vector({0: F1}, 3)
         n = nilpotency_index(element_action(std_h3_rep, x))
         squared = tensor_product(std_h3_rep, std_h3_rep)
         assert nilpotency_index(element_action(squared, x)) == 2 * n - 1
@@ -174,7 +174,7 @@ class TestRepKernel:
         assert rep_kernel(std_h3_rep).dim == 0
 
     def test_adjoint_kernel(self, h3):
-        assert rep_kernel(adjoint(h3)) == Subspace.from_vectors(3, [unit_vector(3, 2)])
+        assert rep_kernel(adjoint(h3)) == Subspace.from_vectors(3, [dense_vector({2: F1}, 3)])
 
 
 class TestIsHomomorphism:
@@ -234,25 +234,25 @@ def carve(rep, z, row):
 class TestKernelSubmodule:
     def test_central_zero_action_takes_the_cyclic_submodule(self, h3):
         ad = adjoint(h3)  # rho(e2) = 0, so Ker rho(e2) is all of Q^3
-        v, induced = carve(ad, unit_vector(3, 2), 0)
-        assert v == unit_vector(3, 0)  # [e1, e0] = -e2, so the closure is <e0, e2>
+        v, induced = carve(ad, dense_vector({2: F1}, 3), 0)
+        assert v == dense_vector({0: F1}, 3)  # [e1, e0] = -e2, so the closure is <e0, e2>
         assert induced.space_dim == 2
         assert induced.algebra.dim == 2
         assert is_homomorphism(induced)
 
     def test_standard_rep_center_carve(self, std_h3_rep):
         # Ker E13 = span{e0, e1}; E12 sends its second row e1 to e0
-        v, induced = carve(std_h3_rep, unit_vector(3, 2), 1)
-        assert v == unit_vector(3, 1)
+        v, induced = carve(std_h3_rep, dense_vector({2: F1}, 3), 1)
+        assert v == dense_vector({1: F1}, 3)
         assert induced.space_dim == 2
         assert induced.algebra.dim == 2 and not induced.algebra.brackets
         assert is_homomorphism(induced)
         assert is_nilpotent_rep(induced)
-        _, killed = carve(std_h3_rep, unit_vector(3, 2), 0)
+        _, killed = carve(std_h3_rep, dense_vector({2: F1}, 3), 0)
         assert killed.space_dim == 1
 
     def test_non_central_rejected(self, std_h3_rep):
-        z = unit_vector(3, 0)  # its line is no ideal, so abelian(2) stands in for L/<z>
+        z = dense_vector({0: F1}, 3)  # its line is no ideal, so abelian(2) stands in for L/<z>
         v = kernel_basis(element_action(std_h3_rep, z)).basis_vectors()[0]
         with pytest.raises(NotCentral, match="not central in the algebra"):
             kernel_submodule(std_h3_rep, z, abelian(2), v)
@@ -260,7 +260,7 @@ class TestKernelSubmodule:
     def test_cyclic_submodule_without_the_lead_action(self, std_h3_rep):
         # the cyclic submodule of v with the action of e2, the pivot that
         # the quotient drops, left out; the same as the two-step carve
-        z = unit_vector(3, 2)
+        z = dense_vector({2: F1}, 3)
         v, induced = carve(std_h3_rep, z, 1)
         assert induced.matrices == cyclic_submodule(std_h3_rep, v).matrices[:2]
         assert induced.matrices == reference_carve(std_h3_rep, z, induced.algebra, v).matrices
@@ -275,33 +275,33 @@ class TestKernelSubmodule:
             assert is_homomorphism(induced)
 
     def test_quotient_of_wrong_dim_rejected(self, std_h3_rep):
-        z, v = unit_vector(3, 2), unit_vector(3, 1)
+        z, v = dense_vector({2: F1}, 3), dense_vector({1: F1}, 3)
         for quo in (abelian(1), abelian(3), std_h3_rep.algebra):
             with pytest.raises(DimensionMismatch, match="dimension dim L - 1"):
                 kernel_submodule(std_h3_rep, z, quo, v)
         # a zero z spans no line, so it has no quotient of dim L - 1
         with pytest.raises(DimensionMismatch, match="nonzero z"):
-            kernel_submodule(std_h3_rep, zero_vector(3), abelian(2), v)
+            kernel_submodule(std_h3_rep, dense_vector({}, 3), abelian(2), v)
 
     def test_witness_outside_the_kernel_rejected(self, std_h3_rep):
         # e2 is not in Ker E13: its cyclic submodule is all of Q^3, on
         # which rho(e2) = E13 does not vanish
         with pytest.raises(NotCentral, match="does not vanish"):
-            kernel_submodule(std_h3_rep, unit_vector(3, 2), abelian(2), unit_vector(3, 2))
+            kernel_submodule(std_h3_rep, dense_vector({2: F1}, 3), abelian(2), dense_vector({2: F1}, 3))
 
 
 class TestCyclicSubmodule:
     def test_zero_vector(self, std_h3_rep):
-        sub = cyclic_submodule(std_h3_rep, zero_vector(3))
+        sub = cyclic_submodule(std_h3_rep, dense_vector({}, 3))
         assert sub.space_dim == 0
 
     def test_killed_vector(self, std_h3_rep):
-        sub = cyclic_submodule(std_h3_rep, unit_vector(3, 0))
+        sub = cyclic_submodule(std_h3_rep, dense_vector({0: F1}, 3))
         assert sub.space_dim == 1
         assert all(m.is_zero() for m in sub.matrices)
 
     def test_generating_vector(self, std_h3_rep):
-        sub = cyclic_submodule(std_h3_rep, unit_vector(3, 2))
+        sub = cyclic_submodule(std_h3_rep, dense_vector({2: F1}, 3))
         assert sub.space_dim == 3
 
     def test_non_invariant_closure_is_a_typed_error(self, std_h3_rep, monkeypatch):
@@ -316,15 +316,15 @@ class TestCyclicSubmodule:
 
         monkeypatch.setattr(reps, "_integer_rref", dropped)
         with pytest.raises(NotInvariant):
-            cyclic_submodule(std_h3_rep, unit_vector(3, 2))
+            cyclic_submodule(std_h3_rep, dense_vector({2: F1}, 3))
 
 
 class TestElementAction:
     def test_basis_vector(self, std_h3_rep):
-        assert element_action(std_h3_rep, unit_vector(3, 1)) == std_h3_rep.matrices[1]
+        assert element_action(std_h3_rep, dense_vector({1: F1}, 3)) == std_h3_rep.matrices[1]
 
     def test_zero(self, std_h3_rep):
-        assert element_action(std_h3_rep, zero_vector(3)).is_zero()
+        assert element_action(std_h3_rep, dense_vector({}, 3)).is_zero()
 
     def test_sum(self, std_h3_rep):
         x = (Fraction(1), Fraction(1), Fraction(0))
@@ -876,7 +876,7 @@ def test_cyclic_submodule_matches_dense_closure(rep):
     sd = rep.space_dim
     ones = tuple(Fraction(1) for _ in range(sd))
     alternating = tuple(Fraction((-1) ** i, i + 1) for i in range(sd))
-    for v in [unit_vector(sd, i) for i in range(sd)] + [ones, alternating, zero_vector(sd)]:
+    for v in [dense_vector({i: F1}, sd) for i in range(sd)] + [ones, alternating, dense_vector({}, sd)]:
         assert_cyclic_matches_dense(rep, v)
 
 
@@ -966,7 +966,7 @@ def test_tensor_square_of_corpus_rep_matches_reference(rep):
 
 def reference_is_central(algebra, z):
     n = algebra.dim
-    return all(not any(algebra.bracket(z, unit_vector(n, i))) for i in range(n))
+    return all(not any(algebra.bracket(z, dense_vector({i: F1}, n))) for i in range(n))
 
 
 @settings(deadline=None, max_examples=80)
@@ -974,7 +974,7 @@ def reference_is_central(algebra, z):
 def test_kernel_submodule_centrality_matches_dense_check(algebra, data):
     n = algebra.dim
     cent = center(algebra).basis_vectors()
-    z = data.draw(st.one_of(sparse_vectors(n), st.sampled_from(cent or [zero_vector(n)])))
+    z = data.draw(st.one_of(sparse_vectors(n), st.sampled_from(cent or [dense_vector({}, n)])))
     rep = adjoint(algebra)
     v = data.draw(sparse_vectors(n))
     if not any(z):  # no line, so no quotient of dim L - 1
@@ -1033,8 +1033,8 @@ def test_kernel_submodule_rejects_each_non_central_basis_vector(name):
     cent = center(algebra)
     rep = graded_faithful_rep(algebra)
     for i in range(algebra.dim):
-        z = unit_vector(algebra.dim, i)
-        if cent.contains_vector(z):
+        z = dense_vector({i: F1}, algebra.dim)
+        if cent.contains(Subspace.from_vectors(algebra.dim, [z])):
             continue
         assert not reference_is_central(algebra, z)
         with pytest.raises(NotCentral, match="not central in the algebra"):
