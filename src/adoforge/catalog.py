@@ -85,30 +85,36 @@ def solvable2() -> LieAlgebra:
     return LieAlgebra(2, {(0, 1): {1: 1}})
 
 
-_ABELIAN = re.compile(r"abelian([0-9]+)$")
-_FREE = re.compile(r"free([0-9]+)_([0-9]+)$")
+_ABELIAN = re.compile(r"abelian([0-9]+)")
+_FREE = re.compile(r"free([0-9]+)_([0-9]+)")
 _NAMED = {f.__name__: f for f in (heisenberg3, heisenberg5, filiform4, solvable2, cn7a, cn7b, census7)}
+
+
+def _quoted(name: str) -> str:
+    """``name`` for an error message: its first 40 characters and its length
+    when longer, so a long name cannot swell the run report."""
+    return repr(name) if len(name) <= 40 else f"{name[:40]!r}... ({len(name)} characters)"
 
 
 def example(name: str) -> LieAlgebra:
     if name in _NAMED:
         return _NAMED[name]()
-    m = _ABELIAN.match(name)
+    m = _ABELIAN.fullmatch(name)
     if m:
         digits = m.group(1).lstrip("0")
         if not digits:
-            raise UnknownExample(f"abelian index must be positive: {name!r}")
+            raise UnknownExample(f"abelian index must be positive: {_quoted(name)}")
         # refused before anything is built, at the default representation
         # budget; lengths first, since int() refuses more than 4300 digits
         budget = EngineConfig().dimension_budget
         if len(digits) > len(str(budget)) or int(digits) > budget:
             raise BudgetExceeded(f"abelian algebra of dimension above the representation budget {budget}")
         return abelian(int(digits))
-    m = _FREE.match(name)
+    m = _FREE.fullmatch(name)
     if m:
         r, c = m.group(1).lstrip("0"), m.group(2).lstrip("0")
         if not r or not c:
-            raise UnknownExample(f"free algebra parameters must be positive: {name!r}")
+            raise UnknownExample(f"free algebra parameters must be positive: {_quoted(name)}")
         if r == "1":
             return free_nilpotent(1, 1)  # F(1, c) is the line F(1, 1)
         # at rank r >= 2 every degree adds a Hall word, so dim F(r, c) >= r + c - 1;
@@ -120,4 +126,4 @@ def example(name: str) -> LieAlgebra:
                 f" has dimension above the budget {DEFAULT_DIMENSION_BUDGET}"
             )
         return free_nilpotent(int(r), int(c))
-    raise UnknownExample(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+    raise UnknownExample(f"unknown example {_quoted(name)}; choose from {', '.join(EXAMPLE_NAMES)}")

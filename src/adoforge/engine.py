@@ -227,12 +227,11 @@ class _Block:
     It holds rho(z) on the block as an integer form (``z_action``), its
     kernel as the primitive integer null rows of that form (``null``, in
     canonical order; ``free`` holds their free columns, which are their
-    pivots, and divided by its entry there a null row is the vector of
-    ``kernel_basis``), and the increasing map ``coords`` from its
-    coordinates to those of V^(x)p.  The block's full representation
-    ``rep`` is built from the factors on the first read and kept: the search
-    reads rho(z) and rho(x) alone, so only the blocks it lands on, and the
-    blocks below those, ever get one.
+    pivots: they are the echelon rows of ``kernel_basis``), and the
+    increasing map ``coords`` from its coordinates to those of V^(x)p.
+    The block's full representation ``rep`` is built from the factors on
+    the first read and kept: the search reads rho(z) and rho(x) alone, so
+    only the blocks it lands on, and the blocks below those, ever get one.
     """
 
     __slots__ = ("z_action", "null", "free", "coords", "below", "part", "_rep")
@@ -405,7 +404,7 @@ def _glue_traced(algebra: LieAlgebra, separator: Separator) -> tuple[list[Repres
     parts: list[Representation] = []
     kernels: list[int] = []
     while kernel.dim > 0:
-        x = kernel.basis_vectors()[0]
+        x = dense_vector(next(kernel.basis_rows()), algebra.dim)
         rho_x = separator(x)
         if element_action(rho_x, x).is_zero():
             raise SeparatorFailed("separator returned a representation vanishing on its element")
@@ -431,7 +430,7 @@ def glue_local(algebra: LieAlgebra, separator: Separator) -> Representation:
 def _flag_generator(upper: Subspace, lower: Subspace) -> Sequence[Fraction]:
     """The first canonical basis vector of ``upper`` outside ``lower``,
     found by the sparse residual of each echelon row."""
-    for row, res in zip(upper._rows, lower.residuals(upper._rows)):
+    for row, res in zip(upper.basis_rows(), lower.residuals(upper._rows)):
         if res:
             return dense_vector(row, upper.ambient_dim)
     raise DegenerateFlag("strictly larger ideal must contain a new basis vector")

@@ -212,7 +212,7 @@ def free_central_flag(free: LieAlgebra) -> IdealChain:
     """
     degrees = free.grading.degrees
     order = sorted(range(free.dim), key=lambda i: (-degrees[i], i))
-    units = [{i: F1} for i in range(free.dim)]  # shared: Subspace rows are never mutated
+    units = [{i: 1} for i in range(free.dim)]  # shared: Subspace rows are never mutated
     chain = [Subspace.zero(free.dim)]
     for j in range(1, free.dim + 1):
         pivots = sorted(order[:j])

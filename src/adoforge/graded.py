@@ -139,7 +139,7 @@ class Cocycle:
         for i in range(n):
             di = forms[i][1]
             for j in range(i + 1, n):
-                coeffs = table.get((i, j), empty)
+                coeffs = table.get(i, empty).get(j, empty)
                 left = acts[i].get(j, empty)
                 right = acts[j].get(i, empty)
                 if not (coeffs or left or right):
@@ -190,7 +190,7 @@ def cocycle_space(rep: Representation) -> list[Cocycle]:
             # row r of common * (phi([e_i, e_j]) - rho(e_i) phi(e_j) + rho(e_j) phi(e_i))
             rows: dict[int, dict[int, int]] = {}
             f = common // scale
-            for k, v in table.get((i, j), {}).items():
+            for k, v in table.get(i, {}).get(j, {}).items():
                 v *= f
                 for r in range(vd):
                     rows.setdefault(r, {})[k * vd + r] = v
@@ -208,7 +208,7 @@ def cocycle_space(rep: Representation) -> list[Cocycle]:
             base += vd
     solutions = kernel_basis(RationalMatrix(base, n * vd, system))
     basis = []
-    for w in solutions._rows:
+    for w in solutions.basis_rows():
         data: dict[int, dict[int, Fraction]] = {}
         for idx, v in w.items():
             i, r = divmod(idx, vd)

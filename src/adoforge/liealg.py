@@ -31,6 +31,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
+    _integer_row,
     dense_vector,
     frac,
     kernel_basis,
@@ -98,11 +99,12 @@ class LieAlgebra:
         self.grading = grading
         self._integer_form = None
 
-    def integer_form(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+    def integer_form(self) -> tuple[dict[int, dict[int, dict[int, int]]], int]:
         """(N, D) with brackets == N / D: D is the lcm of the denominators of
-        the structure constants and N[(i, j)] the ``{k: int}`` numerators of
+        the structure constants and N[i][j] the ``{k: int}`` numerators of
         [e_i, e_j] over D, for every stored pair in both orders ((j, i)
-        negated), so a bracket with e_i is one lookup whatever the order.
+        negated), so a bracket with e_i is one lookup whatever the order,
+        and N[i] holds just the stored brackets of e_i.
 
         Built on the first call and returned as the same object after that,
         like ``RationalMatrix.integer_form``; callers must not mutate it.
@@ -110,11 +112,11 @@ class LieAlgebra:
         if self._integer_form is None:
             table = self.brackets
             d = lcm(*(v.denominator for coeffs in table.values() for v in coeffs.values()))
-            numerators: dict[tuple[int, int], dict[int, int]] = {}
+            numerators: dict[int, dict[int, dict[int, int]]] = {}
             for (i, j), coeffs in table.items():
                 row = {k: v.numerator * (d // v.denominator) for k, v in coeffs.items()}
-                numerators[(i, j)] = row
-                numerators[(j, i)] = {k: -v for k, v in row.items()}
+                numerators.setdefault(i, {})[j] = row
+                numerators.setdefault(j, {})[i] = {k: -v for k, v in row.items()}
             self._integer_form = numerators, d
         return self._integer_form
 
@@ -203,13 +205,14 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     table = algebra.brackets
     scaled, scale = algebra.integer_form()
     square = scale * scale
+    empty: dict = {}
     violations = []
     for i, j, k in sorted({tuple(sorted((a, b, c))) for a, b in table for c in range(n) if c != a and c != b}):
         acc: dict[int, int] = {}
         get = acc.get
-        for ab, c in (((i, j), k), ((j, k), i), ((k, i), j)):
-            for m, coeff in scaled.get(ab, {}).items():
-                for t, oc in scaled.get((m, c), {}).items():
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, coeff in scaled.get(a, empty).get(b, empty).items():
+                for t, oc in scaled.get(m, empty).get(c, empty).items():
                     acc[t] = get(t, 0) + coeff * oc
         residual = {t: Fraction(v, square) for t, v in acc.items() if v}
         if residual:
@@ -240,50 +243,46 @@ def center(algebra: LieAlgebra) -> Subspace:
     """
     n = algebra.dim
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), coeffs in algebra.integer_form()[0].items():
-        for k, v in coeffs.items():
-            rows.setdefault(j * n + k, {})[i] = v
+    for i, brackets in algebra.integer_form()[0].items():
+        for j, coeffs in brackets.items():
+            for k, v in coeffs.items():
+                rows.setdefault(j * n + k, {})[i] = v
     return kernel_basis(RationalMatrix(n * n, n, rows))
 
 
-def _basis_brackets(algebra: LieAlgebra, row: Mapping[int, Fraction]) -> tuple[list[dict[int, int]], int]:
-    """([B_i for each i with [e_i, row] != 0, in order of i], s) with
-    [e_i, row] = B_i / s: row is scaled to its integer numerators R over d,
-    each B_i = sum_j R_j N[(i, j)] is summed on the integer table (N, D),
-    and s = d D."""
-    table, scale = algebra.integer_form()
-    d = lcm(*(v.denominator for v in row.values()))
-    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
-    out = []
-    for i in range(algebra.dim):
-        acc: dict[int, int] = {}
-        get = acc.get
-        for j, x in ints.items():
-            coeffs = table.get((i, j))
-            if coeffs:
-                for k, c in coeffs.items():
-                    acc[k] = get(k, 0) + x * c
-        if any(acc.values()):
-            out.append({k: v for k, v in acc.items() if v})
-    return out, d * scale
+def _basis_brackets(algebra: LieAlgebra, row: Mapping[int, object]) -> list[dict[int, int]]:
+    """The nonzero brackets [e_i, row], in order of i, each as its integer
+    numerators B_i = -sum_j R_j N[j][i] on the integer table (N, D), for R
+    the integer numerators of row (``_integer_row``): a positive multiple
+    of the bracket, since [e_i, e_j] = -[e_j, e_i].  Only the stored
+    brackets N[j] of the columns j that row holds are visited, so the cost
+    follows those, not the dimension."""
+    table = algebra.integer_form()[0]
+    acc: dict[int, dict[int, int]] = {}
+    for j, x in _integer_row(row)[0].items():
+        for i, coeffs in table.get(j, {}).items():
+            target = acc.setdefault(i, {})
+            for k, c in coeffs.items():
+                target[k] = target.get(k, 0) - x * c
+    return [bracket for i in sorted(acc) if (bracket := {k: v for k, v in acc[i].items() if v})]
 
 
 def is_central(algebra: LieAlgebra, x: Mapping[int, Fraction]) -> bool:
     """[e_i, x] = 0 for every i, for x as a sparse ``{index: coefficient}``."""
-    return not _basis_brackets(algebra, x)[0]
+    return not _basis_brackets(algebra, x)
 
 
 def _bracket_span(algebra: LieAlgebra, space: Subspace) -> Subspace:
     """[L, space] as a subspace.
 
-    Each echelon row of ``space`` is bracketed with every basis vector e_i
-    on the integer table (``_basis_brackets``), and the nonzero integer
-    brackets go to ``Subspace.from_rows`` as they are: a bracket over its
-    scale spans the same line.
+    Each echelon row of ``space`` is bracketed with the basis vectors on
+    the integer table (``_basis_brackets``), and the nonzero integer
+    brackets go to ``Subspace.from_rows`` as they are: a multiple of a
+    bracket spans the same line.
     """
     rows = []
     for row in space._rows:
-        rows.extend(_basis_brackets(algebra, row)[0])
+        rows.extend(_basis_brackets(algebra, row))
     return Subspace.from_rows(algebra.dim, rows)
 
 
@@ -320,11 +319,11 @@ def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
     """[L, space] contained in space, checked basis vs basis: each echelon
     row is bracketed with every e_i on the integer table
     (``_basis_brackets``), and each nonzero bracket, an integer multiple of
-    the true one, must leave no residual against the echelon rows
-    (``Subspace.residuals``)."""
+    the true one, must leave no residual against the echelon rows, in one
+    pass of ``Subspace.residuals`` that stops at the first."""
     if space.ambient_dim != algebra.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    return not any(any(space.residuals(_basis_brackets(algebra, row)[0])) for row in space._rows)
+    return not any(space.residuals(b for row in space._rows for b in _basis_brackets(algebra, row)))
 
 
 class LieHom:
@@ -380,7 +379,7 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     # each pivot p.
     position = {c: j for j, c in enumerate(complement)}
     entries = [(j, c, F1) for j, c in enumerate(complement)]
-    for p, row in zip(ideal._pivots, ideal._rows):
+    for p, row in zip(ideal._pivots, ideal.basis_rows()):
         entries.extend((position[c], p, -v) for c, v in row.items() if c != p)
     proj_matrix = RationalMatrix.from_entries(q, n, sorted(entries))
     numerators, d = proj_matrix.integer_form()
@@ -394,7 +393,7 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     for i, j in sorted(pair for pair in algebra.brackets if pair[0] in position and pair[1] in position):
         acc: dict[int, int] = {}
         get = acc.get
-        for k, x in integer_table[(i, j)].items():
+        for k, x in integer_table[i][j].items():
             for r, y in columns.get(k, {}).items():
                 acc[r] = get(r, 0) + x * y
         coeffs = {r: Fraction(v, denominator) for r, v in sorted(acc.items()) if v}

@@ -6,36 +6,29 @@ integers through one fraction-free step, ``_eliminate``: a row is
 cross-multiplied with a pivot row, row <- (a/g) row - (f/g) pivot_row, and
 a scaled row with entries past ``_WIDE_BITS`` bits is divided by the gcd of
 its entries; a narrower one carries that factor until it is stored
-primitive.  ``SpanBasis``, the
-incremental span used by the exact checks and by orbit closures, keeps an
-echelon map {lead: primitive integer row} built by that step; it does not
-peel.  There is one elimination path, ``_integer_rref``.  It first peels
-the single-entry rows (``_peel``): a row whose one nonzero entry sits at
-column c puts e_c in the row space, so c is a pivot with the unit row
-{c: 1}, and c is deleted from every other row, which may leave a new
-single-entry row.  A stored zero never counts as that one entry; no
-caller stores one.  It scales each row left to integers by the lcm of its
-denominators, inserts it into the same kind of echelon map and runs one
-back-substitution pass from the highest lead down, giving the RREF as
-integer rows, each a positive multiple of its canonical row.  ``rref``,
-the solves and ``Subspace`` divide each row by its pivot into Fractions.
-``_null_rows`` peels before it hands the eliminator the rows left with
-their columns in reverse, and reads the null space off as primitive
-integer rows, canonical with no second elimination; ``kernel_basis``
-divides each by its entry at its free column.  The RREF of a row space is
-unique and holds the peeled unit rows, so peeling changes no output, all
-outputs are canonical and two runs on equal inputs are bit-identical.  A
-subspace question is one elimination or one pass of ``Subspace.residuals``,
-the sparse reduction against echelon rows: ``intersect`` by Zassenhaus's
-method, ``factor_through`` as one solve, membership as a residual.  A
-``Subspace`` holds only its canonical echelon rows and pivots.  No
-floating point anywhere.  ``integer_form`` writes a matrix as integer
-numerators over one common denominator, and ``mul_rowmaps``, the sparse
-product, runs on those as well, so exact checks can multiply without
-building a Fraction per entry; ``restricted_actions`` reads a matrix's action on a span off its
-integer RREF that way, with one Fraction per entry of the result.  The
-commutator check (``reps.is_homomorphism``) packs its own integer rows
-into big integers and does not call it.
+primitive.  ``SpanBasis``, the incremental span used by the exact checks
+and by orbit closures, keeps an echelon map {lead: primitive integer row}
+built by that step.  There is one elimination path, ``_integer_rref``.  It
+first peels the single-entry rows (``_peel``): a row whose one nonzero
+entry sits at column c makes c a pivot with the unit row {c: 1}, and c is
+deleted from every other row, which may leave a new single-entry row.  It
+scales each row left to integers, inserts it into the same kind of
+echelon map and runs one back-substitution pass, giving the RREF as
+primitive integer rows, each positive at its pivot and zero at every other
+pivot: unique for the row space, so two runs on equal inputs are
+bit-identical.  ``_null_rows`` reads the null space off one such
+elimination, as rows of the same kind.  A ``Subspace`` holds those rows as
+they come, and every subspace question is one elimination or one pass of
+``Subspace.residuals``, which clears each pivot of a row with
+``_eliminate``: ``kernel_basis`` is ``_null_rows``, ``intersect`` is
+Zassenhaus's method, membership is an empty residual.  Fractions are made
+only where a caller asks for rational values, by dividing rows by their
+pivot entries: ``rref``, the solves (``factor_through`` is one) and
+``Subspace.basis_rows``.  No floating point anywhere.  ``integer_form``
+writes a matrix as integer numerators over one common denominator, and
+``mul_rowmaps``, the sparse product, runs on those as well;
+``restricted_actions`` reads a matrix's action on a span off its integer
+RREF that way, with one Fraction per entry of the result.
 """
 
 from __future__ import annotations
@@ -397,20 +390,34 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
                 row[k] //= g
 
 
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """A fresh copy of the nonzero int ``row`` (a dict that lost entries
+    iterates slower) over the gcd of its entries, positive at ``lead``."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()} if g != 1 else dict(row)
+
+
+def _integer_row(row: Mapping[int, object]) -> tuple[dict[int, int], int]:
+    """(R, d) with row == R / d for a sparse row of ints or Fractions: d is
+    the lcm of the entry denominators and R a fresh ``{index: int}`` map."""
+    d = lcm(*[v.denominator for v in row.values()])
+    if d == 1:
+        return {k: v.numerator for k, v in row.items()}, 1
+    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}, d
+
+
 def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     """Reduce ``row`` in place while its leading column leads an echelon
-    row, and store a fresh copy of the residual (the input up to a nonzero
-    integer factor, minus a combination of echelon rows), made primitive
-    with a positive lead, under its lead (a dict that has lost entries
-    iterates slower); True if it enlarged the span."""
+    row, and store the residual (the input up to a nonzero integer factor,
+    minus a combination of echelon rows), made ``_primitive``, under its
+    lead; True if it enlarged the span."""
     while row:
         lead = min(row)
         prow = echelon.get(lead)
         if prow is None:
-            g = gcd(*row.values())
-            if row[lead] < 0:
-                g = -g
-            echelon[lead] = {k: v // g for k, v in row.items()} if g != 1 else dict(row)
+            echelon[lead] = _primitive(row, lead)
             return True
         _eliminate(row, prow, lead)
     return False
@@ -480,40 +487,43 @@ def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[
     The input rows hold ints or Fractions and are left untouched.  The
     single-entry rows are peeled first (``_peel``): each peeled column is a
     pivot with the unit row {c: 1}, and no other row holds it.  Each row
-    left is copied as integers, scaled by the lcm of its denominators, and
-    inserted into an echelon map as ``SpanBasis`` does (which peels
-    nothing).  One back-substitution pass, from the highest lead down,
-    then clears each row at the leads above its own with the same step;
-    those rows are already zero at every other lead, so no step brings an
-    entry back.
-    Every step scales a row by a positive factor, so each row returned is
-    positive at its own pivot and zero at every other pivot, and divided by
-    its pivot entry it is the row of the canonical RREF, unique whatever
-    order the rows came in and whatever was peeled.  The integer rows
-    themselves are canonical only up to that positive factor.
+    left is copied as integers (``_integer_row``) and inserted into an
+    echelon map as ``SpanBasis`` does (which peels nothing).  One
+    back-substitution pass, from the highest lead down, then clears each
+    row at the leads above its own with the same step and makes a row so
+    cleared primitive again; those rows are already zero at every other
+    lead, so no step brings an entry back.  Every step scales a row by a
+    positive factor, so each row returned is the canonical RREF row times
+    the one positive factor that makes it primitive, unique whatever order
+    the rows came in and whatever was peeled.
     """
     units, rest = _peel(rowdicts)
     echelon: dict[int, dict[int, int]] = {c: {c: 1} for c in units}
     for r in rest:
-        d = lcm(*[v.denominator for v in r.values()])
-        if d == 1:
-            _insert(echelon, {k: v.numerator for k, v in r.items()})
-        else:
-            _insert(echelon, {k: v.numerator * (d // v.denominator) for k, v in r.items()})
+        _insert(echelon, _integer_row(r)[0])
     pivots = sorted(echelon)
     for p in reversed(pivots):
         row = echelon[p]
-        for q in [k for k in row if k != p and k in echelon]:
+        above = [k for k in row if k != p and k in echelon]
+        for q in above:
             _eliminate(row, echelon[q], q)
+        if above:
+            echelon[p] = _primitive(row, p)
     return [echelon[p] for p in pivots], pivots
+
+
+def _divided(rows: Iterable[dict[int, int]], pivots: Iterable[int]) -> Iterator[dict[int, Fraction]]:
+    """Each integer echelon row over its pivot entry, in Fractions."""
+    for row, p in zip(rows, pivots):
+        head = row[p]
+        yield {k: Fraction(v, head) for k, v in row.items()}
 
 
 def _rref_rowdicts(rowdicts: Iterable[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Pivot rows and pivot columns of the canonical reduced row echelon
-    form: the rows of ``_integer_rref``, each divided by its pivot entry
-    into Fractions."""
+    form: the rows of ``_integer_rref`` divided into Fractions."""
     rows, pivots = _integer_rref(rowdicts)
-    return [{k: Fraction(v, row[p]) for k, v in row.items()} for row, p in zip(rows, pivots)], pivots
+    return list(_divided(rows, pivots)), pivots
 
 
 def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
@@ -534,18 +544,21 @@ def rank(m: RationalMatrix) -> int:
 class Subspace:
     """A subspace of Q^n, held as its canonical echelon rows and pivots.
 
-    ``_rows`` are the nonzero rows of the RREF of any spanning set, as
-    sparse ``{index: Fraction}`` maps, and ``_pivots`` their pivot columns,
-    so equal subspaces always compare equal.  Dense vectors come in through
+    ``_rows`` are the nonzero rows of the RREF of any spanning set as the
+    eliminator gives them (``_integer_rref``): sparse ``{index: int}``
+    maps, each primitive, positive at its pivot and zero at every other
+    pivot, and ``_pivots`` their pivot columns.  Such rows are unique, so
+    equal subspaces always compare equal.  Dense vectors come in through
     ``from_vectors`` and sparse rows through ``from_rows``; membership,
     containment and intersection are ``residuals``, ``contains`` and
-    ``intersect`` on those rows, and ``basis_vectors`` writes them out
-    dense.  A Subspace is immutable.
+    ``intersect`` on the integer rows.  Fractions are made only by
+    ``basis_rows``, the canonical echelon basis (1 at each pivot), which
+    ``basis_vectors`` writes out dense.  A Subspace is immutable.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_pivots")
 
-    def __init__(self, ambient_dim: int, rows: list[dict[int, Fraction]], pivots: list[int]):
+    def __init__(self, ambient_dim: int, rows: list[dict[int, int]], pivots: list[int]):
         self.ambient_dim = ambient_dim
         self._rows = rows
         self._pivots = pivots
@@ -556,7 +569,7 @@ class Subspace:
         without zero values; a nonzero scalar on a row changes no span, so
         integer rows need not be divided first.  The rows are left
         untouched."""
-        return cls(ambient_dim, *_rref_rowdicts(rows))
+        return cls(ambient_dim, *_integer_rref(rows))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -575,46 +588,33 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [{i: F1} for i in range(ambient_dim)], list(range(ambient_dim)))
+        return cls(ambient_dim, [{i: 1} for i in range(ambient_dim)], list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
+    def basis_rows(self) -> Iterator[dict[int, Fraction]]:
+        """The canonical echelon basis as sparse ``{index: Fraction}`` rows,
+        1 at each pivot, divided one row per step: a caller that reads only
+        the first row divides only that one."""
+        return _divided(self._rows, self._pivots)
+
     def basis_vectors(self) -> list[Vector]:
-        return [tuple(row.get(i, F0) for i in range(self.ambient_dim)) for row in self._rows]
+        return [dense_vector(row, self.ambient_dim) for row in self.basis_rows()]
 
-    def residuals(self, rows: Iterable[Mapping[int, Fraction]]) -> Iterator[dict[int, Fraction]]:
-        """Each sparse ``{index: Fraction}`` row minus its combination of the
-        echelon rows, in order, as a new dict without zeros: empty exactly
-        when the row lies in the span.
-
-        Each echelon row is zero at every other pivot, so the coefficient
-        of the echelon row at pivot p is the input's entry at p, and only
-        the pivots the input holds are visited.  A unit echelon row {p: 1}
-        just deletes p, so against a coordinate subspace this is a support
-        check.
-        """
+    def residuals(self, rows: Iterable[Mapping[int, object]]) -> Iterator[dict[int, int]]:
+        """Each sparse row of ints or Fractions, without zeros, as a new
+        ``{index: int}`` map: a nonzero multiple of the row minus its
+        combination of the echelon rows, so empty exactly when the row lies
+        in the span.  The row is scaled to integers (``_integer_row``) and
+        each pivot it holds cleared by one ``_eliminate`` step; the echelon
+        rows are zero at the other pivots, so no step touches another."""
         by_pivot = dict(zip(self._pivots, self._rows))
         for row in rows:
-            out = dict(row)
-            for p, c in row.items():
-                prow = by_pivot.get(p)
-                if prow is None:
-                    continue
-                if len(prow) == 1:
-                    del out[p]
-                    continue
-                for k, w in prow.items():
-                    old = out.get(k)
-                    if old is None:
-                        out[k] = -(c * w)
-                        continue
-                    nv = old - c * w
-                    if nv:
-                        out[k] = nv
-                    else:
-                        del out[k]
+            out = _integer_row(row)[0]
+            for p in [p for p in out if p in by_pivot]:
+                _eliminate(out, by_pivot[p], p)
             yield out
 
     def contains(self, other: "Subspace") -> bool:
@@ -631,8 +631,9 @@ class Subspace:
         """A meet B by Zassenhaus's method, in one elimination: in the RREF
         of the rows (a | a) for the echelon rows a of A and (b | 0) for those
         of B, the rows with their pivot in the second block are (0 | w), and
-        the w divided by their pivot entries are the canonical echelon basis
-        of A meet B (a + b = 0 puts w = a in both; w = (w | w) - (w | 0))."""
+        those w are the echelon rows of A meet B (a + b = 0 puts w = a in
+        both; w = (w | w) - (w | 0)), primitive as the eliminator gives
+        them."""
         n = self.ambient_dim
         if other.ambient_dim != n:
             raise DimensionMismatch("ambient dimension mismatch")
@@ -645,11 +646,7 @@ class Subspace:
         stacked = [{**row, **{n + k: v for k, v in row.items()}} for row in self._rows] + other._rows
         rows, pivots = _integer_rref(stacked)
         first = bisect_left(pivots, n)
-        return Subspace(
-            n,
-            [{k - n: Fraction(v, row[p]) for k, v in row.items()} for row, p in zip(rows[first:], pivots[first:])],
-            [p - n for p in pivots[first:]],
-        )
+        return Subspace(n, [{k - n: v for k, v in row.items()} for row in rows[first:]], [p - n for p in pivots[first:]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -710,19 +707,16 @@ def _null_rows(rows: Mapping[int, Mapping[int, object]], cols: int) -> tuple[lis
         vec = {free: scale}
         for p, v, head in column:
             vec[p] = -v * (scale // head)
-        g = gcd(*vec.values())
-        null.append({k: x // g for k, x in vec.items()} if g != 1 else vec)
+        null.append(_primitive(vec, free))
     return null, free_columns
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols: the primitive
-    integer rows of ``_null_rows``, each divided by its entry at its free
-    column, one division per entry.  The rows of m go to the eliminator as
+    """Null space of m as a canonical Subspace of Q^cols, whose echelon rows
+    are those of ``_null_rows``.  The rows of m go to the eliminator as
     they are, so a system built on integers (``liealg.center``,
     ``graded.cocycle_space``) may hold ints."""
-    null, free = _null_rows(m._data, m.cols)
-    return Subspace(m.cols, [{k: Fraction(x, row[f]) for k, x in row.items()} for row, f in zip(null, free)], free)
+    return Subspace(m.cols, *_null_rows(m._data, m.cols))
 
 
 def restricted_actions(

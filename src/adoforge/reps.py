@@ -31,6 +31,7 @@ from .linalg import (
     RationalMatrix,
     SpanBasis,
     Subspace,
+    _integer_row,
     _integer_rref,
     block_diag,
     kernel_basis,
@@ -394,8 +395,7 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
     sd = rep.space_dim
     if len(v) != sd:
         raise DimensionMismatch("vector must live in the representation space")
-    d = lcm(*(x.denominator for x in v if x))
-    vd = {i: x.numerator * (d // x.denominator) for i, x in enumerate(v) if x}
+    vd = _integer_row({i: x for i, x in enumerate(v) if x})[0]
     transposes = _transposed_numerators(rep)
     span = SpanBasis()
     frontier = [vd] if vd and span.add(vd) else []

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -54,6 +56,22 @@ def std_h3_rep(h3):
 
 def fraction_matrix(rows):
     return RationalMatrix.from_rows([[Fraction(v) for v in row] for row in rows])
+
+
+def assert_integer_echelon(sub):
+    """sub holds the eliminator's rows: increasing pivots inside
+    [0, ambient_dim), one row per pivot, each a sparse map of nonzero ints
+    with gcd 1, leading at its pivot with a positive entry and zero at the
+    other pivots."""
+    pivots = sub._pivots
+    assert pivots == sorted(set(pivots)) and all(0 <= p < sub.ambient_dim for p in pivots)
+    assert len(sub._rows) == len(pivots)
+    pivot_set = set(pivots)
+    for row, p in zip(sub._rows, pivots):
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == p and row[p] > 0 and max(row) < sub.ambient_dim
+        assert reduce(gcd, row.values()) == 1
+        assert not (set(row) & pivot_set) - {p}
 
 
 # --- corpus algebras, rebased algebras and sparse vectors for hypothesis ---

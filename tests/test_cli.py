@@ -169,6 +169,36 @@ class TestExamples:
         assert payload.pop("name") == name and line.pop("name") == "free1_1"
         assert payload == line and payload["dim"] == 1 and payload["brackets"] == []
 
+    @pytest.mark.parametrize("name", ["abelian2\n", "free2_3\n", "heisenberg3\n", "abelian2\nx", " free2_3"])
+    def test_names_with_a_trailing_newline_or_more_are_unknown(self, capsys, name):
+        # the whole name must match: a regex $ would also match before a
+        # final newline and write "abelian2\n" into the algebra document
+        code, out, report = run_cli(["examples", name], capsys)
+        assert code == 2 and out == ""
+        assert report["outcome"]["error"] == "unknown_example"
+
+    @pytest.mark.parametrize(
+        "name", ["abelian" + "x" * 5000, "free0_" + "9" * 5000, "abelian" + "0" * 5000, "q" * 10**5],
+        ids=["abelian-suffix", "free-rank-zero", "abelian-zero", "long-unknown"],
+    )
+    def test_long_unknown_names_are_quoted_short(self, capsys, name):
+        # the message quotes the first 40 characters and the length; the
+        # input digest already identifies the name
+        code = main(["examples", name])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.encode()) < 1024
+        report = json.loads(captured.err.strip().splitlines()[-1])
+        assert report["outcome"]["error"] == "unknown_example"
+        message = report["outcome"]["message"]
+        assert repr(name[:40]) in message and f"({len(name)} characters)" in message
+
+    def test_short_unknown_names_are_quoted_whole(self, capsys):
+        name = "x" * 40
+        code, _, report = run_cli(["examples", name], capsys)
+        assert code == 2 and repr(name) in report["outcome"]["message"]
+        assert "characters)" not in report["outcome"]["message"]
+
     def test_abelian_index_with_leading_zeros(self, capsys):
         code, out, _ = run_cli(["examples", "abelian0002"], capsys)
         assert code == 0 and algebra_from_json(json.loads(out))[0].dim == 2

@@ -240,14 +240,12 @@ def assert_primitive_null_rows(rows, free):
 
 
 def block_kernel(block, z):
-    """The block's null rows, each divided by its entry at its free column,
-    as a Subspace; that must be ``kernel_basis`` of rho(z) on the block,
-    and the block's rho(z) must be ``element_action`` on its
-    representation."""
+    """The block's null rows as a Subspace, its echelon rows as they are;
+    that must be ``kernel_basis`` of rho(z) on the block, and the block's
+    rho(z) must be ``element_action`` on its representation."""
     assert fraction_action(block.z_action) == element_action(block.rep, z)
     assert_primitive_null_rows(block.null, block.free)
-    rows = [{k: Fraction(v, row[f]) for k, v in row.items()} for row, f in zip(block.null, block.free)]
-    kernel = Subspace(len(block.coords), rows, list(block.free))
+    kernel = Subspace(len(block.coords), block.null, list(block.free))
     assert kernel == kernel_basis(element_action(block.rep, z))
     return kernel
 
@@ -294,8 +292,8 @@ def assert_blocks_match_sum(parts, z, x, config=EngineConfig()):
     # canonical kernels, each embedded in order
     kernels = [block_kernel(b, z) for b in level]
     kernel_sum = block_kernel(block_sum, z)
-    embedded = sorted(({b.coords[k]: v for k, v in row.items()} for b, kernel in zip(level, kernels) for row in kernel._rows), key=min)
-    assert embedded == kernel_sum._rows
+    embedded = sorted(({b.coords[k]: v for k, v in row.items()} for b, kernel in zip(level, kernels) for row in kernel.basis_rows()), key=min)
+    assert embedded == list(kernel_sum.basis_rows())
     assert [min(row) for row in embedded] == kernel_sum._pivots
     # the same witness at the same position, and the same carrier dim
     block = level[index]

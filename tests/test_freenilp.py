@@ -13,7 +13,7 @@ from adoforge.linalg import F1, RationalMatrix, Subspace, dense_vector, kernel_b
 from hypothesis import given, settings, strategies as st
 from test_golden import rebased
 
-from conftest import CORPUS, corpus_algebras, reference_bracket, reference_is_hom, ungraded_quotients
+from conftest import CORPUS, assert_integer_echelon, corpus_algebras, reference_bracket, reference_is_hom, ungraded_quotients
 
 
 class TestHallBasis:
@@ -181,7 +181,8 @@ class TestFreeCentralFlag:
         assert flag.algebra is f
         assert flag.ideals == central_flag(f).ideals
         for member in flag.ideals:
-            assert all(type(v) is Fraction for row in member._rows for v in row.values())
+            assert_integer_echelon(member)
+            assert all(type(v) is Fraction for row in member.basis_rows() for v in row.values())
 
     def test_deepest_degree_first(self):
         # F(2, 3) has degrees (1, 1, 2, 3, 3): the words of degree 3 come

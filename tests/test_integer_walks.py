@@ -109,7 +109,7 @@ def reference_quotient(algebra, ideal):
     complement = [i for i in range(n) if i not in pivot_set]
     position = {c: j for j, c in enumerate(complement)}
     entries = [(j, c, F1) for j, c in enumerate(complement)]
-    for p, row in zip(ideal._pivots, ideal._rows):
+    for p, row in zip(ideal._pivots, ideal.basis_rows()):
         entries.extend((position[c], p, -v) for c, v in row.items() if c != p)
     proj = RationalMatrix.from_entries(len(complement), n, entries)
     table = {}
@@ -150,7 +150,7 @@ def reference_cocycle_maps(rep):
             row_index += vd
     solutions = kernel_basis(RationalMatrix.from_entries(row_index, n * vd, entries))
     return [
-        RationalMatrix.from_entries(vd, n, [(idx % vd, idx // vd, v) for idx, v in w.items()]) for w in solutions._rows
+        RationalMatrix.from_entries(vd, n, [(idx % vd, idx // vd, v) for idx, v in w.items()]) for w in solutions.basis_rows()
     ]
 
 
@@ -426,7 +426,7 @@ def test_integer_table_is_built_once_and_shared():
     assert algebra._integer_form is None
     table, d = algebra.integer_form()
     assert d == 2 and algebra.integer_form()[0] is table
-    assert table[(0, 3)] == {6: 1} and table[(3, 0)] == {6: -1} and table[(0, 1)] == {2: -2}
+    assert table[0][3] == {6: 1} and table[3][0] == {6: -1} and table[0][1] == {2: -2}
 
     reads = []
 

@@ -668,7 +668,7 @@ def reference_reduced_is_ideal(algebra, space):
         d = lcm(*(v.denominator for v in row.values()))
         echelon[p] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
     for row in space._rows:
-        for b in liealg._basis_brackets(algebra, row)[0]:
+        for b in liealg._basis_brackets(algebra, row):
             while b:
                 lead = min(b)
                 prow = echelon.get(lead)
@@ -706,3 +706,33 @@ def test_flag_and_ideal_verdicts_on_the_catalog(name):
 @given(st.one_of(corpus_algebras(), ungraded_quotients()), st.data())
 def test_flag_and_ideal_verdicts_on_rebased_and_ungraded_inputs(algebra, data):
     check_flag_and_ideal_verdicts(algebra, data.draw(st.lists(sparse_vectors(algebra.dim), max_size=2)))
+
+
+def test_bracket_walks_visit_only_the_columns_a_row_holds(monkeypatch):
+    """The brackets of a row with the basis read the integer table once per
+    column the row holds, not once per basis index and row, and is_ideal
+    takes one residual pass: heisenberg3 plus 1997 central directions walks
+    its series, center and ideal checks in a few table reads per row."""
+    n = 2000
+    algebra = LieAlgebra(n, {(0, 1): {2: 1}})
+    table, d = algebra.integer_form()
+    reads = []
+
+    class Counted(dict):
+        def get(self, *args):
+            reads.append(args[0])
+            return super().get(*args)
+
+    algebra._integer_form = (Counted(table), d)
+    passes = []
+    residuals = Subspace.residuals
+    monkeypatch.setattr(Subspace, "residuals", lambda self, rows: passes.append(1) or residuals(self, rows))
+    assert nilpotency_class(algebra) == 2
+    full, z = Subspace.full(n), center(algebra)
+    assert z.dim == n - 2
+    for space in (full, z, lower_central_series(algebra)[1]):
+        passes.clear()
+        assert is_ideal(algebra, space)
+        assert len(passes) == 1
+    assert not is_ideal(algebra, Subspace.from_rows(n, [{0: 1}]))
+    assert len(reads) < 10 * n

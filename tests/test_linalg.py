@@ -25,10 +25,12 @@ from adoforge.linalg import (
     solve_multi,
 )
 from adoforge.catalog import example
+from adoforge.freenilp import free_central_flag, free_nilpotent
 from adoforge.reps import adjoint, element_action
 
 from conftest import (
     FractionSpanBasis,
+    assert_integer_echelon,
     corpus_algebras,
     fraction_matrix,
     nonzero_fractions,
@@ -180,6 +182,49 @@ class TestSubspace:
 
 @settings(deadline=None, max_examples=150)
 @given(st.data())
+def test_every_builder_keeps_primitive_integer_echelon_rows(data):
+    """from_rows, from_vectors, intersect, kernel_basis, full, zero and
+    free_central_flag each hold primitive int rows, positive at their pivot
+    and zero at the other pivots, and equal spans from different builders
+    compare equal."""
+    n = data.draw(st.integers(1, 6))
+    spans = st.lists(st.lists(sparse_fractions, min_size=n, max_size=n), max_size=n + 1)
+    vectors = data.draw(spans)
+    s = Subspace.from_vectors(n, vectors)
+    t = Subspace.from_vectors(n, data.draw(spans))
+    # the annihilator of s, and the annihilator of that, which is s again
+    annihilator = kernel_basis(RationalMatrix(len(s._rows), n, dict(enumerate(s._rows))))
+    twice = kernel_basis(RationalMatrix(len(annihilator._rows), n, dict(enumerate(annihilator.basis_rows()))))
+    equal_spans = [
+        [
+            s,
+            Subspace.from_rows(n, [{i: x for i, x in enumerate(v) if x} for v in vectors]),
+            Subspace.from_rows(n, s._rows),
+            Subspace.from_rows(n, s.basis_rows()),
+            Subspace.from_vectors(n, s.basis_vectors()),
+            s.intersect(s),
+            s.intersect(Subspace.full(n)),
+            twice,
+        ],
+        [s.intersect(t), t.intersect(s), Subspace.from_rows(n, s.intersect(t).basis_rows())],
+        [annihilator, Subspace.from_rows(n, annihilator._rows)],
+        [Subspace.full(n), Subspace.from_vectors(n, [dense_vector({i: 1}, n) for i in range(n)]), kernel_basis(RationalMatrix.zero(1, n))],
+        [Subspace.zero(n), Subspace.from_vectors(n, []), kernel_basis(RationalMatrix.identity(n))],
+    ]
+    for group in equal_spans:
+        for sub in group:
+            assert_integer_echelon(sub)
+            assert sub == group[0]
+    assert annihilator.dim + s.dim == n
+    r, c = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]))
+    free = free_nilpotent(r, c)
+    for member in free_central_flag(free).ideals:
+        assert_integer_echelon(member)
+        assert member == Subspace.from_rows(free.dim, member.basis_rows())
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
 def test_intersect_matches_negated_stack(data):
     n = data.draw(st.integers(1, 5))
     spans = st.lists(st.lists(sparse_fractions, min_size=n, max_size=n), max_size=n + 1)
@@ -197,8 +242,9 @@ def test_sparse_containment_matches_dense_membership(data):
     the basis columns with each basis vector beside them, on general
     subspaces, on coordinate subspaces (where a residual is a support
     check) and on subspaces of one another; a residual is empty exactly
-    when the basis columns solve for the row, and is the row minus its
-    coordinates times the basis."""
+    when the basis columns solve for the row, and is a nonzero multiple of
+    the row minus its coordinates times the basis, for an integer echelon
+    row and for the same row in Fractions."""
     n = data.draw(st.integers(1, 6))
     spans = st.lists(st.lists(sparse_fractions, min_size=n, max_size=n), max_size=n + 1)
     s = Subspace.from_vectors(n, data.draw(spans))
@@ -211,15 +257,16 @@ def test_sparse_containment_matches_dense_membership(data):
         columns = RationalMatrix.from_columns(n, basis)
         for y in spaces:
             assert x.contains(y) == all(rank(RationalMatrix.from_columns(n, basis + [v])) == x.dim for v in y.basis_vectors())
-            for row, res in zip(y._rows, x.residuals(y._rows)):
-                assert all(res.values())
+            for row, res, res_fractions in zip(y.basis_rows(), x.residuals(y._rows), x.residuals(y.basis_rows())):
+                assert all(type(e) is int and e for e in res.values())
                 v = dense_vector(row, n)
                 assert (not res) == (solve(columns, v) is not None)
                 expected = list(v)
-                for p, xrow in zip(x._pivots, x._rows):
+                for p, xrow in zip(x._pivots, x.basis_rows()):
                     for k, w in xrow.items():
                         expected[k] -= row.get(p, 0) * w
-                assert res == {k: e for k, e in enumerate(expected) if e}
+                exact = {k: e for k, e in enumerate(expected) if e}
+                assert is_multiple(res, exact) and is_multiple(res_fractions, exact)
 
 
 def matrices(rows, cols):
@@ -741,10 +788,11 @@ def test_zero_matrices(rows, cols):
 
 # --- kernel_basis in one elimination against the two-pass reference ------
 
-def reference_kernel_basis(m):
+def reference_kernel_rows(m):
     """``kernel_basis`` as it was before its single elimination, kept as the
     reference: left-to-right elimination, then a second ``_rref_rowdicts``
-    pass that puts the null vectors in canonical form."""
+    pass that puts the null vectors in canonical form; the canonical
+    Fraction rows and their pivots."""
     rows, pivots = linalg._rref_rowdicts(linalg._matrix_rowdicts(m))
     pivot_set = set(pivots)
     # One null vector per free column: 1 there, minus that column of each
@@ -754,7 +802,11 @@ def reference_kernel_basis(m):
         for c, v in row.items():
             if c != p:
                 null[c][p] = -v
-    return Subspace(m.cols, *linalg._rref_rowdicts(list(null.values())))
+    return linalg._rref_rowdicts(list(null.values()))
+
+
+def reference_kernel_basis(m):
+    return Subspace.from_rows(m.cols, reference_kernel_rows(m)[0])
 
 
 def assert_canonical_rref(rows, pivots, cols):
@@ -775,11 +827,12 @@ def test_kernel_basis_matches_two_pass_reference(m):
     before = copy.deepcopy(m._data)
     kernel = kernel_basis(m)
     assert m._data == before
-    ref = reference_kernel_basis(m)
-    assert kernel._rows == ref._rows
-    assert kernel._pivots == ref._pivots
+    rows, pivots = reference_kernel_rows(m)
+    assert list(kernel.basis_rows()) == rows
+    assert kernel._pivots == pivots
     assert kernel.ambient_dim == m.cols
-    assert_canonical_rref(kernel._rows, kernel._pivots, m.cols)
+    assert_canonical_rref(list(kernel.basis_rows()), kernel._pivots, m.cols)
+    assert_integer_echelon(kernel)
     assert m @ RationalMatrix.from_columns(m.cols, kernel.basis_vectors()) == RationalMatrix.zero(m.rows, kernel.dim)
     assert kernel.dim + rank(m) == m.cols
 
@@ -962,9 +1015,9 @@ def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
     assert all_fractions(r._data.values())
 
     kernel = kernel_basis(m)
-    ref = with_fraction_elimination(kernel_basis, m)
-    assert (kernel._rows, kernel._pivots) == (ref._rows, ref._pivots)
-    assert all_fractions(kernel._rows)
+    assert (list(kernel.basis_rows()), kernel._pivots) == with_fraction_elimination(reference_kernel_rows, m)
+    assert all_fractions(kernel.basis_rows())
+    assert_integer_echelon(kernel)
 
     solution = solve_multi(m, b)
     assert solution == with_fraction_elimination(solve_multi, m, b)
@@ -973,9 +1026,10 @@ def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
     forms = data.draw(st.lists(st.sampled_from(["int", "fraction", "str"]), min_size=cols, max_size=cols))
     vectors = [tuple(spelled(x, form) for x, form in zip(row, forms)) for row in dense]
     span = Subspace.from_vectors(cols, vectors)
-    ref = with_fraction_elimination(Subspace.from_vectors, cols, [tuple(Fraction(x) for x in v) for v in vectors])
-    assert (span._rows, span._pivots) == (ref._rows, ref._pivots)
-    assert all_fractions(span._rows)
+    ref = fraction_rref_rowdicts([{c: Fraction(x) for c, x in enumerate(v) if Fraction(x)} for v in vectors], cols)
+    assert (list(span.basis_rows()), span._pivots) == ref
+    assert all_fractions(span.basis_rows())
+    assert_integer_echelon(span)
 
 
 def test_integer_elimination_returns_fractions_for_integer_input():
@@ -985,9 +1039,15 @@ def test_integer_elimination_returns_fractions_for_integer_input():
     assert pivots == [0, 1]
     assert rows == [{0: 1, 2: 6}, {1: 1, 2: -3}]
     assert all_fractions(rows)
+    # a Subspace keeps the primitive integer row; basis_rows divides it
     sub = Subspace.from_vectors(2, [(2, 4)])
-    assert sub._rows == [{0: 1, 1: 2}] and all_fractions(sub._rows)
+    assert sub._rows == [{0: 1, 1: 2}]
+    assert list(sub.basis_rows()) == [{0: 1, 1: 2}] and all_fractions(sub.basis_rows())
     assert sub.basis_vectors()[0][1] / 4 == Fraction(1, 2)
+    sub = Subspace.from_vectors(3, [(6, 4, 0), (0, 0, "1/2")])
+    assert sub._rows == [{0: 3, 1: 2}, {2: 1}]
+    assert_integer_echelon(sub)
+    assert list(sub.basis_rows()) == [{0: 1, 1: Fraction(2, 3)}, {2: 1}] and all_fractions(sub.basis_rows())
 
 
 def test_from_vectors_converts_string_entries_before_dropping_zeros():
@@ -995,7 +1055,8 @@ def test_from_vectors_converts_string_entries_before_dropping_zeros():
     assert Subspace.from_vectors(2, [("0", "1")]) == Subspace.from_vectors(2, [(0, 1)])
     sub = Subspace.from_vectors(3, [("0/5", "2", "-0"), ("-0", "1/2", "3")])
     assert sub._pivots == [1, 2] and sub._rows == [{1: 1}, {2: 1}]
-    assert all_fractions(sub._rows)
+    assert_integer_echelon(sub)
+    assert all_fractions(sub.basis_rows())
 
 
 def test_row_reduction_never_calls_span_basis_add(monkeypatch):
@@ -1058,7 +1119,7 @@ def reference_coordinates(sub, v):
     echelon rows, computing F0 - c*w at a new position."""
     residual = {i: Fraction(x) for i, x in enumerate(v) if x}
     coords = []
-    for p, row in zip(sub._pivots, sub._rows):
+    for p, row in zip(sub._pivots, sub.basis_rows()):
         c = residual.get(p, Fraction(0))
         coords.append(c)
         if c:
