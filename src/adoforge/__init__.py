@@ -14,7 +14,6 @@ from .errors import (
     NotACocycle,
     NotAnIdeal,
     NotCentral,
-    NotInvariant,
     NotLinearlyIndependent,
     NotNilpotent,
     NotSurjective,

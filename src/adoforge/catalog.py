@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .engine import EngineConfig
-from .errors import BudgetExceeded, UnknownExample
+from .errors import BudgetExceeded, UnknownExample, quoted
 from .freenilp import DEFAULT_DIMENSION_BUDGET, free_nilpotent
 from .liealg import Grading, LieAlgebra
 
@@ -90,12 +90,6 @@ _FREE = re.compile(r"free([0-9]+)_([0-9]+)")
 _NAMED = {f.__name__: f for f in (heisenberg3, heisenberg5, filiform4, solvable2, cn7a, cn7b, census7)}
 
 
-def _quoted(name: str) -> str:
-    """``name`` for an error message: its first 40 characters and its length
-    when longer, so a long name cannot swell the run report."""
-    return repr(name) if len(name) <= 40 else f"{name[:40]!r}... ({len(name)} characters)"
-
-
 def example(name: str) -> LieAlgebra:
     if name in _NAMED:
         return _NAMED[name]()
@@ -103,7 +97,7 @@ def example(name: str) -> LieAlgebra:
     if m:
         digits = m.group(1).lstrip("0")
         if not digits:
-            raise UnknownExample(f"abelian index must be positive: {_quoted(name)}")
+            raise UnknownExample(f"abelian index must be positive: {quoted(name)}")
         # refused before anything is built, at the default representation
         # budget; lengths first, since int() refuses more than 4300 digits
         budget = EngineConfig().dimension_budget
@@ -114,7 +108,7 @@ def example(name: str) -> LieAlgebra:
     if m:
         r, c = m.group(1).lstrip("0"), m.group(2).lstrip("0")
         if not r or not c:
-            raise UnknownExample(f"free algebra parameters must be positive: {_quoted(name)}")
+            raise UnknownExample(f"free algebra parameters must be positive: {quoted(name)}")
         if r == "1":
             return free_nilpotent(1, 1)  # F(1, c) is the line F(1, 1)
         # at rank r >= 2 every degree adds a Hall word, so dim F(r, c) >= r + c - 1;
@@ -126,4 +120,4 @@ def example(name: str) -> LieAlgebra:
                 f" has dimension above the budget {DEFAULT_DIMENSION_BUDGET}"
             )
         return free_nilpotent(int(r), int(c))
-    raise UnknownExample(f"unknown example {_quoted(name)}; choose from {', '.join(EXAMPLE_NAMES)}")
+    raise UnknownExample(f"unknown example {quoted(name)}; choose from {', '.join(EXAMPLE_NAMES)}")

@@ -32,10 +32,15 @@ integers too (``reps.cyclic_submodule``).  Only
 the last quotient F/I gets its direct sum built; it is
 transported back to L along proj after a section of pi, which is well
 defined because Ker pi = I = Ker proj.
-The interior steps do not re-prove what the construction guarantees: that
-each flag image is central, nor that pi, the projections and the transport
-are homomorphisms.  ``construct_faithful_nilpotent`` verifies its output
-exactly, once, and raises ``VerificationFailed`` when that fails.
+Two interior checks run: each flag step's ``quotient`` tests that the
+line of its image z is an ideal, and each kernel search's
+``kernel_submodule`` that z is central and that rho(z) vanishes on the
+submodule.  Nothing else the construction guarantees is re-proved: not
+that z is nonzero (its generator lies outside the kernel of the
+projection), that an orbit closure is invariant, nor that pi, the
+projections and the transport are homomorphisms.
+``construct_faithful_nilpotent`` verifies its output exactly, once, and
+raises ``VerificationFailed`` when that fails.
 ``EngineConfig`` has two keys: ``method`` and ``dimension_budget``.
 """
 
@@ -69,7 +74,6 @@ from .linalg import (
     rank,
     solve,
     solve_multi,
-    vec_is_zero,
 )
 from .liealg import (
     LieAlgebra,
@@ -480,9 +484,7 @@ def _induction_pipeline(
     proj = RationalMatrix.identity(pres.F.dim)  # F -> current
     for k in range(len(flag) - 1):
         g = _flag_generator(flag[k + 1], flag[k])
-        z = proj.apply(g)
-        if vec_is_zero(z):
-            raise DegenerateFlag("flag generator must survive the projection")
+        z = proj.apply(g)  # nonzero: g lies outside J_k = Ker proj
         cert.add("flag_step", index=k, z=_coords_json(z))
         z_line = Subspace.from_vectors(current.dim, [z])
         quo, p = quotient(current, z_line)

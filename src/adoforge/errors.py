@@ -1,8 +1,19 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a stable machine-readable ``kind`` used by the CLI run
-report and by the exit-code contract.
+report and by the exit-code contract.  ``quoted`` cuts untrusted input
+short for a message.
 """
+
+
+def quoted(value) -> str:
+    """``value`` for an error message: a string whole up to 40 characters,
+    else its first 40 and its length; anything else by its repr, cut the
+    same way.  Untrusted input cannot swell a run report."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 class AdoForgeError(Exception):
@@ -45,10 +56,6 @@ class AlgebraMismatch(AdoForgeError):
 
 class NotCentral(AdoForgeError):
     kind = "not_central"
-
-
-class NotInvariant(AdoForgeError):
-    kind = "not_invariant"
 
 
 class InvalidGrading(AdoForgeError):

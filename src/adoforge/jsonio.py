@@ -17,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, quoted
 from .engine import Certificate
 from .linalg import RationalMatrix
 from .liealg import Grading, LieAlgebra
@@ -38,11 +38,13 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value) is None:
-            raise ParseError(f"bad rational literal {value!r}: expected p/q or p in ASCII digits")
+            raise ParseError(f"bad rational literal {quoted(value)}: expected p/q or p in ASCII digits")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise ParseError(f"bad rational literal {quoted(value)}: zero denominator") from exc
+        except ValueError as exc:  # more digits than int() reads
+            raise ParseError(f"bad rational literal {quoted(value)}: {exc}") from exc
     raise ParseError(f"expected a rational string, got {type(value).__name__}")
 
 
@@ -50,7 +52,7 @@ def parse_int(value, what: str) -> int:
     """A JSON integer; a bool, float or string is a ``ParseError``, never
     truncated or converted."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
+        raise ParseError(f"{what} must be an integer, got {quoted(value)}")
     return value
 
 
@@ -94,7 +96,7 @@ def _matrix_from_json(obj, literals: dict[str, Fraction]) -> RationalMatrix:
     zeros = False
     for item in raw:
         if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"matrix entry must be [row, col, value], got {item!r}")
+            raise ParseError(f"matrix entry must be [row, col, value], got {quoted(item)}")
         r, c, v = item
         if type(r) is not int:
             r = parse_int(r, "matrix entry row")
@@ -146,6 +148,10 @@ def algebra_to_json(algebra: LieAlgebra, name: str) -> dict:
 
 
 def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
+    """The algebra of a JSON algebra document.  The JSON checks are made
+    here; the table rules (pair order and range, result indices, label
+    count, grading length and degrees) are ``LieAlgebra``'s and
+    ``Grading``'s, whose ``ValueError`` is a ``ParseError``."""
     if not isinstance(obj, dict):
         raise ParseError("algebra document must be a JSON object")
     name = obj.get("name", "")
@@ -155,12 +161,14 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
     if dim < 0:
         raise ParseError("algebra dim must be a nonnegative integer")
     basis = obj.get("basis")
-    if basis is not None:
-        if not (isinstance(basis, list) and len(basis) == dim and all(isinstance(b, str) for b in basis)):
-            raise ParseError("basis must be a list of dim strings")
+    if basis is not None and not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
+        raise ParseError("basis must be a list of strings")
     brackets = obj.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
+    grading = obj.get("grading")
+    if grading is not None and not isinstance(grading, list):
+        raise ParseError("grading must be a list")
     table = {}
     for rec in brackets:
         if not isinstance(rec, dict):
@@ -170,10 +178,8 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
         except KeyError as exc:
             raise ParseError(f"bracket record missing field {exc}") from exc
         left, right = parse_int(left, "bracket left"), parse_int(right, "bracket right")
-        if not (0 <= left < right < dim):
-            raise ParseError(f"bracket pair ({left},{right}) must satisfy left < right within dim")
         if (left, right) in table:
-            raise ParseError(f"duplicate bracket record for pair ({left},{right})")
+            raise ParseError(f"duplicate bracket record for pair ({quoted(left)},{quoted(right)})")
         if not isinstance(result, dict):
             raise ParseError("bracket result must be an object")
         coeffs = {}
@@ -181,22 +187,16 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
             # only the canonical decimal spelling ("0", "12"), so that no two
             # keys of one result can name the same index
             if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
-                raise ParseError(f"bracket result key {key!r} is not a canonical decimal index")
-            k = int(key)
-            if k >= dim:
-                raise ParseError(f"bracket result index {k} out of range")
+                raise ParseError(f"bracket result key {quoted(key)} is not a canonical decimal index")
+            try:
+                k = int(key)
+            except ValueError as exc:  # a key past int()'s digit limit
+                raise ParseError(f"bracket result key {quoted(key)}: {exc}") from exc
             coeffs[k] = parse_rational(value)
         table[(left, right)] = coeffs
-    grading = None
-    if "grading" in obj and obj["grading"] is not None:
-        raw = obj["grading"]
-        if not (isinstance(raw, list) and len(raw) == dim):
-            raise ParseError("grading must be a list of dim positive integers")
-        degrees = tuple(parse_int(d, "grading degree") for d in raw)
-        if any(d < 1 for d in degrees):
-            raise ParseError("grading must be a list of dim positive integers")
-        grading = Grading(degrees)
     try:
+        if grading is not None:
+            grading = Grading(tuple(grading))
         algebra = LieAlgebra(dim, table, labels=basis, grading=grading)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -247,8 +247,9 @@ def certificate_from_json(obj) -> Certificate:
 
 def load_json(text: str):
     """A JSON document; malformed or too deeply nested text (the decoder
-    recurses once per level) is a ``ParseError``."""
+    recurses once per level) or an integer past ``int()``'s digit limit (a
+    plain ``ValueError``) is a ``ParseError``."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc

@@ -25,6 +25,7 @@ from .errors import (
     NotAnIdeal,
     NotNilpotent,
     ZeroIdeal,
+    quoted,
 )
 from .linalg import (
     F1,
@@ -78,11 +79,11 @@ class LieAlgebra:
         table: BracketTable = {}
         for (i, j), coeffs in brackets.items():
             if type(i) is not int or type(j) is not int or not (0 <= i < j < dim):
-                raise ValueError(f"bracket pair ({i!r},{j!r}) must be ints with 0 <= i < j < dim")
+                raise ValueError(f"bracket pair ({quoted(i)},{quoted(j)}) must be ints with 0 <= i < j < dim")
             row = {}
             for k, v in coeffs.items():
                 if type(k) is not int or not 0 <= k < dim:
-                    raise ValueError(f"bracket target index {k!r} must be an int in range")
+                    raise ValueError(f"bracket target index {quoted(k)} must be an int in range")
                 fv = frac(v)
                 if fv:
                     row[k] = fv

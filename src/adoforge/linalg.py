@@ -27,8 +27,8 @@ pivot entries: ``rref``, the solves (``factor_through`` is one) and
 ``Subspace.basis_rows``.  No floating point anywhere.  ``integer_form``
 writes a matrix as integer numerators over one common denominator, and
 ``mul_rowmaps``, the sparse product, runs on those as well;
-``restricted_actions`` reads a matrix's action on a span off its integer
-RREF that way, with one Fraction per entry of the result.
+``restricted_actions`` reads a matrix's action on an invariant span off
+its integer RREF that way, with one Fraction per entry of the result.
 """
 
 from __future__ import annotations
@@ -721,24 +721,19 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
 
 def restricted_actions(
     matrices: Sequence[RationalMatrix], rows: Sequence[dict[int, int]], pivots: Sequence[int]
-) -> list[RationalMatrix] | None:
+) -> list[RationalMatrix]:
     """For each square m, the X with m @ B == B @ X, where column j of B is
-    rows[j] divided by its entry c_j at pivots[j]; None when some m does
-    not map the span of the rows into itself.
+    rows[j] divided by its entry c_j at pivots[j].  The span of the rows
+    must be invariant under every m: the caller guarantees it, and nothing
+    here checks it.
 
     The rows are an integer reduced echelon form as ``_integer_rref``
     returns it, so row p_k of B is the k-th unit row.  With m = N / d, the
     image w_j = N rows[j] is one sparse product with N^T
     (``integer_transpose``), which visits only the columns rows[j] holds,
-    and X[k, j] = w_j[p_k] / (d c_j): one Fraction per entry of X.  w_j
-    lies in the span exactly when it is the combination of the rows that
-    its pivot entries name; with C the lcm of the c_k, that is
-    C w_j = sum_k w_j[p_k] (C / c_k) rows[k], a comparison of integer row
-    maps (at the pivots it holds by construction).
+    and X[k, j] = w_j[p_k] / (d c_j): one Fraction per entry of X.
     """
     heads = [row[p] for row, p in zip(rows, pivots)]
-    common = lcm(*heads)
-    scaled = {k: {r: v * (common // heads[k]) for r, v in row.items()} for k, row in enumerate(rows)}
     basis = dict(enumerate(rows))
     index = {p: k for k, p in enumerate(pivots)}
     dim = len(rows)
@@ -747,15 +742,13 @@ def restricted_actions(
         if m.rows != m.cols:
             raise DimensionMismatch("restricted_actions expects square matrices")
         transpose, d = m.integer_transpose()
-        images = mul_rowmaps(basis, transpose)
-        coords = {j: {index[r]: v for r, v in w.items() if r in index} for j, w in images.items()}
-        if mul_rowmaps(coords, scaled) != {j: {r: common * v for r, v in w.items()} for j, w in images.items()}:
-            return None
         data: dict[int, dict[int, Fraction]] = {}
-        for j, column in coords.items():
+        for j, w in mul_rowmaps(basis, transpose).items():
             scale = d * heads[j]
-            for k, v in column.items():
-                data.setdefault(k, {})[j] = Fraction(v, scale)
+            for r, v in w.items():
+                k = index.get(r)
+                if k is not None:
+                    data.setdefault(k, {})[j] = Fraction(v, scale)
         out.append(RationalMatrix(dim, dim, data))
     return out
 

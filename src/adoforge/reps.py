@@ -26,7 +26,7 @@ from itertools import chain
 from math import lcm
 from typing import Sequence
 
-from .errors import AlgebraMismatch, DimensionMismatch, NotCentral, NotInvariant
+from .errors import AlgebraMismatch, DimensionMismatch, NotCentral
 from .linalg import (
     RationalMatrix,
     SpanBasis,
@@ -386,10 +386,10 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
     keeps an echelon basis of the images it spans (``SpanBasis``).  A
     nonzero scalar on v or on a matrix changes no closure.  Those echelon
     rows, whose leads differ, are reduced to the integer RREF of the span
-    by back-substitution alone (``_integer_rref``), with no dense vector,
-    and ``restricted_actions`` reads each action off the pivots of N_i
-    times the basis, confirming on integers that the image stays in the
-    span (``NotInvariant`` otherwise).  A Fraction is built only for the
+    by back-substitution alone (``_integer_rref``), with no dense vector.
+    The closure is invariant by construction, so ``restricted_actions``
+    reads each action off the pivots of N_i times the basis, with no
+    second product to confirm it.  A Fraction is built only for the
     entries of the submodule's matrices.
     """
     sd = rep.space_dim
@@ -408,7 +408,4 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
                     new_frontier.append(image[0])
         frontier = new_frontier
     rows, pivots = _integer_rref(span.rows())
-    mats = restricted_actions(rep.matrices, rows, pivots)
-    if mats is None:
-        raise NotInvariant("cyclic closure is not invariant")
-    return Representation(rep.algebra, len(pivots), mats)
+    return Representation(rep.algebra, len(pivots), restricted_actions(rep.matrices, rows, pivots))

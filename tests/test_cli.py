@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -619,6 +620,71 @@ class TestStrictIntegers:
         algebra, _ = algebra_from_json(doc)
         assert algebra.brackets == {(0, 10): {0: 1, 10: Fraction(-1, 2)}}
         assert matrix_from_json({"rows": 0, "cols": 0, "entries": []}) == RationalMatrix.zero(0, 0)
+
+def past_digit_limit():
+    """A decimal of one digit more than ``int()`` reads; the test is skipped
+    where there is no such limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("int() has no digit limit here")
+    return "1" + "0" * limit
+
+
+class TestTableRules:
+    """``LieAlgebra`` and ``Grading`` hold the table rules, and the reader
+    turns their ``ValueError`` into a parse error (exit 2), as it does for a
+    number or a result key past ``int()``'s digit limit."""
+
+    def assert_parse_error(self, tmp_path, capsys, text):
+        with pytest.raises(ParseError):
+            algebra_from_json(load_json(text))
+        path = tmp_path / "alg.json"
+        path.write_text(text)
+        code = main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["outcome"]["error"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("left", 1), ("right", 0), ("right", 3), ("result", {"3": "1"}), ("grading", [1, 1]),
+            ("grading", [1, 0, 2]), ("grading", [1, True, 2]), ("basis", ["e0", "e1"]),
+        ],
+        ids=["left-equals-right", "left-above-right", "right-at-dim", "index-at-dim", "short-grading",
+             "degree-zero", "degree-true", "short-basis"],
+    )
+    def test_broken_table_rules_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"name": "h3", "dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"2": "1"}}]}
+        if field in ("left", "right", "result"):
+            doc["brackets"][0][field] = value
+        else:
+            doc[field] = value
+        self.assert_parse_error(tmp_path, capsys, json.dumps(doc))
+
+    def test_number_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys, '{"dim": %s, "brackets": []}' % past_digit_limit())
+
+    def test_result_key_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        doc = {"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {past_digit_limit(): "1"}}]}
+        self.assert_parse_error(tmp_path, capsys, json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda long: parse_rational("1." + long),
+            lambda long: algebra_from_json({"dim": long}),
+            lambda long: algebra_from_json({"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"x" + long: "1"}}]}),
+            lambda long: matrix_from_json({"rows": 1, "cols": 1, "entries": [[0, long]]}),
+        ],
+        ids=["rational", "integer", "result-key", "matrix-entry"],
+    )
+    def test_long_inputs_are_quoted_short(self, read):
+        long = "9" * 5000
+        with pytest.raises(ParseError) as info:
+            read(long)
+        assert len(str(info.value)) < 200 and "characters)" in str(info.value)
+
 
 # Fraction's own string grammar accepts each of the first six on some or all
 # supported Python versions ("1_0" from 3.11, "2 / 3" from 3.12)

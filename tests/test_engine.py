@@ -20,6 +20,7 @@ import adoforge.linalg as linalg
 import adoforge.reps as reps
 from adoforge.catalog import abelian, census7, example, filiform4, heisenberg3, heisenberg5
 from adoforge.errors import (
+    AdoForgeError,
     AlgebraMismatch,
     BudgetExceeded,
     DegenerateFlag,
@@ -586,6 +587,22 @@ class TestConstruct:
         for step in cert.steps_of_kind("kernel_submodule"):
             assert isinstance(step["compressed_dim"], int)
             assert 0 < step["compressed_dim"] <= step["carrier_dim"]
+
+    @pytest.mark.parametrize("name", ["filiform4", "heisenberg5", "cn7a"])
+    def test_a_closure_that_is_not_invariant_never_returns(self, name, monkeypatch):
+        # the action on an orbit closure is read off its pivots, unchecked;
+        # with the first echelon row of every closure dropped, the span is
+        # no longer invariant, and a later check (the kernel submodule's,
+        # the glue's or the final one) must refuse the construction
+        real = reps._integer_rref
+
+        def dropped(rows):
+            reduced, pivots = real(rows)
+            return reduced[1:], pivots[1:]
+
+        monkeypatch.setattr(reps, "_integer_rref", dropped)
+        with pytest.raises(AdoForgeError):
+            construct_faithful_nilpotent(example(name), EngineConfig(method="induction"))
 
     def test_config_has_two_keys(self):
         assert [f.name for f in dataclasses.fields(EngineConfig)] == ["method", "dimension_budget"]

@@ -446,51 +446,52 @@ def sparse_rows(vectors):
 
 def restricted_action(sub, m, spanning=None):
     """``restricted_actions`` of m alone on the integer RREF of rows that
-    span sub: the given sparse rows, else sub's canonical rows."""
+    span the m-invariant sub: the given sparse rows, else sub's canonical
+    rows."""
     rows, pivots = linalg._integer_rref(sub._rows if spanning is None else spanning)
     assert pivots == sub._pivots
     assert all(type(v) is int for row in rows for v in row.values())
-    out = restricted_actions([m], rows, pivots)
-    return None if out is None else out[0]
+    return restricted_actions([m], rows, pivots)[0]
 
 
 @settings(deadline=None)
-@given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
-def test_restricted_action_matches_solve(n, invariant, data):
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_restricted_action_matches_solve(n, data):
     m = data.draw(sparse_matrices(n, n))
     count = data.draw(st.integers(min_value=0, max_value=n))
     vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
-    sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
+    sub = krylov_span(m, vectors)
     basis = RationalMatrix.from_columns(n, sub.basis_vectors())
-    x = restricted_action(sub, m, None if invariant else sparse_rows(vectors))
+    x = restricted_action(sub, m)
     assert x == solve_multi(basis, m @ basis)
-    if invariant:
-        assert x is not None and basis @ x == m @ basis
+    assert basis @ x == m @ basis
+    # the same action from an echelon of spanning rows, which carries other
+    # positive factors than the canonical rows: the vectors and the images
+    # of the span span it
+    spanning = sparse_rows(vectors + [m.apply(v) for v in sub.basis_vectors()])
+    assert restricted_action(sub, m, spanning) == x
     # and on the null space of m, on its canonical rows
     kernel = kernel_basis(m)
     basis = RationalMatrix.from_columns(n, kernel.basis_vectors())
     assert restricted_action(kernel, m) == solve_multi(basis, m @ basis)
 
 
-def test_restricted_action_not_invariant():
-    # span{e0} is not invariant under the matrix sending e0 to e1
-    sub = Subspace.from_vectors(2, [(1, 0)])
-    m = fraction_matrix([[0, 0], [1, 0]])
-    assert restricted_action(sub, m) is None
-    basis = RationalMatrix.from_columns(2, sub.basis_vectors())
-    assert solve_multi(basis, m @ basis) is None
-
-
-def test_restricted_action_not_invariant_with_kept_basis():
-    # one echelon serves every matrix, and the confirmation runs for each:
-    # an invariant matrix first does not let a later one through
+def test_restricted_action_reads_invariant_spans_off_the_pivots():
+    # one echelon serves every matrix and is not written through
     rows, pivots = linalg._integer_rref([{0: 1}, {1: 1}])
     keeps = fraction_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    leaves = fraction_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-    assert restricted_actions([keeps], rows, pivots) == [RationalMatrix.from_entries(2, 2, [(0, 1, 1)])]
-    assert restricted_actions([leaves], rows, pivots) is None
-    assert restricted_actions([keeps, leaves], rows, pivots) is None
+    swaps = fraction_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert restricted_actions([keeps, swaps], rows, pivots) == [
+        RationalMatrix.from_entries(2, 2, [(0, 1, 1)]),
+        RationalMatrix.from_entries(2, 2, [(0, 1, 1), (1, 0, 1)]),
+    ]
     assert rows == [{0: 1}, {1: 1}]
+    # span{(1, 0, 1), (0, 1, 0)} has pivots 0 and 1; m sends e1 to e0 + e2,
+    # which is read at pivot row 0 alone
+    sub = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
+    assert sub._pivots == [0, 1]
+    m = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
+    assert restricted_action(sub, m) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
 
 
 def test_restricted_action_shape_check():
@@ -1211,52 +1212,14 @@ def test_tensor_action_sum_matches_reference(n, m, data):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
-def test_restricted_action_matches_full_product_reference(n, invariant, data):
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_restricted_action_matches_full_product_reference(n, data):
     m = data.draw(st.one_of(sparse_matrices(n, n), unit_matrices(n, n)))
     count = data.draw(st.integers(min_value=0, max_value=n))
     vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(count)]
-    sub = krylov_span(m, vectors) if invariant else Subspace.from_vectors(n, vectors)
+    sub = krylov_span(m, vectors)
     x = restricted_action(sub, m)
     assert x == reference_restricted_action(sub, m)
-    if not invariant:
-        # the same verdict from an echelon of the spanning rows, which
-        # carries other positive factors than the canonical rows
-        assert restricted_action(sub, m, sparse_rows(vectors)) == x
-    if invariant:
-        assert x is not None
-
-
-def test_restricted_action_rejects_image_leaving_through_one_off_pivot_row():
-    # span{(1, 0, 1), (0, 1, 0)} has pivots 0 and 1; m sends e1 to e2, so
-    # the image is zero on both pivot rows and leaves only through row 2
-    sub = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
-    assert sub._pivots == [0, 1]
-    m = RationalMatrix.from_entries(3, 3, [(2, 1, 1)])
-    assert restricted_action(sub, m) is None
-    assert reference_restricted_action(sub, m) is None
-    # the same image plus a matching pivot row stays inside: X is read there
-    fixed = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
-    assert restricted_action(sub, fixed) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=2, max_value=6), st.data())
-def test_restricted_action_none_after_one_off_pivot_row_moves(n, data):
-    # m + e_r w^T differs from an invariant m only on ambient row r, off the
-    # pivots, where no vector of the subspace is a multiple of e_r
-    m = data.draw(sparse_matrices(n, n))
-    vectors = [data.draw(st.lists(sparse_fractions, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(1, n)))]
-    sub = krylov_span(m, vectors)
-    free = [r for r in range(n) if r not in sub._pivots]
-    if sub.dim == 0 or not free:
-        return
-    r = data.draw(st.sampled_from(free))
-    w = data.draw(st.lists(sparse_fractions, min_size=n, max_size=n))
-    moved = m + RationalMatrix.from_entries(n, n, [(r, c, v) for c, v in enumerate(w)])
-    leaves = any(sum(w[i] * x for i, x in enumerate(col)) for col in sub.basis_vectors())
-    assert (restricted_action(sub, moved) is None) == leaves
-    assert reference_restricted_action(sub, moved) == restricted_action(sub, moved)
 
 
 @settings(deadline=None, max_examples=100)
