@@ -476,7 +476,20 @@ def test_restricted_action_matches_solve(n, data):
     assert restricted_action(kernel, m) == solve_multi(basis, m @ basis)
 
 
-def test_restricted_action_reads_invariant_spans_off_the_pivots():
+def test_restricted_action_not_invariant():
+    # span{e0} is not invariant under the matrix sending e0 to e1: no X
+    # solves basis @ X = m @ basis, and the orbit closure is all of Q^2
+    sub = Subspace.from_vectors(2, [(1, 0)])
+    m = fraction_matrix([[0, 0], [1, 0]])
+    assert reference_restricted_action(sub, m) is None
+    basis = RationalMatrix.from_columns(2, sub.basis_vectors())
+    assert solve_multi(basis, m @ basis) is None
+    closed = krylov_span(m, sub.basis_vectors())
+    assert closed.dim == 2
+    assert restricted_action(closed, m) == m
+
+
+def test_restricted_action_not_invariant_with_kept_basis():
     # one echelon serves every matrix and is not written through
     rows, pivots = linalg._integer_rref([{0: 1}, {1: 1}])
     keeps = fraction_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
@@ -486,12 +499,30 @@ def test_restricted_action_reads_invariant_spans_off_the_pivots():
         RationalMatrix.from_entries(2, 2, [(0, 1, 1), (1, 0, 1)]),
     ]
     assert rows == [{0: 1}, {1: 1}]
-    # span{(1, 0, 1), (0, 1, 0)} has pivots 0 and 1; m sends e1 to e0 + e2,
-    # which is read at pivot row 0 alone
+    # a matrix sending e1 out of span{e0, e1} is not handed over on that
+    # span: the reference rejects it, and its orbit closure is e0, e1, e2
+    leaves = fraction_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    sub = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    assert reference_restricted_action(sub, leaves) is None
+    closed = krylov_span(leaves, sub.basis_vectors())
+    assert closed.dim == 3
+    assert restricted_action(closed, leaves) == reference_restricted_action(closed, leaves)
+
+
+def test_restricted_action_rejects_image_leaving_through_one_off_pivot_row():
+    # span{(1, 0, 1), (0, 1, 0)} has pivots 0 and 1; m sends e1 to e2, so
+    # the image is zero on both pivot rows and leaves only through row 2:
+    # the reference rejects the span, and the orbit closure takes in e2
     sub = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
     assert sub._pivots == [0, 1]
-    m = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
-    assert restricted_action(sub, m) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
+    m = RationalMatrix.from_entries(3, 3, [(2, 1, 1)])
+    assert reference_restricted_action(sub, m) is None
+    closed = krylov_span(m, sub.basis_vectors())
+    assert closed.dim == 3
+    assert restricted_action(closed, m) == reference_restricted_action(closed, m)
+    # the same image plus a matching pivot row stays inside: X is read there
+    fixed = RationalMatrix.from_entries(3, 3, [(2, 1, 1), (0, 1, 1)])
+    assert restricted_action(sub, fixed) == RationalMatrix.from_entries(2, 2, [(0, 1, 1)])
 
 
 def test_restricted_action_shape_check():
