@@ -67,7 +67,6 @@ from .reps import (
 )
 from .graded import (
     Cocycle,
-    CurrentAlgebra,
     cocycle_extension,
     cocycle_extension_rep,
     cocycle_space,

@@ -13,8 +13,9 @@ graded route (``graded_faithful_rep``) uses.
 The paper's route is kept beside it and seeds the induction route's free
 algebra (``current_algebra_faithful_rep``): for top degree n-1, the map
 sending a degree-i basis element x to x(x)t^i embeds L into the current
-algebra L(x)tQ[t]/(t^n).  The scaling derivation of the current algebra
-(eigenvalue = t-degree) is a 1-cocycle with zero kernel valued in the
+algebra L(x)tQ[t]/(t^n) (``graded_embedding``), itself a ``LieAlgebra``
+graded by t-degree (``current_algebra``).  The scaling derivation of that
+grading (``euler_derivation``) is a 1-cocycle with zero kernel valued in the
 adjoint module, and the cocycle extension of the current algebra on
 V + Z^1(L,V) is faithful and nilpotent; restricting back along the embedding
 yields a faithful nilpotent representation of L.
@@ -30,77 +31,41 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateCocycle, DimensionMismatch, InvalidGrading, NotACocycle
-from .linalg import (
-    F1,
-    RationalMatrix,
-    kernel_basis,
-    mul_rowmaps,
-)
+from .linalg import F1, RationalMatrix, kernel_basis, mul_rowmaps
 from .liealg import Grading, LieAlgebra, LieHom, verify_grading
 from .reps import Representation, adjoint, restrict_along
 
 
-@dataclass
-class CurrentAlgebra:
-    """base (x) tQ[t]/(t^truncation) on the basis {e_i (x) t^a : 1 <= a < n},
-    ordered by t-degree then base index."""
-
-    base: LieAlgebra
-    truncation: int
-    product: LieAlgebra
-
-    def flat_index(self, a: int, i: int) -> int:
-        """Index of e_i (x) t^a in the product basis."""
-        if not (1 <= a < self.truncation and 0 <= i < self.base.dim):
-            raise DimensionMismatch("current algebra coordinate out of range")
-        return (a - 1) * self.base.dim + i
-
-
-def current_algebra(base: LieAlgebra, truncation: int) -> CurrentAlgebra:
-    """[x(x)t^a, y(x)t^b] = [x,y](x)t^{a+b}, truncated to zero at t^n."""
+def current_algebra(base: LieAlgebra, truncation: int) -> LieAlgebra:
+    """base (x) tQ[t]/(t^truncation) as a Lie algebra graded by t-degree,
+    with e_i (x) t^a (1 <= a < truncation) at index (a - 1) * dim base + i:
+    [x(x)t^a, y(x)t^b] = [x,y](x)t^{a+b}, zero from t^truncation on."""
     if truncation < 2:
         raise DimensionMismatch("current algebra truncation must be at least 2")
     n = base.dim
-    levels = truncation - 1
-    dim = n * levels
+    levels = range(1, truncation)
     table = {}
-    for a in range(1, levels + 1):
-        for b in range(a, levels + 1):
-            if a + b > levels:
-                continue
+    for a in levels:
+        for b in range(1, truncation - a):
             shift = (a + b - 1) * n
             for (i, j), coeffs in base.brackets.items():
                 lo, hi = (a - 1) * n + i, (b - 1) * n + j
-                out = {shift + k: v for k, v in coeffs.items()}
-                if lo < hi:
-                    table[(lo, hi)] = dict(out)
-                if a != b:
-                    # the (e_j (x) t^a, e_i (x) t^b) pair carries the sign flip
-                    lo2, hi2 = (a - 1) * n + j, (b - 1) * n + i
-                    table[(lo2, hi2)] = {k: -v for k, v in out.items()}
-    labels = tuple(
-        f"{base.label(i)}*t^{a}" for a in range(1, levels + 1) for i in range(n)
-    )
-    degrees = tuple(a for a in range(1, levels + 1) for _ in range(n))
-    product = LieAlgebra(dim, table, labels=labels, grading=Grading(degrees))
-    return CurrentAlgebra(base=base, truncation=truncation, product=product)
+                # a pair with lo > hi is stored as (hi, lo), signs flipped
+                sign = 1 if lo < hi else -1
+                table[(min(lo, hi), max(lo, hi))] = {shift + k: sign * v for k, v in coeffs.items()}
+    labels = tuple(f"{base.label(i)}*t^{a}" for a in levels for i in range(n))
+    degrees = tuple(a for a in levels for _ in range(n))
+    return LieAlgebra(n * len(levels), table, labels=labels, grading=Grading(degrees))
 
 
-def graded_embedding(algebra: LieAlgebra, current: CurrentAlgebra | None = None) -> LieHom:
+def graded_embedding(algebra: LieAlgebra) -> LieHom:
     """The injective homomorphism x -> x(x)t^deg(x) into the current algebra
     truncated at 1 + max degree, one by construction for a checked grading."""
     if not verify_grading(algebra):
         raise InvalidGrading("graded_embedding requires a valid positive grading")
-    n = 1 + algebra.grading.max_degree
-    if current is None:
-        current = current_algebra(algebra, n)
-    elif current.truncation != n or not current.base.structurally_equal(algebra):
-        raise DimensionMismatch("provided current algebra does not match the grading")
-    entries = []
-    for i, d in enumerate(algebra.grading.degrees):
-        entries.append((current.flat_index(d, i), i, F1))
-    matrix = RationalMatrix.from_entries(current.product.dim, algebra.dim, entries)
-    return LieHom(algebra, current.product, matrix)
+    current = current_algebra(algebra, 1 + algebra.grading.max_degree)
+    entries = [((d - 1) * algebra.dim + i, i, F1) for i, d in enumerate(algebra.grading.degrees)]
+    return LieHom(algebra, current, RationalMatrix.from_entries(current.dim, algebra.dim, entries))
 
 
 @dataclass
@@ -224,12 +189,11 @@ def _scaling_derivation(algebra: LieAlgebra) -> RationalMatrix:
     )
 
 
-def euler_derivation(current: CurrentAlgebra) -> Cocycle:
+def euler_derivation(current: LieAlgebra) -> Cocycle:
     """The scaling cocycle phi(x(x)t^a) = a * x(x)t^a valued in the adjoint
     module: the scaling derivation of the current algebra's t-grading.  Its
     kernel is zero because every eigenvalue is a positive integer."""
-    product = current.product
-    return Cocycle(adjoint(product), _scaling_derivation(product))
+    return Cocycle(adjoint(current), _scaling_derivation(current))
 
 
 def cocycle_extension(rep: Representation, maps: list[RationalMatrix]) -> Representation:
@@ -285,14 +249,7 @@ def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
 def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
     """Faithful nilpotent representation of a validly graded algebra via the
     paper's embedding + scaling-cocycle extension + restriction pipeline."""
-    if not verify_grading(algebra):
-        raise InvalidGrading("current_algebra_faithful_rep requires a valid grading")
-    if algebra.dim == 0:
-        return Representation(algebra, 0, [])
-    n = 1 + algebra.grading.max_degree
-    current = current_algebra(algebra, n)
-    embedding = graded_embedding(algebra, current)
-    phi = euler_derivation(current)
-    extended = cocycle_extension_rep(phi)
-    return restrict_along(extended, embedding)
-
+    if algebra.dim == 0 and algebra.grading is not None:
+        return Representation(algebra, 0, [])  # no current algebra has truncation 1
+    emb = graded_embedding(algebra)
+    return restrict_along(cocycle_extension_rep(euler_derivation(emb.target)), emb)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, quoted
@@ -25,6 +26,11 @@ from .reps import Representation
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _too_long() -> str:
+    """int()'s digit limit in words, without its advice to raise the limit."""
+    return f"more than int()'s {sys.get_int_max_str_digits()} digits"
 
 
 def parse_rational(value) -> Fraction:
@@ -44,7 +50,7 @@ def parse_rational(value) -> Fraction:
         except ZeroDivisionError as exc:
             raise ParseError(f"bad rational literal {quoted(value)}: zero denominator") from exc
         except ValueError as exc:  # more digits than int() reads
-            raise ParseError(f"bad rational literal {quoted(value)}: {exc}") from exc
+            raise ParseError(f"bad rational literal {quoted(value)} has {_too_long()}") from exc
     raise ParseError(f"expected a rational string, got {type(value).__name__}")
 
 
@@ -191,7 +197,7 @@ def algebra_from_json(obj) -> tuple[LieAlgebra, str]:
             try:
                 k = int(key)
             except ValueError as exc:  # a key past int()'s digit limit
-                raise ParseError(f"bracket result key {quoted(key)}: {exc}") from exc
+                raise ParseError(f"bracket result key {quoted(key)} has {_too_long()}") from exc
             coeffs[k] = parse_rational(value)
         table[(left, right)] = coeffs
     try:
@@ -251,5 +257,7 @@ def load_json(text: str):
     plain ``ValueError``) is a ``ParseError``."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: a number has {_too_long()}") from exc

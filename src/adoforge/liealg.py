@@ -196,19 +196,22 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     """Check the Jacobi identity on the basis triples (and grading if present).
 
     The sum for i < j < k, [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
-    is zero when none of its three inner brackets is stored, so only the
-    triples that hold a stored pair are visited, in (i, j, k) order.  Each
-    sum runs on the integer table N = D c (``LieAlgebra.integer_form``): the
-    sum over N is D^2 times the rational one, and a nonzero residual is
-    reported as Fraction(v, D^2), the same values the rational sum gives.
+    runs on the integer table N = D c (``LieAlgebra.integer_form``).  Its term
+    [[e_a,e_b],e_c] is nonzero only if some m stored in [e_a,e_b] has c in
+    N[m], so only those triples are visited, in (i, j, k) order.  The sum over
+    N is D^2 times the rational one, and a nonzero residual is reported as
+    Fraction(v, D^2), the same values the rational sum gives.
     """
     n = algebra.dim
-    table = algebra.brackets
     scaled, scale = algebra.integer_form()
     square = scale * scale
     empty: dict = {}
     violations = []
-    for i, j, k in sorted({tuple(sorted((a, b, c))) for a, b in table for c in range(n) if c != a and c != b}):
+    triples = set()
+    for (a, b), coeffs in algebra.brackets.items():
+        reached = set().union(*(scaled.get(m, empty) for m in coeffs)) - {a, b}
+        triples.update(tuple(sorted((a, b, c))) for c in reached)
+    for i, j, k in sorted(triples):
         acc: dict[int, int] = {}
         get = acc.get
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

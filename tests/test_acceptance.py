@@ -124,7 +124,7 @@ def test_criterion_4_euler_kernel_zero(capsys):
         current = current_algebra(algebra, 1 + algebra.grading.max_degree)
         phi = euler_derivation(current)
         assert kernel_basis(phi.map).dim == 0, name
-        for i in range(current.product.dim):
+        for i in range(current.dim):
             assert phi.map.entry(i, i) == i // algebra.dim + 1  # the t-degree of basis element i
     print("ACCEPTANCE 4 PASS: scaling-derivation kernels are zero on all corpus current algebras")
 

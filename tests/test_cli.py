@@ -630,6 +630,14 @@ def past_digit_limit():
     return "1" + "0" * limit
 
 
+def says_digit_limit(message):
+    """The message names int()'s digit limit and, unlike Python's own text,
+    gives no advice to call sys.set_int_max_str_digits(), which a
+    command-line user cannot follow."""
+    limit = sys.get_int_max_str_digits()
+    return f"more than int()'s {limit} digits" in message and "set_int_max_str_digits" not in message
+
+
 class TestTableRules:
     """``LieAlgebra`` and ``Grading`` hold the table rules, and the reader
     turns their ``ValueError`` into a parse error (exit 2), as it does for a
@@ -643,7 +651,9 @@ class TestTableRules:
         code = main(["validate", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
-        assert json.loads(err.strip().splitlines()[-1])["outcome"]["error"] == "parse_error"
+        outcome = json.loads(err.strip().splitlines()[-1])["outcome"]
+        assert outcome["error"] == "parse_error"
+        return outcome["message"]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -663,11 +673,16 @@ class TestTableRules:
         self.assert_parse_error(tmp_path, capsys, json.dumps(doc))
 
     def test_number_past_the_digit_limit_exits_2(self, tmp_path, capsys):
-        self.assert_parse_error(tmp_path, capsys, '{"dim": %s, "brackets": []}' % past_digit_limit())
+        message = self.assert_parse_error(tmp_path, capsys, '{"dim": %s, "brackets": []}' % past_digit_limit())
+        assert says_digit_limit(message)
 
     def test_result_key_past_the_digit_limit_exits_2(self, tmp_path, capsys):
         doc = {"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {past_digit_limit(): "1"}}]}
-        self.assert_parse_error(tmp_path, capsys, json.dumps(doc))
+        assert says_digit_limit(self.assert_parse_error(tmp_path, capsys, json.dumps(doc)))
+
+    def test_rational_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        doc = {"dim": 3, "brackets": [{"left": 0, "right": 1, "result": {"2": past_digit_limit()}}]}
+        assert says_digit_limit(self.assert_parse_error(tmp_path, capsys, json.dumps(doc)))
 
     @pytest.mark.parametrize(
         "read",

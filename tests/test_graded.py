@@ -38,30 +38,31 @@ from adoforge.reps import (
 from conftest import CORPUS, corpus_algebras, reference_is_hom, small_fractions
 
 
+def flat(a, i, dim):
+    """Index of e_i (x) t^a in the current algebra of a dim-dimensional base."""
+    return (a - 1) * dim + i
+
+
 class TestCurrentAlgebra:
     def test_abelian_base(self):
         c = current_algebra(abelian(1), 2)
-        assert c.product.dim == 1 and not c.product.brackets
+        assert c.dim == 1 and not c.brackets
 
     def test_h3_truncation3(self, h3):
         c = current_algebra(h3, 3)
-        assert c.product.dim == 6
-        assert validate(c.product).ok
+        assert c.dim == 6
+        assert validate(c).ok
         # [e0 (x) t, e1 (x) t] = e2 (x) t^2
-        lhs = c.product.bracket(
-            dense_vector({c.flat_index(1, 0): F1}, 6), dense_vector({c.flat_index(1, 1): F1}, 6)
-        )
-        expected = dense_vector({c.flat_index(2, 2): F1}, 6)
+        lhs = c.bracket(dense_vector({flat(1, 0, 3): F1}, 6), dense_vector({flat(1, 1, 3): F1}, 6))
+        expected = dense_vector({flat(2, 2, 3): F1}, 6)
         assert lhs == expected
         # degree 3 truncates: [e0 (x) t, e1 (x) t^2] = 0
-        lhs = c.product.bracket(
-            dense_vector({c.flat_index(1, 0): F1}, 6), dense_vector({c.flat_index(2, 1): F1}, 6)
-        )
+        lhs = c.bracket(dense_vector({flat(1, 0, 3): F1}, 6), dense_vector({flat(2, 1, 3): F1}, 6))
         assert vec_is_zero(lhs)
 
     def test_h3_truncation2_abelian(self, h3):
         c = current_algebra(h3, 2)
-        assert c.product.dim == 3 and not c.product.brackets
+        assert c.dim == 3 and not c.brackets
 
     @pytest.mark.parametrize("truncation", [1, 0])
     def test_truncation_below_two_is_typed(self, h3, truncation):
@@ -70,7 +71,7 @@ class TestCurrentAlgebra:
 
     def test_nilpotency_class_bounded(self, h3):
         c = current_algebra(h3, 3)
-        series = lower_central_series(c.product)
+        series = lower_central_series(c)
         assert series[-1].dim == 0
         assert len(series) - 1 <= 2
 
@@ -87,8 +88,8 @@ class TestGradedEmbedding:
         assert kernel_basis(emb.matrix).dim == 0
         assert reference_is_hom(h3, emb.target, emb.matrix)
         c = current_algebra(h3, 3)
-        assert emb.matrix.column(0) == dense_vector({c.flat_index(1, 0): F1}, 6)
-        assert emb.matrix.column(2) == dense_vector({c.flat_index(2, 2): F1}, 6)
+        assert emb.matrix.column(0) == dense_vector({flat(1, 0, 3): F1}, 6)
+        assert emb.matrix.column(2) == dense_vector({flat(2, 2, 3): F1}, 6)
 
     def test_f4_dimensions(self, f4):
         emb = graded_embedding(f4)
@@ -215,7 +216,7 @@ class TestCocycleExtension:
         current = current_algebra(h3, 3)
         phi = euler_derivation(current)
         extended = cocycle_extension_rep(phi)
-        assert extended.space_dim == 6 + len(cocycle_space(adjoint(current.product)))
+        assert extended.space_dim == 6 + len(cocycle_space(adjoint(current)))
         assert is_homomorphism(extended)
         assert rep_kernel(extended).dim == 0
         assert is_nilpotent_rep(extended)
@@ -225,11 +226,11 @@ class TestCocycleExtension:
         # the extension as it was built before reading psi's row maps: one
         # dense column() per cocycle and basis element
         current = current_algebra(build(), 3)
-        product, ad = current.product, adjoint(current.product)
+        ad = adjoint(current)
         extended = cocycle_extension_rep(euler_derivation(current))
         space = cocycle_space(ad)
         vd, total = ad.space_dim, extended.space_dim
-        for i in range(product.dim):
+        for i in range(current.dim):
             entries = list(ad.matrices[i].entries())
             for b, psi in enumerate(space):
                 entries.extend((r, vd + b, v) for r, v in enumerate(psi.map.column(i)) if v)

@@ -635,6 +635,29 @@ def test_one_violation_in_abelian300():
     assert validate(abelian(300)).ok
 
 
+@settings(deadline=None, max_examples=100)
+@given(corpus_algebras().filter(lambda algebra: algebra.dim >= 3), st.data())
+def test_violations_match_brute_force_on_perturbed_tables(algebra, data):
+    # a Lie algebra with one pair's bracket (stored or not) replaced by a
+    # random result: the table breaks the Jacobi identity only in the
+    # triples that reach that pair, or keeps it when the draw is consistent
+    n = algebra.dim
+    brackets = dict(algebra.brackets)
+    pair = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    targets = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    brackets[pair] = {k: data.draw(sparse_fractions) for k in targets}
+    perturbed = LieAlgebra(n, brackets)
+    assert validate(perturbed).jacobi_violations == reference_violations(perturbed)
+
+
+def test_one_bracket_at_dim_1e8_is_fast():
+    # the candidate triples come from the stored brackets, not from range(dim)
+    start = time.process_time()
+    report = validate(LieAlgebra(10**8, {(0, 1): {2: 1}}))
+    assert time.process_time() - start < 1.0
+    assert report.ok and report.dim == 10**8
+
+
 @settings(deadline=None, max_examples=30)
 @given(corpus_algebras())
 def test_corpus_has_no_jacobi_residual(algebra):

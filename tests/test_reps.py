@@ -157,9 +157,9 @@ class TestRestrictAlong:
             graded_embedding,
         )
 
-        current = current_algebra(h3, 3)
-        embedding = graded_embedding(h3, current)
-        phi = euler_derivation(current)
+        embedding = graded_embedding(h3)
+        assert embedding.target.brackets == current_algebra(h3, 3).brackets
+        phi = euler_derivation(embedding.target)
         big = cocycle_extension_rep(phi)
         restricted = restrict_along(big, embedding)
         assert rep_kernel(restricted).dim == 0
