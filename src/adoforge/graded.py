@@ -60,10 +60,11 @@ def current_algebra(base: LieAlgebra, truncation: int) -> LieAlgebra:
 
 def graded_embedding(algebra: LieAlgebra) -> LieHom:
     """The injective homomorphism x -> x(x)t^deg(x) into the current algebra
-    truncated at 1 + max degree, one by construction for a checked grading."""
+    truncated at 1 + max degree (at least 2, so the zero algebra embeds into
+    the zero algebra), one by construction for a checked grading."""
     if not verify_grading(algebra):
         raise InvalidGrading("graded_embedding requires a valid positive grading")
-    current = current_algebra(algebra, 1 + algebra.grading.max_degree)
+    current = current_algebra(algebra, max(2, 1 + algebra.grading.max_degree))
     entries = [((d - 1) * algebra.dim + i, i, F1) for i, d in enumerate(algebra.grading.degrees)]
     return LieHom(algebra, current, RationalMatrix.from_entries(current.dim, algebra.dim, entries))
 
@@ -249,7 +250,5 @@ def graded_faithful_rep(algebra: LieAlgebra) -> Representation:
 def current_algebra_faithful_rep(algebra: LieAlgebra) -> Representation:
     """Faithful nilpotent representation of a validly graded algebra via the
     paper's embedding + scaling-cocycle extension + restriction pipeline."""
-    if algebra.dim == 0 and algebra.grading is not None:
-        return Representation(algebra, 0, [])  # no current algebra has truncation 1
     emb = graded_embedding(algebra)
     return restrict_along(cocycle_extension_rep(euler_derivation(emb.target)), emb)

@@ -364,9 +364,9 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     basis, together with the surjective projection.
 
     The new table is the projection of each stored bracket between
-    complement coordinates, summed on integers: with P = M / d
-    (``integer_form``) and the table N / D, the image of N[(c_a, c_b)] under
-    M over d D gives one Fraction per stored entry."""
+    complement coordinates, summed on integers: with P = M / d, read by
+    columns (``integer_transpose``), and the table N / D, the image of
+    N[(c_a, c_b)] under M over d D gives one Fraction per stored entry."""
     if not is_ideal(algebra, ideal):
         raise NotAnIdeal("quotient requires an ideal")
     n = algebra.dim
@@ -386,11 +386,7 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LieHom]:
     for p, row in zip(ideal._pivots, ideal.basis_rows()):
         entries.extend((position[c], p, -v) for c, v in row.items() if c != p)
     proj_matrix = RationalMatrix.from_entries(q, n, sorted(entries))
-    numerators, d = proj_matrix.integer_form()
-    columns: dict[int, dict[int, int]] = {}
-    for j, row in numerators.items():
-        for c, v in row.items():
-            columns.setdefault(c, {})[j] = v
+    columns, d = proj_matrix.integer_transpose()
     integer_table, scale = algebra.integer_form()
     denominator = d * scale
     table: dict[tuple[int, int], dict[int, Fraction]] = {}

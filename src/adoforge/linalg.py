@@ -6,29 +6,31 @@ integers through one fraction-free step, ``_eliminate``: a row is
 cross-multiplied with a pivot row, row <- (a/g) row - (f/g) pivot_row, and
 a scaled row with entries past ``_WIDE_BITS`` bits is divided by the gcd of
 its entries; a narrower one carries that factor until it is stored
-primitive.  ``SpanBasis``, the incremental span used by the exact checks
-and by orbit closures, keeps an echelon map {lead: primitive integer row}
-built by that step.  There is one elimination path, ``_integer_rref``.  It
-first peels the single-entry rows (``_peel``): a row whose one nonzero
-entry sits at column c makes c a pivot with the unit row {c: 1}, and c is
-deleted from every other row, which may leave a new single-entry row.  It
-scales each row left to integers, inserts it into the same kind of
-echelon map and runs one back-substitution pass, giving the RREF as
-primitive integer rows, each positive at its pivot and zero at every other
-pivot: unique for the row space, so two runs on equal inputs are
-bit-identical.  ``_null_rows`` reads the null space off one such
-elimination, as rows of the same kind.  A ``Subspace`` holds those rows as
-they come, and every subspace question is one elimination or one pass of
+primitive.  ``SpanBasis`` is the one echelon: a map {lead: primitive
+integer row} built by that step, whose ``reduced()`` runs one
+back-substitution pass and gives the RREF as primitive integer rows, each
+positive at its pivot and zero at every other pivot: unique for the row
+space, so two runs on equal inputs are bit-identical.  Orbit closures and
+the exact checks fill one row by row.  The one elimination path,
+``_integer_rref``, first peels the single-entry rows (``_peel``): a row
+whose one nonzero entry sits at column c makes c a pivot with the unit row
+{c: 1}, and c is deleted from every other row, which may leave a new
+single-entry row.  It inserts each row left, scaled to integers, into a
+``SpanBasis`` holding those unit rows and returns its ``reduced()``.
+``_null_rows`` reads the null space off one such elimination, as rows of
+the same kind.  A ``Subspace`` holds those rows as they come, and every
+subspace question is one elimination or one pass of
 ``Subspace.residuals``, which clears each pivot of a row with
 ``_eliminate``: ``kernel_basis`` is ``_null_rows``, ``intersect`` is
 Zassenhaus's method, membership is an empty residual.  Fractions are made
-only where a caller asks for rational values, by dividing rows by their
-pivot entries: ``rref``, the solves (``factor_through`` is one) and
-``Subspace.basis_rows``.  No floating point anywhere.  ``integer_form``
-writes a matrix as integer numerators over one common denominator, and
-``mul_rowmaps``, the sparse product, runs on those as well;
-``restricted_actions`` reads a matrix's action on an invariant span off
-its integer RREF that way, with one Fraction per entry of the result.
+only where a caller asks for rational values, by dividing by pivot
+entries: ``rref`` and ``Subspace.basis_rows`` divide whole rows, the
+solves (``factor_through`` is one) only their solution entries.  No
+floating point anywhere.  ``integer_form`` writes a matrix as integer
+numerators over one common denominator, and ``mul_rowmaps``, the sparse
+product, runs on those as well; ``restricted_actions`` reads a matrix's
+action on an invariant span off its integer RREF that way, with one
+Fraction per entry of the result.
 """
 
 from __future__ import annotations
@@ -285,21 +287,6 @@ def mul_rowmaps(a: dict[int, dict], b: dict[int, dict]) -> dict[int, dict]:
     return out
 
 
-def hstack(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise DimensionMismatch("hstack row mismatch")
-    data: dict[int, dict[int, Fraction]] = {}
-    offset = 0
-    for b in blocks:
-        for r, row in b._data.items():
-            target = data.setdefault(r, {})
-            for c, v in row.items():
-                target[c + offset] = v
-        offset += b.cols
-    return RationalMatrix(rows, offset, data)
-
-
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
@@ -487,29 +474,16 @@ def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[
     The input rows hold ints or Fractions and are left untouched.  The
     single-entry rows are peeled first (``_peel``): each peeled column is a
     pivot with the unit row {c: 1}, and no other row holds it.  Each row
-    left is copied as integers (``_integer_row``) and inserted into an
-    echelon map as ``SpanBasis`` does (which peels nothing).  One
-    back-substitution pass, from the highest lead down, then clears each
-    row at the leads above its own with the same step and makes a row so
-    cleared primitive again; those rows are already zero at every other
-    lead, so no step brings an entry back.  Every step scales a row by a
-    positive factor, so each row returned is the canonical RREF row times
-    the one positive factor that makes it primitive, unique whatever order
-    the rows came in and whatever was peeled.
+    left is scaled to integers (``_integer_row``) and inserted as it is into
+    a ``SpanBasis`` that holds those unit rows, whose ``reduced()`` is the
+    RREF: unique whatever order the rows came in and whatever was peeled.
     """
     units, rest = _peel(rowdicts)
-    echelon: dict[int, dict[int, int]] = {c: {c: 1} for c in units}
+    span = SpanBasis()
+    span._rows.update((c, {c: 1}) for c in units)
     for r in rest:
-        _insert(echelon, _integer_row(r)[0])
-    pivots = sorted(echelon)
-    for p in reversed(pivots):
-        row = echelon[p]
-        above = [k for k in row if k != p and k in echelon]
-        for q in above:
-            _eliminate(row, echelon[q], q)
-        if above:
-            echelon[p] = _primitive(row, p)
-    return [echelon[p] for p in pivots], pivots
+        _insert(span._rows, _integer_row(r)[0])
+    return span.reduced()
 
 
 def _divided(rows: Iterable[dict[int, int]], pivots: Iterable[int]) -> Iterator[dict[int, Fraction]]:
@@ -519,13 +493,6 @@ def _divided(rows: Iterable[dict[int, int]], pivots: Iterable[int]) -> Iterator[
         yield {k: Fraction(v, head) for k, v in row.items()}
 
 
-def _rref_rowdicts(rowdicts: Iterable[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Pivot rows and pivot columns of the canonical reduced row echelon
-    form: the rows of ``_integer_rref`` divided into Fractions."""
-    rows, pivots = _integer_rref(rowdicts)
-    return list(_divided(rows, pivots)), pivots
-
-
 def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
     """The stored (nonzero) rows of m in row order, not copied."""
     return [m._data[r] for r in sorted(m._data)]
@@ -533,8 +500,8 @@ def _matrix_rowdicts(m: RationalMatrix) -> list[dict[int, Fraction]]:
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int], int]:
     """Reduced row echelon form, pivot columns, and rank."""
-    rows, pivots = _rref_rowdicts(_matrix_rowdicts(m))
-    return RationalMatrix(m.rows, m.cols, dict(enumerate(rows))), pivots, len(pivots)
+    rows, pivots = _integer_rref(_matrix_rowdicts(m))
+    return RationalMatrix(m.rows, m.cols, dict(enumerate(_divided(rows, pivots)))), pivots, len(pivots)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -754,22 +721,23 @@ def restricted_actions(
 
 
 def solve_multi(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:
-    """One X with A @ X = B, or None if inconsistent.
-
-    Free variables are set to zero, so the solution is canonical.
-    """
+    """One X with A @ X = B, or None if inconsistent: one elimination of the
+    rows (A | B), inconsistent when a pivot falls in the B block.  Free
+    variables are set to zero, so the solution is canonical; only the
+    B-block entries of the pivot rows are divided into Fractions."""
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
-    aug = hstack([a, b])
-    rows, pivots = _rref_rowdicts(_matrix_rowdicts(aug))
     n = a.cols
+    keys = sorted(a._data.keys() | b._data.keys())
+    rows, pivots = _integer_rref([{**a.row_map(r), **{n + c: v for c, v in b.row_map(r).items()}} for r in keys])
+    if pivots and pivots[-1] >= n:
+        return None  # pivot in the right-hand block: inconsistent
     data: dict[int, dict[int, Fraction]] = {}
-    for j, p in enumerate(pivots):
-        if p >= n:
-            return None  # pivot in the right-hand block: inconsistent
-        row = {c - n: v for c, v in rows[j].items() if c >= n}
-        if row:
-            data[p] = row
+    for row, p in zip(rows, pivots):
+        head = row[p]
+        x = {c - n: Fraction(v, head) for c, v in row.items() if c >= n}
+        if x:
+            data[p] = x
     return RationalMatrix(n, b.cols, data)
 
 
@@ -813,7 +781,8 @@ def nilpotency_index(m: RationalMatrix) -> int:
 
 
 class SpanBasis:
-    """Incremental echelon basis of sparse integer vectors, for span closures.
+    """Incremental echelon basis of sparse integer vectors: linalg's one
+    echelon, behind orbit closures, the exact checks and every RREF.
 
     Every stored row is primitive (its entries have gcd 1) with a positive
     lead, and reduction runs ``_eliminate``, which cross-multiplies: no
@@ -834,6 +803,28 @@ class SpanBasis:
     def rows(self) -> list[dict[int, int]]:
         """The stored primitive rows, a basis of the span."""
         return list(self._rows.values())
+
+    def reduced(self) -> tuple[list[dict[int, int]], list[int]]:
+        """The canonical RREF of the span as primitive integer rows in lead
+        order, and the leads, which are its pivots.
+
+        One back-substitution pass, from the highest lead down, clears each
+        row at the leads above its own with ``_eliminate`` and makes a row
+        so cleared primitive again; those rows are already zero at every
+        other lead, so no step brings an entry back, and every step scales
+        by a positive factor.  The rows are reduced in place and returned as
+        stored (callers must not mutate them); the span is unchanged.
+        """
+        echelon = self._rows
+        pivots = sorted(echelon)
+        for p in reversed(pivots):
+            row = echelon[p]
+            above = [k for k in row if k != p and k in echelon]
+            for q in above:
+                _eliminate(row, echelon[q], q)
+            if above:
+                echelon[p] = _primitive(row, p)
+        return [echelon[p] for p in pivots], pivots
 
     @property
     def dim(self) -> int:

@@ -32,7 +32,6 @@ from .linalg import (
     SpanBasis,
     Subspace,
     _integer_row,
-    _integer_rref,
     block_diag,
     kernel_basis,
     kronecker,
@@ -382,15 +381,14 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
     Everything runs on sparse integer rows until the submodule's matrices:
     v is scaled to its integer numerators and each rho(e_i) to its integer
     form N_i, whose transpose is kept with the matrix
-    (``integer_transpose``), and the orbit closure
-    keeps an echelon basis of the images it spans (``SpanBasis``).  A
-    nonzero scalar on v or on a matrix changes no closure.  Those echelon
-    rows, whose leads differ, are reduced to the integer RREF of the span
-    by back-substitution alone (``_integer_rref``), with no dense vector.
-    The closure is invariant by construction, so ``restricted_actions``
-    reads each action off the pivots of N_i times the basis, with no
-    second product to confirm it.  A Fraction is built only for the
-    entries of the submodule's matrices.
+    (``integer_transpose``), and the orbit closure keeps an echelon basis
+    of the images it spans (``SpanBasis``).  A nonzero scalar on v or on a
+    matrix changes no closure.  The closure is eliminated once: its integer
+    RREF is ``span.reduced()``, the back-substitution pass on the rows it
+    already holds.  It is invariant by construction, so
+    ``restricted_actions`` reads each action off the pivots of N_i times
+    the basis, with no second product to confirm it.  A Fraction is built
+    only for the entries of the submodule's matrices.
     """
     sd = rep.space_dim
     if len(v) != sd:
@@ -407,5 +405,5 @@ def cyclic_submodule(rep: Representation, v: Sequence[Fraction]) -> Representati
                 if image and span.add(image[0]):
                     new_frontier.append(image[0])
         frontier = new_frontier
-    rows, pivots = _integer_rref(span.rows())
+    rows, pivots = span.reduced()
     return Representation(rep.algebra, len(pivots), restricted_actions(rep.matrices, rows, pivots))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adoforge.catalog import abelian, example, filiform4, heisenberg3, heisenberg5, solvable2
 from adoforge.freenilp import free_nilpotent
 from adoforge.liealg import LieAlgebra, _bracket_span, quotient
-from adoforge.linalg import RationalMatrix, Subspace, dense_vector, hstack, kernel_basis, solve, solve_multi
+from adoforge.linalg import RationalMatrix, Subspace, dense_vector, kernel_basis, solve, solve_multi
 from adoforge.reps import Representation, cyclic_submodule, element_action
 
 
@@ -217,8 +217,9 @@ def reference_intersect(s, t):
     every vector of Ker [A | -B]."""
     if s.dim == 0 or t.dim == 0:
         return Subspace.zero(s.ambient_dim)
-    a, b = (RationalMatrix.from_columns(x.ambient_dim, x.basis_vectors()) for x in (s, t))
-    null = kernel_basis(hstack([a, -b]))
+    a_cols, b_cols = s.basis_vectors(), t.basis_vectors()
+    a = RationalMatrix.from_columns(s.ambient_dim, a_cols)
+    null = kernel_basis(RationalMatrix.from_columns(s.ambient_dim, a_cols + [tuple(-x for x in v) for v in b_cols]))
     return Subspace.from_vectors(s.ambient_dim, [a.apply(w[: a.cols]) for w in null.basis_vectors()])
 
 

@@ -593,14 +593,17 @@ class TestConstruct:
         # the action on an orbit closure is read off its pivots, unchecked;
         # with the first echelon row of every closure dropped, the span is
         # no longer invariant, and a later check (the kernel submodule's,
-        # the glue's or the final one) must refuse the construction
-        real = reps._integer_rref
+        # the glue's or the final one) must refuse the construction.  Only
+        # the closures in reps read a SpanBasis's reduced(), so no other
+        # elimination loses a row.
+        class Dropped(reps.SpanBasis):
+            __slots__ = ()
 
-        def dropped(rows):
-            reduced, pivots = real(rows)
-            return reduced[1:], pivots[1:]
+            def reduced(self):
+                rows, pivots = super().reduced()
+                return rows[1:], pivots[1:]
 
-        monkeypatch.setattr(reps, "_integer_rref", dropped)
+        monkeypatch.setattr(reps, "SpanBasis", Dropped)
         with pytest.raises(AdoForgeError):
             construct_faithful_nilpotent(example(name), EngineConfig(method="induction"))
 

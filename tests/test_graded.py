@@ -25,7 +25,7 @@ from adoforge.graded import (
     graded_embedding,
     graded_faithful_rep,
 )
-from adoforge.liealg import LieAlgebra, center, lower_central_series, validate
+from adoforge.liealg import Grading, LieAlgebra, center, lower_central_series, validate
 from adoforge.linalg import F1, RationalMatrix, dense_vector, kernel_basis, vec_is_zero
 from adoforge.reps import (
     Representation,
@@ -367,6 +367,21 @@ class TestCurrentAlgebraFaithfulRep:
     def test_ungraded_rejected(self, solvable):
         with pytest.raises(InvalidGrading):
             current_algebra_faithful_rep(solvable)
+
+    def test_zero_algebra_takes_the_general_route(self):
+        # truncated at 2, the zero algebra embeds into the zero current
+        # algebra, and the pipeline gives Q^0
+        zero = LieAlgebra(0, {}, grading=Grading(()))
+        emb = graded_embedding(zero)
+        assert emb.target.dim == 0 and emb.target.grading == Grading(())
+        assert (emb.matrix.rows, emb.matrix.cols) == (0, 0)
+        rep = current_algebra_faithful_rep(zero)
+        assert rep.algebra is zero and rep.space_dim == 0 and rep.matrices == ()
+        assert verify_output(zero, rep).ok
+        with pytest.raises(InvalidGrading):
+            current_algebra_faithful_rep(LieAlgebra(0, {}))
+        with pytest.raises(DimensionMismatch, match="at least 2"):
+            current_algebra(zero, 1)
 
 
 class TestFreeNilpotentFaithfulRep:

@@ -1,7 +1,7 @@
 import copy
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,8 +633,37 @@ def test_mul_rowmaps_matches_fraction_loop(rows, inner, cols, data):
 
 def width(rowdicts):
     """One more than the highest column holding an entry: the columns a
-    reference elimination scans for ``_rref_rowdicts``, which takes none."""
+    reference elimination scans for ``_integer_rref``, which takes none."""
     return 1 + max((c for row in rowdicts for c in row), default=-1)
+
+
+def primitive_integer_row(row):
+    """A canonical Fraction RREF row (1 at its pivot) as the eliminator
+    keeps it: scaled by the lcm of its denominators, then over the gcd of
+    its entries, so primitive and positive at the pivot."""
+    d = lcm(*(Fraction(v).denominator for v in row.values()))
+    ints = {k: int(v * d) for k, v in row.items()}
+    g = reduce(gcd, ints.values())
+    return {k: v // g for k, v in ints.items()}
+
+
+def as_integer_rref(reference):
+    """A Fraction reference elimination in place of ``_integer_rref``: its
+    pivot rows made primitive integers, so it returns what the eliminator
+    returns."""
+
+    def eliminated(rowdicts):
+        rows, pivots = reference(rowdicts, width(rowdicts))
+        return [primitive_integer_row(row) for row in rows[: len(pivots)]], pivots
+
+    return eliminated
+
+
+def rref_rows(rowdicts, cols):
+    """The canonical Fraction pivot rows and pivots of the rows, read off
+    ``rref``, which divides the integer rows of ``_integer_rref``."""
+    r, pivots, _ = rref(RationalMatrix(len(rowdicts), cols, {i: row for i, row in enumerate(rowdicts) if row}))
+    return [r.row_map(i) for i in range(len(pivots))], pivots
 
 
 def reference_rref_rowdicts(rowdicts, cols):
@@ -763,15 +792,11 @@ elimination_inputs = st.one_of(
 
 
 def with_reference_elimination(fn, *args):
-    """fn(*args) with the reference elimination (trimmed to its pivot rows)
-    and the reference one-dict-per-row input in place of the new ones."""
-
-    def trimmed(rowdicts):
-        rows, pivots = reference_rref_rowdicts(rowdicts, width(rowdicts))
-        return rows[: len(pivots)], pivots
-
+    """fn(*args) with the reference elimination (trimmed to its pivot rows,
+    made primitive integers) and the reference one-dict-per-row input in
+    place of the new ones."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_rref_rowdicts", trimmed)
+        mp.setattr(linalg, "_integer_rref", as_integer_rref(reference_rref_rowdicts))
         mp.setattr(linalg, "_matrix_rowdicts", reference_matrix_rowdicts)
         return fn(*args)
 
@@ -781,13 +806,15 @@ def with_reference_elimination(fn, *args):
 def test_elimination_matches_reference(m):
     rowdicts = reference_matrix_rowdicts(m)
     snapshot = copy.deepcopy(rowdicts)
-    rows, pivots = linalg._rref_rowdicts(rowdicts)
+    rows, pivots = linalg._integer_rref(rowdicts)
     assert rowdicts == snapshot
     ref_rows, ref_pivots = reference_rref_rowdicts(rowdicts, m.cols)
     assert pivots == ref_pivots
-    assert rows == ref_rows[: len(ref_pivots)]
+    assert rows == [primitive_integer_row(row) for row in ref_rows[: len(ref_pivots)]]
     assert not any(ref_rows[len(ref_pivots):])
-    assert linalg._rref_rowdicts(linalg._matrix_rowdicts(m)) == (rows, pivots)
+    assert linalg._integer_rref(linalg._matrix_rowdicts(m)) == (rows, pivots)
+    # rref divides those rows into the reference's Fraction rows
+    assert rref(m) == (RationalMatrix(m.rows, m.cols, dict(enumerate(ref_rows[: len(ref_pivots)]))), pivots, len(pivots))
 
 
 @settings(deadline=None, max_examples=200)
@@ -815,17 +842,23 @@ def test_zero_matrices(rows, cols):
     assert rref(m) == (m, [], 0)
     assert kernel_basis(m) == Subspace.full(cols)
     assert solve_multi(m, RationalMatrix.zero(rows, 2)) == RationalMatrix.zero(cols, 2)
-    assert linalg._rref_rowdicts([{}] * rows) == ([], [])
+    assert linalg._integer_rref([{}] * rows) == ([], [])
+    assert solve(m, (Fraction(0),) * rows) == (Fraction(0),) * cols
+    if rows:
+        # any nonzero entry of B is a pivot in the B block
+        b = RationalMatrix.from_entries(rows, 2, [(rows - 1, 1, 5)])
+        assert solve_multi(m, b) is None
+        assert solve(m, (Fraction(0),) * (rows - 1) + (Fraction(1),)) is None
 
 
 # --- kernel_basis in one elimination against the two-pass reference ------
 
 def reference_kernel_rows(m):
     """``kernel_basis`` as it was before its single elimination, kept as the
-    reference: left-to-right elimination, then a second ``_rref_rowdicts``
-    pass that puts the null vectors in canonical form; the canonical
-    Fraction rows and their pivots."""
-    rows, pivots = linalg._rref_rowdicts(linalg._matrix_rowdicts(m))
+    reference: left-to-right elimination, then a second ``rref`` pass that
+    puts the null vectors in canonical form; the canonical Fraction rows
+    and their pivots."""
+    rows, pivots = rref_rows(linalg._matrix_rowdicts(m), m.cols)
     pivot_set = set(pivots)
     # One null vector per free column: 1 there, minus that column of each
     # RREF row at the row's pivot.  RREF rows are zero at the other pivots.
@@ -834,7 +867,7 @@ def reference_kernel_rows(m):
         for c, v in row.items():
             if c != p:
                 null[c][p] = -v
-    return linalg._rref_rowdicts(list(null.values()))
+    return rref_rows(list(null.values()), m.cols)
 
 
 def reference_kernel_basis(m):
@@ -1022,7 +1055,7 @@ def spelled(x, form):
 
 def with_fraction_elimination(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_rref_rowdicts", lambda rowdicts: fraction_rref_rowdicts(rowdicts, width(rowdicts)))
+        mp.setattr(linalg, "_integer_rref", as_integer_rref(fraction_rref_rowdicts))
         return fn(*args)
 
 
@@ -1065,9 +1098,11 @@ def test_integer_elimination_matches_fraction_reference(system, rhs_cols, data):
 
 
 def test_integer_elimination_returns_fractions_for_integer_input():
-    # every pivot is 1 and every entry an int; the rows still hold
-    # Fractions, since callers divide them with /
-    rows, pivots = linalg._rref_rowdicts([{0: 1, 1: 2}, {1: 1, 2: -3}, {0: 1, 1: 3, 2: -3}])
+    # every pivot is 1 and every entry an int; the eliminator keeps ints,
+    # and rref's rows hold Fractions, since callers divide them with /
+    system = [{0: 1, 1: 2}, {1: 1, 2: -3}, {0: 1, 1: 3, 2: -3}]
+    assert linalg._integer_rref(system) == ([{0: 1, 2: 6}, {1: 1, 2: -3}], [0, 1])
+    rows, pivots = rref_rows(system, 3)
     assert pivots == [0, 1]
     assert rows == [{0: 1, 2: 6}, {1: 1, 2: -3}]
     assert all_fractions(rows)
@@ -1105,6 +1140,115 @@ def test_row_reduction_never_calls_span_basis_add(monkeypatch):
     monkeypatch.setattr(linalg.SpanBasis, "add", refuse)
     assert (rref(m), kernel_basis(m), solve_multi(m, b), Subspace.from_vectors(4, vectors)) == expected
     assert expected[1].dim == 1 and expected[3].dim == 2
+
+
+# --- SpanBasis.reduced() and the solves against the Fraction references ---
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(single_entry_rows(), rational_systems().map(lambda s: (sparse_rows(s[0]), s[1]))), st.data())
+def test_span_basis_reduced_matches_integer_rref_and_reference(system, data):
+    rows, cols = system
+    ints = [linalg._integer_row(row)[0] for row in rows]
+    snapshot = copy.deepcopy(ints)
+    span = linalg.SpanBasis()
+    for row in ints:
+        span.add(row)
+    reduced = span.reduced()
+    assert ints == snapshot
+    assert reduced == linalg._integer_rref(rows)
+    ref_rows, ref_pivots = reference_rref_rowdicts(rows, cols)
+    assert reduced == ([primitive_integer_row(row) for row in ref_rows[: len(ref_pivots)]], ref_pivots)
+    assert span.dim == len(ref_pivots)
+    # a second pass changes nothing, and the span still takes rows
+    assert span.reduced() == reduced
+    if cols:
+        columns = data.draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=3, unique=True))
+        extra = {c: data.draw(st.integers(-3, 3).filter(bool)) for c in columns}
+        span.add(extra)
+        assert span.reduced() == linalg._integer_rref(rows + [extra])
+
+
+def test_span_basis_reduced_of_single_entry_rows():
+    # the rows _integer_rref peels reach the same RREF through reduced()
+    span = linalg.SpanBasis()
+    for row in CASCADE:
+        span.add(row)
+    assert span.reduced() == linalg._integer_rref(CASCADE) == ([{0: 1}, {1: 1}, {2: 1}, {3: 1, 4: 1}], [0, 1, 2, 3])
+    assert linalg.SpanBasis().reduced() == ([], [])
+    span = linalg.SpanBasis()
+    span.add({2: -4})
+    assert span.reduced() == ([{2: 1}], [2])
+
+
+def reference_solve_multi(a, b):
+    """``solve_multi`` by the Fraction Gauss-Jordan reference on the dense
+    augmented rows (A | B), zero rows included: None when a pivot falls in
+    B's columns, else X whose row at each pivot p is the B block of the
+    pivot row of p and whose other rows are zero."""
+    n, k = a.cols, b.cols
+    augmented = [
+        {c: v for c, v in enumerate([a.entry(r, c) for c in range(n)] + [b.entry(r, c) for c in range(k)]) if v}
+        for r in range(a.rows)
+    ]
+    rows, pivots = reference_rref_rowdicts(augmented, n + k)
+    if any(p >= n for p in pivots):
+        return None
+    return RationalMatrix.from_entries(n, k, [(p, c - n, v) for row, p in zip(rows, pivots) for c, v in row.items() if c >= n])
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, B, kind), A of any shape, 0 x n and n x 0 included.  B is A X for
+    a drawn X ("consistent"), drawn on its own ("random", mostly
+    inconsistent where A is rank-deficient), zero ("zero"), or nonzero on
+    rows A leaves empty, appended to A ("outside", inconsistent)."""
+    rows, cols, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    a = draw(scattered_matrices(rows, cols, 15))
+    kind = draw(st.sampled_from(["consistent", "random", "zero", "outside"]))
+    if kind == "consistent":
+        b = a @ draw(scattered_matrices(cols, k, 8))
+    elif kind == "random":
+        b = draw(scattered_matrices(rows, k, 8))
+    elif kind == "zero":
+        b = RationalMatrix.zero(rows, k)
+    else:
+        extra, k = draw(st.integers(1, 3)), max(k, 1)
+        a = RationalMatrix(rows + extra, cols, a._data)
+        inside = list(draw(scattered_matrices(rows, k, 6)).entries())
+        outside = (rows + draw(st.integers(0, extra - 1)), draw(st.integers(0, k - 1)), draw(nonzero_fractions))
+        b = RationalMatrix.from_entries(rows + extra, k, inside + [outside])
+    return a, b, kind
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_systems())
+def test_solves_match_fraction_reference(system):
+    a, b, kind = system
+    before = copy.deepcopy((a._data, b._data))
+    x = solve_multi(a, b)
+    assert (a._data, b._data) == before
+    assert x == reference_solve_multi(a, b)
+    if kind == "outside":
+        assert x is None
+    if kind in ("consistent", "zero"):
+        assert x is not None and a @ x == b
+    if kind == "zero":
+        assert x.is_zero()
+    if x is not None:
+        assert (x.rows, x.cols) == (a.cols, b.cols)
+        assert all_fractions(x._data.values())
+    # solve, one column at a time, agrees with the reference and with x
+    columns = [b.column(j) for j in range(b.cols)] or [(Fraction(0),) * a.rows]
+    for column in columns:
+        y = solve(a, column)
+        bj = RationalMatrix.from_columns(a.rows, [column])
+        ref = reference_solve_multi(a, bj)
+        assert y == (None if ref is None else ref.column(0))
+        assert y is None or a.apply(y) == tuple(column)
+    if x is not None:
+        assert [x.column(j) for j in range(b.cols)] == [solve(a, b.column(j)) for j in range(b.cols)]
+    else:
+        assert any(solve(a, b.column(j)) is None for j in range(b.cols))
 
 
 # --- no arithmetic that cannot change a value: the old kernels as references
