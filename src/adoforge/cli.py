@@ -147,6 +147,10 @@ def cmd_validate(args, run: _Run) -> int:
 def cmd_info(args, run: _Run) -> int:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
+    # the series and the center take memory in proportion to dim
+    budget = _engine_config().dimension_budget
+    if algebra.dim > budget:
+        raise BudgetExceeded(f"algebra of dimension {algebra.dim} exceeds the dimension budget {budget}")
     with run.phase("validate"):
         report = validate(algebra)
     if not report.ok:
@@ -182,14 +186,14 @@ def cmd_info(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def _engine_config(args) -> EngineConfig:
+def _engine_config(method: str = "auto") -> EngineConfig:
     budget = os.environ.get("ADO_FORGE_BUDGET") or str(EngineConfig().dimension_budget)
     try:
         # int() also reads "1_000", " 20000 ", "+50" and non-ASCII digits;
         # the budget, like a rational literal, is ASCII [0-9]+ only
         if not (budget.isascii() and budget.isdigit()):
             raise ValueError("must be written in the digits 0-9 alone")
-        return EngineConfig(method=args.method, dimension_budget=int(budget))
+        return EngineConfig(method=method, dimension_budget=int(budget))
     except ValueError as exc:
         raise ParseError(f"bad engine setting (ADO_FORGE_BUDGET={budget!r}): {exc}") from exc
 
@@ -197,7 +201,7 @@ def _engine_config(args) -> EngineConfig:
 def cmd_construct(args, run: _Run) -> int:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
-    config = _engine_config(args)
+    config = _engine_config(args.method)
     with run.phase("construct"):
         try:
             rep, cert = construct_faithful_nilpotent(algebra, config)

@@ -187,39 +187,29 @@ def _kron_sum(a: Action, b: Action) -> Action:
     With a = A / d_a on Q^m, b = B / d_b on Q^n and g = gcd(d_a, d_b), it
     is (A (d_b / g) (x) I + I (x) B (d_a / g)) / (d_a d_b / g).  Row
     i n + k holds row i of A at columns j n + k and row k of B at columns
-    i n + l; the two meet only on the diagonal, where they are summed.
+    i n + l; the rows of A (x) I are written first and those of I (x) B
+    added in, so the two meet only on the diagonal, where they are summed.
     """
     na, da, m = a
     nb, db, n = b
     g = gcd(da, db)
     fa, fb = db // g, da // g
-    if fa != 1:
-        na = {r: {c: v * fa for c, v in row.items()} for r, row in na.items()}
-    if fb != 1:
-        nb = {r: {c: v * fb for c, v in row.items()} for r, row in nb.items()}
-    brows = [(k, nb.get(k)) for k in range(n)]
     data: dict[int, dict[int, int]] = {}
-    for i in range(m):
-        arow = na.get(i)
-        base = i * n
-        for k, brow in brows:
-            if arow:
-                row = {j * n + k: v for j, v in arow.items()}
-                if brow:
-                    for l, v in brow.items():
-                        c = base + l
-                        total = row.get(c, 0) + v
-                        if total:
-                            row[c] = total
-                        else:
-                            del row[c]
-                    if not row:
-                        continue
-            elif brow:
-                row = {base + l: v for l, v in brow.items()}
-            else:
-                continue
-            data[base + k] = row
+    for i, arow in na.items():
+        scaled = [(j * n, v * fa) for j, v in arow.items()]
+        for k in range(n):
+            data[i * n + k] = {c + k: v for c, v in scaled}
+    for base in range(0, m * n, n):
+        for k, brow in nb.items():
+            row = data.setdefault(base + k, {})
+            for l, v in brow.items():
+                total = row.get(base + l, 0) + v * fb
+                if total:
+                    row[base + l] = total
+                else:
+                    del row[base + l]
+            if not row:
+                del data[base + k]
     return data, da * fa, m * n
 
 

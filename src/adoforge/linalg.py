@@ -12,11 +12,11 @@ back-substitution pass and gives the RREF as primitive integer rows, each
 positive at its pivot and zero at every other pivot: unique for the row
 space, so two runs on equal inputs are bit-identical.  Orbit closures and
 the exact checks fill one row by row.  The one elimination path,
-``_integer_rref``, first peels the single-entry rows (``_peel``): a row
-whose one nonzero entry sits at column c makes c a pivot with the unit row
-{c: 1}, and c is deleted from every other row, which may leave a new
-single-entry row.  It inserts each row left, scaled to integers, into a
-``SpanBasis`` holding those unit rows and returns its ``reduced()``.
+``_integer_rref``, first peels the single-entry rows in one pass
+(``_peel``): a row whose one nonzero entry sits at column c makes c a
+pivot with the unit row {c: 1}, and c is deleted from every other row.  It
+inserts each row left, scaled to integers, into a ``SpanBasis`` holding
+those unit rows and returns its ``reduced()``.
 ``_null_rows`` reads the null space off one such elimination, as rows of
 the same kind.  A ``Subspace`` holds those rows as they come, and every
 subspace question is one elimination or one pass of
@@ -412,59 +412,30 @@ def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
 
 def _peel(rowdicts: Iterable[dict]) -> tuple[set[int], list[dict]]:
     """The columns that single-entry rows make pivots, and the nonzero rows
-    left once those columns are deleted.
+    left once those columns are deleted, in one pass.
 
     A row with one nonzero entry, at column c, puts e_c in the row space,
     so c is a pivot of the RREF with the unit row {c: 1}, and every other
-    row of the RREF is zero at c.  The row is dropped and column c deleted
-    from every other row, which may leave a new single-entry row; this
-    repeats until none is left.  The row space is then the span of those
-    unit rows plus that of the rows left, which hold no peeled column, so
-    its RREF is the unit rows plus the RREF of the rows left.  A stored
-    zero is not a nonzero entry: ``{c: 0}`` peels nothing.  A peeled
-    column is deleted from just the rows that hold it, found through a
-    {column: row ids} index of the other rows, so a chain of peels costs
-    no more than one pass.  A row is copied on its first loss, so the
-    inputs are left untouched; the other rows left are the input dicts
-    themselves.
+    row of the RREF is zero at c: the RREF is those unit rows plus the RREF
+    of the other rows with the peeled columns deleted.  A row the deletion
+    leaves with one entry is not peeled in turn; the ``SpanBasis`` it goes
+    to stores it as a unit row.  ``{c: 0}`` peels nothing.  A row that
+    loses a column is copied, so the inputs are left untouched.
     """
-    rows = []
-    work = []
-    for r in rowdicts:
-        if len(r) != 1:
-            if r:
-                rows.append(r)
-            continue
-        (c, v), = r.items()
-        if v:
-            work.append(c)
-        else:
-            rows.append(r)
-    if not work:
-        return set(), rows
-    holders: dict[int, list[int]] = {}
-    for i, r in enumerate(rows):
-        for k in r:
-            holders.setdefault(k, []).append(i)
     units: set[int] = set()
-    copied = set()
-    while work:
-        c = work.pop()
-        if c in units:
-            continue
-        units.add(c)
-        for j in holders.get(c, ()):
-            row = rows[j]
-            if j in copied:
-                del row[c]
-            else:
-                row = rows[j] = {k: x for k, x in row.items() if k != c}
-                copied.add(j)
-            if len(row) == 1:
-                (k, x), = row.items()
-                if x:
-                    work.append(k)
-    return units, [r for r in rows if r]
+    rows = []
+    for r in rowdicts:
+        if len(r) == 1 and next(iter(r.values())):
+            units.update(r)
+        elif r:
+            rows.append(r)
+    rest = []
+    for r in rows:
+        if not units.isdisjoint(r):
+            r = {k: x for k, x in r.items() if k not in units}
+        if r:
+            rest.append(r)
+    return units, rest
 
 
 def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[int]]:
@@ -475,8 +446,9 @@ def _integer_rref(rowdicts: Iterable[dict]) -> tuple[list[dict[int, int]], list[
     single-entry rows are peeled first (``_peel``): each peeled column is a
     pivot with the unit row {c: 1}, and no other row holds it.  Each row
     left is scaled to integers (``_integer_row``) and inserted as it is into
-    a ``SpanBasis`` that holds those unit rows, whose ``reduced()`` is the
-    RREF: unique whatever order the rows came in and whatever was peeled.
+    a ``SpanBasis`` that holds those unit rows and stores a row left with
+    one entry as a unit row too; its ``reduced()`` is the RREF, unique
+    whatever order the rows came in and whatever was peeled.
     """
     units, rest = _peel(rowdicts)
     span = SpanBasis()
@@ -638,7 +610,8 @@ def _null_rows(rows: Mapping[int, Mapping[int, object]], cols: int) -> tuple[lis
 
     Single-entry rows are peeled first (``_peel``): a peeled column is a
     pivot whose unit row holds no free column, so no null vector touches
-    it, and only the rows left are copied into the flipped order below.
+    it, and only the rows left are copied into the flipped order below; a
+    row the peel left with one entry is peeled there, by ``_integer_rref``.
     Those are eliminated right to left (column c is handed to
     ``_integer_rref`` as column cols - 1 - c), so every reduced row R is
     c_R > 0 at its pivot p, zero at the other pivots, and nonzero elsewhere

@@ -130,19 +130,21 @@ def restrict_along(rho: Representation, phi: LieHom) -> Representation:
 
 
 def rep_kernel(rep: Representation) -> Subspace:
-    """{x in L : rho(x) = 0}, the kernel of the stacked map L -> End(V).
-
-    For the kernel vectors themselves; ``is_faithful`` decides whether the
-    kernel is zero without computing it.
-    """
-    n = rep.algebra.dim
+    """{x in L : rho(x) = 0}, the kernel of the stacked map L -> End(V) on
+    the integer forms rho(e_i) = N_i / d_i: row r space_dim + c holds
+    N_i[r][c] (D / d_i) in column i, for D = lcm(d_i), which changes no
+    kernel.  ``is_faithful`` decides whether the kernel is zero without
+    computing it."""
     sd = rep.space_dim
-    entries = []
-    for i, m in enumerate(rep.matrices):
-        for r, c, v in m.entries():
-            entries.append((r * sd + c, i, v))
-    stacked = RationalMatrix.from_entries(sd * sd, n, entries)
-    return kernel_basis(stacked)
+    forms = [m.integer_form() for m in rep.matrices]
+    common = lcm(*[d for _, d in forms])
+    rows: dict[int, dict[int, int]] = {}
+    for i, (numerators, d) in enumerate(forms):
+        scale = common // d
+        for r, row in numerators.items():
+            for c, v in row.items():
+                rows.setdefault(r * sd + c, {})[i] = v * scale
+    return kernel_basis(RationalMatrix(sd * sd, rep.algebra.dim, rows))
 
 
 # Columns per packed int in ``is_homomorphism``: a block of a row holds at

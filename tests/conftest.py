@@ -304,6 +304,18 @@ def reference_kronecker(a, b):
     return RationalMatrix(a.rows * b.rows, a.cols * b.cols, data)
 
 
+# --- the Fraction stacked kernel of a representation, as a reference ---
+
+
+def reference_rep_kernel(rep):
+    """``reps.rep_kernel`` as it stacked the sorted Fraction entries of every
+    matrix through ``from_entries``: column i holds rho(e_i) flattened,
+    entry (r, c) at row r * space_dim + c."""
+    sd = rep.space_dim
+    entries = [(r * sd + c, i, v) for i, m in enumerate(rep.matrices) for r, c, v in m.entries()]
+    return kernel_basis(RationalMatrix.from_entries(sd * sd, rep.algebra.dim, entries))
+
+
 # --- the Fraction span basis that linalg.SpanBasis replaced, as a reference ---
 
 

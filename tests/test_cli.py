@@ -275,6 +275,43 @@ class TestInfoCommand:
         assert report["info"]["nilpotency_class"] is None
         assert "not nilpotent" in out
 
+    def test_above_the_budget_exits_4_before_validating(self, tmp_path, capsys, monkeypatch):
+        """One bracket in dimension 10^8 parses in microseconds, but its
+        series and center would take memory in proportion to dim: info
+        refuses it before ``validate``, whose Jacobi failure on (0, 1, 2)
+        in the dim-201 input goes unseen."""
+        calls = []
+        monkeypatch.setattr(cli, "validate", lambda *a: calls.append(a))
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 10**8, "brackets": [{"left": 0, "right": 1, "result": {"2": "1"}}]}))
+        code, out, report = run_cli(["info", str(big)], capsys)
+        assert code == 4 and out == ""
+        assert report["outcome"] == {
+            "error": "budget_exceeded",
+            "message": "algebra of dimension 100000000 exceeds the dimension budget 20000",
+        }
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(dict(BROKEN_JACOBI, dim=201)))
+        monkeypatch.setenv("ADO_FORGE_BUDGET", "200")
+        code, _, report = run_cli(["info", str(broken)], capsys)
+        assert code == 4 and report["outcome"]["error"] == "budget_exceeded"
+        assert calls == []
+
+    def test_budget_env_raises_the_cap(self, tmp_path, capsys, monkeypatch):
+        # abelian20000 sits at the default budget; one dimension more passes
+        # once ADO_FORGE_BUDGET raises it, and a bad value is a parse error
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"dim": 20001, "brackets": []}))
+        code, _, report = run_cli(["info", str(path)], capsys)
+        assert code == 4 and "budget 20000" in report["outcome"]["message"]
+        monkeypatch.setenv("ADO_FORGE_BUDGET", "20001")
+        code, out, report = run_cli(["info", str(path)], capsys)
+        assert code == 0
+        assert report["info"]["nilpotency_class"] == 1 and report["info"]["center_dim"] == 20001
+        monkeypatch.setenv("ADO_FORGE_BUDGET", "0")
+        code, _, report = run_cli(["info", str(path)], capsys)
+        assert code == 2 and report["outcome"]["error"] == "parse_error"
+
 
 class TestConstructCommand:
     def test_graded_method(self, tmp_path, capsys):

@@ -52,7 +52,7 @@ from adoforge.reps import Representation, adjoint, element_action, rep_kernel
 from test_golden import rebased
 from test_reps import CORPUS_REPS, conjugated_corpus_reps
 
-from conftest import CORPUS, reference_carve, reference_is_hom, ungraded_quotients
+from conftest import CORPUS, reference_carve, reference_is_hom, reference_kronecker, ungraded_quotients
 
 
 class TestDistinguishByKernels:
@@ -230,6 +230,45 @@ def fraction_action(action):
     N / d."""
     numerators, d, dim = action
     return RationalMatrix(dim, dim, {r: {c: Fraction(v, d) for c, v in row.items()} for r, row in numerators.items()})
+
+
+def kronecker_sum(a, b):
+    """a (x) I + I (x) b by the multiply-every-pair Kronecker product."""
+    return reference_kronecker(a, RationalMatrix.identity(b.rows)) + reference_kronecker(RationalMatrix.identity(a.rows), b)
+
+
+kron_cells = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_kron_sum_is_the_kronecker_sum(m, n, data):
+    # integer forms over different denominators; a drawn diagonal entry of
+    # b is sometimes minus one of a, so a diagonal entry of the sum cancels
+    def matrix(size):
+        cells = [(r, c, data.draw(kron_cells)) for r in range(size) for c in range(size)]
+        return RationalMatrix.from_entries(size, size, cells)
+
+    a, b = matrix(m), matrix(n)
+    i, k = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        b = b + RationalMatrix.from_entries(n, n, [(k, k, -a.entry(i, i) - b.entry(k, k))])
+    action = engine._kron_sum((*a.integer_form(), m), (*b.integer_form(), n))
+    assert action[2] == m * n
+    assert fraction_action(action) == kronecker_sum(a, b)
+
+
+def test_kron_sum_drops_a_cancelled_diagonal_and_an_emptied_row():
+    # row 1 of a holds only its diagonal 1/2, and both diagonal entries of
+    # b are -1/2: row 1 * 2 + 0 of the sum is empty, and row 1 * 2 + 1
+    # keeps b's 2/5 around a cancelled diagonal
+    a = RationalMatrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(1, 2)]])
+    b = RationalMatrix.from_rows([[Fraction(-1, 2), 0], [Fraction(2, 5), Fraction(-1, 2)]])
+    numerators, d, dim = action = engine._kron_sum((*a.integer_form(), 2), (*b.integer_form(), 2))
+    assert (d, dim) == (30, 4)
+    assert 2 not in numerators and all(numerators.values())
+    assert numerators[3] == {2: 12}
+    assert fraction_action(action) == kronecker_sum(a, b)
 
 
 def assert_primitive_null_rows(rows, free):

@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -742,7 +743,7 @@ def dependent_matrices(draw):
 def single_entry_rows(draw):
     """Sparse rows, most of them with one entry, as ints and Fractions:
     single entries, repeats of earlier rows, single entries on columns that
-    other rows share, chains in which each peeled column leaves a new
+    other rows share, chains in which the peeled column leaves a new
     single-entry row, and rows whose every column gets peeled; in shuffled
     order, with the number of columns."""
     cols = draw(st.integers(2, 9))
@@ -760,7 +761,8 @@ def single_entry_rows(draw):
             wide = {c: draw(value) for c in draw(st.lists(column, min_size=2, max_size=4, unique=True))}
             rows += [wide, {draw(st.sampled_from(sorted(wide))): draw(value)}]
         elif kind == "chain":
-            # {c0}, {c0, c1}, {c1, c2}, ...: peeling c0 leaves {c1}, and so on
+            # {c0}, {c0, c1}, {c1, c2}, ...: peeling c0 leaves {c1}, which
+            # the span basis stores as a unit row
             chain = draw(st.lists(column, min_size=2, max_size=cols, unique=True))
             rows.append({chain[0]: draw(value)})
             rows += [{a: draw(value), b: draw(value)} for a, b in zip(chain, chain[1:])]
@@ -936,22 +938,23 @@ def test_matrix_rowdicts_skips_zero_rows():
 CASCADE = [{0: 2}, {0: 1, 1: 3}, {1: -1, 2: 5}, {2: 1, 3: 1, 4: 1}]
 
 
-def test_cascade_peels_three_columns_and_keeps_its_inputs(monkeypatch):
-    # {0: 2} makes 0 a pivot; deleting 0 leaves {1: 3}, then {2: 5}, and
-    # {3: 1, 4: 1} is all that reaches the elimination
+def test_peel_takes_one_pass_and_keeps_its_inputs(monkeypatch):
+    # {0: 2} makes 0 a pivot; deleting 0 leaves {1: 3}, which the one pass
+    # does not peel in turn: the other three rows, without column 0, reach
+    # the elimination, and the one that lost it is a copy
     rows = copy.deepcopy(CASCADE)
     units, rest = linalg._peel(rows)
-    assert units == {0, 1, 2} and rest == [{3: 1, 4: 1}]
-    assert rest[0] is not rows[3]
+    assert units == {0} and rest == [{1: 3}, {1: -1, 2: 5}, {2: 1, 3: 1, 4: 1}]
+    assert rest[0] is not rows[1]
     assert linalg._integer_rref(rows) == ([{0: 1}, {1: 1}, {2: 1}, {3: 1, 4: 1}], [0, 1, 2, 3])
     m = RationalMatrix(4, 5, dict(enumerate(rows)))
     assert rref(m) == (RationalMatrix(4, 5, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1, 4: 1}}), [0, 1, 2, 3], 4)
-    # the flip copies only the row left, as columns 1 and 0
+    # the flip copies only the rows left, column c as 4 - c
     seen = []
     real = linalg._integer_rref
     monkeypatch.setattr(linalg, "_integer_rref", lambda flipped: seen.append(copy.deepcopy(flipped)) or real(flipped))
     kernel = kernel_basis(m)
-    assert seen == [[{1: 1, 0: 1}]]
+    assert seen == [[{3: 3}, {3: -1, 2: 5}, {2: 1, 1: 1, 0: 1}]]
     # right to left, column 4 takes the pivot and 3 is free: e3 - e4
     assert kernel._pivots == [3] and kernel.basis_vectors() == [(0, 0, 0, 1, -1)]
     assert kernel == reference_kernel_basis(m)
@@ -964,6 +967,42 @@ def test_stored_zero_is_never_a_single_entry():
     units, rest = linalg._peel([{2: 0}, {1: Fraction(1, 2)}, {1: 1, 3: 0}])
     assert units == {1} and rest == [{2: 0}, {3: 0}]
     assert linalg._peel([{0: 0}, {0: 5}]) == ({0}, [])
+
+
+@settings(deadline=None, max_examples=300)
+@given(single_entry_rows())
+def test_peel_deletes_the_single_entry_columns_once(system):
+    # the peeled columns are those of the nonzero single-entry inputs; each
+    # other row comes back without them, dropped once empty, and the
+    # elimination of the whole still matches the Fraction reference
+    rows, cols = system
+    snapshot = copy.deepcopy(rows)
+    units, rest = linalg._peel(rows)
+    assert units == {c for row in rows if len(row) == 1 for c, v in row.items() if v}
+    others = [row for row in rows if not (len(row) == 1 and any(row.values()))]
+    assert rest == [left for row in others if (left := {k: v for k, v in row.items() if k not in units})]
+    assert all(units.isdisjoint(row) for row in rest)
+    assert rows == snapshot
+    ref_rows, ref_pivots = reference_rref_rowdicts(rows, cols)
+    assert linalg._integer_rref(rows) == ([primitive_integer_row(row) for row in ref_rows[: len(ref_pivots)]], ref_pivots)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_long_chain_reaches_the_span_basis_in_any_order(order):
+    # {c0} and the links {c(i-1): 1, ci: -1} for i < n on n + 1 columns: the
+    # peel takes c0 alone, and every link left reaches the SpanBasis, in
+    # the order given; the rows span e0, ..., e(n-1), so the rank is n and
+    # e_n spans the kernel
+    n = 3000
+    rows = [{0: 1}] + [{i - 1: 1, i: -1} for i in range(1, n)]
+    if order == "descending":
+        rows.reverse()
+    elif order == "shuffled":
+        random.Random(n).shuffle(rows)
+    m = RationalMatrix(n, n + 1, dict(enumerate(rows)))
+    assert rank(m) == n
+    kernel = kernel_basis(m)
+    assert kernel._pivots == [n] and kernel._rows == [{n: 1}]
 
 
 # --- fraction-free elimination against the Fraction one -----------------

@@ -41,6 +41,7 @@ from conftest import (
     reference_add,
     reference_carve,
     reference_kronecker,
+    reference_rep_kernel,
     reference_restricted_action,
     single_entry,
     sparse_fractions,
@@ -723,6 +724,27 @@ def test_is_faithful_agrees_when_one_matrix_copies_another(rep, data):
     moved = Representation(rep.algebra, rep.space_dim, matrices)
     assert not is_faithful(moved)
     assert_faithful_agrees(moved)
+
+
+@pytest.mark.parametrize("rep", CORPUS_REPS, ids=repr)
+def test_rep_kernel_matches_the_fraction_stack_on_the_corpus(rep):
+    assert rep_kernel(rep) == reference_rep_kernel(rep)
+
+
+@settings(deadline=None, max_examples=60)
+@given(conjugated_corpus_reps(), st.data())
+def test_rep_kernel_matches_the_fraction_stack_across_denominators(rep, data):
+    # each matrix over its own denominator, and one a combination of two
+    # others, so the integer forms are scaled to the lcm and the kernel can
+    # be nonzero
+    matrices = [m.scale(Fraction(1, data.draw(st.integers(1, 7)))) for m in rep.matrices]
+    if len(matrices) >= 3:
+        i, j, k = data.draw(st.permutations(range(len(matrices))))[:3]
+        p, q = data.draw(small_fractions), data.draw(small_fractions)
+        matrices[k] = matrices[i].scale(p) + matrices[j].scale(q)
+    scaled = Representation(rep.algebra, rep.space_dim, matrices)
+    assert rep_kernel(scaled) == reference_rep_kernel(scaled)
+    assert_faithful_agrees(scaled)
 
 
 @pytest.mark.parametrize("name", ["abelian1", "abelian3", "heisenberg3", "heisenberg5", "filiform4", "free2_3"])
