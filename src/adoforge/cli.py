@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Data goes to stdout (or --out); a machine-readable run report goes to stderr
-on every invocation, a command line that does not parse included.  Exit
-codes: 0 ok, 1 validation/verification failure, 2 parse error (an unknown flag
-such as ``--max-tensor-power``, a malformed one, a ``--method`` other than
-``auto`` or ``induction``, a bad ``ADO_FORGE_BUDGET``, an input file that
-cannot be read or is not UTF-8 JSON, or an output path that cannot be
+on every invocation, a command line that does not parse included.  A
+command returns, exit 0, or prints what it found and raises its typed error,
+whose ``kind`` goes into the run report and whose class's ``exit_code`` is
+the exit code: 1 validation/verification failure, 2 parse error (an unknown
+flag such as ``--max-tensor-power``, a malformed one, a ``--method`` other
+than ``auto`` or ``induction``, a bad ``ADO_FORGE_BUDGET``, an input file
+that cannot be read or is not UTF-8 JSON, or an output path that cannot be
 written), 3 not nilpotent, 4 budget exceeded.  An unexpected exception is
 recorded as ``internal_error`` in the run report and then re-raised.
 """
@@ -29,10 +31,11 @@ from .engine import (
 )
 from .errors import (
     AdoForgeError,
+    AlgebraMismatch,
     BudgetExceeded,
     NotNilpotent,
     ParseError,
-    UnknownExample,
+    ValidationFailed,
     VerificationFailed,
 )
 from .jsonio import (
@@ -54,23 +57,6 @@ from .liealg import (
 )
 from .reps import Representation
 
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_PARSE = 2
-EXIT_NOT_NILPOTENT = 3
-EXIT_BUDGET = 4
-
-
-def _exit_code_for(err: AdoForgeError) -> int:
-    if isinstance(err, (ParseError, UnknownExample)):
-        return EXIT_PARSE
-    if isinstance(err, NotNilpotent):
-        return EXIT_NOT_NILPOTENT
-    if isinstance(err, BudgetExceeded):
-        return EXIT_BUDGET
-    return EXIT_FAIL
-
-
 class _Run:
     """Collects the per-invocation run report."""
 
@@ -86,9 +72,6 @@ class _Run:
             yield
         finally:
             self.report["timings"][name] = round(time.perf_counter() - start, 6)
-
-    def fail(self, kind: str, message: str) -> None:
-        self.report["outcome"] = {"error": kind, "message": message}
 
     def emit(self) -> None:
         self.report["timings"]["total"] = round(time.perf_counter() - self._t0, 6)
@@ -125,7 +108,7 @@ def _write_data(text: str, out: str | None) -> None:
         raise ParseError(f"cannot write output: {exc}") from exc
 
 
-def cmd_validate(args, run: _Run) -> int:
+def cmd_validate(args, run: _Run) -> None:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
     with run.phase("validate"):
@@ -135,16 +118,15 @@ def cmd_validate(args, run: _Run) -> int:
     run.report["grading_ok"] = report.grading_ok
     if report.ok:
         print(f"{name or args.path}: valid (dim {algebra.dim})")
-        return EXIT_OK
+        return
     for i, j, k in violations:
         print(f"jacobi violation on basis triple ({i},{j},{k})")
     if report.grading_ok is False:
         print("grading is not respected by the brackets")
-    run.fail("validation_failed", "algebra fails validation")
-    return EXIT_FAIL
+    raise ValidationFailed("algebra fails validation")
 
 
-def cmd_info(args, run: _Run) -> int:
+def cmd_info(args, run: _Run) -> None:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
     # the series and the center take memory in proportion to dim
@@ -154,9 +136,8 @@ def cmd_info(args, run: _Run) -> int:
     with run.phase("validate"):
         report = validate(algebra)
     if not report.ok:
-        run.fail("validation_failed", "algebra fails validation")
         print(f"{name or args.path}: invalid algebra")
-        return EXIT_FAIL
+        raise ValidationFailed("algebra fails validation")
     with run.phase("analyze"):
         try:
             nclass = nilpotency_class(algebra)
@@ -183,7 +164,6 @@ def cmd_info(args, run: _Run) -> int:
         print(f"grading: {list(algebra.grading.degrees)}")
     else:
         print("grading: none")
-    return EXIT_OK
 
 
 def _engine_config(method: str = "auto") -> EngineConfig:
@@ -198,7 +178,7 @@ def _engine_config(method: str = "auto") -> EngineConfig:
         raise ParseError(f"bad engine setting (ADO_FORGE_BUDGET={budget!r}): {exc}") from exc
 
 
-def cmd_construct(args, run: _Run) -> int:
+def cmd_construct(args, run: _Run) -> None:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.path, run)
     config = _engine_config(args.method)
@@ -216,41 +196,37 @@ def cmd_construct(args, run: _Run) -> int:
         _write_data(dumps_canonical(representation_to_json(rep, algebra_ref)), args.out)
         if args.certificate:
             _write_data(dumps_canonical(certificate_to_json(cert)), args.certificate)
-    return EXIT_OK
 
 
-def cmd_verify(args, run: _Run) -> int:
+def cmd_verify(args, run: _Run) -> None:
     with run.phase("parse"):
         algebra, name = _read_algebra(args.algebra, run)
         doc = _read_json(args.representation, run, "representation_digest")
         matrices, space_dim, _ref = representation_from_json(doc)
     if len(matrices) != algebra.dim:
-        run.fail("algebra_mismatch", "matrix count differs from algebra dimension")
         print(f"FAIL shape: {len(matrices)} matrices for a dim-{algebra.dim} algebra")
-        return EXIT_FAIL
+        raise AlgebraMismatch("matrix count differs from algebra dimension")
     rep = Representation(algebra, space_dim, matrices)
     with run.phase("verify"):
         outcome = verify_output(algebra, rep)
     run.report["verification"] = outcome.as_dict()
     if outcome.ok:
         print(f"{name or args.algebra}: representation verified (space dim {space_dim})")
-        return EXIT_OK
+        return
     for prop in outcome.failing():
         print(f"FAIL not {prop}" if prop != "homomorphism" else "FAIL not a homomorphism")
-    run.fail("verification_failed", f"failing: {outcome.failing()}")
-    return EXIT_FAIL
+    raise VerificationFailed(outcome, None)
 
 
-def cmd_examples(args, run: _Run) -> int:
+def cmd_examples(args, run: _Run) -> None:
     if args.list or args.name is None:
         for n in EXAMPLE_NAMES:
             print(n)
-        return EXIT_OK
+        return
     run.report["input_digest"] = digest_bytes(args.name.encode("utf-8"))
     algebra = example(args.name)
     run.report["output_dims"] = {"algebra_dim": algebra.dim}
     _write_data(dumps_canonical(algebra_to_json(algebra, args.name)), args.out)
-    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -306,16 +282,16 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         run.report["command"] = args.command
-        code = args.func(args, run)
+        args.func(args, run)
     except AdoForgeError as exc:
-        run.fail(exc.kind, str(exc))
-        code = _exit_code_for(exc)
+        run.report["outcome"] = {"error": exc.kind, "message": str(exc)}
+        return exc.exit_code
     except Exception as exc:
-        run.fail("internal_error", f"{type(exc).__name__}: {exc}")
+        run.report["outcome"] = {"error": "internal_error", "message": f"{type(exc).__name__}: {exc}"}
         raise
     finally:
         run.emit()
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a stable machine-readable ``kind`` used by the CLI run
-report and by the exit-code contract.  ``quoted`` cuts untrusted input
-short for a message.
+Every error carries a stable machine-readable ``kind`` for the CLI run
+report and the ``exit_code`` the CLI exits with, 1 unless its class sets
+another.  ``quoted`` cuts untrusted input short for a message.
 """
 
 
@@ -20,10 +20,12 @@ class AdoForgeError(Exception):
     """Base class; ``kind`` is a stable snake_case identifier."""
 
     kind = "error"
+    exit_code = 1
 
 
 class ParseError(AdoForgeError):
     kind = "parse_error"
+    exit_code = 2
 
 
 class DimensionMismatch(AdoForgeError):
@@ -36,6 +38,7 @@ class KernelNotContained(AdoForgeError):
 
 class NotNilpotent(AdoForgeError):
     kind = "not_nilpotent"
+    exit_code = 3
 
 
 class NotAnIdeal(AdoForgeError):
@@ -48,6 +51,7 @@ class ZeroIdeal(AdoForgeError):
 
 class BudgetExceeded(AdoForgeError):
     kind = "budget_exceeded"
+    exit_code = 4
 
 
 class AlgebraMismatch(AdoForgeError):
@@ -94,6 +98,7 @@ class NotSurjective(AdoForgeError):
 
 class UnknownExample(AdoForgeError):
     kind = "unknown_example"
+    exit_code = 2
 
 
 class ValidationFailed(AdoForgeError):
@@ -110,7 +115,8 @@ class VerificationFailed(AdoForgeError):
     """The final exact check rejected a constructed representation.
 
     ``report`` is the engine's ``VerificationReport`` and ``certificate`` the
-    certificate whose last step records it.
+    certificate whose last step records it, or ``None`` when ``verify``
+    checked a representation read from a file.
     """
 
     kind = "verification_failed"

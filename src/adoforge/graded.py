@@ -193,7 +193,11 @@ def _scaling_derivation(algebra: LieAlgebra) -> RationalMatrix:
 def euler_derivation(current: LieAlgebra) -> Cocycle:
     """The scaling cocycle phi(x(x)t^a) = a * x(x)t^a valued in the adjoint
     module: the scaling derivation of the current algebra's t-grading.  Its
-    kernel is zero because every eigenvalue is a positive integer."""
+    kernel is zero because every eigenvalue is a positive integer.  An
+    algebra without a grading raises ``InvalidGrading``; a grading that is
+    present is not re-proved, as ``current_algebra`` grades by construction."""
+    if current.grading is None:
+        raise InvalidGrading("euler_derivation requires a graded algebra")
     return Cocycle(adjoint(current), _scaling_derivation(current))
 
 

@@ -61,8 +61,9 @@ class Grading:
 class LieAlgebra:
     """Finite-dimensional Lie algebra presented by structure constants.
 
-    ``brackets`` maps each pair i < j with a nonzero bracket to [e_i, e_j]
-    as ``{k: Fraction}`` without zeros.  It is immutable after construction:
+    ``dim`` must be a nonnegative ``int`` (a bool is refused).  ``brackets``
+    maps each pair i < j with a nonzero bracket to [e_i, e_j] as
+    ``{k: Fraction}`` without zeros.  It is immutable after construction:
     ``integer_form`` is built from it once and shared by every later walk.
     """
 
@@ -75,6 +76,8 @@ class LieAlgebra:
         labels: Sequence[str] | None = None,
         grading: Grading | None = None,
     ):
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim {quoted(dim)} must be a nonnegative int")
         self.dim = dim
         table: BracketTable = {}
         for (i, j), coeffs in brackets.items():
@@ -181,10 +184,12 @@ class LieAlgebra:
 
 @dataclass
 class ValidationReport:
-    """Jacobi violations as (i, j, k, residual) tuples; empty means valid."""
+    """Jacobi violations as (i, j, k, residual) tuples, the residual a sparse
+    ``{index: Fraction}`` without zeros, so its size does not follow ``dim``;
+    empty means valid."""
 
     dim: int
-    jacobi_violations: list[tuple[int, int, int, Vector]]
+    jacobi_violations: list[tuple[int, int, int, dict[int, Fraction]]]
     grading_ok: bool | None  # None when the algebra carries no grading
 
     @property
@@ -220,7 +225,7 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
                     acc[t] = get(t, 0) + coeff * oc
         residual = {t: Fraction(v, square) for t, v in acc.items() if v}
         if residual:
-            violations.append((i, j, k, dense_vector(residual, n)))
+            violations.append((i, j, k, residual))
     grading_ok = verify_grading(algebra) if algebra.grading is not None else None
     return ValidationReport(n, violations, grading_ok)
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import adoforge.catalog as catalog
 import adoforge.cli as cli
 import adoforge.engine as engine
+import adoforge.errors as errors
 import adoforge.freenilp as freenilp
 from adoforge.catalog import heisenberg3
 from adoforge.cli import main
@@ -28,7 +29,7 @@ from adoforge.jsonio import (
 from adoforge.catalog import example
 from adoforge.liealg import LieAlgebra
 from adoforge.linalg import RationalMatrix, solve_multi
-from adoforge.reps import Representation
+from adoforge.reps import Representation, adjoint
 
 from conftest import changes_of_basis
 
@@ -903,3 +904,80 @@ class TestFileErrors:
         code, _, report = run_cli(["examples", "heisenberg3", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert report["outcome"]["message"].startswith("cannot write output:")
+
+
+def _error_classes(cls=errors.AdoForgeError):
+    """cls and every subclass below it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+# the documented exit codes; every other AdoForgeError exits 1
+EXIT_CODES = {
+    "ParseError": 2,
+    "UnknownExample": 2,
+    "NotNilpotent": 3,
+    "BudgetExceeded": 4,
+    "TensorBudgetExceeded": 4,
+}
+
+
+class TestOneWayOut:
+    """A command returns or raises its typed error; ``main`` reports the
+    error's kind and message and exits with its class's ``exit_code``."""
+
+    def test_every_error_class_carries_its_documented_exit_code(self):
+        classes = list(_error_classes())
+        assert {cls.__name__ for cls in classes} >= set(EXIT_CODES) | {"ValidationFailed", "VerificationFailed"}
+        for cls in classes:
+            assert cls.exit_code == EXIT_CODES.get(cls.__name__, 1), cls.__name__
+
+    @pytest.mark.parametrize("cls", [c for c in _error_classes() if c is not errors.VerificationFailed], ids=lambda c: c.__name__)
+    def test_main_exits_with_the_raised_class_code(self, capsys, monkeypatch, cls):
+        def raise_it(name):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "example", raise_it)
+        code, out, report = run_cli(["examples", "heisenberg3"], capsys)
+        assert code == cls.exit_code and out == ""
+        assert report["outcome"] == {"error": cls.kind, "message": "boom"}
+
+    def test_validate_on_a_jacobi_violation(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BROKEN_JACOBI))
+        code, out, report = run_cli(["validate", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["jacobi violation on basis triple (0,1,2)"]
+        assert report["outcome"] == {"error": "validation_failed", "message": "algebra fails validation"}
+        assert report["jacobi_violations"] == [[0, 1, 2]] and report["grading_ok"] is None
+
+    def test_info_on_a_jacobi_violation(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BROKEN_JACOBI))
+        code, out, report = run_cli(["info", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["broken: invalid algebra"]
+        assert report["outcome"] == {"error": "validation_failed", "message": "algebra fails validation"}
+        assert "info" not in report
+
+    def test_verify_with_too_few_matrices(self, tmp_path, capsys):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        rep_path = tmp_path / "two.json"
+        matrix = {"rows": 1, "cols": 1, "entries": []}
+        rep_path.write_text(json.dumps({"algebra": "heisenberg3", "space_dim": 1, "matrices": [matrix, matrix]}))
+        code, out, report = run_cli(["verify", str(alg_path), str(rep_path)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["FAIL shape: 2 matrices for a dim-3 algebra"]
+        assert report["outcome"] == {"error": "algebra_mismatch", "message": "matrix count differs from algebra dimension"}
+        assert "verification" not in report
+
+    def test_verify_of_the_adjoint_of_h3(self, tmp_path, capsys, h3):
+        alg_path = write_example(tmp_path, "heisenberg3", capsys)
+        rep_path = tmp_path / "adj.json"
+        rep_path.write_text(dumps_canonical(representation_to_json(adjoint(h3), "heisenberg3")))
+        code, out, report = run_cli(["verify", str(alg_path), str(rep_path)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["FAIL not faithful"]
+        assert report["outcome"] == {"error": "verification_failed", "message": "failing: ['faithful']"}
+        assert report["verification"] == {"faithful": False, "homomorphism": True, "nilpotent": True}

@@ -131,6 +131,11 @@ class TestEulerDerivation:
         assert kernel_basis(phi.map).dim == 0
         assert phi.satisfies_identity()
 
+    def test_requires_a_grading(self):
+        # an algebra without a grading once ended in AttributeError
+        with pytest.raises(InvalidGrading):
+            euler_derivation(LieAlgebra(3, {(0, 1): {2: 1}}))
+
 
 class TestCocycleSpace:
     def test_abelian1_trivial_module(self):
